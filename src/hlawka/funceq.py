@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PoleError, ValidationError
+from .fourier import ellipse_coefficient
 from .lattice import build_spectrum, count_points
 from .shapes import RadialShape, area, odd_shape, square
 from .special import gamma, riemann_zeta
@@ -319,26 +320,10 @@ def _coeff_series(reading: str, s: complex, q: int, c: float, d: float):
     the binomial it replaced), so it is capped at 40 terms and flagged.
     """
     if reading == "k-form":
-        acc = 0.0 + 0.0j
-        binom_ms = 1.0 + 0.0j
-        scaled = None
-        last_ratio = 0.0
-        prev_mag = 0.0
-        for k in range(600):
-            if k >= 2 * q:
-                if scaled is None:
-                    scaled = float(math.comb(2 * k, k - 2 * q)) / 4.0**k
-                term = binom_ms * scaled * 2.0 * (d / c) ** k  # /2^(2k-1) = 2/4^k
-                acc += term
-                mag = abs(term)
-                if prev_mag > 0:
-                    last_ratio = mag / prev_mag
-                prev_mag = mag
-                if k > 2 * q + 2 and mag < 1e-18 * max(abs(acc), _TINY):
-                    break
-                scaled *= (2 * k + 1) * (2 * k + 2) / (4.0 * (k + 1 - 2 * q) * (k + 1 + 2 * q))
-            binom_ms *= (-s - k) / (k + 1)
-        return c ** (-s) * acc, {"reading": reading, "last_ratio": last_ratio, "divergent": False}
+        # the printed weight 1/2^(2k-1) is twice the library's 1/4^k
+        res = ellipse_coefficient(c, d, s, q, k_max=600)
+        diag = {"reading": reading, "last_ratio": res.truncation["last_ratio"], "divergent": False}
+        return 2.0 * res.value, diag
 
     if reading == "j-form":
         # sum_j binom(2j+4q, j) d^(j+2q) Gamma(j+2q-s)

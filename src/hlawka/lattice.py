@@ -9,7 +9,9 @@ Enumeration walks the axis-aligned box in fixed row chunks; chunks may be
 processed by a thread pool, but the merge happens in chunk order and every
 chunk is reduced identically, so results are bit-identical across thread
 counts.  For the square and the odd shape the dilation times are evaluated by
-exact integer linear forms, which keeps their spectra exactly integral.
+exact integer linear forms, which keeps their spectra exactly integral.  A
+transformed shape gD reuses the kernel of D through t_{gD}(p) = t_D(g^-1 p),
+so integral images such as GL(2,Z) images of the square stay exact too.
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ def dilation_times_block(shape: RadialShape, m: np.ndarray, n: np.ndarray) -> np
     the square and the odd shape the result is an exact small integer.
     """
     kind = shape.kind
+    if kind == "transformed":
+        g, base = shape.params
+        return dilation_times_block(base, *g.inverse().apply(m, n))
     if kind == "square":
         return np.maximum(np.abs(m), np.abs(n)).astype(float)
     if kind == "odd":

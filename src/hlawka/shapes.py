@@ -6,6 +6,10 @@ kinds: constant (circle), ellipse, square (side 2, centered), a seven-segment
 "odd" region with the same dilation spectrum as the square, finite cosine
 series, and images of any of these under a nonsingular 2x2 matrix.
 
+A linear map sends rays from the origin to rays, so the image of a shape has
+the closed form (g.r)(psi) = r(phi) / |g^-1 u_psi| with phi = arg(g^-1 u_psi)
+and u_psi = (cos psi, sin psi), for either sign of det g.
+
 Matrix conventions.  kappa(phi) denotes [[cos phi, sin phi], [-sin phi,
 cos phi]]; as a map of column vectors it rotates the plane by -phi, hence the
 induced circle map is theta_kappa(theta) = theta - phi and the induced action
@@ -109,9 +113,6 @@ class Mat2:
     def entries(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 
-    def max_abs(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
 
 @dataclass(frozen=True)
 class IwasawaCoords:
@@ -164,7 +165,7 @@ def cartan_decompose(g: Mat2) -> tuple[Mat2, float, float, Mat2]:
 
 
 # ---------------------------------------------------------------------------
-# The induced circle map theta_g and its inverse
+# The induced circle map theta_g
 # ---------------------------------------------------------------------------
 
 
@@ -179,43 +180,6 @@ def theta_g(g: Mat2, phi: ArrayLike) -> ArrayLike:
     cp, sp = np.cos(phi), np.sin(phi)
     x, y = g.apply(cp, sp)
     return np.arctan2(y, x) % _TWO_PI
-
-
-def invert_theta(g: Mat2, psi: ArrayLike) -> ArrayLike:
-    """Solve theta_g(phi) = psi (mod 2pi) by bisection on the monotone lift.
-
-    The lift of a circle homeomorphism is strictly monotone, so bisection is
-    unconditionally safe; iterated to an angular tolerance of 1e-13.
-    """
-    if g.det == 0.0:
-        raise ValidationError("cannot invert theta_g of a singular matrix")
-    if g.det < 0.0:
-        # theta_g(phi) = theta_{gM}(-phi) with M = diag(1, -1), det(gM) > 0
-        gm = Mat2(g.a, -g.b, g.c, -g.d)
-        return (-invert_theta(gm, psi)) % _TWO_PI
-
-    psi_arr = np.asarray(psi, dtype=float)
-    scalar = psi_arr.ndim == 0
-    psi_arr = np.atleast_1d(psi_arr)
-
-    theta0 = float(theta_g(g, 0.0))
-    target = theta0 + (psi_arr - theta0) % _TWO_PI
-
-    lo = np.zeros_like(psi_arr)
-    hi = np.full_like(psi_arr, _TWO_PI)
-    lift_lo = np.full_like(psi_arr, theta0)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        raw = np.asarray(theta_g(g, mid))
-        lifted = lift_lo + (raw - lift_lo) % _TWO_PI
-        go_left = target <= lifted
-        hi = np.where(go_left, mid, hi)
-        lo = np.where(go_left, lo, mid)
-        lift_lo = np.where(go_left, lift_lo, lifted)
-        if np.max(hi - lo) < 1e-13:
-            break
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +197,7 @@ class RadialShape:
       square         ()
       odd            ()
       cosine-series  (c0, c1, ..., cQ)
-      transformed    (matrix, base_shape, fast_tag, fast_data)
+      transformed    (matrix, base_shape)
     """
 
     kind: str
@@ -303,19 +267,9 @@ def _odd_radial(th: np.ndarray) -> np.ndarray:
 
 
 def _transformed_eval(shape: RadialShape, psi: np.ndarray) -> np.ndarray:
-    g, base, tag, data = shape.params
-    if tag == "rotscale":
-        sigma, rot = data
-        return sigma * np.asarray(base.evaluate(psi + rot))
-    if tag == "posdiag":
-        p, q = data
-        phi = np.arctan2(p * np.sin(psi), q * np.cos(psi))
-        r = np.asarray(base.evaluate(phi))
-        return r * np.hypot(p * np.cos(phi), q * np.sin(phi))
-    phi = invert_theta(g, psi)
-    r = np.asarray(base.evaluate(phi))
-    x, y = g.apply(r * np.cos(phi), r * np.sin(phi))
-    return np.hypot(x, y)
+    g, base = shape.params
+    x, y = g.inverse().apply(np.cos(psi), np.sin(psi))
+    return base.evaluate(np.arctan2(y, x)) / np.hypot(x, y)
 
 
 def _grid_bounds(evalf, n: int = _GRID_N) -> tuple[float, float]:
@@ -406,25 +360,13 @@ def cosine_series(coeffs) -> RadialShape:
 def act(g: Mat2, shape: RadialShape) -> RadialShape:
     """The radial function of g applied to the region of ``shape``.
 
-    Defined by g X(r(phi), phi) = X((g.r)(theta_g(phi)), theta_g(phi)); the
-    evaluator inverts the monotone angle map numerically except for rotation,
-    scalar, and positive-diagonal matrices, which have closed forms.
+    Defined by g X(r(phi), phi) = X((g.r)(theta_g(phi)), theta_g(phi)) and
+    evaluated in closed form: the ray at angle psi is the image of the ray
+    through g^-1 u_psi, so (g.r)(psi) = r(arg g^-1 u_psi) / |g^-1 u_psi|.
     """
     if g.det == 0.0:
         raise ValidationError("act requires a nonsingular matrix")
-    scale = max(g.max_abs(), 1e-300)
-    tol = 1e-14 * scale
-    tag, data = "general", None
-    if abs(g.b) <= tol and abs(g.c) <= tol and g.a > 0 and g.d > 0:
-        tag, data = "posdiag", (g.a, g.d)
-    elif abs(g.a - g.d) <= tol and abs(g.b + g.c) <= tol:
-        sigma = math.hypot(g.a, g.b)
-        if sigma > 0:
-            # g = sigma * kappa(rot); (kappa(rot).r)(theta) = r(theta + rot)
-            rot = math.atan2(g.b, g.a)
-            tag, data = "rotscale", (sigma, rot)
-    params = (g, shape, tag, data)
-    return _finish("transformed", params, shape.smoothness)
+    return _finish("transformed", (g, shape), shape.smoothness)
 
 
 def area(shape: RadialShape, n: int = 1 << 14) -> float:

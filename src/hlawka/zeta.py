@@ -66,6 +66,17 @@ def _fluctuation_margin(radius: float) -> float:
     return 1.0 + 2.0 * radius ** (-1.0 / 3.0)
 
 
+def _disc_tail(ang: float, sigma: float, radius: float) -> float:
+    """Integral-comparison tail of a lattice sum over the disc |p| <= radius.
+
+    For terms of modulus w(theta) |p|^(-2 sigma), ``ang`` is (a bound on) the
+    integral of w over the circle; the omitted terms then total about
+    ang * radius^(2 - 2 sigma) / (2 sigma - 2), inflated by the fluctuation
+    margin.
+    """
+    return ang * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0) * _fluctuation_margin(radius)
+
+
 @dataclass(frozen=True)
 class QuadForm2:
     """Positive-definite symmetric binary quadratic form [[u11, u12], [u12, u22]]."""
@@ -173,14 +184,7 @@ def hlawka_direct_many(
     for i, sv in enumerate(s_list):
         total = complex(np.sum(np.array([p[i] for p in parts])))
         sigma = sv.real
-        tail = (
-            2.0
-            * math.pi
-            * shape.r_max ** (2.0 * sigma)
-            * radius ** (2.0 - 2.0 * sigma)
-            / (2.0 * sigma - 2.0)
-            * _fluctuation_margin(radius)
-        )
+        tail = _disc_tail(2.0 * math.pi * shape.r_max ** (2.0 * sigma), sigma, radius)
         out.append(
             EvalResult(
                 value=total,
@@ -245,7 +249,7 @@ def epstein_direct(
     # integral comparison: tail ~ R^(2-2s)/(2s-2) * angular integral of the form
     th = np.arange(512) * (2.0 * math.pi / 512)
     ang = float(np.mean(u.evaluate(np.cos(th), np.sin(th)) ** (-sigma))) * 2.0 * math.pi
-    tail = ang * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0) * _fluctuation_margin(radius)
+    tail = _disc_tail(ang, sigma, radius)
     return EvalResult(
         value=total, error_estimate=tail, truncation={"radius": radius}
     )
@@ -398,11 +402,7 @@ def eisenstein_fq_truncated(
 
     parts = map_box_chunks(bound, chunk, threads=threads or default_threads())
     total = _MINUS_I_POW[q % 4] * complex(np.sum(np.array(parts)))
-    sigma = s.real
-    tail = (
-        2.0 * math.pi * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
-        * _fluctuation_margin(radius)
-    )
+    tail = _disc_tail(2.0 * math.pi, s.real, radius)
     trunc = {"radius": radius, "q": q, "rotation": g_rotation}
     if q % 4 != 0:
         trunc["vanishes_identically"] = True
@@ -579,11 +579,7 @@ def reconstruct_hlawka(
 
     if mode == "truncated":
         t_sums = _twisted_sums_truncated(s, q_list, radius, threads)
-        sigma = s.real
-        t_tail = (
-            2.0 * math.pi * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
-            * _fluctuation_margin(radius)
-        )
+        t_tail = _disc_tail(2.0 * math.pi, s.real, radius)
     else:
         t_sums = {0: epstein_continued(QuadForm2.identity(), s).value}
         for q in q_list:

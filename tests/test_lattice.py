@@ -11,9 +11,10 @@ from hlawka.lattice import (
     build_spectrum,
     count_points,
     dilation_time,
+    dilation_times_block,
     spectrum_to_csv,
 )
-from hlawka.shapes import area, circle, cosine_series, ellipse, odd_shape, square
+from hlawka.shapes import Mat2, act, area, circle, cosine_series, ellipse, odd_shape, square
 
 
 def test_dilation_time_examples(unit_circle, square_shape):
@@ -48,6 +49,36 @@ def test_square_spectrum_exact_integers(square_shape):
 def test_odd_spectrum_matches_square(odd_region):
     spec = build_spectrum(odd_region, 10.0)
     assert [(e.t, e.count) for e in spec.entries] == [(float(k), 8 * k) for k in range(1, 11)]
+
+
+def test_gl2z_images_keep_the_exact_integer_spectrum():
+    # g in GL(2,Z) permutes the lattice, so gD has the spectrum of D exactly;
+    # the second matrix has det -1
+    for g in (Mat2(2.0, 1.0, 1.0, 1.0), Mat2(1.0, 1.0, 1.0, 0.0)):
+        for base in (square(), odd_shape()):
+            spec = build_spectrum(act(g, base), 12.0)
+            assert [(e.t, e.count) for e in spec.entries] == [(float(k), 8 * k) for k in range(1, 13)]
+
+
+def test_transformed_dilation_times_match_radial_function():
+    # t(p) = |p| / (g.r)(arg p), for every base kernel and both signs of det g
+    rng = np.random.default_rng(33)
+    bases = (square(), odd_shape(), cosine_series([1.0, 0.1, 0, 0.05]), ellipse(1.7, 0.9, phi=0.6))
+    m, n = (a.ravel() for a in np.meshgrid(np.arange(-15, 16), np.arange(-15, 16)))
+    nz = (m != 0) | (n != 0)
+    m, n = m[nz], n[nz]
+    dets = []
+    for base in bases:
+        for _ in range(10):
+            g = Mat2(*rng.uniform(-2.0, 2.0, size=4))
+            if abs(g.det) < 0.1:
+                continue
+            dets.append(g.det)
+            sh = act(g, base)
+            t_ref = np.hypot(m, n) / sh.evaluate(np.arctan2(n, m))
+            t = dilation_times_block(sh, m, n)
+            assert np.max(np.abs(t - t_ref) / t_ref) <= 1e-12
+    assert min(dets) < 0 < max(dets)
 
 
 def test_circle_spectrum_brute_force_oracle(unit_circle):

@@ -15,7 +15,6 @@ from hlawka.shapes import (
     circle,
     cosine_series,
     ellipse,
-    invert_theta,
     iwasawa_decompose,
     odd_shape,
     parse_shape,
@@ -223,16 +222,6 @@ def test_theta_monotone_and_group_law():
         assert np.max(delta) <= 1e-10
 
 
-def test_invert_theta_roundtrip():
-    rng = np.random.default_rng(24)
-    for _ in range(20):
-        g = random_gl2(rng)
-        psi = rng.uniform(0, 2 * math.pi, size=64)
-        phi = invert_theta(g, psi)
-        back = theta_g(g, phi)
-        assert np.max(np.abs(np.exp(1j * back) - np.exp(1j * psi))) < 1e-11
-
-
 # ---------------------------------------------------------------------------
 # the GL(2,R) action
 # ---------------------------------------------------------------------------
@@ -294,6 +283,15 @@ def test_act_preserves_star_shape():
         r = np.asarray(out.evaluate(GRID))
         assert np.all(r > 0)
         assert np.all(np.isfinite(r))
+
+
+def test_evaluate_empty_input_every_kind():
+    empty = np.empty(0)
+    kinds = (circle(1.0), ellipse(2.0, 1.0, 0.3), square(), odd_shape(),
+             cosine_series([1.0, 0.1, 0, 0.05]), act(Mat2(1.2, 0.3, -0.1, 0.8), circle(1.0)))
+    for sh in kinds:
+        out = sh.evaluate(empty)
+        assert isinstance(out, np.ndarray) and out.shape == (0,), sh.kind
 
 
 def test_act_rejects_singular():

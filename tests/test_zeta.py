@@ -114,6 +114,13 @@ def test_quarter_turn_invariance():
         assert abs(z1 - z2) / abs(z1) <= 1e-10
 
 
+def test_gl2_direct_sum_with_an_empty_last_chunk():
+    # at radius 127.5 the last 256-row chunk of the box lies outside the disc
+    shape = act(Mat2(1.2, 0.3, -0.1, 0.8), circle(1.0))
+    res = hlawka_direct(shape, 2.0, 127.5)
+    assert cmath.isfinite(res.value) and res.value.real > 0
+
+
 def test_hlawka_from_spectrum_matches_direct_circle(unit_circle):
     # for the circle t(p) = |p|, so the spectrum to t_max equals the disc
     spec = build_spectrum(unit_circle, 80.0)
