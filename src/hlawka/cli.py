@@ -396,9 +396,13 @@ def _verify_one(which: str, args) -> funceq.CheckReport:
     if which == "fq-fe":
         return funceq.check_fq_fe(args.q, samples)
     if which == "ellipse-fe":
-        return funceq.check_ellipse_fe(args.a, args.b, args.phi, samples)
+        a = 2.0 if args.a is None else args.a
+        return funceq.check_ellipse_fe(a, args.b, args.phi, samples)
     if which == "coefficient-identity":
-        return funceq.check_coefficient_identity(args.a, args.b, max(args.q // 4, 1), samples)
+        # the coefficient series only converges for mild eccentricity
+        # (|2d/c| < 1 needs a/b < sqrt 2), so its default is a^2/b^2 = 1.2
+        a = math.sqrt(1.2) * args.b if args.a is None else args.a
+        return funceq.check_coefficient_identity(a, args.b, max(args.q // 4, 1), samples)
     if which == "odd-vs-square":
         return funceq.check_odd_vs_square(args.tmax, _to_convergent(samples), threads=args.threads)
     if which == "regular-fe-probe":
@@ -435,10 +439,10 @@ def _cmd_verify(args) -> int:
         for which in _VERIFY_ALL:
             sweep_args = args
             if which == "coefficient-identity":
-                # the coefficient series only converges for mild eccentricity;
-                # the sweep uses a^2/b^2 = 1.2 rather than the ellipse-fe axes
+                # the sweep runs the coefficient series at its default axes
+                # whatever --a the ellipse-fe check gets
                 sweep_args = copy.copy(args)
-                sweep_args.a = math.sqrt(1.2) * args.b
+                sweep_args.a = None
             rep = _verify_one(which, sweep_args)
             reports.append(rep)
             if which not in _NON_GATING and not rep.passed:
@@ -545,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--c", type=float, default=1.0, help="circle radius")
-    sp.add_argument("--a", type=float, default=2.0)
+    sp.add_argument("--a", type=float, default=None,
+                    help="ellipse axis (default 2; sqrt(1.2) * b for coefficient-identity)")
     sp.add_argument("--b", type=float, default=1.0)
     sp.add_argument("--phi", type=float, default=0.0)
     sp.add_argument("--q", type=int, default=4)

@@ -5,6 +5,13 @@ shape is t(p) = |p| / r(theta(p)), the scale at which the dilated region
 first contains p.  Distinct t values with multiplicities form the spectrum
 (t_1 < t_2 < ..., a_k = number of boundary points of t_k D).
 
+A ``Spectrum`` is array-backed: the lattice points up to t_max sorted by
+(t, m, n), the index where each spectral line starts in that order, and per
+line its first t value and its multiplicity.  Grouping the sorted values into
+lines is one vectorized gap test.  ``Spectrum.entries`` is a read-only view
+over those arrays that builds ``SpectrumEntry`` objects (with their first
+witness points) only when they are read.
+
 Enumeration walks the axis-aligned box in fixed row chunks; chunks may be
 processed by a thread pool, but the merge happens in chunk order and every
 chunk is reduced identically, so results are bit-identical across thread
@@ -19,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -32,6 +40,7 @@ __all__ = [
     "LatticePoint",
     "SpectrumEntry",
     "Spectrum",
+    "SpectrumEntries",
     "dilation_time",
     "dilation_times_block",
     "build_spectrum",
@@ -56,24 +65,59 @@ class SpectrumEntry:
     witnesses: tuple[LatticePoint, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ordered dilation spectrum up to t_max."""
+    """Ordered dilation spectrum up to t_max.
 
-    entries: tuple[SpectrumEntry, ...]
+    Line k (0-based) consists of the points ``m[starts[k]:starts[k] +
+    counts[k]]``, ``n[...]`` alike, whose dilation times agree within the
+    grouping tolerance; ``t_values[k]`` is the smallest of them.  All points
+    are sorted by (t, m, n).  The arrays are read-only.
+    """
+
+    t_values: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
     t_max: float
     tolerance: float
+    max_witnesses: int = 8
+
+    def __post_init__(self):
+        for a in (self.t_values, self.counts, self.starts, self.m, self.n):
+            a.flags.writeable = False
+
+    @property
+    def entries(self) -> "SpectrumEntries":
+        return SpectrumEntries(self)
 
     def count_up_to(self, x: float) -> int:
-        return sum(e.count for e in self.entries if e.t <= x)
+        k = int(np.searchsorted(self.t_values, x, side="right"))
+        return int(self.counts[:k].sum())
 
-    @property
-    def t_values(self) -> np.ndarray:
-        return np.array([e.t for e in self.entries])
 
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([e.count for e in self.entries], dtype=np.int64)
+class SpectrumEntries(Sequence):
+    """Lazy read-only sequence of the ``SpectrumEntry`` lines of a spectrum."""
+
+    __slots__ = ("_spec",)
+
+    def __init__(self, spec: Spectrum):
+        self._spec = spec
+
+    def __len__(self) -> int:
+        return len(self._spec.t_values)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        sp = self._spec
+        t, count, start = sp.t_values[k], int(sp.counts[k]), int(sp.starts[k])
+        stop = start + min(count, sp.max_witnesses)
+        witnesses = tuple(
+            LatticePoint(m, n) for m, n in zip(sp.m[start:stop].tolist(), sp.n[start:stop].tolist())
+        )
+        return SpectrumEntry(t=float(t), count=count, witnesses=witnesses)
 
 
 def default_threads() -> int:
@@ -219,29 +263,33 @@ def build_spectrum(
     order = np.lexsort((n_all, m_all, t_all))
     m_all, n_all, t_all = m_all[order], n_all[order], t_all[order]
 
-    entries: list[SpectrumEntry] = []
-    i = 0
-    total = len(t_all)
-    prev_upper = None
-    while i < total:
-        t0 = t_all[i]
-        j = i + 1
-        while j < total and t_all[j] - t_all[j - 1] <= tolerance * max(t_all[j], 1.0):
-            j += 1
-        witnesses = tuple(
-            LatticePoint(int(m_all[k]), int(n_all[k])) for k in range(i, min(j, i + max_witnesses))
-        )
-        entries.append(SpectrumEntry(t=float(t0), count=j - i, witnesses=witnesses))
-        if prev_upper is not None and t0 - prev_upper < 10.0 * tolerance * max(t0, 1.0):
-            warnings.warn(
-                f"spectral lines at {prev_upper:.15g} and {t0:.15g} are separated by "
-                f"less than 10x the grouping tolerance; grouping may be ambiguous",
-                stacklevel=2,
-            )
-        prev_upper = t_all[j - 1]
-        i = j
+    # a new line starts wherever the gap to the previous value exceeds the
+    # relative tolerance
+    gap = np.diff(t_all)
+    breaks = np.flatnonzero(gap > tolerance * np.maximum(t_all[1:], 1.0)) + 1
+    starts = np.concatenate(([0], breaks)) if len(t_all) else breaks
+    counts = np.diff(np.append(starts, len(t_all)))
+    t_values = t_all[starts]
 
-    return Spectrum(entries=tuple(entries), t_max=float(t_max), tolerance=float(tolerance))
+    # the gap between a line's last value and the next line's first
+    near = gap[breaks - 1] < 10.0 * tolerance * np.maximum(t_values[1:], 1.0)
+    for b in breaks[near]:
+        warnings.warn(
+            f"spectral lines at {t_all[b - 1]:.15g} and {t_all[b]:.15g} are separated by "
+            f"less than 10x the grouping tolerance; grouping may be ambiguous",
+            stacklevel=2,
+        )
+
+    return Spectrum(
+        t_values=t_values,
+        counts=counts,
+        starts=starts,
+        m=m_all,
+        n=n_all,
+        t_max=float(t_max),
+        tolerance=float(tolerance),
+        max_witnesses=max_witnesses,
+    )
 
 
 def count_points(
@@ -281,6 +329,6 @@ def count_points(
 def spectrum_to_csv(spec: Spectrum) -> str:
     """CSV export: header ``k,t_k,a_k``, 15 significant digits."""
     lines = ["k,t_k,a_k"]
-    for k, e in enumerate(spec.entries, start=1):
-        lines.append(f"{k},{e.t:.15g},{e.count}")
+    for k, (t, a) in enumerate(zip(spec.t_values.tolist(), spec.counts.tolist()), start=1):
+        lines.append(f"{k},{t:.15g},{a}")
     return "\n".join(lines) + "\n"

@@ -207,21 +207,23 @@ def hlawka_direct(
 
 
 def hlawka_from_spectrum(spec: "_lattice.Spectrum", s: complex) -> EvalResult:
-    """Z_r(s) = sum a_k t_k^(-2s) over an already computed spectrum."""
+    """Z_r(s) = sum a_k t_k^(-2s) over an already computed spectrum.
+
+    Tail model: the lines beyond t_max are counted by A(t) ~ area * t^2, and
+    the spectrum's own count A(t_max) = sum a_k estimates the area as
+    A(t_max) / t_max^2.  The omitted terms then total about
+    2 area t_max^(2 - 2 sigma) / (2 sigma - 2), inflated by the fluctuation
+    margin of the disc sums (``_disc_tail``).
+    """
     s = _require_convergent(s)
     t = spec.t_values
     a = spec.counts
     value = complex(np.sum(a * np.exp(-2.0 * s * np.log(t))))
-    sigma = s.real
-    # A(t) grows like area * t^2, so the omitted tail is about
-    # 2 * area * t_max^(2-2s) / (2s-2); area <= pi r_max^2 <= pi t_max^... is
-    # unavailable here, so bound with the largest multiplicity density seen.
-    dens = float(np.max(a / np.maximum(t, 1.0))) if len(a) else 0.0
-    tail = dens * spec.t_max ** (2.0 - 2.0 * sigma) / max(2.0 * sigma - 2.0, 1e-300) * 2.0
+    tail = _disc_tail(2.0 * float(a.sum()) / spec.t_max**2, s.real, spec.t_max)
     return EvalResult(
         value=value,
         error_estimate=tail,
-        truncation={"t_max": spec.t_max, "entries": len(spec.entries)},
+        truncation={"t_max": spec.t_max, "entries": len(t)},
     )
 
 

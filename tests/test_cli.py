@@ -157,6 +157,12 @@ def test_verify_single_and_exit_codes(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_coefficient_identity_runs_with_its_defaults(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--which", "coefficient-identity")
+    assert code == 0
+    assert json.loads(out)["identity"].startswith("coefficient-identity")
+
+
 def test_verify_all_summary(capsys):
     code, out, _ = run_cli(capsys, "verify", "--which", "all", "--samples", "3",
                            "--seed", "3", "--radius", "1000")

@@ -8,10 +8,12 @@ import pytest
 
 from hlawka.errors import ValidationError
 from hlawka.lattice import (
+    LatticePoint,
     build_spectrum,
     count_points,
     dilation_time,
     dilation_times_block,
+    map_box_chunks,
     spectrum_to_csv,
 )
 from hlawka.shapes import Mat2, act, area, circle, cosine_series, ellipse, odd_shape, square
@@ -179,3 +181,78 @@ def test_spectrum_csv_format(square_shape):
     assert lines[0] == "k,t_k,a_k"
     assert lines[1] == "1,1,8"
     assert lines[3] == "3,3,24"
+
+
+def _reference_spectrum(shape, t_max, tolerance=1e-9, max_witnesses=8):
+    """Point-by-point grouping loop: (t, count, witnesses) per line plus the
+    near-tie warning messages, in order."""
+    bound = int(math.ceil(t_max * shape.r_max * (1.0 + 1e-9))) + 1
+
+    def chunk(m, n):
+        nz = (m != 0) | (n != 0)
+        m, n = m[nz], n[nz]
+        t = dilation_times_block(shape, m, n)
+        keep = t <= t_max * (1.0 + tolerance)
+        return m[keep], n[keep], t[keep]
+
+    parts = map_box_chunks(bound, chunk, threads=1)
+    m_all, n_all, t_all = (np.concatenate([p[k] for p in parts]) for k in range(3))
+    order = np.lexsort((n_all, m_all, t_all))
+    m_all, n_all, t_all = m_all[order], n_all[order], t_all[order]
+
+    lines, messages = [], []
+    i, total, prev_upper = 0, len(t_all), None
+    while i < total:
+        t0 = t_all[i]
+        j = i + 1
+        while j < total and t_all[j] - t_all[j - 1] <= tolerance * max(t_all[j], 1.0):
+            j += 1
+        witnesses = tuple(
+            LatticePoint(int(m_all[k]), int(n_all[k])) for k in range(i, min(j, i + max_witnesses))
+        )
+        lines.append((float(t0), j - i, witnesses))
+        if prev_upper is not None and t0 - prev_upper < 10.0 * tolerance * max(t0, 1.0):
+            messages.append(
+                f"spectral lines at {prev_upper:.15g} and {t0:.15g} are separated by "
+                f"less than 10x the grouping tolerance; grouping may be ambiguous"
+            )
+        prev_upper = t_all[j - 1]
+        i = j
+    return lines, messages
+
+
+@pytest.mark.parametrize(
+    "shape, t_max, tolerance, near_ties",
+    [
+        (ellipse(2.0, 1.0, phi=0.4729), 100.0, 1e-9, True),
+        (cosine_series([1.0, 0, 0, 0, 0.1]), 40.0, 1e-9, False),
+        (circle(1.0), 12.0, 3e-3, True),  # coarse tolerance chains several values
+    ],
+)
+def test_grouping_matches_reference_loop(shape, t_max, tolerance, near_ties):
+    want, want_messages = _reference_spectrum(shape, t_max, tolerance)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = build_spectrum(shape, t_max, tolerance=tolerance, threads=2)
+    got = [(e.t, e.count, e.witnesses) for e in spec.entries]
+    assert got == want
+    assert [str(w.message) for w in caught] == want_messages
+    assert len(spec.entries) == len(spec.t_values) == len(spec.counts)
+    assert spec.entries[-1] == spec.entries[len(want) - 1]
+    assert spec.entries[1:3] == tuple(spec.entries)[1:3]
+    assert bool(want_messages) == near_ties
+
+
+def test_empty_spectrum():
+    spec = build_spectrum(square(), 0.5)
+    assert len(spec.entries) == 0 and list(spec.entries) == []
+    assert spectrum_to_csv(spec) == "k,t_k,a_k\n"
+    assert spec.count_up_to(0.5) == 0 and spec.count_up_to(100.0) == 0
+
+
+def test_count_up_to_at_exact_line_values(square_shape):
+    spec = build_spectrum(square_shape, 10.0)
+    assert spec.count_up_to(3.0) == 8 + 16 + 24
+    assert spec.count_up_to(math.nextafter(3.0, 0.0)) == 8 + 16
+    assert spec.count_up_to(0.999) == 0
+    assert spec.count_up_to(10.0) == 440

@@ -140,6 +140,16 @@ def test_hlawka_from_spectrum_square_partial_sum(square_shape):
     assert abs(big - 8.0) < 1e-4
 
 
+def test_hlawka_from_spectrum_error_estimate_bounds_the_tail():
+    # ellipse(3, 1) has t(p)^2 = m^2/9 + n^2, so Z_r is the Epstein function
+    # of diag(1/9, 1); its continuation is the oracle for the full sum
+    spec = build_spectrum(ellipse(3.0, 1.0), 60.0)
+    for s in (2.0, 1.5, 2.5 + 1.0j):
+        res = hlawka_from_spectrum(spec, s)
+        truth = epstein_continued(QuadForm2(1.0 / 9.0, 0.0, 1.0), s).value
+        assert abs(res.value - truth) <= res.error_estimate
+
+
 def test_odd_and_square_spectra_give_equal_zeta():
     s_sq = build_spectrum(square(), 50.0)
     s_od = build_spectrum(odd_shape(), 50.0)
