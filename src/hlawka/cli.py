@@ -47,6 +47,7 @@ OPERATION_MAP = {
     "zeta.reconstruct_hlawka": "reconstruct",
     "fourier.fourier_coeffs": "fourier",
     "fourier.ellipse_coefficient": "fourier",
+    "fourier.closed_form_coefficients": "fourier",
     "funceq.check_circle_fe": "verify",
     "funceq.check_square_closed_form": "verify",
     "funceq.check_fq_fe": "verify",
@@ -187,27 +188,7 @@ def _cmd_fourier(args) -> int:
     shape = shapes.parse_shape(args.shape)
     s = parse_complex(args.s)
     if args.method == "closed-form":
-        if shape.kind not in ("ellipse", "constant"):
-            raise ValidationError("closed-form coefficients exist only for ellipses")
-        if shape.kind == "constant":
-            a = b = shape.params[0]
-        else:
-            a, b, phi = shape.params
-            if phi != 0.0:
-                raise ValidationError("closed form implemented for unrotated ellipses")
-        c = (a / b) ** 2
-        d = 1.0 - c
-        scale = complex(a) ** (2.0 * s)
-        rows = []
-        for qq in range(0, args.qmax // 4 + 1):
-            if c == 1.0:
-                val = scale if qq == 0 else 0.0 + 0.0j
-                err = 0.0
-            else:
-                res = fourier.ellipse_coefficient(c, d, s, qq, k_max=args.kmax)
-                val = scale * res.value
-                err = abs(scale) * res.error_estimate
-            rows.append((4 * qq, val, err))
+        rows = fourier.closed_form_coefficients(shape, s, args.qmax, k_max=args.kmax)
         if args.format == "csv":
             lines = ["q,re,im"] + [f"{q},{v.real:.15g},{v.imag:.15g}" for q, v, _ in rows]
             _emit("\n".join(lines) + "\n", args.out)

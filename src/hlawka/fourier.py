@@ -24,7 +24,8 @@ from .errors import DivergenceError, ValidationError
 from .results import EvalResult
 from .shapes import RadialShape
 
-__all__ = ["FourierTable", "fourier_coeffs", "ellipse_coefficient", "fourier_table_to_csv"]
+__all__ = ["FourierTable", "fourier_coeffs", "ellipse_coefficient", "closed_form_coefficients",
+           "fourier_table_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,30 @@ def ellipse_coefficient(
         error_estimate=abs(cparam ** (-s)) * tail,
         truncation={"k_max": k_max, "last_ratio": rho, "q": q},
     )
+
+
+def closed_form_coefficients(
+    shape: RadialShape, s: complex, q_max: int, k_max: int = 400
+) -> list[tuple[int, complex, float]]:
+    """Rows ``(q, chat(q), error)`` of r^(2s), q = 0, 4, ..., q_max, for a circle
+    or an unrotated ellipse: r^(2s) = a^(2s) (c + d cos^2)^(-s) with
+    c = (a/b)^2, d = 1 - c, so each row is a^(2s) ``ellipse_coefficient``."""
+    if shape.kind not in ("ellipse", "constant"):
+        raise ValidationError("closed-form coefficients exist only for ellipses")
+    if shape.kind == "constant":
+        a = b = shape.params[0]
+    else:
+        a, b, phi = shape.params
+        if phi != 0.0:
+            raise ValidationError("closed form implemented for unrotated ellipses")
+    c = (a / b) ** 2
+    d = 1.0 - c
+    scale = complex(a) ** (2.0 * s)
+    qs = range(0, q_max + 1, 4)
+    if c == 1.0:
+        return [(q, scale if q == 0 else 0.0 + 0.0j, 0.0) for q in qs]
+    series = [(q, ellipse_coefficient(c, d, s, q // 4, k_max=k_max)) for q in qs]
+    return [(q, scale * res.value, abs(scale) * res.error_estimate) for q, res in series]
 
 
 def fourier_table_to_csv(table: FourierTable) -> str:

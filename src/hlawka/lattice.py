@@ -12,11 +12,12 @@ lines is one vectorized gap test.  ``Spectrum.entries`` is a read-only view
 over those arrays that builds ``SpectrumEntry`` objects (with their first
 witness points) only when they are read.
 
-Enumeration walks the axis-aligned box in fixed row chunks; chunks may be
-processed by a thread pool, but the merge happens in chunk order and every
-chunk is reduced identically, so results are bit-identical across thread
-counts.  For the square and the odd shape the dilation times are evaluated by
-exact integer linear forms, which keeps their spectra exactly integral.  A
+Enumeration walks only the rows of the disc |p| <= R, in chunks of whole rows
+capped by point count (``map_box_chunks``); chunks may be processed by a thread
+pool, but the merge happens in chunk order and every chunk is reduced
+identically, so results are bit-identical across thread counts.  For the
+square and the odd shape the dilation times are evaluated by exact integer
+linear forms, which keeps their spectra exactly integral.  A
 transformed shape gD reuses the kernel of D through t_{gD}(p) = t_D(g^-1 p),
 so integral images such as GL(2,Z) images of the square stay exact too.
 """
@@ -50,7 +51,8 @@ __all__ = [
     "spectrum_to_csv",
 ]
 
-_CHUNK_ROWS = 256
+# points per enumeration chunk; half a chunk holds a row of the largest disc
+_CHUNK_POINTS = 1 << 17
 
 
 class LatticePoint(NamedTuple):
@@ -189,35 +191,54 @@ def dilation_time(shape: RadialShape, p: tuple[int, int]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Chunked box enumeration
+# Chunked disc enumeration
 # ---------------------------------------------------------------------------
 
 
 def map_box_chunks(
-    bound: int,
+    bound: float,
     func: Callable[[np.ndarray, np.ndarray], object],
     threads: int | None = None,
-    chunk_rows: int = _CHUNK_ROWS,
+    half: bool = False,
 ) -> list:
-    """Apply ``func(m_block, n_block)`` over the box [-bound, bound]^2.
+    """Apply ``func(m_block, n_block)`` over the points 0 < m^2 + n^2 <= bound^2
+    (those of the float test against bound * bound); ``bound`` is the radius.
 
-    Blocks are full rows (m varies fastest within a block); results come back
-    in ascending-n chunk order regardless of the thread count.  ``func`` must
-    be pure.  The origin is included; callers mask it.
+    A block is a run of whole rows of the half plane n > 0 or (n = 0, m > 0)
+    followed by its mirror image -p, at most ``_CHUNK_POINTS`` points; blocks
+    depend only on ``bound`` and results come back in block order whatever
+    the thread count.  ``func`` must be pure.  ``half`` leaves the mirror out,
+    for sums of terms even under p -> -p, which the caller doubles exactly.
     """
-    ms = np.arange(-bound, bound + 1)
-    starts = list(range(-bound, bound + 1, chunk_rows))
+    k2 = math.floor(bound * bound)
+    rows = np.arange(math.isqrt(k2) + 1)
+    room = k2 - rows * rows
+    ext = np.floor(np.sqrt(room)).astype(np.int64)  # row n holds |m| <= isqrt(room)
+    ext += (ext + 1) ** 2 <= room  # exact integer correction of the float root
+    ext -= ext**2 > room
+    first, counts = -ext, 2 * ext + 1
+    first[0], counts[0] = 1, ext[0]
+    ends = np.cumsum(counts)
+    cap = _CHUNK_POINTS if half else _CHUNK_POINTS // 2
+    cuts = [0]
+    while cuts[-1] < len(rows):
+        limit = ends[cuts[-1]] - counts[cuts[-1]] + cap
+        cuts.append(max(int(np.searchsorted(ends, limit, side="right")), cuts[-1] + 1))
+    chunks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
-    def run(start: int):
-        rows = np.arange(start, min(start + chunk_rows, bound + 1))
-        n_block, m_block = np.meshgrid(rows, ms, indexing="ij")
-        return func(m_block.ravel(), n_block.ravel())
+    def run(c: slice):
+        starts = np.cumsum(counts[c]) - counts[c]
+        m = np.arange(int(counts[c].sum())) + np.repeat(first[c] - starts, counts[c])
+        n = np.repeat(rows[c], counts[c])
+        if not half:
+            m, n = np.concatenate((m, -m)), np.concatenate((n, -n))
+        return func(m, n)
 
     threads = threads or default_threads()
-    if threads <= 1 or len(starts) <= 1:
-        return [run(s) for s in starts]
+    if threads <= 1 or len(chunks) <= 1:
+        return [run(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, starts))
+        return list(pool.map(run, chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +270,6 @@ def build_spectrum(
     bound = int(math.ceil(t_max * shape.r_max * (1.0 + 1e-9))) + 1
 
     def chunk(m: np.ndarray, n: np.ndarray):
-        nz = (m != 0) | (n != 0)
-        m, n = m[nz], n[nz]
         t = dilation_times_block(shape, m, n)
         keep = t <= t_max * (1.0 + tolerance)
         return m[keep], n[keep], t[keep]
@@ -312,8 +331,7 @@ def count_points(
     edge = x * tolerance
 
     def chunk(m: np.ndarray, n: np.ndarray):
-        nz = (m != 0) | (n != 0)
-        t = dilation_times_block(shape, m[nz], n[nz])
+        t = dilation_times_block(shape, m, n)
         inside = t <= cut
         if not half_weight_boundary:
             return float(np.count_nonzero(inside))

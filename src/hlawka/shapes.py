@@ -216,6 +216,15 @@ class RadialShape:
 
     __call__ = evaluate
 
+    @property
+    def centrally_symmetric(self) -> bool:
+        """r(theta + pi) == r(theta), read from the kind and parameters, not sampled."""
+        if self.kind == "cosine-series":
+            return not any(self.params[1::2])
+        if self.kind == "transformed":
+            return self.params[1].centrally_symmetric
+        return self.kind in ("constant", "ellipse", "square")
+
     def _eval(self, th: np.ndarray) -> np.ndarray:
         kind = self.kind
         if kind == "constant":

@@ -12,9 +12,11 @@ against its direct sum in the convergent half plane before use elsewhere
 (tests pin this to 1e-9); normalization constants come from that calibration,
 not from trusting any derivation.
 
-Summation is deterministic: fixed row chunks, identical per-chunk reduction,
-merge in chunk order with pairwise summation, so results are bit-identical
-across thread counts.
+All direct sums share ``_disc_sums``: identical per-chunk reduction, merge in
+chunk order with pairwise summation, so results are bit-identical across
+thread counts.  Sums whose terms are exactly even under p -> -p (Epstein
+forms, twisted sums of even q, Z_r on centrally symmetric shapes) walk the half
+plane and double; odd q walks the whole disc, so its vanishing is computed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivergenceError, PoleError, ValidationError
-from .lattice import default_threads, map_box_chunks
+from .lattice import map_box_chunks
 from .results import EvalResult
 from .shapes import Mat2, RadialShape
 from .special import gamma, riemann_zeta, upper_incomplete_gamma
@@ -64,6 +66,18 @@ def _fluctuation_margin(radius: float) -> float:
     integral by a relative O(R^(-1/3)).
     """
     return 1.0 + 2.0 * radius ** (-1.0 / 3.0)
+
+
+def _disc_sums(terms, radius: float, threads: int | None, half: bool) -> list[complex]:
+    """Sums over 0 < |p| <= radius of each array that ``terms(m, n)`` yields;
+    ``half`` walks the half plane and doubles, so every term must be even."""
+
+    def chunk(m: np.ndarray, n: np.ndarray):
+        return [complex(np.sum(a)) for a in terms(m, n)]
+
+    parts = map_box_chunks(radius, chunk, threads=threads, half=half)
+    scale = 2.0 if half else 1.0
+    return [scale * complex(np.sum(col)) for col in np.array(parts).T]
 
 
 def _disc_tail(ang: float, sigma: float, radius: float) -> float:
@@ -169,29 +183,17 @@ def hlawka_direct_many(
     """
     s_list = [_require_convergent(s) for s in s_values]
     _check_radius(radius, cap=max_radius)
-    bound = int(math.ceil(radius))
-    r2cut = radius * radius
 
-    def chunk(m: np.ndarray, n: np.ndarray):
-        n2 = m * m + n * n
-        keep = (n2 > 0) & (n2 <= r2cut)
-        t = _lattice.dilation_times_block(shape, m[keep], n[keep])
-        w = -2.0 * np.log(t)
-        return tuple(complex(np.sum(np.exp(sv * w))) for sv in s_list)
+    def terms(m: np.ndarray, n: np.ndarray):
+        w = -2.0 * np.log(_lattice.dilation_times_block(shape, m, n))
+        return (np.exp(sv * w) for sv in s_list)
 
-    parts = map_box_chunks(bound, chunk, threads=threads or default_threads())
+    sums = _disc_sums(terms, radius, threads, half=shape.centrally_symmetric)
     out = []
-    for i, sv in enumerate(s_list):
-        total = complex(np.sum(np.array([p[i] for p in parts])))
-        sigma = sv.real
-        tail = _disc_tail(2.0 * math.pi * shape.r_max ** (2.0 * sigma), sigma, radius)
-        out.append(
-            EvalResult(
-                value=total,
-                error_estimate=tail,
-                truncation={"radius": radius, "s": [sv.real, sv.imag]},
-            )
-        )
+    for sv, total in zip(s_list, sums):
+        tail = _disc_tail(2.0 * math.pi * shape.r_max ** (2.0 * sv.real), sv.real, radius)
+        out.append(EvalResult(value=total, error_estimate=tail,
+                              truncation={"radius": radius, "s": [sv.real, sv.imag]}))
     return out
 
 
@@ -213,9 +215,12 @@ def hlawka_from_spectrum(spec: "_lattice.Spectrum", s: complex) -> EvalResult:
     the spectrum's own count A(t_max) = sum a_k estimates the area as
     A(t_max) / t_max^2.  The omitted terms then total about
     2 area t_max^(2 - 2 sigma) / (2 sigma - 2), inflated by the fluctuation
-    margin of the disc sums (``_disc_tail``).
+    margin of the disc sums (``_disc_tail``).  A spectrum with no line carries
+    no area estimate and is rejected.
     """
     s = _require_convergent(s)
+    if len(spec.t_values) == 0:
+        raise ValidationError(f"spectrum up to t_max={spec.t_max:g} has no line")
     t = spec.t_values
     a = spec.counts
     value = complex(np.sum(a * np.exp(-2.0 * s * np.log(t))))
@@ -236,38 +241,17 @@ def epstein_direct(
     """sum over x != 0, |x| <= radius of (x^T u x)^(-s), Re(s) > 1."""
     s = _require_convergent(s)
     _check_radius(radius)
-    bound = int(math.ceil(radius))
-    r2cut = radius * radius
 
-    def chunk(m: np.ndarray, n: np.ndarray):
-        n2 = m * m + n * n
-        keep = (n2 > 0) & (n2 <= r2cut)
-        q = u.evaluate(m[keep].astype(float), n[keep].astype(float))
-        return complex(np.sum(np.exp(-s * np.log(q))))
+    def terms(m: np.ndarray, n: np.ndarray):
+        return [np.exp(-s * np.log(u.evaluate(m.astype(float), n.astype(float))))]
 
-    parts = map_box_chunks(bound, chunk, threads=threads or default_threads())
-    total = complex(np.sum(np.array(parts)))
+    (total,) = _disc_sums(terms, radius, threads, half=True)
     sigma = s.real
     # integral comparison: tail ~ R^(2-2s)/(2s-2) * angular integral of the form
     th = np.arange(512) * (2.0 * math.pi / 512)
     ang = float(np.mean(u.evaluate(np.cos(th), np.sin(th)) ** (-sigma))) * 2.0 * math.pi
     tail = _disc_tail(ang, sigma, radius)
-    return EvalResult(
-        value=total, error_estimate=tail, truncation={"radius": radius}
-    )
-
-
-def disc_tail_correction(u: QuadForm2, s: complex, radius: float) -> complex:
-    """Integral-comparison estimate of the omitted tail of ``epstein_direct``.
-
-    Adding this to the direct sum cancels the leading truncation error; the
-    remainder is governed by the lattice-count fluctuation and is several
-    orders smaller.  Used by calibration tests, not by the continuations.
-    """
-    s = complex(s)
-    th = np.arange(2048) * (2.0 * math.pi / 2048)
-    ang = complex(np.mean(np.exp(-s * np.log(u.evaluate(np.cos(th), np.sin(th)))))) * 2.0 * math.pi
-    return ang * radius ** (2.0 - 2.0 * s) / (2.0 * s - 2.0)
+    return EvalResult(value=total, error_estimate=tail, truncation={"radius": radius})
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +370,17 @@ def eisenstein_fq_truncated(
     q = int(q)
     s = _require_convergent(s)
     _check_radius(radius)
-    bound = int(math.ceil(radius))
-    r2cut = radius * radius
     cr, sr = math.cos(g_rotation), math.sin(g_rotation)
-    expo = -(s + q / 2.0)
 
-    def chunk(m: np.ndarray, n: np.ndarray):
-        n2 = m * m + n * n
-        keep = (n2 > 0) & (n2 <= r2cut)
-        mf = m[keep].astype(float)
-        nf = n[keep].astype(float)
+    def terms(m: np.ndarray, n: np.ndarray):
+        mf, nf = m.astype(float), n.astype(float)
+        log_n2 = np.log(mf * mf + nf * nf)
         if g_rotation != 0.0:
             mf, nf = cr * mf - sr * nf, sr * mf + cr * nf
-        z = mf + 1j * nf
-        n2f = n2[keep].astype(float)
-        return complex(np.sum(z**q * np.exp(expo * np.log(n2f))))
+        return [np.exp(-s * log_n2 + 1j * q * np.arctan2(nf, mf))]
 
-    parts = map_box_chunks(bound, chunk, threads=threads or default_threads())
-    total = _MINUS_I_POW[q % 4] * complex(np.sum(np.array(parts)))
+    (total,) = _disc_sums(terms, radius, threads, half=q % 2 == 0)
+    total *= _MINUS_I_POW[q % 4]
     tail = _disc_tail(2.0 * math.pi, s.real, radius)
     trunc = {"radius": radius, "q": q, "rotation": g_rotation}
     if q % 4 != 0:
@@ -511,30 +488,20 @@ def _twisted_sums_truncated(
 ) -> dict[int, complex]:
     """T_q = sum e^{i q theta(p)} |p|^(-2s) for q in q_list (multiples of 4),
     one shared enumeration; T_{-q} = T_q by lattice reflection symmetry."""
-    bound = int(math.ceil(radius))
-    r2cut = radius * radius
     jmax = max(q // 4 for q in q_list)
 
-    def chunk(m: np.ndarray, n: np.ndarray):
-        n2 = m * m + n * n
-        keep = (n2 > 0) & (n2 <= r2cut)
-        mf = m[keep].astype(float)
-        nf = n[keep].astype(float)
-        n2f = n2[keep].astype(float)
-        base = np.exp(-s * np.log(n2f))
-        w = (mf + 1j * nf) ** 4 / (n2f * n2f)  # e^{4 i theta}, unit modulus
-        out = []
-        cur = base
-        for j in range(jmax + 1):
-            out.append(complex(np.sum(cur)))
-            if j < jmax:
-                cur = cur * w
-        return tuple(out)
+    def terms(m: np.ndarray, n: np.ndarray):
+        mf, nf = m.astype(float), n.astype(float)
+        n2 = mf * mf + nf * nf
+        w = (mf + 1j * nf) ** 4 / (n2 * n2)  # e^{4 i theta}, unit modulus
+        cur = np.exp(-s * np.log(n2))
+        yield cur
+        for _ in range(jmax):
+            cur = cur * w
+            yield cur
 
-    parts = map_box_chunks(bound, chunk, threads=threads or default_threads())
-    return {
-        4 * j: complex(np.sum(np.array([p[j] for p in parts]))) for j in range(jmax + 1)
-    }
+    sums = _disc_sums(terms, radius, threads, half=True)
+    return {4 * j: total for j, total in enumerate(sums)}
 
 
 def reconstruct_hlawka(

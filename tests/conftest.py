@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from hlawka.shapes import circle, cosine_series, ellipse, odd_shape, square
+from hlawka.zeta import QuadForm2
 
 
 @pytest.fixture
@@ -39,3 +42,16 @@ def random_complex_samples(seed, n, re_range=(-2.0, 3.0), im_min=0.25, im_max=8.
         im = rng.uniform(im_min, im_max) * (1.0 if rng.uniform() < 0.5 else -1.0)
         out.append(complex(re, im))
     return out
+
+
+def disc_tail_correction(u: QuadForm2, s: complex, radius: float) -> complex:
+    """Integral-comparison estimate of the omitted tail of ``epstein_direct``.
+
+    Adding this to the direct sum cancels the leading truncation error; the
+    remainder is governed by the lattice-count fluctuation and is several
+    orders smaller.  Used by calibration tests, not by the continuations.
+    """
+    s = complex(s)
+    th = np.arange(2048) * (2.0 * math.pi / 2048)
+    ang = complex(np.mean(np.exp(-s * np.log(u.evaluate(np.cos(th), np.sin(th)))))) * 2.0 * math.pi
+    return ang * radius ** (2.0 - 2.0 * s) / (2.0 * s - 2.0)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import random_complex_samples
+from conftest import disc_tail_correction, random_complex_samples
 from hlawka.fourier import ellipse_coefficient, fourier_coeffs
 from hlawka.funceq import (
     check_circle_fe,
@@ -27,7 +27,6 @@ from hlawka.shapes import Mat2, act, area, circle, cosine_series, ellipse, odd_s
 from hlawka.special import riemann_zeta
 from hlawka.zeta import (
     QuadForm2,
-    disc_tail_correction,
     eisenstein_fq_continued,
     eisenstein_fq_truncated,
     epstein_continued,

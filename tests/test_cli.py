@@ -90,6 +90,43 @@ def test_fourier_csv_and_closed_form(capsys):
     assert [c["q"] for c in payload["coefficients"]] == [0, 4, 8]
 
 
+def test_fourier_closed_form_output_is_pinned(capsys):
+    # the closed-form rows moved from the CLI into fourier; its CSV and JSON
+    # must stay byte-identical
+    args = ("fourier", "--shape", "ellipse:a=1.1,b=1", "--s", "2+1i", "--qmax", "8",
+            "--method", "closed-form")
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert out == (
+        "q,re,im\n"
+        "0,1.20644518724266,0.123623559968575\n"
+        "4,0.00616315890662624,0.00750074733383782\n"
+        "8,9.40248482847691e-06,3.7391819842834e-05\n"
+    )
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == [
+        {"error_estimate": 8.085642696948211e-20, "q": 0,
+         "value": {"im": 0.12362355996857473, "re": 1.2064451872426585}},
+        {"error_estimate": 3.8949012984092673e-22, "q": 4,
+         "value": {"im": 0.0075007473338378206, "re": 0.006163158906626245}},
+        {"error_estimate": 8.36836427359826e-24, "q": 8,
+         "value": {"im": 3.7391819842833977e-05, "re": 9.402484828476906e-06}},
+    ]
+    code, out, _ = run_cli(capsys, "fourier", "--shape", "circle:c=1.5", "--s", "2+1i",
+                           "--qmax", "4", "--method", "closed-form", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == [
+        {"error_estimate": 0.0, "q": 0,
+         "value": {"im": 3.6699492329085217, "re": 3.487173479750348}},
+        {"error_estimate": 0.0, "q": 4, "value": {"im": 0.0, "re": 0.0}},
+    ]
+    for shape in ("square", "ellipse:a=2,b=1,phi=0.3"):
+        code, _, err = run_cli(capsys, "fourier", "--shape", shape, "--s", "2+0i",
+                               "--method", "closed-form")
+        assert code == 1 and "error" in err
+
+
 def test_reconstruct(capsys):
     code, out, _ = run_cli(capsys, "reconstruct", "--shape", "circle:c=1",
                            "--s", "2+0i", "--qmax", "8", "--radius", "200")
@@ -189,6 +226,14 @@ def test_exit_code_validation_error(capsys):
                            "--radius", "100")
     assert code == 1
     assert "error" in err
+
+
+def test_zeta_spectrum_below_the_first_line_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "zeta", "--shape", "square", "--s", "2+0i",
+                             "--method", "spectrum", "--tmax", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "no line" in err
 
 
 def test_exit_code_numeric_error(capsys):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hlawka import lattice
 from hlawka.errors import ValidationError
 from hlawka.lattice import (
     LatticePoint,
@@ -256,3 +257,63 @@ def test_count_up_to_at_exact_line_values(square_shape):
     assert spec.count_up_to(math.nextafter(3.0, 0.0)) == 8 + 16
     assert spec.count_up_to(0.999) == 0
     assert spec.count_up_to(10.0) == 440
+
+
+def _box_mask_points(radius, half=False):
+    """Brute-force reference: the nonzero box points with m^2 + n^2 <= radius^2."""
+    bound = int(math.ceil(radius))
+    n, m = np.meshgrid(np.arange(-bound, bound + 1), np.arange(-bound, bound + 1), indexing="ij")
+    m, n = m.ravel(), n.ravel()
+    n2 = m * m + n * n
+    keep = (n2 > 0) & (n2 <= radius * radius)
+    if half:
+        keep &= (n > 0) | ((n == 0) & (m > 0))
+    return m[keep], n[keep]
+
+
+def _walked_points(radius, half=False):
+    parts = map_box_chunks(radius, lambda m, n: (m, n), threads=1, half=half)
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+# 5, 25, 65 and 325 have lattice points exactly on the circle (3-4-5 and
+# sums of two squares in several ways), so the row extents are exact squares
+_ON_CIRCLE = (5.0, 25.0, 65.0, 325.0)
+
+
+@pytest.mark.parametrize(
+    "radius",
+    [r for r0 in _ON_CIRCLE for r in (np.nextafter(r0, 0.0), r0, np.nextafter(r0, np.inf))]
+    + [math.sqrt(2.0), 10.5, 123.456],
+)
+@pytest.mark.parametrize("half", [False, True])
+def test_disc_walk_matches_box_mask(radius, half):
+    m, n = _walked_points(float(radius), half=half)
+    mb, nb = _box_mask_points(float(radius), half=half)
+    assert m.size == mb.size
+    walked = sorted(zip(m.tolist(), n.tolist()))
+    assert walked == sorted(zip(mb.tolist(), nb.tolist()))
+    assert len(set(walked)) == len(walked)  # no point twice
+
+
+def test_disc_walk_chunks_are_capped_and_whole_rows():
+    radius = 2000.0
+    for half in (False, True):
+        parts = map_box_chunks(
+            radius, lambda m, n: (m.size, np.unique(n)), threads=2, half=half
+        )
+        sizes = [p[0] for p in parts]
+        assert max(sizes) <= lattice._CHUNK_POINTS
+        rows = np.concatenate([p[1] for p in parts])
+        assert len(rows) == len(np.unique(rows))  # each row in one chunk
+        k2 = int(radius * radius)
+        full = sum(2 * math.isqrt(k2 - r * r) + 1 for r in range(-2000, 2001)) - 1
+        assert sum(sizes) == (full // 2 if half else full)
+
+
+def test_disc_walk_chunks_do_not_depend_on_threads():
+    one = map_box_chunks(700.0, lambda m, n: (m.copy(), n.copy()), threads=1)
+    three = map_box_chunks(700.0, lambda m, n: (m.copy(), n.copy()), threads=3)
+    assert len(one) == len(three) > 1
+    for (m1, n1), (m3, n3) in zip(one, three):
+        assert np.array_equal(m1, m3) and np.array_equal(n1, n3)

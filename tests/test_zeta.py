@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import disc_tail_correction
+from hlawka import lattice, zeta
 from hlawka.errors import PoleError, ValidationError
 from hlawka.lattice import build_spectrum
 from hlawka.shapes import Mat2, act, circle, cosine_series, ellipse, odd_shape, square
@@ -14,7 +16,6 @@ from hlawka.special import riemann_zeta
 from hlawka.zeta import (
     QuadForm2,
     classical_eisenstein,
-    disc_tail_correction,
     eisenstein_fq_continued,
     eisenstein_fq_truncated,
     ellipse_form,
@@ -148,6 +149,15 @@ def test_hlawka_from_spectrum_error_estimate_bounds_the_tail():
         res = hlawka_from_spectrum(spec, s)
         truth = epstein_continued(QuadForm2(1.0 / 9.0, 0.0, 1.0), s).value
         assert abs(res.value - truth) <= res.error_estimate
+
+
+def test_hlawka_from_spectrum_rejects_an_empty_spectrum(square_shape):
+    # below the first line there is no count to estimate the tail from; the
+    # true value here is 8 zeta(3), not the empty sum 0
+    spec = build_spectrum(square_shape, 0.5)
+    assert len(spec.t_values) == 0
+    with pytest.raises(ValidationError):
+        hlawka_from_spectrum(spec, 2.0)
 
 
 def test_odd_and_square_spectra_give_equal_zeta():
@@ -373,3 +383,105 @@ def test_eval_result_json_shape(unit_circle):
     d = res.to_json_dict()
     assert set(d) == {"value", "error_estimate", "truncation"}
     assert set(d["value"]) == {"re", "im"}
+
+
+# ---------------------------------------------------------------------------
+# the shared disc-sum kernel: p <-> -p folding and thread independence
+# ---------------------------------------------------------------------------
+
+
+def _disc_reference(weight, radius):
+    """Plain-numpy sum of weight(m, n) over the whole disc 0 < |p| <= radius,
+    and the sum of the term moduli as the scale of its rounding."""
+    b = int(math.ceil(radius))
+    n, m = np.meshgrid(np.arange(-b, b + 1), np.arange(-b, b + 1), indexing="ij")
+    m, n = m.ravel(), n.ravel()
+    n2 = m * m + n * n
+    keep = (n2 > 0) & (n2 <= radius * radius)
+    w = weight(m[keep].astype(float), n[keep].astype(float))
+    return complex(np.sum(w)), float(np.sum(np.abs(w)))
+
+
+def _zeta_weight(shape, s):
+    return lambda m, n: (np.hypot(m, n) / shape.evaluate(np.arctan2(n, m))) ** (-2.0 * s)
+
+
+def _twisted_weight(q, rotation, s):
+    return lambda m, n: np.exp(1j * q * (np.arctan2(n, m) + rotation)) * (m * m + n * n) ** (-s)
+
+
+_S = 2.0 + 1.0j
+_R = 150.0
+_GL2 = Mat2(1.2, 0.3, -0.1, 0.8)
+_FORM = QuadForm2(1.3, 0.4, 0.9)
+_ZETA_SHAPES = [
+    ("circle", circle(1.0), True),
+    ("ellipse", ellipse(2.0, 1.0), True),
+    ("rotated ellipse", ellipse(2.0, 1.0, 0.4), True),
+    ("square", square(), True),
+    ("cos:c0=1,c2=0.15", cosine_series([1.0, 0.0, 0.15]), True),
+    ("ellipse@gl2", act(_GL2, ellipse(2.0, 1.0)), True),
+    ("odd", odd_shape(), False),
+    ("cos odd harmonics", cosine_series([1.0, 0.1, 0.0, 0.05]), False),
+    ("odd@gl2", act(_GL2, odd_shape()), False),
+    ("cos odd harmonics@gl2", act(_GL2, cosine_series([1.0, 0.1, 0.0, 0.05])), False),
+]
+_FOLD_CASES = [
+    (name, lambda sh=shape: hlawka_direct(sh, _S, _R).value, _zeta_weight(shape, _S), folded)
+    for name, shape, folded in _ZETA_SHAPES
+] + [
+    ("epstein", lambda: epstein_direct(_FORM, _S, _R).value,
+     lambda m, n: _FORM.evaluate(m, n) ** (-_S), True),
+] + [
+    (f"twisted q={q}", lambda q=q: eisenstein_fq_truncated(q, 0.3, _S, _R).value,
+     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.3, _S)(m, n), q % 2 == 0)
+    for q in (3, 4, 6, 8)
+] + [
+    ("twisted sums q=0,4,8", lambda: zeta._twisted_sums_truncated(_S, [0, 4, 8], _R, None)[8],
+     _twisted_weight(8, 0.0, _S), True),
+]
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The ``half`` flag of every disc walk the direct sums start."""
+    calls = []
+
+    def spy(bound, func, threads=None, half=False):
+        calls.append(half)
+        return lattice.map_box_chunks(bound, func, threads=threads, half=half)
+
+    monkeypatch.setattr(zeta, "map_box_chunks", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name,compute,weight,folded", _FOLD_CASES, ids=[c[0] for c in _FOLD_CASES])
+def test_direct_sums_fold_exactly_the_even_terms(fold_calls, name, compute, weight, folded):
+    value = compute()
+    assert fold_calls == [folded]
+    ref, scale = _disc_reference(weight, _R)
+    assert abs(value - ref) <= 1e-13 * scale
+
+
+def test_central_symmetry_is_structural():
+    for _, shape, folded in _ZETA_SHAPES:
+        assert shape.centrally_symmetric is folded
+    # only even harmonics, at two different orders
+    assert cosine_series([1.0, 0.0, 0.1, 0.0, 0.05]).centrally_symmetric
+
+
+_THREAD_CASES = {
+    "zeta rotated ellipse": lambda t: hlawka_direct(ellipse(2.0, 1.0, 0.3), 2.0 + 0.5j, 600.0, threads=t).value,
+    "zeta odd": lambda t: hlawka_direct(odd_shape(), 2.0 + 0.5j, 600.0, threads=t).value,
+    "epstein": lambda t: epstein_direct(_FORM, 2.0 + 0.5j, 600.0, threads=t).value,
+    "twisted q=8": lambda t: eisenstein_fq_truncated(8, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
+    "twisted q=3": lambda t: eisenstein_fq_truncated(3, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
+    "reconstruct": lambda t: reconstruct_hlawka(
+        ellipse(1.1, 1.0), 2.0 + 0.5j, 24, radius=600.0, threads=t).value,
+}
+
+
+@pytest.mark.parametrize("kernel", list(_THREAD_CASES.values()), ids=list(_THREAD_CASES))
+def test_direct_sums_bit_identical_across_threads(kernel):
+    one, two, three = (kernel(t) for t in (1, 2, 3))
+    assert one == two == three
