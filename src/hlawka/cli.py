@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -566,10 +567,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later ``main``
+    call in the process: it holds no state between parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the contract wants 1
         return 1 if exc.code not in (0, None) else 0

@@ -413,9 +413,10 @@ def _parse_kv(body: str, offset: int, text: str) -> dict[str, float]:
 def parse_shape(text: str) -> RadialShape:
     """Parse the CLI mini-language.
 
-    Examples: ``circle:c=1.0``, ``ellipse:a=2,b=1,phi=0.3``, ``square``,
-    ``odd``, ``cos:c0=1,c4=0.1``; optional suffix ``@gl2=a,b,c,d`` wraps the
-    shape in a linear transformation.
+    Examples: ``circle:c=1.0`` (bare ``circle``: c = 1),
+    ``ellipse:a=2,b=1,phi=0.3``, ``square``, ``odd``, ``cos:c0=1,c4=0.1``;
+    optional suffix ``@gl2=a,b,c,d`` wraps the shape in a linear
+    transformation.
     """
     if not isinstance(text, str) or not text.strip():
         raise ShapeSpecError(str(text), 0, "empty shape spec")
@@ -431,7 +432,8 @@ def parse_shape(text: str) -> RadialShape:
             raise ShapeSpecError(text, len(kind), f"{kind} takes no parameters")
         shape = square() if kind == "square" else odd_shape()
     else:
-        kv = _parse_kv(body, len(kind) + 1, text)
+        # a bare circle is the unit circle; the other kinds need parameters
+        kv = {} if kind == "circle" and not colon else _parse_kv(body, len(kind) + 1, text)
         try:
             if kind == "circle":
                 extra = set(kv) - {"c"}

@@ -3,6 +3,10 @@ the operation-to-subcommand coverage audit."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,15 @@ def test_zeta_direct_and_spectrum_agree(capsys):
     v1 = json.loads(out1)["value"]["re"]
     v2 = json.loads(out2)["value"]["re"]
     assert abs(v1 - v2) < 1e-10
+
+
+def test_zeta_bare_circle_is_the_unit_circle(capsys):
+    args = ("--s", "2", "--method", "direct", "--radius", "100")
+    code, bare, _ = run_cli(capsys, "zeta", "--shape", "circle", *args)
+    assert code == 0
+    code, unit, _ = run_cli(capsys, "zeta", "--shape", "circle:c=1", *args)
+    assert code == 0
+    assert json.loads(bare)["value"] == json.loads(unit)["value"]
 
 
 def test_fourier_csv_and_closed_form(capsys):
@@ -252,6 +265,24 @@ def test_determinism_byte_identical(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_successive_main_calls_match_fresh_processes(capsys):
+    # main() builds its parser once per process; later calls, with other
+    # subcommands and options, must parse exactly as a fresh process does
+    runs = [
+        ("epstein", "--u", "1.0,0.5,1.0", "--s=0.5+3i", "--method", "lambda"),
+        ("zeta", "--shape", "circle:c=1.5", "--s", "2", "--radius", "50"),
+        ("eisenstein", "--q", "8", "--s=0.5+3i", "--method", "continued"),
+        ("epstein", "--u", "2.0,0.0,1.0", "--s", "2"),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "hlawka.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,31 @@ def test_upper_gamma_at_nonpositive_integer_s():
         assert abs(upper_incomplete_gamma(-2.0, x) - ref2) < 1e-10 * abs(ref2)
 
 
+def test_upper_gamma_huge_x_does_not_stall():
+    # the continued fraction's step cannot resolve below an ulp of 1; at
+    # these x the value underflows, and where it does not it must agree
+    s = 1.372048 - 4.657312j
+    for x in (16897804.7, 1e3, 1e7, 700.0, 650.0):
+        ref = complex(mp.gammainc(mp.mpc(s), x))
+        got = upper_incomplete_gamma(s, x)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_upper_gamma_array_matches_scalar_and_mpmath():
+    # one s, x spanning the series, recurrence and continued-fraction branches
+    x = np.array([0.3, 1.0, 2.5, 4.0, 9.0, 30.0, 80.0])
+    for s in (0.7 + 0.4j, -1.6 + 2.3j, 2.5 - 9.0j, -2.0, 21.0 + 15.0j):
+        arr = upper_incomplete_gamma(s, x)
+        assert arr.shape == x.shape
+        for xi, v in zip(x, arr):
+            # the series runs until its slowest element converges, so an
+            # array may add terms below 1e-17 of the sum
+            one = upper_incomplete_gamma(s, float(xi))
+            assert abs(v - one) <= 4 * 2.0**-52 * abs(one)
+            ref = complex(mp.gammainc(mp.mpc(s), xi))
+            assert abs(v - ref) <= 1e-12 * abs(ref), (s, xi)
+
+
 def test_upper_gamma_overflow_signal():
     from hlawka.errors import OverflowSignal
 

@@ -4,6 +4,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -252,6 +253,80 @@ def test_epstein_trivial_zeros():
 
 
 # ---------------------------------------------------------------------------
+# GL(2,Z) invariance and error bounds of the continuations
+# ---------------------------------------------------------------------------
+
+_INVARIANCE_S = (2.0, 0.5 + 3.0j, -1.3 + 0.7j, 2.5 + 8.0j)
+
+
+def test_epstein_lambda_gl2z_equivalent_form():
+    # (1, 10, 101) = g^T I g with g = [[1, 10], [0, 1]]
+    for s in _INVARIANCE_S:
+        a = epstein_lambda(QuadForm2(1.0, 10.0, 101.0), s).value
+        b = epstein_lambda(IDENT, s).value
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_epstein_gl2z_image_with_large_condition():
+    # g = [[55, 34], [89, 55]], det -1: g^T u g has condition above 1e5
+    u = QuadForm2(1.0, 0.25, 1.5)
+    ga, gb, gc, gd = 55.0, 34.0, 89.0, 55.0
+    v = QuadForm2(
+        u.u11 * ga * ga + 2.0 * u.u12 * ga * gc + u.u22 * gc * gc,
+        u.u11 * ga * gb + u.u12 * (ga * gd + gb * gc) + u.u22 * gc * gd,
+        u.u11 * gb * gb + 2.0 * u.u12 * gb * gd + u.u22 * gd * gd,
+    )
+    assert v.condition_number() > 1e5
+    for s in _INVARIANCE_S:
+        a = epstein_continued(v, s).value
+        b = epstein_continued(u, s).value
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def _mp_theta_epstein(u11, u12, u22, s, digits=20):
+    """E(u, s) of a reduced form by theta splitting in mpmath, summed over
+    the ellipse pi Q <= x_cut of the form scaled to determinant one."""
+    with mp.workdps(digits + 10 + int(0.7 * abs(s.imag))):
+        z = mp.mpc(s.real, s.imag)
+        a, b, c = mp.mpf(u11), mp.mpf(u12), mp.mpf(u22)
+        root = mp.sqrt(a * c - b * b)
+        a, b, c = a / root, b / root, c / root
+        x_cut = digits * math.log(10) + 1.6 * abs(s.imag) + 2 * abs(s.real) + 10
+        bound = int(math.sqrt(float(x_cut / mp.pi) * float(max(a, c)) * 2)) + 2
+        lam = -1 / z - 1 / (1 - z)
+        for m in range(-bound, bound + 1):
+            for n in range(-bound, bound + 1):
+                x = mp.pi * (a * m * m + 2 * b * m * n + c * n * n)
+                if (m or n) and x <= x_cut:
+                    lam += mp.power(x, -z) * mp.gammainc(z, x) + mp.power(x, z - 1) * mp.gammainc(1 - z, x)
+        return complex(mp.power(root, -z) * lam / (mp.power(mp.pi, -z) * mp.gamma(z)))
+
+
+def test_continuation_error_estimates_bound_the_true_error():
+    # identity: 4 zeta(s) beta(s); hexagonal (1, 1/2, 1): 6 zeta(s) L(s, chi_-3);
+    # a reduced skewed form against theta splitting in mpmath
+    forms = {
+        (1.0, 0.0, 1.0): lambda z: 4 * mp.zeta(z) * mp.dirichlet(z, [0, 1, 0, -1]),
+        (1.0, 0.5, 1.0): lambda z: 6 * mp.zeta(z) * mp.dirichlet(z, [0, 1, -1]),
+        (1.0, 0.4, 3.7): None,
+    }
+    for (u11, u12, u22), closed in forms.items():
+        for re in (-1.5, 0.5, 2.5):
+            for im in (0.5, 8.0, 18.0):
+                s = complex(re, im)
+                if closed is None:
+                    truth = _mp_theta_epstein(u11, u12, u22, s)
+                else:
+                    with mp.workdps(30 + int(0.7 * im)):
+                        truth = complex(closed(mp.mpc(re, im)))
+                res = epstein_continued(QuadForm2(u11, u12, u22), s)
+                assert abs(res.value - truth) <= res.error_estimate, (u11, u12, u22, s)
+    res = epstein_continued(IDENT, 2.0)
+    assert res.error_estimate <= 1e-13 * abs(res.value)
+    assert abs(res.value - CIRCLE_S2) <= res.error_estimate + 1e-10
+
+
+# ---------------------------------------------------------------------------
 # twisted components
 # ---------------------------------------------------------------------------
 
@@ -342,6 +417,23 @@ def test_classical_eisenstein_periodicity():
     a = classical_eisenstein(1j, 2.0).value
     b = classical_eisenstein(1j + 1.0, 2.0).value
     assert abs(a - b) <= 1e-9 * abs(a)
+
+
+def test_classical_eisenstein_translation_invariance():
+    a = classical_eisenstein(20.3 + 0.8j, 2.0).value
+    b = classical_eisenstein(0.3 + 0.8j, 2.0).value
+    assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_classical_eisenstein_inversion_invariance():
+    # -1/z is rounded to doubles; mapping it back to the fundamental domain
+    # stretches that rounding by Im(reduced z) / Im(-1/z), about 1e2 for
+    # 2.1 + 0.05i, hence 1e-13
+    for z in (0.1 + 0.05j, 2.1 + 0.05j):
+        for s in (2.0, 0.5 + 3.0j, -1.2 + 1.5j):
+            a = classical_eisenstein(-1.0 / z, s).value
+            b = classical_eisenstein(z, s).value
+            assert abs(a - b) <= 1e-13 * abs(b)
 
 
 def test_classical_eisenstein_requires_upper_half_plane():
