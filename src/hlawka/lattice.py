@@ -12,18 +12,28 @@ lines is one vectorized gap test.  ``Spectrum.entries`` is a read-only view
 over those arrays that builds ``SpectrumEntry`` objects (with their first
 witness points) only when they are read.
 
-Enumeration walks only the rows of the disc |p| <= R, in chunks of whole rows
-capped by point count (``map_box_chunks``); chunks may be processed by a thread
-pool, but the merge happens in chunk order and every chunk is reduced
-identically, so results are bit-identical across thread counts.  For the
+Enumeration walks only the rows of the disc |p| <= R, and of those only a
+fundamental domain of a subgroup G of D4 (``map_box_chunks``): the octant
+0 <= n <= m for all of D4, the quadrant m, n >= 0 for the reflections in the
+axes, the half disc n >= 0 for n -> -n, the half plane for p -> -p and the
+whole disc for the trivial group.  ``orbit_sizes`` gives each walked point's
+orbit size, so a sum of G-invariant terms is the orbit-weighted sum over the
+domain.  The walk goes in chunks of whole rows capped by point count; chunks
+may be processed by a thread pool (one per thread count, started on first use
+and kept), but the merge happens in chunk order and every chunk is reduced
+identically, so results are bit-identical across thread counts.  Each worker
+thread fills its chunks' points into its own scratch arrays
+(``scratch.scratch``), and the hot dilation kernels write into such arrays
+too, so no chunk-sized array is allocated per chunk.  For the
 square and the odd shape the dilation times are evaluated by exact integer
-linear forms, which keeps their spectra exactly integral.  A
+piecewise-linear forms, which keeps their spectra exactly integral.  A
 transformed shape gD reuses the kernel of D through t_{gD}(p) = t_D(g^-1 p),
 so integral images such as GL(2,Z) images of the square stay exact too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -35,7 +45,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .shapes import RadialShape
+from .scratch import scratch
+from .shapes import RadialShape, Symmetry
 
 __all__ = [
     "LatticePoint",
@@ -48,11 +59,14 @@ __all__ = [
     "count_points",
     "default_threads",
     "map_box_chunks",
+    "orbit_sizes",
     "spectrum_to_csv",
 ]
 
-# points per enumeration chunk; half a chunk holds a row of the largest disc
-_CHUNK_POINTS = 1 << 17
+# points per enumeration chunk, small enough that a worker's scratch arrays
+# stay in its cache; a longer row makes a chunk of its own (on the whole disc
+# from radius 8192 on)
+_CHUNK_POINTS = 1 << 15
 
 
 class LatticePoint(NamedTuple):
@@ -137,49 +151,75 @@ def default_threads() -> int:
 # ---------------------------------------------------------------------------
 
 
-def dilation_times_block(shape: RadialShape, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Vectorized t(m, n); callers must mask out the origin themselves.
+def dilation_times_block(
+    shape: RadialShape, m: np.ndarray, n: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Vectorized t(m, n) over 1-D arrays, into ``out`` when it is given;
+    callers must mask out the origin themselves.
 
     Kind-specific closed forms avoid the trig round trip where possible: for
     the square and the odd shape the result is an exact small integer.
+    Temporaries come from scratch arrays (a transformed shape allocates its
+    preimage points).
     """
+    k = len(m)
+    if out is None:
+        out = np.empty(k)
     kind = shape.kind
     if kind == "transformed":
         g, base = shape.params
-        return dilation_times_block(base, *g.inverse().apply(m, n))
+        return dilation_times_block(base, *g.inverse().apply(m, n), out=out)
     if kind == "square":
-        return np.maximum(np.abs(m), np.abs(n)).astype(float)
+        tmp = scratch("lattice.t1", k)
+        np.absolute(m, out=out)
+        np.absolute(n, out=tmp)
+        return np.maximum(out, tmp, out=out)
     if kind == "odd":
-        return _odd_times(m, n)
+        return _odd_times(m, n, out)
     if kind == "constant":
-        return np.hypot(m, n) / shape.params[0]
+        np.hypot(m, n, out=out)
+        out /= shape.params[0]
+        return out
     if kind == "ellipse":
         a, b, phi = shape.params
+        x, y = out, scratch("lattice.t1", k)
         if phi == 0.0:
-            return np.sqrt((m / a) ** 2 + (n / b) ** 2)
-        cp, sp = math.cos(phi), math.sin(phi)
-        mm = cp * m + sp * n  # rotate the point by -phi
-        nn = -sp * m + cp * n
-        return np.sqrt((mm / a) ** 2 + (nn / b) ** 2)
-    theta = np.arctan2(n, m)
-    return np.hypot(m, n) / np.asarray(shape.evaluate(theta))
+            np.divide(m, a, out=x)
+            np.divide(n, b, out=y)
+        else:  # rotate the point by -phi
+            cp, sp = math.cos(phi), math.sin(phi)
+            tmp = scratch("lattice.t2", k)
+            np.multiply(m, cp, out=x)
+            x += np.multiply(n, sp, out=tmp)
+            np.multiply(m, -sp, out=y)
+            y += np.multiply(n, cp, out=tmp)
+            x /= a
+            y /= b
+        np.square(x, out=x)
+        x += np.square(y, out=y)
+        return np.sqrt(x, out=out)
+    theta = np.arctan2(n, m, out=scratch("lattice.t1", k))
+    r = shape.evaluate(theta, out=scratch("lattice.t2", k))
+    np.hypot(m, n, out=out)
+    out /= r
+    return out
 
 
-def _odd_times(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Exact linear forms per boundary segment (integer for integer input)."""
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
-    conds = [
-        (m > 0) & (n >= 0) & (2 * n <= m),   # x - y = 1
-        (n > 0) & (m >= n) & (m <= 2 * n),   # y = 1 shelf
-        (n > 0) & (m >= 0) & (m <= n),       # -x + 2y = 1
-        (n > 0) & (m <= 0) & (-m <= n),      # x + 2y = 1
-        (m < 0) & (np.abs(n) <= -m),         # x = -1
-        (n < 0) & (np.abs(m) <= -n),         # y = -1
-        (m > 0) & (n <= 0) & (-n <= m),      # x = 1
-    ]
-    vals = [m - n, n, 2 * n - m, m + 2 * n, -m, -n, m]
-    return np.select(conds, vals, default=np.nan)
+def _odd_times(m: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The odd shape's gauge max(-m, m - n, n, 2n - |m|) above the axis
+    (2n - |m| is the notch at (0, 1/2)) and max(|m|, -n) below it: exact
+    integers for integer input."""
+    k = len(m)
+    am, upper = scratch("lattice.t1", k), scratch("lattice.t2", k)
+    np.absolute(m, out=am)
+    np.multiply(n, 2, out=upper)
+    upper -= am
+    np.maximum(upper, np.subtract(m, n, out=out), out=upper)
+    np.maximum(upper, n, out=upper)
+    np.maximum(upper, np.negative(m, out=out), out=upper)
+    np.maximum(np.negative(n, out=out), am, out=out)
+    np.copyto(out, upper, where=np.greater(n, 0, out=scratch("lattice.above", k, bool)))
+    return out
 
 
 def dilation_time(shape: RadialShape, p: tuple[int, int]) -> float:
@@ -195,50 +235,113 @@ def dilation_time(shape: RadialShape, p: tuple[int, int]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def map_box_chunks(
-    bound: float,
-    func: Callable[[np.ndarray, np.ndarray], object],
-    threads: int | None = None,
-    half: bool = False,
-) -> list:
-    """Apply ``func(m_block, n_block)`` over the points 0 < m^2 + n^2 <= bound^2
-    (those of the float test against bound * bound); ``bound`` is the radius.
-
-    A block is a run of whole rows of the half plane n > 0 or (n = 0, m > 0)
-    followed by its mirror image -p, at most ``_CHUNK_POINTS`` points; blocks
-    depend only on ``bound`` and results come back in block order whatever
-    the thread count.  ``func`` must be pure.  ``half`` leaves the mirror out,
-    for sums of terms even under p -> -p, which the caller doubles exactly.
-    """
-    k2 = math.floor(bound * bound)
+def _domain_rows(k2: int, symmetry: Symmetry):
+    """Row segments (n, first m, count) of the fundamental domain of
+    ``symmetry`` among the points 0 < m^2 + n^2 <= k2; for the trivial group
+    the half plane n > 0 or (n = 0, m > 0), whose mirror image the walk adds."""
     rows = np.arange(math.isqrt(k2) + 1)
     room = k2 - rows * rows
     ext = np.floor(np.sqrt(room)).astype(np.int64)  # row n holds |m| <= isqrt(room)
     ext += (ext + 1) ** 2 <= room  # exact integer correction of the float root
     ext -= ext**2 > room
-    first, counts = -ext, 2 * ext + 1
-    first[0], counts[0] = 1, ext[0]
+    if symmetry is Symmetry.D4:  # octant 0 <= n <= m
+        keep = rows <= ext
+        rows, ext = rows[keep], ext[keep]
+        first = rows.copy()
+    elif symmetry is Symmetry.KLEIN:  # quadrant m, n >= 0
+        first = np.zeros_like(rows)
+    else:  # half plane, or n >= 0 for REFLECTION
+        first = -ext
+    first[0] = 1
+    counts = ext - first + 1
+    if symmetry is Symmetry.REFLECTION:  # row 0 also holds -ext[0] <= m <= -1
+        rows, first = np.append(0, rows), np.append(-ext[0], first)
+        counts = np.append(ext[0], counts)
+    return rows, first, counts
+
+
+def orbit_sizes(symmetry: Symmetry, m: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Orbit size under ``symmetry`` of each point of its fundamental domain
+    (as ``map_box_chunks`` walks it), as floats into ``out``."""
+    if symmetry is Symmetry.TRIVIAL:
+        out.fill(1.0)
+        return out
+    if symmetry is Symmetry.NEGATION:
+        out.fill(2.0)
+        return out
+    if symmetry is Symmetry.REFLECTION:  # 1 on the axis n = 0, else 2
+        np.not_equal(n, 0, out=out)
+        out += 1.0
+        return out
+    if symmetry is Symmetry.KLEIN:  # 2 on the axes, else 4
+        np.multiply(m, n, out=out)
+        scale = 2.0
+    else:  # D4: 4 on the axis n = 0 and the diagonal n = m, else 8
+        np.subtract(m, n, out=out)
+        out *= n
+        scale = 4.0
+    np.not_equal(out, 0.0, out=out)
+    out += 1.0
+    out *= scale
+    return out
+
+
+def map_box_chunks(
+    bound: float,
+    func: Callable[[np.ndarray, np.ndarray], object],
+    threads: int | None = None,
+    symmetry: Symmetry = Symmetry.TRIVIAL,
+) -> list:
+    """Apply ``func(m_block, n_block)`` over the points 0 < m^2 + n^2 <= bound^2
+    (those of the float test against bound * bound) of a fundamental domain
+    of ``symmetry``; ``bound`` is the radius.
+
+    A block is a run of whole rows of the domain, at most ``_CHUNK_POINTS``
+    points unless it is a single row; for the trivial group the rows of the
+    half plane n > 0 or (n = 0, m > 0) followed by their mirror image -p.
+    Blocks depend only on ``bound`` and ``symmetry``, and results come back
+    in block order whatever the thread count.  ``func`` must be pure, must
+    not start another walk, and must not keep the int64 arrays it is handed:
+    they are the worker thread's scratch arrays, refilled for its next block.
+    """
+    k2 = math.floor(bound * bound)
+    rows, first, counts = _domain_rows(k2, symmetry)
+    mirror = symmetry is Symmetry.TRIVIAL
     ends = np.cumsum(counts)
-    cap = _CHUNK_POINTS if half else _CHUNK_POINTS // 2
+    cap = _CHUNK_POINTS // 2 if mirror else _CHUNK_POINTS
     cuts = [0]
     while cuts[-1] < len(rows):
         limit = ends[cuts[-1]] - counts[cuts[-1]] + cap
         cuts.append(max(int(np.searchsorted(ends, limit, side="right")), cuts[-1] + 1))
     chunks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    top = math.isqrt(k2)
+    ramp = np.arange(-top, top + 1)  # row segments are slices of it
 
     def run(c: slice):
-        starts = np.cumsum(counts[c]) - counts[c]
-        m = np.arange(int(counts[c].sum())) + np.repeat(first[c] - starts, counts[c])
-        n = np.repeat(rows[c], counts[c])
-        if not half:
-            m, n = np.concatenate((m, -m)), np.concatenate((n, -n))
+        size = int(counts[c].sum())
+        m = scratch("lattice.m", 2 * size if mirror else size, np.int64)
+        n = scratch("lattice.n", len(m), np.int64)
+        pos = 0
+        for row, lo, cnt in zip(rows[c].tolist(), first[c].tolist(), counts[c].tolist()):
+            m[pos:pos + cnt] = ramp[top + lo:top + lo + cnt]
+            n[pos:pos + cnt] = row
+            pos += cnt
+        if mirror:
+            np.negative(m[:size], out=m[size:])
+            np.negative(n[:size], out=n[size:])
         return func(m, n)
 
     threads = threads or default_threads()
     if threads <= 1 or len(chunks) <= 1:
         return [run(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, chunks))
+    return list(_pool(threads).map(run, chunks))
+
+
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of ``threads`` workers, started on first use and
+    kept, so that the workers and their scratch arrays serve every walk."""
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="hlawka-walk")
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +373,10 @@ def build_spectrum(
     bound = int(math.ceil(t_max * shape.r_max * (1.0 + 1e-9))) + 1
 
     def chunk(m: np.ndarray, n: np.ndarray):
-        t = dilation_times_block(shape, m, n)
-        keep = t <= t_max * (1.0 + tolerance)
-        return m[keep], n[keep], t[keep]
+        k = len(m)
+        t = dilation_times_block(shape, m, n, out=scratch("lattice.t", k))
+        keep = np.less_equal(t, t_max * (1.0 + tolerance), out=scratch("lattice.keep", k, bool))
+        return m[keep], n[keep], t[keep]  # copies
 
     parts = map_box_chunks(bound, chunk, threads=threads)
     m_all = np.concatenate([p[0] for p in parts])
@@ -322,25 +426,32 @@ def count_points(
 
     With ``half_weight_boundary`` the points on the boundary (|t - x| within
     the relative tolerance) contribute 1/2 each, matching the value the
-    contour-integral inversion converges to at jump points.
+    contour-integral inversion converges to at jump points.  The walk covers
+    a fundamental domain of ``shape.symmetry`` and weights each point by its
+    orbit size; every weight and count is a small multiple of 1/2, so the
+    sum is exact.
     """
     if not (x > 0.0):
         raise ValidationError("x must be positive")
     bound = int(math.ceil(x * shape.r_max * (1.0 + 1e-9))) + 1
     cut = x * (1.0 + tolerance)
     edge = x * tolerance
+    symmetry = shape.symmetry
 
     def chunk(m: np.ndarray, n: np.ndarray):
-        t = dilation_times_block(shape, m, n)
-        inside = t <= cut
-        if not half_weight_boundary:
-            return float(np.count_nonzero(inside))
-        boundary = np.abs(t - x) <= edge
-        return float(np.count_nonzero(inside & ~boundary)) + 0.5 * float(
-            np.count_nonzero(boundary)
-        )
+        k = len(m)
+        t = dilation_times_block(shape, m, n, out=scratch("lattice.t", k))
+        weight = np.less_equal(t, cut, out=scratch("lattice.weight", k))
+        if half_weight_boundary:
+            t -= x
+            boundary = np.less_equal(np.absolute(t, out=t), edge, out=t)
+            np.maximum(weight, boundary, out=weight)
+            boundary *= 0.5
+            weight -= boundary
+        weight *= orbit_sizes(symmetry, m, n, out=scratch("lattice.orbit", k))
+        return float(np.sum(weight))
 
-    parts = map_box_chunks(bound, chunk, threads=threads)
+    parts = map_box_chunks(bound, chunk, threads=threads, symmetry=symmetry)
     return float(np.sum(np.asarray(parts)))
 
 

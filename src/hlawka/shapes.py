@@ -19,11 +19,16 @@ equation g X(r(phi), phi) = X((g.r)(theta_g(phi)), theta_g(phi)).
 
 All evaluators accept scalars or numpy arrays and are pure; shapes are
 immutable after construction and safe to share across threads.
+
+``RadialShape.symmetry`` is the subgroup of D4, the symmetries of Z^2, that
+maps the region onto itself, read from the kind and its parameters (never
+sampled); the direct sums walk one lattice point per orbit of it.
 """
 
 from __future__ import annotations
 
 import cmath
+import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,11 +37,13 @@ from typing import Union
 import numpy as np
 
 from .errors import ShapeSpecError, ValidationError
+from .scratch import scratch
 
 __all__ = [
     "Mat2",
     "IwasawaCoords",
     "RadialShape",
+    "Symmetry",
     "circle",
     "ellipse",
     "square",
@@ -187,6 +194,22 @@ def theta_g(g: Mat2, phi: ArrayLike) -> ArrayLike:
 # ---------------------------------------------------------------------------
 
 
+class Symmetry(enum.Enum):
+    """A subgroup G of D4, the group of quarter turns and reflections of Z^2,
+    under which a lattice sum's terms are invariant."""
+
+    TRIVIAL = "1"
+    NEGATION = "{+-1}"
+    REFLECTION = "{1, n -> -n}"
+    KLEIN = "{+-1, m -> -m, n -> -n}"
+    D4 = "D4"
+
+    @property
+    def has_negation(self) -> bool:
+        """p -> -p is in G."""
+        return self in (Symmetry.NEGATION, Symmetry.KLEIN, Symmetry.D4)
+
+
 @dataclass(frozen=True)
 class RadialShape:
     """Immutable radial model r(theta) of a star-shaped region.
@@ -207,23 +230,41 @@ class RadialShape:
     smoothness: str = field(default="", compare=False)
     symmetry_order: int = field(default=1, compare=False)
 
-    def evaluate(self, theta: ArrayLike) -> ArrayLike:
-        """r(theta) for scalar or array theta (any real, reduced mod 2pi)."""
+    def evaluate(self, theta: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
+        """r(theta) for scalar or array theta (any real, reduced mod 2pi); an
+        array result goes into ``out`` when it is given."""
         th = np.asarray(theta, dtype=float)
-        scalar = th.ndim == 0
-        r = self._eval(np.atleast_1d(th))
-        return float(r[0]) if scalar else r
+        if th.ndim == 0:
+            return float(self._eval(th[None])[0])
+        if self.kind == "cosine-series":
+            return _cosine_series(self.params, th, out)
+        r = self._eval(th)
+        if out is None:
+            return r
+        out[...] = r
+        return out
 
     __call__ = evaluate
 
     @property
-    def centrally_symmetric(self) -> bool:
-        """r(theta + pi) == r(theta), read from the kind and parameters, not sampled."""
-        if self.kind == "cosine-series":
-            return not any(self.params[1::2])
-        if self.kind == "transformed":
-            return self.params[1].centrally_symmetric
-        return self.kind in ("constant", "ellipse", "square")
+    def symmetry(self) -> Symmetry:
+        """The subgroup of D4 that maps the region onto itself (one that the
+        kind and parameters show; a transformed shape keeps only p -> -p)."""
+        kind = self.kind
+        if kind in ("constant", "square"):
+            return Symmetry.D4
+        if kind == "ellipse":
+            return Symmetry.KLEIN if self.params[2] == 0.0 else Symmetry.NEGATION
+        if kind == "cosine-series":
+            # every cos(q theta) is even; odd q breaks p -> -p, q = 2 mod 4
+            # the quarter turn
+            harmonics = [q for q, c in enumerate(self.params) if q and c != 0.0]
+            if any(q % 2 for q in harmonics):
+                return Symmetry.REFLECTION
+            return Symmetry.KLEIN if any(q % 4 for q in harmonics) else Symmetry.D4
+        if kind == "transformed" and self.params[1].symmetry.has_negation:
+            return Symmetry.NEGATION
+        return Symmetry.TRIVIAL
 
     def _eval(self, th: np.ndarray) -> np.ndarray:
         kind = self.kind
@@ -238,15 +279,27 @@ class RadialShape:
         if kind == "odd":
             return _odd_radial(th)
         if kind == "cosine-series":
-            coeffs = self.params
-            acc = np.full_like(th, coeffs[0])
-            for q in range(1, len(coeffs)):
-                if coeffs[q] != 0.0:
-                    acc += coeffs[q] * np.cos(q * th)
-            return acc
+            return _cosine_series(self.params, th)
         if kind == "transformed":
             return _transformed_eval(self, th)
         raise ValidationError(f"unknown shape kind {kind!r}")
+
+
+def _cosine_series(coeffs, th: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_q coeffs[q] cos(q th); into ``out`` with a scratch temporary when
+    ``out`` is given."""
+    if out is None:
+        out, tmp = np.empty_like(th), np.empty_like(th)
+    else:
+        tmp = scratch("shapes.cos", th.size).reshape(th.shape)
+    out.fill(coeffs[0])
+    for q in range(1, len(coeffs)):
+        if coeffs[q] != 0.0:
+            np.multiply(th, q, out=tmp)
+            np.cos(tmp, out=tmp)
+            tmp *= coeffs[q]
+            out += tmp
+    return out
 
 
 def _odd_radial(th: np.ndarray) -> np.ndarray:

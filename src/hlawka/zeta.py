@@ -25,9 +25,19 @@ splitting at large |Im s|.
 
 All direct sums share ``_disc_sums``: identical per-chunk reduction, merge in
 chunk order with pairwise summation, so results are bit-identical across
-thread counts.  Sums whose terms are exactly even under p -> -p (Epstein
-forms, twisted sums of even q, Z_r on centrally symmetric shapes) walk the half
-plane and double; odd q walks the whole disc, so its vanishing is computed.
+thread counts.  Each sum walks a fundamental domain of the subgroup G of D4
+under which its terms are invariant, decided from the kind and parameters,
+and weights each point by its orbit size: all of D4 for the circle, the
+square, cosine series in cos(4k theta), the identity and diagonal
+u11 = u22 forms and twisted sums of q = 0 mod 4; the axis reflections for
+axis-aligned ellipses, diagonal forms, even cosine series and q = 2 mod 4;
+n -> -n for other cosine series and odd q; p -> -p for the rest of the
+centrally symmetric terms.  An unrotated twisted sum's orbit sum is
+|orbit| cos(q theta) |p|^(-2s).  G never holds the symmetry that cancels a
+component (p -> -p for odd q, the quarter turn for q = 2 mod 4), so those
+cancellations are still computed point by point.  ``error_estimate`` adds
+to the tail a rounding bound relative to a closed-form bound on the sum of
+the terms' moduli.
 """
 
 from __future__ import annotations
@@ -42,10 +52,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PoleError, ValidationError
-from .lattice import map_box_chunks
+from .lattice import map_box_chunks, orbit_sizes
 from .results import EvalResult
-from .shapes import Mat2, RadialShape
-from .special import gamma, riemann_zeta, upper_incomplete_gamma
+from .scratch import scratch
+from .shapes import Mat2, RadialShape, Symmetry
+from .special import dirichlet_beta, gamma, riemann_zeta, upper_incomplete_gamma
 from . import fourier as _fourier
 from . import lattice as _lattice
 
@@ -80,16 +91,50 @@ def _fluctuation_margin(radius: float) -> float:
     return 1.0 + 2.0 * radius ** (-1.0 / 3.0)
 
 
-def _disc_sums(terms, radius: float, threads: int | None, half: bool) -> list[complex]:
-    """Sums over 0 < |p| <= radius of each array that ``terms(m, n)`` yields;
-    ``half`` walks the half plane and doubles, so every term must be even."""
+def _disc_sums(terms, radius: float, threads: int | None, symmetry: Symmetry) -> list[complex]:
+    """Sums over 0 < |p| <= radius of each array ``terms(m, n, orbit)``
+    yields on a fundamental domain of ``symmetry``, ``orbit`` holding each
+    point's orbit size: a yielded term is the sum over the point's orbit.  A
+    yielded array may be a scratch array refilled once it has been summed."""
 
     def chunk(m: np.ndarray, n: np.ndarray):
-        return [complex(np.sum(a)) for a in terms(m, n)]
+        orbit = orbit_sizes(symmetry, m, n, out=scratch("zeta.orbit", len(m)))
+        return [complex(np.sum(a)) for a in terms(m, n, orbit)]
 
-    parts = map_box_chunks(radius, chunk, threads=threads, half=half)
-    scale = 2.0 if half else 1.0
-    return [scale * complex(np.sum(col)) for col in np.array(parts).T]
+    parts = map_box_chunks(radius, chunk, threads=threads, symmetry=symmetry)
+    return [complex(np.sum(col)) for col in np.array(parts).T]
+
+
+def _log_norms(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """log(m^2 + n^2) into a scratch array (the squares are exact)."""
+    out, tmp = scratch("zeta.log", len(m)), scratch("zeta.tmp", len(m))
+    np.multiply(m, m, out=out)
+    out += np.multiply(n, n, out=tmp)
+    return np.log(out, out=out)
+
+
+def _powers(log_x: np.ndarray, s: complex) -> np.ndarray:
+    """e^(-s log_x) into a scratch array."""
+    c = scratch("zeta.terms", len(log_x), complex)
+    np.multiply(log_x, -s, out=c)
+    return np.exp(c, out=c)
+
+
+def _lattice_mass(sigma: float) -> float:
+    """sum over p != 0 of |p|^(-2 sigma) = 4 zeta(sigma) beta(sigma), sigma > 1."""
+    return 4.0 * (riemann_zeta(sigma) * dirichlet_beta(sigma)).real
+
+
+def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0) -> float:
+    """Bound on the rounding of a direct sum of terms P(p) x(p)^(-s), with
+    |P| = 1 (the twist of degree q), computed as e^(-s log x): ``mass``
+    bounds the sum of their moduli, ``log_max`` bounds |log x| and ``ulps``
+    the relative error of x.  Per term, the exponent is off by at most
+    |s| (3 |log x| + ulps) ulps (log, product, argument reduction), the
+    exponential and the orbit weight by 8 and the twist by 4 + 4|q|;
+    pairwise summation within the chunks and across them adds 48."""
+    kappa = 60.0 + 4.0 * abs(q) + abs(s) * (3.0 * log_max + ulps)
+    return kappa * _EPS * mass
 
 
 def _disc_tail(ang: float, sigma: float, radius: float) -> float:
@@ -196,15 +241,26 @@ def hlawka_direct_many(
     s_list = [_require_convergent(s) for s in s_values]
     _check_radius(radius, cap=max_radius)
 
-    def terms(m: np.ndarray, n: np.ndarray):
-        w = -2.0 * np.log(_lattice.dilation_times_block(shape, m, n))
-        return (np.exp(sv * w) for sv in s_list)
+    def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
+        log_t2 = _lattice.dilation_times_block(shape, m, n, out=scratch("zeta.log", len(m)))
+        np.log(log_t2, out=log_t2)
+        log_t2 *= 2.0
+        for sv in s_list:
+            powers = _powers(log_t2, sv)
+            powers *= orbit
+            yield powers
 
-    sums = _disc_sums(terms, radius, threads, half=shape.centrally_symmetric)
+    sums = _disc_sums(terms, radius, threads, shape.symmetry)
+    # t^2 lies in [r_max^-2, (radius / r_min)^2] and is good to a few ulps
+    # of r_max / r_min (the spread a rounding of the angle can cause)
+    log_max = 2.0 * max(abs(math.log(shape.r_max)), abs(math.log(radius / shape.r_min)))
+    ulps = 32.0 * shape.r_max / shape.r_min
     out = []
     for sv, total in zip(s_list, sums):
-        tail = _disc_tail(2.0 * math.pi * shape.r_max ** (2.0 * sv.real), sv.real, radius)
-        out.append(EvalResult(value=total, error_estimate=tail,
+        sigma = sv.real
+        tail = _disc_tail(2.0 * math.pi * shape.r_max ** (2.0 * sigma), sigma, radius)
+        mass = shape.r_max ** (2.0 * sigma) * _lattice_mass(sigma)
+        out.append(EvalResult(value=total, error_estimate=tail + _rounding(sv, mass, log_max, ulps),
                               truncation={"radius": radius, "s": [sv.real, sv.imag]}))
     return out
 
@@ -254,16 +310,34 @@ def epstein_direct(
     s = _require_convergent(s)
     _check_radius(radius)
 
-    def terms(m: np.ndarray, n: np.ndarray):
-        return [np.exp(-s * np.log(u.evaluate(m.astype(float), n.astype(float))))]
+    if u.u12 != 0.0:
+        symmetry = Symmetry.NEGATION
+    else:
+        symmetry = Symmetry.D4 if u.u11 == u.u22 else Symmetry.KLEIN
 
-    (total,) = _disc_sums(terms, radius, threads, half=True)
+    def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
+        q, tmp = scratch("zeta.log", len(m)), scratch("zeta.tmp", len(m))
+        np.multiply(m, m, out=q)
+        q *= u.u11
+        q += np.multiply(np.multiply(n, n, out=tmp), u.u22, out=tmp)
+        if u.u12 != 0.0:
+            q += np.multiply(np.multiply(m, n, out=tmp), 2.0 * u.u12, out=tmp)
+        powers = _powers(np.log(q, out=q), s)
+        powers *= orbit
+        yield powers
+
+    (total,) = _disc_sums(terms, radius, threads, symmetry)
     sigma = s.real
     # integral comparison: tail ~ R^(2-2s)/(2s-2) * angular integral of the form
     th = np.arange(512) * (2.0 * math.pi / 512)
     ang = float(np.mean(u.evaluate(np.cos(th), np.sin(th)) ** (-sigma))) * 2.0 * math.pi
     tail = _disc_tail(ang, sigma, radius)
-    return EvalResult(value=total, error_estimate=tail, truncation={"radius": radius})
+    # x^T u x lies in [lam_min, lam_max radius^2]; cancellation in it costs
+    # up to the condition number
+    lo, hi = u.eigenvalues()
+    log_max = max(abs(math.log(lo)), abs(math.log(hi * radius * radius)))
+    rounding = _rounding(s, lo ** (-sigma) * _lattice_mass(sigma), log_max, 8.0 * hi / lo)
+    return EvalResult(value=total, error_estimate=tail + rounding, truncation={"radius": radius})
 
 
 def eisenstein_fq_truncated(
@@ -283,7 +357,11 @@ def eisenstein_fq_truncated(
     rather than an algebraic identity of the implementation.  Components with
     q not divisible by 4 vanish identically (the disc preserves the pairings
     (c,d) -> (-c,-d) and (c,d) -> (-d,c)); the sum is still computed so the
-    cancellation itself can be verified.
+    cancellation itself can be verified: unrotated, the walk folds by the
+    reflections that keep e^{i q theta} real on each orbit (D4 for
+    q = 0 mod 4, the axis reflections for q = 2 mod 4, n -> -n for odd q),
+    and never by p -> -p for odd q or by the quarter turn for q = 2 mod 4;
+    rotated, it folds only by p -> -p for even q.
     """
     if q != int(q):
         raise ValidationError("q must be an integer")
@@ -291,21 +369,52 @@ def eisenstein_fq_truncated(
     s = _require_convergent(s)
     _check_radius(radius)
     cr, sr = math.cos(g_rotation), math.sin(g_rotation)
+    if g_rotation == 0.0:
+        symmetry = (Symmetry.D4, Symmetry.REFLECTION, Symmetry.KLEIN, Symmetry.REFLECTION)[q % 4]
+    else:
+        symmetry = Symmetry.TRIVIAL if q % 2 else Symmetry.NEGATION
 
-    def terms(m: np.ndarray, n: np.ndarray):
-        mf, nf = m.astype(float), n.astype(float)
-        log_n2 = np.log(mf * mf + nf * nf)
-        if g_rotation != 0.0:
-            mf, nf = cr * mf - sr * nf, sr * mf + cr * nf
-        return [np.exp(-s * log_n2 + 1j * q * np.arctan2(nf, mf))]
+    def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
+        k = len(m)
+        log_n2 = _log_norms(m, n)
+        angle = scratch("zeta.angle", k)
+        if g_rotation == 0.0:
+            # the orbit sum of e^{i q theta} is |orbit| cos(q theta)
+            np.arctan2(n, m, out=angle)
+            angle *= q
+            np.cos(angle, out=angle)
+            angle *= orbit
+            powers = _powers(log_n2, s)
+            powers *= angle
+            yield powers
+            return
+        x, tmp = scratch("zeta.x", k), scratch("zeta.tmp", k)
+        np.multiply(m, cr, out=x)
+        x -= np.multiply(n, sr, out=tmp)
+        np.multiply(m, sr, out=angle)
+        angle += np.multiply(n, cr, out=tmp)
+        np.arctan2(angle, x, out=angle)
+        angle *= q
+        c = scratch("zeta.terms", k, complex)
+        np.multiply(log_n2, -s.real, out=c.real)
+        np.multiply(log_n2, -s.imag, out=c.imag)
+        c.imag += angle
+        np.exp(c, out=c)
+        c *= orbit
+        yield c
 
-    (total,) = _disc_sums(terms, radius, threads, half=q % 2 == 0)
+    (total,) = _disc_sums(terms, radius, threads, symmetry)
     total *= _MINUS_I_POW[q % 4]
-    tail = _disc_tail(2.0 * math.pi, s.real, radius)
+    tail = _disc_tail(2.0 * math.pi, s.real, radius) + _twisted_rounding(s, q, radius)
     trunc = {"radius": radius, "q": q, "rotation": g_rotation}
     if q % 4 != 0:
         trunc["vanishes_identically"] = True
     return EvalResult(value=total, error_estimate=tail, truncation=trunc)
+
+
+def _twisted_rounding(s: complex, q: int, radius: float) -> float:
+    """``_rounding`` of a q-twisted sum over |p| <= radius (|p|^2 is exact)."""
+    return _rounding(s, _lattice_mass(s.real), 2.0 * math.log(radius), 0.0, q)
 
 
 # ---------------------------------------------------------------------------
@@ -584,22 +693,37 @@ def classical_eisenstein(
 def _twisted_sums_truncated(
     s: complex, q_list: list[int], radius: float, threads: int | None
 ) -> dict[int, complex]:
-    """T_q = sum e^{i q theta(p)} |p|^(-2s) for q in q_list (multiples of 4),
-    one shared enumeration; T_{-q} = T_q by lattice reflection symmetry."""
-    jmax = max(q // 4 for q in q_list)
+    """T_q = sum e^{i q theta(p)} |p|^(-2s) for q in q_list (ascending
+    multiples of 4), one shared walk of the octant, where each orbit
+    contributes |orbit| cos(q theta) |p|^(-2s); T_{-q} = T_q by lattice
+    reflection symmetry."""
 
-    def terms(m: np.ndarray, n: np.ndarray):
-        mf, nf = m.astype(float), n.astype(float)
-        n2 = mf * mf + nf * nf
-        w = (mf + 1j * nf) ** 4 / (n2 * n2)  # e^{4 i theta}, unit modulus
-        cur = np.exp(-s * np.log(n2))
-        yield cur
-        for _ in range(jmax):
-            cur = cur * w
-            yield cur
+    def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
+        k = len(m)
+        norm2, tmp = scratch("zeta.x", k), scratch("zeta.tmp", k)
+        np.multiply(m, m, out=norm2)
+        norm2 += np.multiply(n, n, out=tmp)
+        step = scratch("zeta.step", k, complex)  # e^{4 i theta} = (m + i n)^4 / |p|^4
+        np.copyto(step.real, m)
+        np.copyto(step.imag, n)
+        np.square(step, out=step)
+        np.square(step, out=step)
+        step /= np.square(norm2, out=tmp)
+        powers = _powers(np.log(norm2, out=norm2), s)
+        phase = scratch("zeta.phase", k, complex)
+        phase.fill(1.0)
+        weight = scratch("zeta.angle", k)
+        weighted = scratch("zeta.twisted", k, complex)
+        done = 0
+        for q in q_list:
+            for _ in range((q - done) // 4):
+                phase *= step
+            done = q
+            np.multiply(phase.real, orbit, out=weight)
+            yield np.multiply(powers, weight, out=weighted)
 
-    sums = _disc_sums(terms, radius, threads, half=True)
-    return {4 * j: total for j, total in enumerate(sums)}
+    sums = _disc_sums(terms, radius, threads, Symmetry.D4)
+    return dict(zip(q_list, sums))
 
 
 def reconstruct_hlawka(
@@ -626,6 +750,7 @@ def reconstruct_hlawka(
         raise ValidationError("mode must be 'truncated' or 'continued'")
     if mode == "truncated":
         _require_convergent(s)
+        _check_radius(radius)
     if q_max < 0:
         raise ValidationError("q_max must be nonnegative")
 
@@ -646,7 +771,8 @@ def reconstruct_hlawka(
 
     if mode == "truncated":
         t_sums = _twisted_sums_truncated(s, q_list, radius, threads)
-        t_errs = dict.fromkeys(q_list, _disc_tail(2.0 * math.pi, s.real, radius))
+        t_errs = {q: _disc_tail(2.0 * math.pi, s.real, radius) + _twisted_rounding(s, q, radius)
+                  for q in q_list}
     else:
         lams, _ = _theta_split(QuadForm2.identity(), 1.0, s, q_list)
         comps = [_uncomplete(lam, e, s + q / 2.0) for q, (lam, e) in zip(q_list, lams)]

@@ -241,6 +241,19 @@ def test_exit_code_validation_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("radius", ["-50", "3", "nan", "1e9"])
+def test_reconstruct_truncated_rejects_a_bad_radius(capsys, monkeypatch, radius):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("enumerated before validating the radius")
+
+    monkeypatch.setattr(zeta, "map_box_chunks", no_walk)
+    code, out, err = run_cli(capsys, "reconstruct", "--shape", "circle", "--s", "2",
+                             "--mode", "truncated", f"--radius={radius}", "--qmax", "8")
+    assert code == 1
+    assert out == ""
+    assert "radius" in err
+
+
 def test_zeta_spectrum_below_the_first_line_is_rejected(capsys):
     code, out, err = run_cli(capsys, "zeta", "--shape", "square", "--s", "2+0i",
                              "--method", "spectrum", "--tmax", "0.5")

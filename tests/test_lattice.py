@@ -1,7 +1,9 @@
 """Lattice enumeration tests: dilation times, spectra, counts, asymptotics."""
 
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +19,18 @@ from hlawka.lattice import (
     map_box_chunks,
     spectrum_to_csv,
 )
-from hlawka.shapes import Mat2, act, area, circle, cosine_series, ellipse, odd_shape, square
+from hlawka.shapes import (
+    Mat2,
+    Symmetry,
+    act,
+    area,
+    circle,
+    cosine_series,
+    ellipse,
+    odd_shape,
+    parse_shape,
+    square,
+)
 
 
 def test_dilation_time_examples(unit_circle, square_shape):
@@ -271,49 +284,139 @@ def _box_mask_points(radius, half=False):
     return m[keep], n[keep]
 
 
-def _walked_points(radius, half=False):
-    parts = map_box_chunks(radius, lambda m, n: (m, n), threads=1, half=half)
+def _walked_points(radius, symmetry=Symmetry.TRIVIAL):
+    # the walk hands out its scratch arrays, refilled for the next chunk
+    parts = map_box_chunks(radius, lambda m, n: (m.copy(), n.copy()), threads=1, symmetry=symmetry)
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 # 5, 25, 65 and 325 have lattice points exactly on the circle (3-4-5 and
 # sums of two squares in several ways), so the row extents are exact squares
 _ON_CIRCLE = (5.0, 25.0, 65.0, 325.0)
+_RADII = [r for r0 in _ON_CIRCLE for r in (np.nextafter(r0, 0.0), r0, np.nextafter(r0, np.inf))] + [
+    math.sqrt(2.0), 10.5, 123.456]
 
 
-@pytest.mark.parametrize(
-    "radius",
-    [r for r0 in _ON_CIRCLE for r in (np.nextafter(r0, 0.0), r0, np.nextafter(r0, np.inf))]
-    + [math.sqrt(2.0), 10.5, 123.456],
-)
-@pytest.mark.parametrize("half", [False, True])
-def test_disc_walk_matches_box_mask(radius, half):
-    m, n = _walked_points(float(radius), half=half)
-    mb, nb = _box_mask_points(float(radius), half=half)
+@pytest.mark.parametrize("radius", _RADII)
+@pytest.mark.parametrize("negation", [False, True])
+def test_disc_walk_matches_box_mask(radius, negation):
+    symmetry = Symmetry.NEGATION if negation else Symmetry.TRIVIAL
+    m, n = _walked_points(float(radius), symmetry)
+    mb, nb = _box_mask_points(float(radius), half=negation)
     assert m.size == mb.size
     walked = sorted(zip(m.tolist(), n.tolist()))
     assert walked == sorted(zip(mb.tolist(), nb.tolist()))
     assert len(set(walked)) == len(walked)  # no point twice
 
 
+# the elements (a, b, c, d): (m, n) -> (a m + b n, c m + d n) of each group
+_ELEMENTS = {
+    Symmetry.TRIVIAL: [(1, 0, 0, 1)],
+    Symmetry.NEGATION: [(1, 0, 0, 1), (-1, 0, 0, -1)],
+    Symmetry.REFLECTION: [(1, 0, 0, 1), (1, 0, 0, -1)],
+    Symmetry.KLEIN: [(1, 0, 0, 1), (-1, 0, 0, -1), (-1, 0, 0, 1), (1, 0, 0, -1)],
+    Symmetry.D4: [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+                  (1, 0, 0, -1), (-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, -1, 0)],
+}
+
+
+@pytest.mark.parametrize("radius", [r for r in _RADII if r < 100.0])
+@pytest.mark.parametrize("symmetry", list(Symmetry), ids=lambda g: g.name)
+def test_fundamental_domains_tile_the_disc(symmetry, radius):
+    # the orbits of the walked points cover the disc exactly once, and each
+    # point's weight is the size of its orbit
+    m, n = _walked_points(float(radius), symmetry)
+    sizes = lattice.orbit_sizes(symmetry, m, n, out=np.empty(len(m)))
+    covered = set()
+    for p, size in zip(zip(m.tolist(), n.tolist()), sizes.tolist()):
+        orbit = {(a * p[0] + b * p[1], c * p[0] + d * p[1]) for a, b, c, d in _ELEMENTS[symmetry]}
+        assert len(orbit) == size
+        assert not orbit & covered
+        covered |= orbit
+    mb, nb = _box_mask_points(float(radius))
+    assert covered == set(zip(mb.tolist(), nb.tolist()))
+
+
+def test_shape_symmetries_leave_the_dilation_times_invariant():
+    rng = np.random.default_rng(35)
+    m, n = rng.integers(-300, 301, size=(2, 4000))
+    m, n = m[(m != 0) | (n != 0)], n[(m != 0) | (n != 0)]
+    shapes = [circle(1.3), square(), ellipse(1.7, 0.9), ellipse(1.7, 0.9, 0.4), odd_shape(),
+              cosine_series([1.0, 0.1, 0.0, 0.05]), cosine_series([1.0, 0.0, 0.15]),
+              cosine_series([1.0, 0.0, 0.0, 0.0, 0.1]), act(Mat2(1.2, 0.3, -0.1, 0.8), ellipse(2.0, 1.0))]
+    for shape in shapes:
+        t = dilation_times_block(shape, m, n)
+        for a, b, c, d in _ELEMENTS[shape.symmetry]:
+            tg = dilation_times_block(shape, a * m + b * n, c * m + d * n)
+            assert np.max(np.abs(tg - t) / t) <= 1e-14
+
+
 def test_disc_walk_chunks_are_capped_and_whole_rows():
     radius = 2000.0
-    for half in (False, True):
+    k2 = int(radius * radius)
+    full = sum(2 * math.isqrt(k2 - r * r) + 1 for r in range(-2000, 2001)) - 1
+    for symmetry in Symmetry:
         parts = map_box_chunks(
-            radius, lambda m, n: (m.size, np.unique(n)), threads=2, half=half
+            radius, lambda m, n: (m.size, np.unique(n)), threads=2, symmetry=symmetry
         )
         sizes = [p[0] for p in parts]
         assert max(sizes) <= lattice._CHUNK_POINTS
         rows = np.concatenate([p[1] for p in parts])
         assert len(rows) == len(np.unique(rows))  # each row in one chunk
-        k2 = int(radius * radius)
-        full = sum(2 * math.isqrt(k2 - r * r) + 1 for r in range(-2000, 2001)) - 1
-        assert sum(sizes) == (full // 2 if half else full)
+        if symmetry is Symmetry.TRIVIAL:
+            assert sum(sizes) == full
+        if symmetry is Symmetry.NEGATION:
+            assert sum(sizes) == full // 2
 
 
 def test_disc_walk_chunks_do_not_depend_on_threads():
-    one = map_box_chunks(700.0, lambda m, n: (m.copy(), n.copy()), threads=1)
-    three = map_box_chunks(700.0, lambda m, n: (m.copy(), n.copy()), threads=3)
-    assert len(one) == len(three) > 1
-    for (m1, n1), (m3, n3) in zip(one, three):
-        assert np.array_equal(m1, m3) and np.array_equal(n1, n3)
+    for symmetry in (Symmetry.TRIVIAL, Symmetry.D4):
+        one = map_box_chunks(700.0, lambda m, n: (m.copy(), n.copy()), threads=1, symmetry=symmetry)
+        three = map_box_chunks(700.0, lambda m, n: (m.copy(), n.copy()), threads=3, symmetry=symmetry)
+        assert len(one) == len(three) > 1
+        for (m1, n1), (m3, n3) in zip(one, three):
+            assert np.array_equal(m1, m3) and np.array_equal(n1, n3)
+
+
+def test_concurrent_walks_give_the_serial_results():
+    # callers in several threads share the worker pool and each worker's
+    # scratch arrays; every result must still equal the serial one
+    shapes = [odd_shape(), circle(1.0), cosine_series([1.0, 0.1, 0.0, 0.05]), ellipse(1.7, 0.9, 0.4)]
+    want = [count_points(sh, 90.0, half_weight_boundary=True, threads=1) for sh in shapes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as callers:
+            futures = [callers.submit(count_points, sh, 90.0, True, 3) for _ in range(3) for sh in shapes]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 3
+
+
+def _unfolded_count(shape, x, half_weight, tolerance=1e-9):
+    """count_points' rule on every point of the disc."""
+    bound = int(math.ceil(x * shape.r_max * (1.0 + 1e-9))) + 1
+    m, n = _walked_points(float(bound))
+    t = dilation_times_block(shape, m, n)
+    inside = t <= x * (1.0 + tolerance)
+    if not half_weight:
+        return float(np.count_nonzero(inside))
+    boundary = np.abs(t - x) <= x * tolerance
+    return float(np.count_nonzero(inside & ~boundary)) + 0.5 * float(np.count_nonzero(boundary))
+
+
+@pytest.mark.parametrize(
+    "spec, witness",
+    [("circle", (3, 4)), ("circle", (7, 24)), ("square", (7, 3)), ("ellipse:a=2,b=1", (6, 4)),
+     ("cos:c0=1,c2=0.15", (5, 3)), ("cos:c0=1,c4=0.1", (9, 2)), ("odd", (-6, 2)), ("odd", (4, 9))],
+)
+def test_folded_counts_equal_the_unfolded_walk(spec, witness):
+    # x = t(witness) puts that point and its images exactly on the boundary
+    shape = parse_shape(spec)
+    x = dilation_time(shape, witness)
+    for half_weight in (False, True):
+        for xx in (x, 0.999 * x, 1.01 * x):
+            got = count_points(shape, xx, half_weight_boundary=half_weight, threads=2)
+            assert got == _unfolded_count(shape, xx, half_weight)
+    assert count_points(shape, x, half_weight_boundary=True) < count_points(shape, x)

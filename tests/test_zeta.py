@@ -12,8 +12,8 @@ from conftest import disc_tail_correction
 from hlawka import lattice, zeta
 from hlawka.errors import PoleError, ValidationError
 from hlawka.lattice import build_spectrum
-from hlawka.shapes import Mat2, act, circle, cosine_series, ellipse, odd_shape, square
-from hlawka.special import riemann_zeta
+from hlawka.shapes import Mat2, Symmetry, act, circle, cosine_series, ellipse, odd_shape, square
+from hlawka.special import dirichlet_beta, riemann_zeta
 from hlawka.zeta import (
     QuadForm2,
     classical_eisenstein,
@@ -506,42 +506,61 @@ _S = 2.0 + 1.0j
 _R = 150.0
 _GL2 = Mat2(1.2, 0.3, -0.1, 0.8)
 _FORM = QuadForm2(1.3, 0.4, 0.9)
+_TRIVIAL, _NEG, _REFL, _KLEIN, _D4 = (Symmetry.TRIVIAL, Symmetry.NEGATION, Symmetry.REFLECTION,
+                                      Symmetry.KLEIN, Symmetry.D4)
 _ZETA_SHAPES = [
-    ("circle", circle(1.0), True),
-    ("ellipse", ellipse(2.0, 1.0), True),
-    ("rotated ellipse", ellipse(2.0, 1.0, 0.4), True),
-    ("square", square(), True),
-    ("cos:c0=1,c2=0.15", cosine_series([1.0, 0.0, 0.15]), True),
-    ("ellipse@gl2", act(_GL2, ellipse(2.0, 1.0)), True),
-    ("odd", odd_shape(), False),
-    ("cos odd harmonics", cosine_series([1.0, 0.1, 0.0, 0.05]), False),
-    ("odd@gl2", act(_GL2, odd_shape()), False),
-    ("cos odd harmonics@gl2", act(_GL2, cosine_series([1.0, 0.1, 0.0, 0.05])), False),
+    ("circle", circle(1.0), _D4),
+    ("ellipse", ellipse(2.0, 1.0), _KLEIN),
+    ("rotated ellipse", ellipse(2.0, 1.0, 0.4), _NEG),
+    ("square", square(), _D4),
+    ("cos:c0=1,c2=0.15", cosine_series([1.0, 0.0, 0.15]), _KLEIN),
+    ("cos:c0=1,c4=0.1", cosine_series([1.0, 0.0, 0.0, 0.0, 0.1]), _D4),
+    ("ellipse@gl2", act(_GL2, ellipse(2.0, 1.0)), _NEG),
+    ("odd", odd_shape(), _TRIVIAL),
+    ("cos odd harmonics", cosine_series([1.0, 0.1, 0.0, 0.05]), _REFL),
+    ("odd@gl2", act(_GL2, odd_shape()), _TRIVIAL),
+    ("cos odd harmonics@gl2", act(_GL2, cosine_series([1.0, 0.1, 0.0, 0.05])), _TRIVIAL),
 ]
+_FORMS = [("epstein", _FORM, _NEG), ("epstein identity", IDENT, _D4),
+          ("epstein diagonal", QuadForm2(1.3, 0.0, 0.9), _KLEIN)]
+
+
+def _reconstruct_weight(shape, s, q_max):
+    coeffs = zeta._fourier.fourier_coeffs(shape, s, q_max, 256).coefficients
+    return lambda m, n: sum(c * _twisted_weight(q, 0.0, s)(m, n)
+                            for q, c in coeffs.items() if q % 4 == 0)
+
+
 _FOLD_CASES = [
     (name, lambda sh=shape: hlawka_direct(sh, _S, _R).value, _zeta_weight(shape, _S), folded)
     for name, shape, folded in _ZETA_SHAPES
 ] + [
-    ("epstein", lambda: epstein_direct(_FORM, _S, _R).value,
-     lambda m, n: _FORM.evaluate(m, n) ** (-_S), True),
+    (name, lambda u=u: epstein_direct(u, _S, _R).value, lambda m, n, u=u: u.evaluate(m, n) ** (-_S), folded)
+    for name, u, folded in _FORMS
 ] + [
     (f"twisted q={q}", lambda q=q: eisenstein_fq_truncated(q, 0.3, _S, _R).value,
-     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.3, _S)(m, n), q % 2 == 0)
+     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.3, _S)(m, n), _NEG if q % 2 == 0 else _TRIVIAL)
     for q in (3, 4, 6, 8)
 ] + [
+    (f"twisted q={q} unrotated", lambda q=q: eisenstein_fq_truncated(q, 0.0, _S, _R).value,
+     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.0, _S)(m, n), folded)
+    for q, folded in ((2, _KLEIN), (3, _REFL), (4, _D4))
+] + [
     ("twisted sums q=0,4,8", lambda: zeta._twisted_sums_truncated(_S, [0, 4, 8], _R, None)[8],
-     _twisted_weight(8, 0.0, _S), True),
+     _twisted_weight(8, 0.0, _S), _D4),
+    ("reconstruct", lambda: reconstruct_hlawka(ellipse(1.1, 1.0), _S, 20, radius=_R, n_quad=256).value,
+     _reconstruct_weight(ellipse(1.1, 1.0), _S, 20), _D4),
 ]
 
 
 @pytest.fixture
 def fold_calls(monkeypatch):
-    """The ``half`` flag of every disc walk the direct sums start."""
+    """The symmetry of every disc walk the direct sums start."""
     calls = []
 
-    def spy(bound, func, threads=None, half=False):
-        calls.append(half)
-        return lattice.map_box_chunks(bound, func, threads=threads, half=half)
+    def spy(bound, func, threads=None, symmetry=Symmetry.TRIVIAL):
+        calls.append(symmetry)
+        return lattice.map_box_chunks(bound, func, threads=threads, symmetry=symmetry)
 
     monkeypatch.setattr(zeta, "map_box_chunks", spy)
     return calls
@@ -556,20 +575,34 @@ def test_direct_sums_fold_exactly_the_even_terms(fold_calls, name, compute, weig
 
 
 def test_central_symmetry_is_structural():
-    for _, shape, folded in _ZETA_SHAPES:
-        assert shape.centrally_symmetric is folded
-    # only even harmonics, at two different orders
-    assert cosine_series([1.0, 0.0, 0.1, 0.0, 0.05]).centrally_symmetric
+    for _, shape, symmetry in _ZETA_SHAPES:
+        assert shape.symmetry is symmetry
+    # p -> -p is in the group exactly where r(theta + pi) = r(theta)
+    centrally_symmetric = [True, True, True, True, True, True, True, False, False, False, False]
+    assert [sh.symmetry.has_negation for _, sh, _ in _ZETA_SHAPES] == centrally_symmetric
+    # only even harmonics, at two different orders; only multiples of 4
+    assert cosine_series([1.0, 0.0, 0.1, 0.0, 0.05]).symmetry is _KLEIN
+    assert cosine_series([1.0, 0.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.02]).symmetry is _D4
+    assert cosine_series([1.0]).symmetry is _D4
+    assert ellipse(2.0, 1.0, math.pi / 2).symmetry is _NEG  # decided from phi, not sampled
+    assert act(_GL2, cosine_series([1.0, 0.0, 0.15])).symmetry is _NEG
 
 
 _THREAD_CASES = {
     "zeta rotated ellipse": lambda t: hlawka_direct(ellipse(2.0, 1.0, 0.3), 2.0 + 0.5j, 600.0, threads=t).value,
     "zeta odd": lambda t: hlawka_direct(odd_shape(), 2.0 + 0.5j, 600.0, threads=t).value,
+    "zeta circle": lambda t: hlawka_direct(circle(1.0), 2.0 + 0.5j, 1500.0, threads=t).value,
+    "zeta square": lambda t: hlawka_direct(square(), 2.0 + 0.5j, 1500.0, threads=t).value,
+    "zeta cos:c0=1,c4=0.1": lambda t: hlawka_direct(
+        cosine_series([1.0, 0.0, 0.0, 0.0, 0.1]), 2.0 + 0.5j, 1500.0, threads=t).value,
     "epstein": lambda t: epstein_direct(_FORM, 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=8": lambda t: eisenstein_fq_truncated(8, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=3": lambda t: eisenstein_fq_truncated(3, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
+    "twisted q=3 unrotated": lambda t: eisenstein_fq_truncated(3, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
     "reconstruct": lambda t: reconstruct_hlawka(
         ellipse(1.1, 1.0), 2.0 + 0.5j, 24, radius=600.0, threads=t).value,
+    "count cos:c0=1,c2=0.15": lambda t: lattice.count_points(
+        cosine_series([1.0, 0.0, 0.15]), 700.0, half_weight_boundary=True, threads=t),
 }
 
 
@@ -577,3 +610,32 @@ _THREAD_CASES = {
 def test_direct_sums_bit_identical_across_threads(kernel):
     one, two, three = (kernel(t) for t in (1, 2, 3))
     assert one == two == three
+
+
+# ---------------------------------------------------------------------------
+# error bars of the direct sums: tail plus rounding
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("radius", [31.7, 400.0])
+@pytest.mark.parametrize("s", [4.0, 6.0])
+def test_direct_sum_error_estimate_bounds_rounding(radius, s):
+    # at R = 400, s = 6 the tail is 1e-27 and the float sum is off by about
+    # 1e-16: only a rounding term makes the bar a bound
+    exact = 4.0 * (riemann_zeta(s) * dirichlet_beta(s)).real
+    for res in (hlawka_direct(circle(1.0), s, radius), epstein_direct(IDENT, s, radius),
+                eisenstein_fq_truncated(0, 0.0, s, radius)):
+        assert abs(res.value - exact) <= res.error_estimate
+    res = reconstruct_hlawka(circle(1.0), s, 0, radius=radius)
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+@pytest.mark.parametrize("radius", [-50.0, 3.0, float("nan"), 1e9])
+def test_reconstruct_truncated_validates_its_radius(monkeypatch, radius):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("enumerated before validating the radius")
+
+    monkeypatch.setattr(zeta, "map_box_chunks", no_walk)
+    monkeypatch.setattr(zeta._fourier, "fourier_coeffs", no_walk)
+    with pytest.raises(ValidationError):
+        reconstruct_hlawka(circle(1.0), 2.0, 8, mode="truncated", radius=radius)
