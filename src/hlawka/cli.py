@@ -200,8 +200,7 @@ def _cmd_fourier(args) -> int:
                 args.out,
             )
         return 0
-    n = args.n or max(256, 1 << (8 * max(args.qmax, 1) - 1).bit_length())
-    table = fourier.fourier_coeffs(shape, s, args.qmax, n)
+    table = fourier.fourier_coeffs(shape, s, args.qmax, args.n)
     if args.format == "csv":
         _emit(fourier.fourier_table_to_csv(table), args.out)
     else:
@@ -461,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
         sp.add_argument("--threads", type=int, default=None,
-                        help="thread cap (default: HLAWKA_THREADS or small)")
+                        help="thread cap, 1 to 64 (default: HLAWKA_THREADS or small)")
 
     sp = sub.add_parser("spectrum", help="dilation spectrum (t_k, a_k)")
     sp.add_argument("--shape", required=True)

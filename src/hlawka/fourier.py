@@ -6,7 +6,8 @@ chat(q) of r^(2s)(theta) = exp(2s ln r(theta)) in the e^{i q theta} basis,
     chat(q) = (1/2pi) integral_0^{2pi} r^(2s)(theta) e^{-i q theta} d theta.
 
 On a uniform grid the trapezoid rule is spectrally accurate for smooth
-periodic integrands, and its error is estimated by doubling the grid once.
+periodic integrands; it is one FFT per grid, and its error is estimated by
+doubling the grid once.
 For ellipses a closed form exists (binomial expansion of (c + d cos^2)^(-s));
 it must reproduce the quadrature coefficients before being trusted, and the
 convergence condition |2d/c| < 1 is enforced rather than allowed to diverge.
@@ -46,28 +47,25 @@ def _grid_coeffs(shape: RadialShape, s: complex, q_max: int, n: int) -> dict[int
     theta = np.arange(n) * (2.0 * math.pi / n)
     r = np.asarray(shape.evaluate(theta))
     f = np.exp(2.0 * s * np.log(r))  # r > 0, log unambiguous
-    phase = np.exp(-1j * theta)
-    out = {0: complex(np.mean(f))}
-    fw = f.copy()
-    bw = f.copy()
-    for q in range(1, q_max + 1):
-        fw = fw * phase
-        bw = bw / phase
-        out[q] = complex(np.mean(fw))
-        out[-q] = complex(np.mean(bw))
-    return out
+    c = np.fft.fft(f) / n  # c[q mod n]: a negative index wraps
+    return {q: complex(c[q]) for q in range(-q_max, q_max + 1)}
 
 
-def fourier_coeffs(shape: RadialShape, s: complex, q_max: int, n_quad: int) -> FourierTable:
+def fourier_coeffs(
+    shape: RadialShape, s: complex, q_max: int, n_quad: int | None = None
+) -> FourierTable:
     """Trapezoid-rule coefficients of r^(2s), |q| <= q_max, on n_quad points.
 
-    Requires n_quad to be a power of two with n_quad >= 8 q_max.  Errors are
-    |c_N - c_2N| from one grid doubling; a warning is raised when any exceeds
-    1e-8 (kinked shapes converge only algebraically).
+    Requires n_quad to be a power of two with n_quad >= 8 q_max; by default
+    it is the smallest such power, at least 256.  Errors are |c_N - c_2N|
+    from one grid doubling; a warning is raised when any exceeds 1e-8
+    (kinked shapes converge only algebraically).
     """
     s = complex(s)
     if q_max < 0:
         raise ValidationError("q_max must be nonnegative")
+    if n_quad is None:
+        n_quad = max(256, 1 << (8 * max(q_max, 1) - 1).bit_length())
     if n_quad < max(8 * q_max, 8) or (n_quad & (n_quad - 1)) != 0:
         raise ValidationError("n_quad must be a power of two with n_quad >= 8*q_max")
     coarse = _grid_coeffs(shape, s, q_max, n_quad)

@@ -124,10 +124,6 @@ class RegularFEForm:
         return num / den
 
 
-def _rel(diff: float, *magnitudes: float) -> float:
-    return diff / max(max(magnitudes), _TINY)
-
-
 def _require_away_from(s: complex, centers, dist: float, what: str):
     for c in centers:
         if abs(s - c) < dist:
@@ -143,22 +139,41 @@ def _require_gamma_safe(values, dist: float = 1e-3):
             raise ValidationError(f"gamma argument {v} within {dist} of pole at {r}")
 
 
-def _report(name, samples, pairs, tolerance, metadata=None) -> CheckReport:
-    res_abs, res_rel = [], []
-    for lhs, rhs in pairs:
-        d = abs(lhs - rhs)
-        res_abs.append(d)
-        res_rel.append(_rel(d, abs(lhs), abs(rhs)))
-    passed = all(r <= tolerance for r in res_rel)
+def _residual(lhs: complex, rhs: complex) -> tuple[float, float]:
+    """Absolute and relative residual of lhs = rhs."""
+    d = abs(lhs - rhs)
+    return d, d / max(abs(lhs), abs(rhs), _TINY)
+
+
+def _report(name, samples, residuals, tolerance, metadata, passed=True) -> CheckReport:
+    """The report of (absolute, relative) ``residuals`` per sample: it
+    passes iff ``passed`` holds and every relative residual meets
+    ``tolerance``."""
+    res_abs = tuple(a for a, _ in residuals)
+    res_rel = tuple(r for _, r in residuals)
     return CheckReport(
         name=name,
-        samples=tuple(samples),
-        residuals_abs=tuple(res_abs),
-        residuals_rel=tuple(res_rel),
+        samples=tuple(complex(s) for s in samples),
+        residuals_abs=res_abs,
+        residuals_rel=res_rel,
         tolerance=tolerance,
-        passed=passed,
-        metadata=metadata or {},
+        passed=passed and all(r <= tolerance for r in res_rel),
+        metadata=metadata,
     )
+
+
+def _lambda_reflections(u: QuadForm2, samples) -> list[tuple[complex, complex]]:
+    """(Lambda(u, s), Lambda(u^-1, 1 - s)) of the completed Epstein zeta for
+    each sample s, by independent continuation calls; s and 1 - s must stay
+    1e-3 away from the poles at 0 and 1."""
+    ui = u.inverse()
+    pairs = []
+    for s in samples:
+        s = complex(s)
+        _require_away_from(s, (0.0, 1.0), 1e-3, "Epstein pole")
+        _require_away_from(1.0 - s, (0.0, 1.0), 1e-3, "Epstein pole")
+        pairs.append((epstein_lambda(u, s).value, epstein_lambda(ui, 1.0 - s).value))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +181,7 @@ def _report(name, samples, pairs, tolerance, metadata=None) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def check_circle_fe(c: float, samples, tolerance: float = 1e-10) -> CheckReport:
+def check_circle_fe(c: float, samples) -> CheckReport:
     """c^(-2s) Gamma(s) pi^(-s) Z_circle(s) is invariant under s -> 1-s.
 
     Since Z_circle(s) = c^(2s) E(I, s), the c powers cancel and each side is
@@ -176,16 +191,8 @@ def check_circle_fe(c: float, samples, tolerance: float = 1e-10) -> CheckReport:
     """
     if not c > 0:
         raise ValidationError("circle radius must be positive")
-    ident = QuadForm2.identity()
-    pairs = []
-    for s in samples:
-        s = complex(s)
-        _require_away_from(s, (0.0, 1.0), 1e-3, "completed-zeta pole")
-        _require_away_from(1.0 - s, (0.0, 1.0), 1e-3, "completed-zeta pole")
-        lhs = epstein_lambda(ident, s).value
-        rhs = epstein_lambda(ident, 1.0 - s).value
-        pairs.append((lhs, rhs))
-    return _report("circle-fe", samples, pairs, tolerance, {"c": c})
+    pairs = _lambda_reflections(QuadForm2.identity(), samples)
+    return _report("circle-fe", samples, [_residual(*p) for p in pairs], 1e-10, {"c": c})
 
 
 def check_square_closed_form(samples, radius: float = 2000.0, threads=None) -> CheckReport:
@@ -199,26 +206,19 @@ def check_square_closed_form(samples, radius: float = 2000.0, threads=None) -> C
         raise ValidationError("radius must be >= 1000 for this check")
     samples = [complex(s) for s in samples]
     directs = hlawka_direct_many(square(), samples, radius, threads=threads)
-    res_abs, res_rel = [], []
+    residuals = []
     for s, d in zip(samples, directs):
         closed = 8.0 * riemann_zeta(2.0 * s - 1.0)
         diff = abs(d.value - closed)
         excess = max(0.0, diff - d.error_estimate)
-        res_abs.append(diff)
-        res_rel.append(excess / max(abs(closed), _TINY))
-    passed = all(r <= 1e-8 for r in res_rel)
-    return CheckReport(
-        name="square-closed-form",
-        samples=tuple(samples),
-        residuals_abs=tuple(res_abs),
-        residuals_rel=tuple(res_rel),
-        tolerance=1e-8,
-        passed=passed,
-        metadata={"radius": radius, "truncation_estimates": [d.error_estimate for d in directs]},
+        residuals.append((diff, excess / max(abs(closed), _TINY)))
+    return _report(
+        "square-closed-form", samples, residuals, 1e-8,
+        {"radius": radius, "truncation_estimates": [d.error_estimate for d in directs]},
     )
 
 
-def check_fq_fe(q: int, samples, tolerance: float = 1e-8) -> CheckReport:
+def check_fq_fe(q: int, samples) -> CheckReport:
     """Reflection identity of the completed twisted component:
 
         pi^(-s) Gamma(s) C_q(s)
@@ -233,19 +233,14 @@ def check_fq_fe(q: int, samples, tolerance: float = 1e-8) -> CheckReport:
         raise ValidationError(
             "component vanishes identically for q not divisible by 4; check is vacuous"
         )
-    ident = QuadForm2.identity()
-    pairs = []
+    if q == 0:
+        # classical completed equation Lambda(s) = Lambda(1-s); the
+        # Gamma-ratio factor degenerates to 1
+        pairs = _lambda_reflections(QuadForm2.identity(), samples)
+        return _report("fq-fe-q0", samples, [_residual(*p) for p in pairs], 1e-8, {"q": 0})
+    residuals = []
     for s in samples:
         s = complex(s)
-        if q == 0:
-            # classical completed equation Lambda(s) = Lambda(1-s); the
-            # Gamma-ratio factor degenerates to 1
-            _require_away_from(s, (0.0, 1.0), 1e-3, "Epstein pole")
-            _require_away_from(1.0 - s, (0.0, 1.0), 1e-3, "Epstein pole")
-            pairs.append(
-                (epstein_lambda(ident, s).value, epstein_lambda(ident, 1.0 - s).value)
-            )
-            continue
         _require_gamma_safe([s, 1.0 - s, s + q / 2.0, s - q / 2.0])
         lhs = math.pi ** (-s) * gamma(s) * eisenstein_fq_continued(q, s).value
         factor = gamma(s) ** 2 / (gamma(s + q / 2.0) * gamma(s - q / 2.0))  # (-i)^q = 1, 4 | q
@@ -255,13 +250,11 @@ def check_fq_fe(q: int, samples, tolerance: float = 1e-8) -> CheckReport:
             * factor
             * eisenstein_fq_continued(q, 1.0 - s).value
         )
-        pairs.append((lhs, rhs))
-    return _report(f"fq-fe-q{q}", samples, pairs, tolerance, {"q": q})
+        residuals.append(_residual(lhs, rhs))
+    return _report(f"fq-fe-q{q}", samples, residuals, 1e-8, {"q": q})
 
 
-def check_ellipse_fe(
-    a: float, b: float, phi: float, samples, tolerance: float = 1e-9
-) -> CheckReport:
+def check_ellipse_fe(a: float, b: float, phi: float, samples) -> CheckReport:
     """Completed-zeta reflection for ellipses:
 
         pi^(-s) Gamma(s) Z(r, s) = det(u)^(-1/2) pi^(-(1-s)) Gamma(1-s) Z(r*, 1-s)
@@ -277,25 +270,15 @@ def check_ellipse_fe(
     if a / b > 1e4:
         raise ValidationError("ellipse too degenerate (a/b > 1e4)")
     u = ellipse_form(a, b, phi)
-    ui = u.inverse()
     const = 1.0 / math.sqrt(u.det)  # = ab
     alt_const = (a * b) ** -0.5
-    pairs = []
-    alt_res = []
-    for s in samples:
-        s = complex(s)
-        _require_away_from(s, (0.0, 1.0), 1e-3, "Epstein pole")
-        _require_away_from(1.0 - s, (0.0, 1.0), 1e-3, "Epstein pole")
-        lhs = epstein_lambda(u, s).value
-        rhs_core = epstein_lambda(ui, 1.0 - s).value
-        pairs.append((lhs, const * rhs_core))
-        alt = abs(lhs - alt_const * rhs_core)
-        alt_res.append(_rel(alt, abs(lhs), abs(alt_const * rhs_core)))
+    pairs = _lambda_reflections(u, samples)
+    alt_res = [_residual(lhs, alt_const * rhs)[1] for lhs, rhs in pairs]
     return _report(
         "ellipse-fe",
         samples,
-        pairs,
-        tolerance,
+        [_residual(lhs, const * rhs) for lhs, rhs in pairs],
+        1e-9,
         {
             "a": a,
             "b": b,
@@ -325,41 +308,37 @@ def _coeff_series(reading: str, s: complex, q: int, c: float, d: float):
         diag = {"reading": reading, "last_ratio": res.truncation["last_ratio"], "divergent": False}
         return 2.0 * res.value, diag
 
-    if reading == "j-form":
-        # sum_j binom(2j+4q, j) d^(j+2q) Gamma(j+2q-s)
-        #       / (2^(2q-1) c^(j+2q) Gamma(-s)) (1/2)^j, literal text
-        acc = 0.0 + 0.0j
-        rising = 1.0 + 0.0j  # Gamma(K-s)/Gamma(-s) = prod_{i<K} (i-s), K = j+2q
-        for i in range(2 * q):
-            rising *= i - s
-        binom = 1.0  # binom(2j+4q, j) at j = 0
-        ratio = d / c
-        prev_mag = 0.0
-        last_ratio = 0.0
-        n_terms = 40
-        for j in range(n_terms):
-            term = binom * ratio ** (j + 2 * q) * rising / 2.0 ** (2 * q - 1) / 2.0**j
-            acc += term
-            mag = abs(term)
-            if prev_mag > 0:
-                last_ratio = mag / prev_mag
-            prev_mag = mag
-            rising *= (j + 2 * q) - s
-            binom = binom * (2 * j + 4 * q + 1) * (2 * j + 4 * q + 2) / ((j + 1) * (j + 4 * q + 1))
-        return (
-            acc,  # no c^(-s) prefactor: the printed right-hand side carries c explicitly
-            {"reading": reading, "last_ratio": last_ratio, "divergent": last_ratio >= 1.0,
-             "terms": n_terms},
-        )
-    raise ValidationError("reading must be 'k-form' or 'j-form'")
+    # j-form: sum_j binom(2j+4q, j) d^(j+2q) Gamma(j+2q-s)
+    #       / (2^(2q-1) c^(j+2q) Gamma(-s)) (1/2)^j, literal text
+    acc = 0.0 + 0.0j
+    rising = 1.0 + 0.0j  # Gamma(K-s)/Gamma(-s) = prod_{i<K} (i-s), K = j+2q
+    for i in range(2 * q):
+        rising *= i - s
+    binom = 1.0  # binom(2j+4q, j) at j = 0
+    ratio = d / c
+    prev_mag = 0.0
+    last_ratio = 0.0
+    n_terms = 40
+    for j in range(n_terms):
+        term = binom * ratio ** (j + 2 * q) * rising / 2.0 ** (2 * q - 1) / 2.0**j
+        acc += term
+        mag = abs(term)
+        if prev_mag > 0:
+            last_ratio = mag / prev_mag
+        prev_mag = mag
+        rising *= (j + 2 * q) - s
+        binom = binom * (2 * j + 4 * q + 1) * (2 * j + 4 * q + 2) / ((j + 1) * (j + 4 * q + 1))
+    return (
+        acc,  # no c^(-s) prefactor: the printed right-hand side carries c explicitly
+        {"reading": reading, "last_ratio": last_ratio, "divergent": last_ratio >= 1.0,
+         "terms": n_terms},
+    )
 
 
-def check_coefficient_identity(
-    a: float, b: float, q: int, samples, reading: str = "both"
-) -> CheckReport:
+def check_coefficient_identity(a: float, b: float, q: int, samples) -> CheckReport:
     """Literal evaluation of the printed coefficient identity for ellipses.
 
-    Both sides are computed under the selected coefficient reading and under
+    Both sides are computed under both coefficient readings and under
     both candidate (ab)-exponents on the right side (2s - 3/2 as printed and
     2s - 5/2 from direct substitution).  Residuals are reported WITHOUT a
     pass/fail gate: the printed constants are unconfirmed, so the report
@@ -373,12 +352,9 @@ def check_coefficient_identity(
     d = 1.0 - c
     if abs(2.0 * d / c) >= 1.0:
         raise ValidationError("outside the convergence domain |2d/c| < 1")
-    readings = ("k-form", "j-form") if reading == "both" else (reading,)
-
     results: dict[str, dict[str, list[float]]] = {}
     diagnostics: dict[str, dict] = {}
-    finite = True
-    for rd in readings:
+    for rd in ("k-form", "j-form"):
         per_exp: dict[str, list[float]] = {"2s-3/2": [], "2s-5/2": []}
         for s in samples:
             s = complex(s)
@@ -402,22 +378,16 @@ def check_coefficient_identity(
                     rhs = factor * (a * b) ** expo * series_1ms
                 else:
                     rhs = factor * (a * b) ** expo * c ** (-(1.0 - s)) * series_1ms
-                diff = abs(lhs - rhs)
-                relr = _rel(diff, abs(lhs), abs(rhs))
-                if not math.isfinite(relr):
-                    finite = False
-                per_exp[label].append(relr)
+                per_exp[label].append(_residual(lhs, rhs)[1])
         results[rd] = per_exp
 
-    flat = [r for rd in results.values() for rs in rd.values() for r in rs]
-    return CheckReport(
-        name=f"coefficient-identity-q{q}",
-        samples=tuple(complex(s) for s in samples),
-        residuals_abs=tuple(flat),
-        residuals_rel=tuple(flat),
-        tolerance=math.inf,
-        passed=finite,
-        metadata={
+    flat = [(r, r) for rd in results.values() for rs in rd.values() for r in rs]
+    return _report(
+        f"coefficient-identity-q{q}",
+        samples,
+        flat,
+        math.inf,
+        {
             "gate": "exploratory: residuals recorded, identity constants unconfirmed",
             "a": a,
             "b": b,
@@ -427,6 +397,7 @@ def check_coefficient_identity(
             "residuals": results,
             "series_diagnostics": diagnostics,
         },
+        passed=all(math.isfinite(r) for r, _ in flat),
     )
 
 
@@ -435,12 +406,14 @@ def check_coefficient_identity(
 # ---------------------------------------------------------------------------
 
 
-def boundary_vertex_count(shape: RadialShape, n: int = 1 << 14, jump_tol: float = 0.05) -> int:
-    """Number of tangent-direction jumps of the boundary curve.
+def boundary_vertex_count(shape: RadialShape) -> int:
+    """Number of tangent-direction jumps above 0.05 rad of the boundary
+    curve sampled at 2^14 angles.
 
     Linear maps preserve the vertex count of a polygon, so this is a valid
     orbit invariant (unlike arc length, which shears change).
     """
+    n = 1 << 14
     th = np.arange(n) * (2.0 * math.pi / n)
     r = np.asarray(shape.evaluate(th))
     x = r * np.cos(th)
@@ -451,7 +424,7 @@ def boundary_vertex_count(shape: RadialShape, n: int = 1 << 14, jump_tol: float 
     # circular turning angles; the boundary winds once, so the wrap chord
     # turns by psi[0] + 2 pi - psi[-1]
     turn = np.abs(np.append(np.diff(psi), psi[0] + 2.0 * math.pi - psi[-1]))
-    jumps = turn > jump_tol
+    jumps = turn > 0.05
     # merge runs of consecutive flagged steps into single vertices
     return int(np.count_nonzero(jumps & ~np.roll(jumps, 1)))
 
@@ -473,20 +446,20 @@ def check_odd_vs_square(t_max: float, samples, threads=None) -> CheckReport:
     entries_equal = np.array_equal(spec_sq.t_values, spec_od.t_values) and np.array_equal(
         spec_sq.counts, spec_od.counts
     )
-    pairs = []
+    residuals = []
     for s in samples:
         s = complex(s)
         z1 = hlawka_from_spectrum(spec_sq, s).value
         z2 = hlawka_from_spectrum(spec_od, s).value
-        pairs.append((z1, z2))
+        residuals.append(_residual(z1, z2))
     v_sq = boundary_vertex_count(sq)
     v_od = boundary_vertex_count(od)
     a_sq = area(sq)
     a_od = area(od)
-    report = _report(
+    return _report(
         "odd-vs-square",
         samples,
-        pairs,
+        residuals,
         1e-12,
         {
             "t_max": t_max,
@@ -500,16 +473,7 @@ def check_odd_vs_square(t_max: float, samples, threads=None) -> CheckReport:
             "a linear image of the square keeps 4 vertices, so the seven-vertex "
             "region is outside the GL(2,R) orbit",
         },
-    )
-    passed = report.passed and entries_equal and v_sq == 4 and v_od == 7
-    return CheckReport(
-        name=report.name,
-        samples=report.samples,
-        residuals_abs=report.residuals_abs,
-        residuals_rel=report.residuals_rel,
-        tolerance=report.tolerance,
-        passed=passed,
-        metadata=report.metadata,
+        passed=entries_equal and v_sq == 4 and v_od == 7,
     )
 
 
@@ -530,7 +494,6 @@ class PerronReport:
     lobe_ends: tuple
     lobe_residuals: tuple
     last_lobe_magnitude: float
-    spectrum_t_max: float
 
     def residual_envelope(self, t_from: float, t_to: float) -> float:
         vals = [
@@ -552,9 +515,6 @@ def perron_count_approx(
     x: float,
     sigma: float,
     T: float,
-    spectrum_t_max: float | None = None,
-    lobe_tol: float = 1e-6,
-    max_step: float = 0.05,
     threads=None,
 ) -> tuple[float, PerronReport]:
     """Recover the half-weight point count A'(x) from the truncated integral
@@ -562,11 +522,12 @@ def perron_count_approx(
         (1/pi) * integral_0^T Re[ Z_r(sigma + i t) x^(2 (sigma + i t))
                                    / (sigma + i t) ] dt
 
-    with Z_r evaluated through a spectrum reaching at least 2x.  Integration
-    is lobe-wise (half-period of the x^(2it) oscillation) by doubling Simpson
-    panels, each doubling evaluating only the new midpoints, until each lobe
-    meets ``lobe_tol``; the report records the running
-    residual against the directly counted A'(x) after every lobe.
+    with Z_r evaluated through the spectrum up to 2x.  Integration is
+    lobe-wise (half-period of the x^(2it) oscillation) by doubling Simpson
+    panels of width at most 0.05, each doubling evaluating only the new
+    midpoints, until two doublings of a lobe agree to 1e-6; the report
+    records the running residual against the directly counted A'(x) after
+    every lobe.
     """
     if not x > 0:
         raise ValidationError("x must be positive")
@@ -574,8 +535,7 @@ def perron_count_approx(
         raise ValidationError("sigma must exceed 1")
     if not T > 0:
         raise ValidationError("T must be positive")
-    t_target = max(spectrum_t_max or 0.0, 2.0 * x)
-    spec = build_spectrum(shape, t_target, threads=threads)
+    spec = build_spectrum(shape, 2.0 * x, threads=threads)
     tv = spec.t_values
     near = (tv <= x + 1.0) & (np.abs(tv - x) < 1e-6)
     if near.any():
@@ -607,13 +567,13 @@ def perron_count_approx(
     lobe_residuals = []
     last_mag = 0.0
     for a0, b0 in zip(edges[:-1], edges[1:]):
-        n = max(4, 2 * math.ceil((b0 - a0) / (2.0 * max_step)))
+        n = max(4, 2 * math.ceil((b0 - a0) / 0.1))  # panels at most 0.05 wide
         ys = integrand(np.linspace(a0, b0, n + 1))
         prev = None
         while True:
             h = (b0 - a0) / n
             simpson = h / 3.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-2:2]))
-            if prev is not None and abs(simpson - prev) <= lobe_tol:
+            if prev is not None and abs(simpson - prev) <= 1e-6:
                 simpson = simpson + (simpson - prev) / 15.0
                 break
             if n >= 1 << 16:
@@ -645,7 +605,6 @@ def perron_count_approx(
         lobe_ends=tuple(lobe_ends),
         lobe_residuals=tuple(lobe_residuals),
         last_lobe_magnitude=last_mag,
-        spectrum_t_max=t_target,
     )
     return total, report
 
@@ -655,8 +614,9 @@ def perron_count_approx(
 # ---------------------------------------------------------------------------
 
 
-def residue_at_one(shape: RadialShape, h: float = 2e-4) -> float:
-    """lim (s - 1) Z_r(s): numeric limit with Richardson over two step sizes.
+def residue_at_one(shape: RadialShape) -> float:
+    """lim (s - 1) Z_r(s): numeric limit with Richardson over the step sizes
+    2e-4 and 1e-4.
 
     Circle and ellipse go through the Epstein continuation of their quadratic
     form; square and odd shape reduce to 8 zeta(2s - 1) via their common
@@ -690,15 +650,13 @@ def residue_at_one(shape: RadialShape, h: float = 2e-4) -> float:
             f"square/odd (closed form), not kind {shape.kind!r}"
         )
 
-    r1 = f(h)
-    r2 = f(h / 2.0)
+    r1 = f(2e-4)
+    r2 = f(1e-4)
     res = (4.0 * r2 - r1) / 3.0
     return float(res.real)
 
 
-def probe_regular_fe(
-    form: RegularFEForm, samples, tolerance: float = 1e-8
-) -> CheckReport:
+def probe_regular_fe(form: RegularFEForm, samples) -> CheckReport:
     """Residuals of the square's zeta function against a candidate reflection
     factor: |Z(s) - ratio(s) Z(1-s)| with Z(s) = 8 zeta(2s - 1).
 
@@ -706,7 +664,7 @@ def probe_regular_fe(
     reports whatever residuals the supplied form produces.  A sample landing
     on a pole of the candidate's gamma factors records an infinite residual.
     """
-    res_abs, res_rel = [], []
+    residuals = []
     for s in samples:
         s = complex(s)
         _require_away_from(2.0 * s - 1.0, (1.0,), 1e-3, "zeta pole")
@@ -715,18 +673,7 @@ def probe_regular_fe(
         try:
             rhs = form.ratio(s) * 8.0 * riemann_zeta(2.0 * (1.0 - s) - 1.0)
         except PoleError:
-            res_abs.append(math.inf)
-            res_rel.append(math.inf)
+            residuals.append((math.inf, math.inf))
             continue
-        d = abs(lhs - rhs)
-        res_abs.append(d)
-        res_rel.append(_rel(d, abs(lhs), abs(rhs)))
-    return CheckReport(
-        name="regular-fe-probe",
-        samples=tuple(complex(s) for s in samples),
-        residuals_abs=tuple(res_abs),
-        residuals_rel=tuple(res_rel),
-        tolerance=tolerance,
-        passed=all(r <= tolerance for r in res_rel),
-        metadata={"gate": "probe"},
-    )
+        residuals.append(_residual(lhs, rhs))
+    return _report("regular-fe-probe", samples, residuals, 1e-8, {"gate": "probe"})

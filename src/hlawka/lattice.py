@@ -57,9 +57,9 @@ __all__ = [
     "dilation_times_block",
     "build_spectrum",
     "count_points",
-    "default_threads",
     "map_box_chunks",
     "orbit_sizes",
+    "resolve_threads",
     "spectrum_to_csv",
 ]
 
@@ -67,6 +67,13 @@ __all__ = [
 # stay in its cache; a longer row makes a chunk of its own (on the whole disc
 # from radius 8192 on)
 _CHUNK_POINTS = 1 << 15
+
+# the largest worker count a walk accepts; the pool keeps that many threads
+MAX_THREADS = 64
+
+# relative grouping tolerance of spectral lines and of point counts: the
+# same value makes ``Spectrum.count_up_to`` agree with ``count_points``
+_TOLERANCE = 1e-9
 
 
 class LatticePoint(NamedTuple):
@@ -98,7 +105,6 @@ class Spectrum:
     n: np.ndarray
     t_max: float
     tolerance: float
-    max_witnesses: int = 8
 
     def __post_init__(self):
         for a in (self.t_values, self.counts, self.starts, self.m, self.n):
@@ -129,21 +135,29 @@ class SpectrumEntries(Sequence):
             return tuple(self[i] for i in range(*k.indices(len(self))))
         sp = self._spec
         t, count, start = sp.t_values[k], int(sp.counts[k]), int(sp.starts[k])
-        stop = start + min(count, sp.max_witnesses)
+        stop = start + min(count, 8)  # the first 8 points witness the line
         witnesses = tuple(
             LatticePoint(m, n) for m, n in zip(sp.m[start:stop].tolist(), sp.n[start:stop].tolist())
         )
         return SpectrumEntry(t=float(t), count=count, witnesses=witnesses)
 
 
-def default_threads() -> int:
-    env = os.environ.get("HLAWKA_THREADS")
-    if env:
+def resolve_threads(threads: int | None) -> int:
+    """The worker count of a walk: ``threads``, or when it is None the
+    ``HLAWKA_THREADS`` environment variable, or when that is unset or empty
+    min(4, cpu count).  A count outside [1, MAX_THREADS], or an
+    ``HLAWKA_THREADS`` that is no integer, is a ValidationError."""
+    if threads is None:
+        env = os.environ.get("HLAWKA_THREADS")
+        if not env:
+            return min(4, os.cpu_count() or 1)
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+            raise ValidationError(f"HLAWKA_THREADS={env!r} is not an integer") from None
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValidationError(f"thread count {threads} outside [1, {MAX_THREADS}]")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +318,7 @@ def map_box_chunks(
     not start another walk, and must not keep the int64 arrays it is handed:
     they are the worker thread's scratch arrays, refilled for its next block.
     """
+    threads = resolve_threads(threads)
     k2 = math.floor(bound * bound)
     rows, first, counts = _domain_rows(k2, symmetry)
     mirror = symmetry is Symmetry.TRIVIAL
@@ -331,7 +346,6 @@ def map_box_chunks(
             np.negative(n[:size], out=n[size:])
         return func(m, n)
 
-    threads = threads or default_threads()
     if threads <= 1 or len(chunks) <= 1:
         return [run(c) for c in chunks]
     return list(_pool(threads).map(run, chunks))
@@ -349,12 +363,16 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 # ---------------------------------------------------------------------------
 
 
+def _walk_bound(shape: RadialShape, x: float) -> int:
+    """A disc radius that holds every lattice point with t(p) <= x."""
+    return int(math.ceil(x * shape.r_max * (1.0 + 1e-9))) + 1
+
+
 def build_spectrum(
     shape: RadialShape,
     t_max: float,
     tolerance: float | None = None,
     threads: int | None = None,
-    max_witnesses: int = 8,
 ) -> Spectrum:
     """Enumerate all dilation times <= t_max and group them into (t_k, a_k).
 
@@ -366,11 +384,9 @@ def build_spectrum(
     if not (t_max > 0.0):
         raise ValidationError("t_max must be positive")
     if tolerance is None:
-        tolerance = 1e-9
+        tolerance = _TOLERANCE
     if tolerance <= 0.0:
         raise ValidationError("tolerance must be positive")
-
-    bound = int(math.ceil(t_max * shape.r_max * (1.0 + 1e-9))) + 1
 
     def chunk(m: np.ndarray, n: np.ndarray):
         k = len(m)
@@ -378,7 +394,7 @@ def build_spectrum(
         keep = np.less_equal(t, t_max * (1.0 + tolerance), out=scratch("lattice.keep", k, bool))
         return m[keep], n[keep], t[keep]  # copies
 
-    parts = map_box_chunks(bound, chunk, threads=threads)
+    parts = map_box_chunks(_walk_bound(shape, t_max), chunk, threads=threads)
     m_all = np.concatenate([p[0] for p in parts])
     n_all = np.concatenate([p[1] for p in parts])
     t_all = np.concatenate([p[2] for p in parts])
@@ -411,7 +427,6 @@ def build_spectrum(
         n=n_all,
         t_max=float(t_max),
         tolerance=float(tolerance),
-        max_witnesses=max_witnesses,
     )
 
 
@@ -420,7 +435,6 @@ def count_points(
     x: float,
     half_weight_boundary: bool = False,
     threads: int | None = None,
-    tolerance: float = 1e-9,
 ) -> float:
     """Number of nonzero lattice points with t(p) <= x.
 
@@ -433,9 +447,8 @@ def count_points(
     """
     if not (x > 0.0):
         raise ValidationError("x must be positive")
-    bound = int(math.ceil(x * shape.r_max * (1.0 + 1e-9))) + 1
-    cut = x * (1.0 + tolerance)
-    edge = x * tolerance
+    cut = x * (1.0 + _TOLERANCE)
+    edge = x * _TOLERANCE
     symmetry = shape.symmetry
 
     def chunk(m: np.ndarray, n: np.ndarray):
@@ -451,7 +464,7 @@ def count_points(
         weight *= orbit_sizes(symmetry, m, n, out=scratch("lattice.orbit", k))
         return float(np.sum(weight))
 
-    parts = map_box_chunks(bound, chunk, threads=threads, symmetry=symmetry)
+    parts = map_box_chunks(_walk_bound(shape, x), chunk, threads=threads, symmetry=symmetry)
     return float(np.sum(np.asarray(parts)))
 
 

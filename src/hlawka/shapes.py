@@ -59,6 +59,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _GRID_N = 4096  # construction-time positivity / bounds grid
+_AREA_N = 1 << 14  # trapezoid points of ``area``
 _ATAN_HALF = math.atan2(1.0, 2.0)
 
 ArrayLike = Union[float, np.ndarray]
@@ -227,7 +228,6 @@ class RadialShape:
     params: tuple = ()
     r_min: float = field(default=0.0, compare=False)
     r_max: float = field(default=0.0, compare=False)
-    smoothness: str = field(default="", compare=False)
     symmetry_order: int = field(default=1, compare=False)
 
     def evaluate(self, theta: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
@@ -351,7 +351,7 @@ def _detect_symmetry(evalf, cap: int = 16, tol: float = 1e-10) -> int:
     return 1
 
 
-def _finish(kind, params, smoothness, symmetry_order=None) -> RadialShape:
+def _finish(kind, params, symmetry_order=None) -> RadialShape:
     probe = RadialShape(kind=kind, params=params)
     r_min, r_max = _grid_bounds(probe.evaluate)
     if r_min <= 0.0:
@@ -363,7 +363,6 @@ def _finish(kind, params, smoothness, symmetry_order=None) -> RadialShape:
         params=params,
         r_min=r_min,
         r_max=r_max,
-        smoothness=smoothness,
         symmetry_order=symmetry_order,
     )
 
@@ -373,8 +372,7 @@ def circle(c: float = 1.0) -> RadialShape:
     if not (c > 0.0 and math.isfinite(c)):
         raise ValidationError("circle radius must be positive and finite")
     return RadialShape(
-        kind="constant", params=(float(c),), r_min=c, r_max=c,
-        smoothness="C1", symmetry_order=0,
+        kind="constant", params=(float(c),), r_min=c, r_max=c, symmetry_order=0,
     )
 
 
@@ -386,15 +384,14 @@ def ellipse(a: float, b: float, phi: float = 0.0) -> RadialShape:
         return circle(a)
     return RadialShape(
         kind="ellipse", params=(float(a), float(b), float(phi)),
-        r_min=b, r_max=a, smoothness="C1", symmetry_order=2,
+        r_min=b, r_max=a, symmetry_order=2,
     )
 
 
 def square() -> RadialShape:
     """Square of side 2 centered at the origin (dilation times are integers)."""
     return RadialShape(
-        kind="square", params=(), r_min=1.0, r_max=math.sqrt(2.0),
-        smoothness="piecewise-smooth", symmetry_order=4,
+        kind="square", params=(), r_min=1.0, r_max=math.sqrt(2.0), symmetry_order=4,
     )
 
 
@@ -405,7 +402,7 @@ def odd_shape() -> RadialShape:
     """
     return RadialShape(
         kind="odd", params=(), r_min=1.0 / math.sqrt(5.0), r_max=math.sqrt(5.0),
-        smoothness="piecewise-smooth", symmetry_order=1,
+        symmetry_order=1,
     )
 
 
@@ -416,7 +413,7 @@ def cosine_series(coeffs) -> RadialShape:
         raise ValidationError("cosine series needs at least the constant term")
     nonzero = [q for q in range(1, len(coeffs)) if coeffs[q] != 0.0]
     sym = 0 if not nonzero else math.gcd(*nonzero)
-    return _finish("cosine-series", coeffs, "C1", symmetry_order=sym)
+    return _finish("cosine-series", coeffs, symmetry_order=sym)
 
 
 def act(g: Mat2, shape: RadialShape) -> RadialShape:
@@ -428,12 +425,12 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
     """
     if g.det == 0.0:
         raise ValidationError("act requires a nonsingular matrix")
-    return _finish("transformed", (g, shape), shape.smoothness)
+    return _finish("transformed", (g, shape))
 
 
-def area(shape: RadialShape, n: int = 1 << 14) -> float:
-    """Region area, (1/2) integral of r^2 by the n-point trapezoid rule."""
-    th = np.arange(n) * (_TWO_PI / n)
+def area(shape: RadialShape) -> float:
+    """Region area, (1/2) integral of r^2 by the 2^14-point trapezoid rule."""
+    th = np.arange(_AREA_N) * (_TWO_PI / _AREA_N)
     r = np.asarray(shape.evaluate(th))
     return math.pi * float(np.mean(r * r))
 

@@ -116,14 +116,15 @@ def _eta_terms_needed(im_s: float) -> int:
     return max(24, int(need) + 6)
 
 
-def _eta_accelerated(s: complex) -> complex:
-    """eta(s) = sum (-1)^(k) (k+1)^(-s), accelerated."""
+def _alternating(s: complex, step: int) -> complex:
+    """sum over k >= 0 of (-1)^k (step k + 1)^(-s), accelerated: eta(s) for
+    step 1, beta(s) for step 2."""
     n = _eta_terms_needed(s.imag)
     d = _eta_weights(n)
     acc = 0.0 + 0.0j
     sign = 1.0
     for k in range(n):
-        acc += sign * (d[k] - d[n]) * (k + 1) ** (-s)
+        acc += sign * (d[k] - d[n]) * (step * k + 1) ** (-s)
         sign = -sign
     return -acc / d[n]
 
@@ -189,7 +190,7 @@ def riemann_zeta(s: complex) -> complex:
     if abs(denom) < 1e-3:
         # eta transform is singular on the line Re(s)=1 at Im(s) = 2 pi k/ln 2
         return _zeta_euler_maclaurin(s)
-    return _eta_accelerated(s) / denom
+    return _alternating(s, 1) / denom
 
 
 def dirichlet_beta(s: complex) -> complex:
@@ -197,14 +198,7 @@ def dirichlet_beta(s: complex) -> complex:
     s = complex(s)
     if s.real <= 0:
         raise ValidationError("dirichlet_beta implemented for Re(s) > 0 only")
-    n = _eta_terms_needed(s.imag)
-    d = _eta_weights(n)
-    acc = 0.0 + 0.0j
-    sign = 1.0
-    for k in range(n):
-        acc += sign * (d[k] - d[n]) * (2 * k + 1) ** (-s)
-        sign = -sign
-    return -acc / d[n]
+    return _alternating(s, 2)
 
 
 # ---------------------------------------------------------------------------

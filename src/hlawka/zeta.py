@@ -213,12 +213,11 @@ def _require_convergent(s: complex) -> complex:
     return s
 
 
-def _check_radius(radius: float, minimum: float = 10.0, cap: float | None = None):
-    cap = MAX_RADIUS if cap is None else cap
-    if not (radius >= minimum):
-        raise ValidationError(f"radius must be >= {minimum}")
-    if radius > cap:
-        raise ValidationError(f"radius {radius} exceeds the enumeration cap {cap}")
+def _check_radius(radius: float):
+    if not (radius >= 10.0):
+        raise ValidationError("radius must be >= 10.0")
+    if radius > MAX_RADIUS:
+        raise ValidationError(f"radius {radius} exceeds the enumeration cap {MAX_RADIUS}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,6 @@ def hlawka_direct_many(
     s_values,
     radius: float,
     threads: int | None = None,
-    max_radius: float | None = None,
 ) -> list[EvalResult]:
     """Z_r at several s sharing one lattice enumeration.
 
@@ -239,7 +237,7 @@ def hlawka_direct_many(
            = sum of t(p)^(-2s).
     """
     s_list = [_require_convergent(s) for s in s_values]
-    _check_radius(radius, cap=max_radius)
+    _check_radius(radius)
 
     def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
         log_t2 = _lattice.dilation_times_block(shape, m, n, out=scratch("zeta.log", len(m)))
@@ -270,10 +268,9 @@ def hlawka_direct(
     s: complex,
     radius: float,
     threads: int | None = None,
-    max_radius: float | None = None,
 ) -> EvalResult:
     """Direct lattice sum for Z_r(s); requires Re(s) > 1 and radius >= 10."""
-    return hlawka_direct_many(shape, [s], radius, threads=threads, max_radius=max_radius)[0]
+    return hlawka_direct_many(shape, [s], radius, threads=threads)[0]
 
 
 def hlawka_from_spectrum(spec: "_lattice.Spectrum", s: complex) -> EvalResult:
@@ -573,11 +570,11 @@ def _uncomplete(lam: complex, err: float, sp: complex) -> tuple[complex, float]:
     return value, err / abs(g) + _special_ulps(sp) * _EPS * abs(value)
 
 
-def epstein_lambda(u: QuadForm2, s: complex, cond_cap: float = 1e8) -> EvalResult:
+def epstein_lambda(u: QuadForm2, s: complex) -> EvalResult:
     """Completed Epstein zeta Lambda(u, s) = pi^(-s) Gamma(s) E(u, s).
 
-    u is first Gauss-reduced (Lambda is GL(2,Z)-invariant); ``cond_cap``
-    applies to the reduced form.  With u1 = u / sqrt(det u),
+    u is first Gauss-reduced (Lambda is GL(2,Z)-invariant); a reduced form
+    with condition number above 1e8 is rejected.  With u1 = u / sqrt(det u),
     Lambda(u, s) = det(u)^(-s/2) Lambda(u1, s) and
 
         Lambda(u1, s) = -1/s - 1/(1-s)
@@ -594,7 +591,7 @@ def epstein_lambda(u: QuadForm2, s: complex, cond_cap: float = 1e8) -> EvalResul
         raise PoleError(f"Epstein zeta pole at s={s}")
     a, b, c = _gauss_reduce(u.u11, u.u12, u.u22)
     red = QuadForm2(float(a), float(b), float(c))
-    if red.condition_number() > cond_cap:
+    if red.condition_number() > 1e8:
         raise ValidationError("quadratic form too ill-conditioned")
     det = float(a * c - b * b)  # exact, then rounded once
     [(lam, err)], trunc = _theta_split(red, det, s, [0])
@@ -608,7 +605,7 @@ def epstein_lambda(u: QuadForm2, s: complex, cond_cap: float = 1e8) -> EvalResul
     )
 
 
-def epstein_continued(u: QuadForm2, s: complex, cond_cap: float = 1e8) -> EvalResult:
+def epstein_continued(u: QuadForm2, s: complex) -> EvalResult:
     """Analytic continuation of the binary Epstein zeta to s not in {0, 1}.
 
     E(u, s) = Lambda(u, s) / (pi^(-s) Gamma(s)); at the poles of Gamma(s)
@@ -617,7 +614,7 @@ def epstein_continued(u: QuadForm2, s: complex, cond_cap: float = 1e8) -> EvalRe
     the cancellation of the splitting at large |Im s|.
     """
     s = complex(s)
-    lam = epstein_lambda(u, s, cond_cap=cond_cap)
+    lam = epstein_lambda(u, s)
     value, err = _uncomplete(lam.value, lam.error_estimate, s)
     return EvalResult(value=value, error_estimate=err, truncation=lam.truncation)
 
@@ -732,7 +729,6 @@ def reconstruct_hlawka(
     q_max: int,
     mode: str = "truncated",
     radius: float = 3000.0,
-    n_quad: int | None = None,
     threads: int | None = None,
 ) -> EvalResult:
     """Rebuild Z_r(s) from Fourier coefficients of r^(2s) and twisted sums.
@@ -754,8 +750,7 @@ def reconstruct_hlawka(
     if q_max < 0:
         raise ValidationError("q_max must be nonnegative")
 
-    n = n_quad or max(256, 1 << (8 * max(q_max, 1) - 1).bit_length())
-    table = _fourier.fourier_coeffs(shape, s, q_max, n)
+    table = _fourier.fourier_coeffs(shape, s, q_max)
     q_list = [q for q in range(0, q_max + 1, 4)]
 
     c0 = abs(table.coefficients[0])

@@ -273,7 +273,7 @@ def test_c16_scaling_law():
 
 def test_c17_coefficient_identity_report():
     samples = [2.0 + 0.3j, 0.5 + 0.1j, 1.4 - 0.6j]
-    rep = check_coefficient_identity(math.sqrt(1.2), 1.0, 1, samples, reading="both")
+    rep = check_coefficient_identity(math.sqrt(1.2), 1.0, 1, samples)
     res = rep.metadata["residuals"]
     # the report covers both readings and both (ab)-exponents, all finite
     assert set(res) == {"k-form", "j-form"}

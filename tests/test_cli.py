@@ -223,6 +223,41 @@ def test_verify_all_summary(capsys):
     assert "circle-fe" in names and "odd-vs-square" in names
 
 
+# name, tolerance, passed and metadata keys of every report; no computed value
+_REPORT_LAYOUT = {
+    "circle-fe": (1e-10, True, ["c"]),
+    "square-closed-form": (1e-8, True, ["radius", "truncation_estimates"]),
+    "fq-fe-q4": (1e-8, True, ["q"]),
+    "ellipse-fe": (1e-9, True, ["a", "as_printed_constant", "as_printed_rel_residuals", "b",
+                                "constant", "phi"]),
+    "coefficient-identity-q1": (math.inf, True, ["a", "b", "c", "d", "gate", "q", "residuals",
+                                                 "series_diagnostics"]),
+    "odd-vs-square": (1e-12, True, ["entries", "odd_area", "odd_vertices", "orbit_statistic",
+                                    "spectra_identical", "square_area", "square_vertices",
+                                    "t_max"]),
+}
+
+
+def _layout(report: dict):
+    return report["identity"], (report["tolerance"], report["passed"], sorted(report["metadata"]))
+
+
+def test_verify_all_report_layout_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--which", "all", "--samples", "4", "--seed", "3")
+    assert code == 0
+    assert [_layout(r) for r in json.loads(out)["checks"]] == list(_REPORT_LAYOUT.items())
+
+
+@pytest.mark.parametrize("argv, layout", [
+    (["--which", "fq-fe", "--q", "0"], ("fq-fe-q0", (1e-8, True, ["q"]))),
+    (["--which", "regular-fe-probe"], ("regular-fe-probe", (1e-8, False, ["gate"]))),
+])
+def test_single_report_layout_is_pinned(capsys, argv, layout):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--samples", "4", "--seed", "3")
+    assert code == 0
+    assert _layout(json.loads(out)) == layout
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     # exit-code mapping for a failing gated check, via a stubbed report
     failing = CheckReport(
@@ -252,6 +287,23 @@ def test_reconstruct_truncated_rejects_a_bad_radius(capsys, monkeypatch, radius)
     assert code == 1
     assert out == ""
     assert "radius" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-5", "65"])
+def test_bad_thread_count_exits_1(capsys, threads):
+    code, out, err = run_cli(capsys, "zeta", "--shape", "odd", "--s", "2", "--radius", "50",
+                             f"--threads={threads}")
+    assert code == 1
+    assert out == ""
+    assert "thread count" in err
+
+
+def test_bad_thread_environment_variable_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("HLAWKA_THREADS", "many")
+    code, out, err = run_cli(capsys, "count", "--shape", "square", "--x", "50")
+    assert code == 1
+    assert out == ""
+    assert "HLAWKA_THREADS" in err
 
 
 def test_zeta_spectrum_below_the_first_line_is_rejected(capsys):

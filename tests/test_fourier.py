@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from hlawka import fourier
 from hlawka.errors import DivergenceError, ValidationError
 from hlawka.fourier import ellipse_coefficient, fourier_coeffs, fourier_table_to_csv
-from hlawka.shapes import Mat2, act, circle, cosine_series, ellipse, odd_shape, square
+from hlawka.shapes import Mat2, act, circle, cosine_series, ellipse, odd_shape, parse_shape, square
 
 
 def test_circle_coefficients(unit_circle):
@@ -88,6 +89,40 @@ def test_decay_smooth_vs_kinked():
     kmags = {q: abs(kinked.coefficients[q]) for q in (4, 8, 16)}
     # quadratic (kink) decay: |c(q)| ~ 1/q^2, so c(16)/c(4) ~ 1/16
     assert 0.2 <= kmags[16] / kmags[4] * 16.0 <= 5.0
+
+
+def _mean_loop_coeffs(shape, s, q_max, n):
+    """The trapezoid sums as a loop of means over phases multiplied up one
+    step at a time: the reference for the FFT."""
+    theta = np.arange(n) * (2.0 * math.pi / n)
+    f = np.exp(2.0 * s * np.log(np.asarray(shape.evaluate(theta))))
+    phase = np.exp(-1j * theta)
+    out = {0: complex(np.mean(f))}
+    fw, bw = f.copy(), f.copy()
+    for q in range(1, q_max + 1):
+        fw = fw * phase
+        bw = bw / phase
+        out[q] = complex(np.mean(fw))
+        out[-q] = complex(np.mean(bw))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["circle:c=1.3", "ellipse:a=2,b=1,phi=0.3", "square", "odd",
+                                  "cos:c0=1,c1=0.2,c3=0.05", "ellipse:a=1.2,b=1@gl2=1,1,0,1"])
+@pytest.mark.parametrize("s", [2.0, 1.5 + 0.8j, -0.5 + 3.0j])
+@pytest.mark.parametrize("q_max, n", [(8, 256), (40, 512), (40, 1024)])
+def test_fft_coefficients_match_the_mean_loop(spec, s, q_max, n):
+    shape = parse_shape(spec)
+    fft = fourier._grid_coeffs(shape, s, q_max, n)
+    ref = _mean_loop_coeffs(shape, s, q_max, n)
+    assert fft.keys() == ref.keys()
+    scale = max(abs(c) for c in ref.values())
+    assert max(abs(fft[q] - ref[q]) for q in ref) <= 1e-14 * scale
+
+
+def test_default_grid_is_the_smallest_power_of_two_above_8_q_max():
+    for q_max, n in ((0, 256), (8, 256), (32, 256), (33, 512), (40, 512), (64, 512), (65, 1024)):
+        assert fourier_coeffs(circle(1.0), 2.0, q_max).n_quad == n
 
 
 def test_quadrature_validation():

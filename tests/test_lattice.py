@@ -1,6 +1,7 @@
 """Lattice enumeration tests: dilation times, spectra, counts, asymptotics."""
 
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -176,6 +177,35 @@ def test_thread_count_does_not_change_results(square_shape):
     c1 = count_points(square_shape, 17.25, threads=1)
     c4 = count_points(square_shape, 17.25, threads=4)
     assert c1 == c4
+
+
+@pytest.mark.parametrize("threads", [0, -5, 65, 10**6])
+def test_thread_count_outside_its_range_is_rejected_before_the_walk(threads):
+    def no_chunk(m, n):
+        raise AssertionError("enumerated before validating the thread count")
+
+    with pytest.raises(ValidationError, match="thread count"):
+        map_box_chunks(50.0, no_chunk, threads=threads)
+    with pytest.raises(ValidationError, match="thread count"):
+        count_points(odd_shape(), 50.0, threads=threads)
+
+
+@pytest.mark.parametrize("env", ["two", "1.5", "0", "-5", "65"])
+def test_bad_thread_environment_variable_is_rejected(monkeypatch, env):
+    monkeypatch.setenv("HLAWKA_THREADS", env)
+    with pytest.raises(ValidationError, match="HLAWKA_THREADS|thread count"):
+        count_points(odd_shape(), 50.0)
+
+
+def test_thread_count_resolution(monkeypatch):
+    monkeypatch.delenv("HLAWKA_THREADS", raising=False)
+    assert lattice.resolve_threads(None) == min(4, os.cpu_count() or 1)
+    monkeypatch.setenv("HLAWKA_THREADS", "")
+    assert lattice.resolve_threads(None) == min(4, os.cpu_count() or 1)
+    monkeypatch.setenv("HLAWKA_THREADS", "64")
+    assert lattice.resolve_threads(None) == 64
+    assert lattice.resolve_threads(1) == 1
+    assert lattice.resolve_threads(lattice.MAX_THREADS) == 64
 
 
 def test_near_tie_warning():

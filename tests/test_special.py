@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hlawka import special
 from hlawka.errors import DivergenceError, PoleError, ValidationError
 from hlawka.special import (
     dirichlet_beta,
@@ -139,6 +140,26 @@ def test_dirichlet_beta_catalan_and_pi_cubed():
     catalan = 0.915965594177219015054603514932  # sum (-1)^k/(2k+1)^2
     assert abs(dirichlet_beta(2.0).real - catalan) < 1e-13
     assert abs(dirichlet_beta(3.0).real - math.pi**3 / 32) < 1e-13
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5 + 14.1j, 1.3 - 7.0j, 3.0 + 40.0j, 0.75 + 0.25j])
+def test_eta_and_beta_are_the_written_out_alternating_sums(s):
+    """riemann_zeta and dirichlet_beta share one accelerated loop; both stay
+    bit-identical to the loop written out over (k+1)^(-s) and (2k+1)^(-s)."""
+    s = complex(s)
+    n = special._eta_terms_needed(s.imag)
+    d = special._eta_weights(n)
+
+    def written_out(base):
+        acc = 0.0 + 0.0j
+        sign = 1.0
+        for k in range(n):
+            acc += sign * (d[k] - d[n]) * base(k) ** (-s)
+            sign = -sign
+        return -acc / d[n]
+
+    assert riemann_zeta(s) == written_out(lambda k: k + 1) / (1.0 - 2.0 ** (1.0 - s))
+    assert dirichlet_beta(s) == written_out(lambda k: 2 * k + 1)
 
 
 # ---------------------------------------------------------------------------
