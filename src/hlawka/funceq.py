@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import PoleError, ValidationError
 from .fourier import ellipse_coefficient
-from .lattice import build_spectrum, count_points
+from . import lattice as _lattice
+from .lattice import build_spectrum
 from .shapes import RadialShape, area, odd_shape, square
 from .special import gamma, riemann_zeta
 from .zeta import (
@@ -522,12 +523,29 @@ def perron_count_approx(
         (1/pi) * integral_0^T Re[ Z_r(sigma + i t) x^(2 (sigma + i t))
                                    / (sigma + i t) ] dt
 
-    with Z_r evaluated through the spectrum up to 2x.  Integration is
-    lobe-wise (half-period of the x^(2it) oscillation) by doubling Simpson
-    panels of width at most 0.05, each doubling evaluating only the new
-    midpoints, until two doublings of a lobe agree to 1e-6; the report
-    records the running residual against the directly counted A'(x) after
-    every lobe.
+    with Z_r evaluated through the spectrum up to 2x, from which A'(x) is
+    read as well.  Integration is lobe-wise (half-period of the x^(2it)
+    oscillation) by doubling Simpson panels of width at most 0.05, each
+    doubling evaluating only the new midpoints, until two doublings of a
+    lobe agree to 1e-6; the report records the running residual against
+    A'(x) after every lobe.
+
+    The lobes of one width (all but the last, which T may cut short, and
+    the last) refine in lockstep: one batch per Simpson level over the lobes
+    not yet converged.  At the node t = a + u of a lobe starting at a the
+    phase factors,
+
+        Z_r(sigma + i t) x^(2 (sigma + i t))
+            = sum_k w_k e^(2ia log(x/t_k)) e^(2iu log(x/t_k))
+
+    with w_k = a_k (x/t_k)^(2 sigma), so a level is one contraction over the
+    lines of the lobe-start table, built once per call, with the level's
+    offset table: (lobes + nodes) x lines sines and cosines, not one per
+    node and line.  The tables are blocked over lobes and over
+    nodes so that none holds more than ``lattice._CHUNK_POINTS`` values (one
+    row over the lines where the spectrum has more lines than that); the
+    contraction and the sums along each lobe run in a fixed order, so the
+    blocking changes the cost and not the result.
     """
     if not x > 0:
         raise ValidationError("x must be positive")
@@ -537,58 +555,82 @@ def perron_count_approx(
         raise ValidationError("T must be positive")
     spec = build_spectrum(shape, 2.0 * x, threads=threads)
     tv = spec.t_values
-    near = (tv <= x + 1.0) & (np.abs(tv - x) < 1e-6)
+    # no line within the counting tolerance of x, so A'(x) has no half-weight term
+    gap = max(1e-6, _lattice._TOLERANCE * x)
+    near = (tv <= x + 1.0) & (np.abs(tv - x) < gap)
     if near.any():
         raise ValidationError(
-            f"x={x} is within 1e-6 of the jump at t={float(tv[np.argmax(near)])}; at jumps the "
+            f"x={x} is within {gap:.3g} of the jump at t={float(tv[np.argmax(near)])}; at jumps the "
             "half-weight count A'(x) is the target, choose x off the spectrum"
         )
-    log_t = np.log(tv)
-    log_x = math.log(x)
-    # Z_r(sigma + i tau) = sum_k w_k exp(-2i tau log t_k) with real weights
-    # w_k = a_k t_k^(-2 sigma), so each node costs one real cos and sin per line
-    w = spec.counts * np.exp(-2.0 * sigma * log_t)
+    direct = float(spec.count_up_to(x))
+    log_ratio = math.log(x) - np.log(tv)
+    weights = spec.counts * np.exp(2.0 * sigma * log_ratio) / math.pi
 
-    def integrand(tt: np.ndarray) -> np.ndarray:
-        s_line = sigma + 1j * tt
-        phase = -2.0 * np.multiply.outer(tt, log_t)
-        z = np.cos(phase) @ w + 1j * (np.sin(phase) @ w)
-        vals = z * np.exp(2.0 * s_line * log_x) / s_line
-        return vals.real / math.pi
+    cap = _lattice._CHUNK_POINTS
+    rows = max(1, cap // len(log_ratio))  # rows of a table over the lines
 
-    direct = count_points(shape, x, half_weight_boundary=True, threads=threads)
+    def lobe_sums(start_phase: np.ndarray, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """sum_j f(starts_l + offsets_j) per lobe l, f the integrand, where
+        start_phase[l] = weights e^(2i starts_l log(x/t))."""
+        block = max(1, min(len(offsets), rows, cap // len(starts)))
+        sums = np.zeros(len(starts))
+        for j in range(0, len(offsets), block):
+            u = offsets[j : j + block]
+            # einsum sums each entry over the lines in order; a BLAS product
+            # rounds by the shape of the call, so the blocks would show
+            z = np.einsum("lk,jk->lj", start_phase, np.exp(2j * np.multiply.outer(u, log_ratio)))
+            t = np.add.outer(starts, u)
+            # Re[z / (sigma + i t)]
+            vals = (sigma * z.real + t * z.imag) / (sigma * sigma + t * t)
+            # left to right along the nodes, carried across node blocks
+            vals[:, 0] += sums
+            sums = np.cumsum(vals, axis=1)[:, -1]
+        return sums
 
-    lobe = math.pi / (2.0 * max(log_x, 0.05))
-    edges = np.arange(0.0, T, lobe)
-    edges = np.append(edges, T)
+    def simpson_lobes(starts: np.ndarray, width: float) -> np.ndarray:
+        """Integrals over [a, a + width] for every start a: the lobes go in
+        blocks, each refined one Simpson level at a time."""
+        n0 = max(4, 2 * math.ceil(width / 0.1))  # panels at most 0.05 wide
+        out = np.empty(len(starts))
+        for i in range(0, len(starts), rows):
+            a = starts[i : i + rows]
+            start_phase = weights * np.exp(2j * np.multiply.outer(a, log_ratio))
+            live = np.arange(i, i + len(a))  # positions in ``out`` of the lobes still refining
+            n = n0
+            ends = lobe_sums(start_phase, a, np.array([0.0, width]))
+            inner = lobe_sums(start_phase, a, (width / n) * np.arange(2, n, 2))
+            prev = None
+            while True:
+                h = width / n
+                mids = lobe_sums(start_phase, a, h * np.arange(1, n, 2))
+                simpson = h / 3.0 * (ends + 4.0 * mids + 2.0 * inner)
+                if prev is None:
+                    done = np.zeros(len(a), bool)
+                else:
+                    done = np.abs(simpson - prev) <= 1e-6
+                    out[live[done]] = (simpson + (simpson - prev) / 15.0)[done]
+                if n >= 1 << 16:
+                    out[live[~done]] = simpson[~done]
+                    break
+                keep = ~done
+                if not keep.any():
+                    break
+                # doubling keeps every node: the midpoints join the interior
+                live, a, start_phase = live[keep], a[keep], start_phase[keep]
+                prev, ends, inner = simpson[keep], ends[keep], (inner + mids)[keep]
+                n *= 2
+        return out
 
-    total = 0.0
-    lobe_ends = []
-    lobe_residuals = []
-    last_mag = 0.0
-    for a0, b0 in zip(edges[:-1], edges[1:]):
-        n = max(4, 2 * math.ceil((b0 - a0) / 0.1))  # panels at most 0.05 wide
-        ys = integrand(np.linspace(a0, b0, n + 1))
-        prev = None
-        while True:
-            h = (b0 - a0) / n
-            simpson = h / 3.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-2:2]))
-            if prev is not None and abs(simpson - prev) <= 1e-6:
-                simpson = simpson + (simpson - prev) / 15.0
-                break
-            if n >= 1 << 16:
-                break
-            prev = simpson
-            # doubling keeps every node: evaluate only the n new midpoints
-            refined = np.empty(2 * n + 1)
-            refined[0::2] = ys
-            refined[1::2] = integrand(a0 + 0.5 * h * np.arange(1, 2 * n, 2))
-            ys = refined
-            n *= 2
-        total += simpson
-        last_mag = abs(simpson)
-        lobe_ends.append(b0)
-        lobe_residuals.append(total - direct)
+    lobe = math.pi / (2.0 * max(math.log(x), 0.05))
+    edges = np.append(np.arange(0.0, T, lobe), T)
+    # the full lobes share their node offsets; the last lobe is a group of its own
+    lobes = np.concatenate(
+        (simpson_lobes(edges[:-2], lobe), simpson_lobes(edges[-2:-1], T - edges[-2]))
+    )
+    running = np.cumsum(lobes)
+    total = float(running[-1])
+    last_mag = abs(float(lobes[-1]))
 
     if last_mag > 0.5:
         warnings.warn(
@@ -602,8 +644,8 @@ def perron_count_approx(
         T=T,
         approx=total,
         direct_half_weight=direct,
-        lobe_ends=tuple(lobe_ends),
-        lobe_residuals=tuple(lobe_residuals),
+        lobe_ends=tuple(edges[1:].tolist()),
+        lobe_residuals=tuple((running - direct).tolist()),
         last_lobe_magnitude=last_mag,
     )
     return total, report

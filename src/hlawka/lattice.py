@@ -65,7 +65,8 @@ __all__ = [
 
 # points per enumeration chunk, small enough that a worker's scratch arrays
 # stay in its cache; a longer row makes a chunk of its own (on the whole disc
-# from radius 8192 on)
+# from radius 8192 on).  Also the most values a table of the Perron
+# integration (funceq.perron_count_approx) holds.
 _CHUNK_POINTS = 1 << 15
 
 # the largest worker count a walk accepts; the pool keeps that many threads
@@ -104,7 +105,6 @@ class Spectrum:
     m: np.ndarray
     n: np.ndarray
     t_max: float
-    tolerance: float
 
     def __post_init__(self):
         for a in (self.t_values, self.counts, self.starts, self.m, self.n):
@@ -426,7 +426,6 @@ def build_spectrum(
         m=m_all,
         n=n_all,
         t_max=float(t_max),
-        tolerance=float(tolerance),
     )
 
 

@@ -212,6 +212,8 @@ _EPS = 2.0**-52
 _CF_TOL = 4.0 * _EPS
 # below this, exp underflows to an exact 0 in double precision
 _UNDERFLOW = -745.0
+# continued-fraction steps and series terms before a stall is reported
+_MAX_ITER = 500
 
 
 def _prefactor(s: complex, x: np.ndarray) -> np.ndarray:
@@ -222,7 +224,7 @@ def _prefactor(s: complex, x: np.ndarray) -> np.ndarray:
     return np.exp(w)
 
 
-def _upper_gamma_cf(s: complex, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
+def _upper_gamma_cf(s: complex, x: np.ndarray) -> np.ndarray:
     """Gamma(s, x) by the modified Lentz continued fraction; converges for
     every x > 0, in few steps once x passes |s|.
 
@@ -242,7 +244,7 @@ def _upper_gamma_cf(s: complex, x: np.ndarray, max_iter: int = 500) -> np.ndarra
     h = d.copy()
     todo = np.ones(x.shape, bool)
     dev = np.empty(x.shape)
-    for i in range(1, max_iter + 1):
+    for i in range(1, _MAX_ITER + 1):
         an = -i * (i - s)
         b += 2.0
         d *= an
@@ -265,7 +267,7 @@ def _upper_gamma_cf(s: complex, x: np.ndarray, max_iter: int = 500) -> np.ndarra
     return out
 
 
-def _lower_series(s: complex, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
+def _lower_series(s: complex, x: np.ndarray) -> np.ndarray:
     """gamma(s, x) = x^s e^(-x) sum x^n / (s (s+1) ... (s+n)).
 
     Runs until every element's last term is below 1e-17 of its sum; the
@@ -273,7 +275,7 @@ def _lower_series(s: complex, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
     """
     term = np.full(x.shape, 1.0 / s)
     acc = term.copy()
-    for n in range(1, max_iter + 1):
+    for n in range(1, _MAX_ITER + 1):
         term *= x
         term /= s + n
         acc += term
@@ -282,11 +284,11 @@ def _lower_series(s: complex, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
     raise DivergenceError(f"lower incomplete gamma series stalled at s={s}, x={float(np.max(x))}")
 
 
-def lower_incomplete_gamma(s: complex, x: float, max_iter: int = 500) -> complex:
+def lower_incomplete_gamma(s: complex, x: float) -> complex:
     """gamma(s, x) by the standard ascending series (x > 0, s off the poles)."""
     if not x > 0:
         raise ValidationError("lower_incomplete_gamma requires x > 0")
-    return complex(_lower_series(complex(s), np.array([float(x)]), max_iter)[0])
+    return complex(_lower_series(complex(s), np.array([float(x)]))[0])
 
 
 def _exp_integral_e1(x: np.ndarray) -> np.ndarray:

@@ -3,10 +3,14 @@ exploratory coefficient report, the contour-integral count, and residues."""
 
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from conftest import random_complex_samples
+from hlawka import lattice
+from hlawka.cli import main
 from hlawka.errors import ValidationError
 from hlawka.funceq import (
     RegularFEForm,
@@ -21,7 +25,8 @@ from hlawka.funceq import (
     probe_regular_fe,
     residue_at_one,
 )
-from hlawka.shapes import area, circle, cosine_series, ellipse, odd_shape, square
+from hlawka.lattice import build_spectrum, count_points
+from hlawka.shapes import area, circle, cosine_series, ellipse, odd_shape, parse_shape, square
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,124 @@ def test_perron_csv():
 def test_perron_warns_when_T_too_small():
     with pytest.warns(UserWarning):
         perron_count_approx(square(), 2.5, 1.25, 2.0)
+
+
+def _reference_perron(shape, x, sigma, T):
+    """The lobe-by-lobe loop the level batches replaced: one integrand call
+    per Simpson pass of each lobe, one cos and one sin per node and line, and
+    A'(x) from a second lattice walk.  Returns (approx, lobe_ends,
+    lobe_residuals, last_lobe_magnitude)."""
+    spec = build_spectrum(shape, 2.0 * x)
+    log_t = np.log(spec.t_values)
+    log_x = math.log(x)
+    w = spec.counts * np.exp(-2.0 * sigma * log_t)
+
+    def integrand(tt):
+        s_line = sigma + 1j * tt
+        phase = -2.0 * np.multiply.outer(tt, log_t)
+        z = np.cos(phase) @ w + 1j * (np.sin(phase) @ w)
+        vals = z * np.exp(2.0 * s_line * log_x) / s_line
+        return vals.real / math.pi
+
+    direct = count_points(shape, x, half_weight_boundary=True)
+    lobe = math.pi / (2.0 * max(log_x, 0.05))
+    edges = np.append(np.arange(0.0, T, lobe), T)
+    total = 0.0
+    lobe_ends, lobe_residuals = [], []
+    last_mag = 0.0
+    for a0, b0 in zip(edges[:-1], edges[1:]):
+        n = max(4, 2 * math.ceil((b0 - a0) / 0.1))
+        ys = integrand(np.linspace(a0, b0, n + 1))
+        prev = None
+        while True:
+            h = (b0 - a0) / n
+            simpson = h / 3.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-2:2]))
+            if prev is not None and abs(simpson - prev) <= 1e-6:
+                simpson = simpson + (simpson - prev) / 15.0
+                break
+            if n >= 1 << 16:
+                break
+            prev = simpson
+            refined = np.empty(2 * n + 1)
+            refined[0::2] = ys
+            refined[1::2] = integrand(a0 + 0.5 * h * np.arange(1, 2 * n, 2))
+            ys = refined
+            n *= 2
+        total += simpson
+        last_mag = abs(simpson)
+        lobe_ends.append(float(b0))
+        lobe_residuals.append(total - direct)
+    return total, lobe_ends, lobe_residuals, last_mag
+
+
+def _lobe(x):
+    return math.pi / (2.0 * max(math.log(x), 0.05))
+
+
+@pytest.mark.parametrize(
+    "spec, x, T",
+    [
+        ("square", 2.5, 120.0),
+        ("odd", 4.3, 90.0),
+        ("circle", 1.5, 150.0),
+        ("ellipse:a=2,b=1,phi=0.3", 2.7, 60.0),
+        ("cos:c0=1,c4=0.1", 2.9, 80.0),
+        ("square", 2.5, 1.0),  # T shorter than one lobe: one short lobe, which warns
+        ("square", 2.5, 2.0),  # the last lobe is short and warns
+        ("odd", 4.3, 40 * _lobe(4.3)),  # T a multiple of the lobe width
+        ("square", 1.03, 100.0),  # log x < 0.05: the lobe width's floor
+    ],
+)
+def test_perron_matches_the_lobe_by_lobe_loop(spec, x, T):
+    shape = parse_shape(spec)
+    want, ends, residuals, last_mag = _reference_perron(shape, x, 1.25, T)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        approx, rep = perron_count_approx(shape, x, 1.25, T)
+    assert [str(w.message) for w in caught] == (
+        [f"last-lobe magnitude {last_mag:.3g} > 0.5: T={T} looks too small "
+         "for the oscillation to have settled"] if last_mag > 0.5 else []
+    )
+    assert list(rep.lobe_ends) == ends
+    assert abs(approx - want) <= 1e-9
+    assert rep.approx == approx
+    assert len(rep.lobe_residuals) == len(residuals)
+    assert max(abs(a - b) for a, b in zip(rep.lobe_residuals, residuals)) <= 1e-9
+    assert abs(rep.last_lobe_magnitude - last_mag) <= 1e-9
+    assert rep.direct_half_weight == count_points(shape, x, half_weight_boundary=True)
+
+
+def test_perron_blocks_change_the_cost_not_the_result(monkeypatch):
+    # 8 lines; 94 full lobes of 22 panels (11 midpoints at the first level)
+    # and a last lobe
+    shape, x, T = square(), 4.343, 101.0
+    tables = []
+    einsum = np.einsum
+
+    def recording(subscripts, a, b):
+        tables.append((a.shape, b.shape))
+        return einsum(subscripts, a, b)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 1 << 40)
+    _, whole = perron_count_approx(shape, x, 1.25, T)
+    assert ((94, 8), (11, 8)) in tables  # every lobe and midpoint in one table
+    tables.clear()
+    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 64)
+    _, split = perron_count_approx(shape, x, 1.25, T)
+    assert max(max(a[0] * a[1], b[0] * b[1], a[0] * b[0]) for a, b in tables) <= 64
+    assert ((8, 8), (8, 8)) in tables and ((8, 8), (3, 8)) in tables  # lobe and node blocks
+    assert split == whole
+
+
+def test_perron_cli_output_is_byte_identical_across_threads_and_runs(capsys):
+    outs = []
+    for threads in ("1", "2", "3", "2"):
+        code = main(["perron", "--shape", "odd", "--x", "4.7", "--T", "60", "--threads", threads])
+        assert code == 0
+        outs.append(capsys.readouterr().out)
+    assert len(set(outs)) == 1
+    assert json.loads(outs[0])["direct_half_weight"] == 80.0
 
 
 # ---------------------------------------------------------------------------

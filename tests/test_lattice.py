@@ -149,6 +149,23 @@ def test_spectrum_completeness_against_counts():
             assert spec.count_up_to(x) == count_points(shape, x)
 
 
+@pytest.mark.parametrize(
+    "spec", ["square", "odd", "ellipse:a=2,b=1,phi=0.3", "cos:c0=1,c2=0.15", "cos:c0=1,c4=0.1"]
+)
+def test_spectrum_count_is_the_half_weight_count_off_the_spectrum(spec):
+    # perron reads A'(x) from its spectrum up to 2x instead of walking again
+    shape = parse_shape(spec)
+    rng = np.random.default_rng(33)
+    checked = 0
+    for x in rng.uniform(2.5, 8.0, 40):
+        spec_2x = build_spectrum(shape, 2.0 * x)
+        if np.any(np.abs(spec_2x.t_values - x) < max(1e-6, 1e-9 * x)):
+            continue  # on a jump, where perron refuses x
+        assert spec_2x.count_up_to(x) == count_points(shape, x, half_weight_boundary=True)
+        checked += 1
+    assert checked >= 30
+
+
 def test_four_fold_symmetry_multiplicities():
     for shape in (square(), circle(1.0), cosine_series([1.0, 0, 0, 0, 0.1])):
         assert shape.symmetry_order % 4 == 0
