@@ -1,8 +1,10 @@
 """Lattice enumeration: dilation times, spectra, and point counts.
 
-The dilation time of a nonzero lattice point p = (m, n) with respect to a
-shape is t(p) = |p| / r(theta(p)), the scale at which the dilated region
-first contains p.  Distinct t values with multiplicities form the spectrum
+The dilation time of a nonzero point p with respect to a shape D is its gauge
+t(p) = inf{t : p in tD}.  ``dilation_times_block`` is the one formula for it
+per kind, and ``RadialShape.evaluate`` reads r(theta) = 1 / t(cos theta,
+sin theta) off it, except for the circle and the cosine series, whose t is
+|p| / r(theta(p)).  Distinct t values with multiplicities form the spectrum
 (t_1 < t_2 < ..., a_k = number of boundary points of t_k D).
 
 A ``Spectrum`` is array-backed: the lattice points up to t_max sorted by
@@ -71,6 +73,13 @@ _CHUNK_POINTS = 1 << 15
 
 # the largest worker count a walk accepts; the pool keeps that many threads
 MAX_THREADS = 64
+
+# the largest disc radius a count or a direct sum walks
+MAX_RADIUS = 20000.0
+
+# the most points of the disc a spectrum walks: at about 90 bytes per kept
+# point at its peak (measured on the circle) it stays under about 1.5 GB
+_SPECTRUM_POINTS = 1 << 24
 
 # relative grouping tolerance of spectral lines and of point counts: the
 # same value makes ``Spectrum.count_up_to`` agree with ``count_points``
@@ -171,10 +180,10 @@ def dilation_times_block(
     """Vectorized t(m, n) over 1-D arrays, into ``out`` when it is given;
     callers must mask out the origin themselves.
 
-    Kind-specific closed forms avoid the trig round trip where possible: for
-    the square and the odd shape the result is an exact small integer.
-    Temporaries come from scratch arrays (a transformed shape allocates its
-    preimage points).
+    One closed form per kind, which ``RadialShape.evaluate`` reads r off;
+    only the cosine series goes through r(theta).  For the square and the
+    odd shape the result is an exact small integer.  Temporaries come from
+    scratch arrays (a transformed shape allocates its preimage points).
     """
     k = len(m)
     if out is None:
@@ -212,6 +221,8 @@ def dilation_times_block(
         np.square(x, out=x)
         x += np.square(y, out=y)
         return np.sqrt(x, out=out)
+    if kind != "cosine-series":
+        raise ValidationError(f"unknown shape kind {kind!r}")
     theta = np.arctan2(n, m, out=scratch("lattice.t1", k))
     r = shape.evaluate(theta, out=scratch("lattice.t2", k))
     np.hypot(m, n, out=out)
@@ -363,9 +374,13 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 # ---------------------------------------------------------------------------
 
 
-def _walk_bound(shape: RadialShape, x: float) -> int:
-    """A disc radius that holds every lattice point with t(p) <= x."""
-    return int(math.ceil(x * shape.r_max * (1.0 + 1e-9))) + 1
+def _walk_bound(shape: RadialShape, x: float, cap: float, name: str) -> int:
+    """A disc radius that holds every lattice point with t(p) <= x; a
+    ValidationError before any walk when it exceeds ``cap``."""
+    reach = x * shape.r_max * (1.0 + 1e-9)
+    if not reach <= cap:
+        raise ValidationError(f"{name}={x:g} needs a walk of radius {reach:.6g}, beyond the cap {cap:.6g}")
+    return int(math.ceil(reach)) + 1
 
 
 def build_spectrum(
@@ -379,7 +394,8 @@ def build_spectrum(
     Grouping is by relative gaps: consecutive sorted values within
     ``tolerance * t`` fall into one spectral line.  A warning is emitted when
     two groups are separated by less than 10x the tolerance, since floating
-    point cannot certify such near-ties.
+    point cannot certify such near-ties.  A walk of more than
+    ``_SPECTRUM_POINTS`` points is a ValidationError.
     """
     if not (t_max > 0.0):
         raise ValidationError("t_max must be positive")
@@ -394,7 +410,8 @@ def build_spectrum(
         keep = np.less_equal(t, t_max * (1.0 + tolerance), out=scratch("lattice.keep", k, bool))
         return m[keep], n[keep], t[keep]  # copies
 
-    parts = map_box_chunks(_walk_bound(shape, t_max), chunk, threads=threads)
+    cap = math.sqrt(_SPECTRUM_POINTS / math.pi)  # the disc of 2^24 points
+    parts = map_box_chunks(_walk_bound(shape, t_max, cap, "t_max"), chunk, threads=threads)
     m_all = np.concatenate([p[0] for p in parts])
     n_all = np.concatenate([p[1] for p in parts])
     t_all = np.concatenate([p[2] for p in parts])
@@ -442,7 +459,7 @@ def count_points(
     contour-integral inversion converges to at jump points.  The walk covers
     a fundamental domain of ``shape.symmetry`` and weights each point by its
     orbit size; every weight and count is a small multiple of 1/2, so the
-    sum is exact.
+    sum is exact.  An x with x r_max > ``MAX_RADIUS`` is a ValidationError.
     """
     if not (x > 0.0):
         raise ValidationError("x must be positive")
@@ -463,7 +480,7 @@ def count_points(
         weight *= orbit_sizes(symmetry, m, n, out=scratch("lattice.orbit", k))
         return float(np.sum(weight))
 
-    parts = map_box_chunks(_walk_bound(shape, x), chunk, threads=threads, symmetry=symmetry)
+    parts = map_box_chunks(_walk_bound(shape, x, MAX_RADIUS, "x"), chunk, threads=threads, symmetry=symmetry)
     return float(np.sum(np.asarray(parts)))
 
 

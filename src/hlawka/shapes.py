@@ -1,14 +1,14 @@
-"""Radial models of star-shaped planar regions and the GL(2,R) action on them.
+"""Star-shaped planar regions, their radial functions and the GL(2,R) action.
 
-A region is encoded by its radial function r: R/2piZ -> (0, inf); the
-boundary is theta |-> (r(theta) cos theta, r(theta) sin theta).  Supported
-kinds: constant (circle), ellipse, square (side 2, centered), a seven-segment
-"odd" region with the same dilation spectrum as the square, finite cosine
-series, and images of any of these under a nonsingular 2x2 matrix.
-
-A linear map sends rays from the origin to rays, so the image of a shape has
-the closed form (g.r)(psi) = r(phi) / |g^-1 u_psi| with phi = arg(g^-1 u_psi)
-and u_psi = (cos psi, sin psi), for either sign of det g.
+Supported kinds: constant (circle), ellipse, square (side 2, centered), a
+seven-segment "odd" region with the same dilation spectrum as the square,
+finite cosine series, and images of any of these under a nonsingular 2x2
+matrix.  Each kind is defined once, by its gauge t(p) = inf{t : p in tD}
+(``lattice.dilation_times_block``); the radial function, whose curve
+theta |-> r(theta) (cos theta, sin theta) is the boundary, is r(theta) =
+1 / t(cos theta, sin theta).  The circle (r = c) and the cosine series
+keep r as their definition.  An image has t_{gD}(p) = t_D(g^-1 p), for
+either sign of det g.
 
 Matrix conventions.  kappa(phi) denotes [[cos phi, sin phi], [-sin phi,
 cos phi]]; as a map of column vectors it rotates the plane by -phi, hence the
@@ -58,9 +58,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_GRID_N = 4096  # construction-time positivity / bounds grid
+_GRID_N = 4096  # positivity / bounds grid of a cosine series
 _AREA_N = 1 << 14  # trapezoid points of ``area``
-_ATAN_HALF = math.atan2(1.0, 2.0)
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -213,7 +212,8 @@ class Symmetry(enum.Enum):
 
 @dataclass(frozen=True)
 class RadialShape:
-    """Immutable radial model r(theta) of a star-shaped region.
+    """Immutable star-shaped region with r_min <= r(theta) <= r_max: the
+    extremes of r, grid extremes for a cosine series, bounds for an image.
 
     ``params`` is kind-specific:
       constant       (c,)
@@ -231,14 +231,20 @@ class RadialShape:
     symmetry_order: int = field(default=1, compare=False)
 
     def evaluate(self, theta: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
-        """r(theta) for scalar or array theta (any real, reduced mod 2pi); an
-        array result goes into ``out`` when it is given."""
+        """r(theta) = 1 / t(cos theta, sin theta) for scalar or array theta
+        (any real); an array result goes into ``out`` when it is given."""
         th = np.asarray(theta, dtype=float)
         if th.ndim == 0:
-            return float(self._eval(th[None])[0])
+            return float(self.evaluate(th[None])[0])
         if self.kind == "cosine-series":
             return _cosine_series(self.params, th, out)
-        r = self._eval(th)
+        if self.kind == "constant":
+            r = np.full_like(th, self.params[0])
+        else:
+            from .lattice import dilation_times_block  # lattice imports this module
+
+            t = dilation_times_block(self, np.cos(th).ravel(), np.sin(th).ravel())
+            r = np.divide(1.0, t, out=t).reshape(th.shape)
         if out is None:
             return r
         out[...] = r
@@ -266,24 +272,6 @@ class RadialShape:
             return Symmetry.NEGATION
         return Symmetry.TRIVIAL
 
-    def _eval(self, th: np.ndarray) -> np.ndarray:
-        kind = self.kind
-        if kind == "constant":
-            return np.full_like(th, self.params[0])
-        if kind == "ellipse":
-            a, b, phi = self.params
-            u = th - phi
-            return a * b / np.sqrt((b * np.cos(u)) ** 2 + (a * np.sin(u)) ** 2)
-        if kind == "square":
-            return 1.0 / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-        if kind == "odd":
-            return _odd_radial(th)
-        if kind == "cosine-series":
-            return _cosine_series(self.params, th)
-        if kind == "transformed":
-            return _transformed_eval(self, th)
-        raise ValidationError(f"unknown shape kind {kind!r}")
-
 
 def _cosine_series(coeffs, th: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_q coeffs[q] cos(q th); into ``out`` with a scratch temporary when
@@ -302,44 +290,6 @@ def _cosine_series(coeffs, th: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
-def _odd_radial(th: np.ndarray) -> np.ndarray:
-    """Seven boundary segments; each is 1/(linear form in cos, sin)."""
-    t = th % _TWO_PI
-    c, s = np.cos(t), np.sin(t)
-    conds = [
-        t < _ATAN_HALF,              # segment from (1,0) to (2,1): x - y = 1
-        t < 0.25 * math.pi,          # top shelf y = 1 from (2,1) to (1,1)
-        t < 0.50 * math.pi,          # ramp -x + 2y = 1 from (1,1) to (0,1/2)
-        t < 0.75 * math.pi,          # ramp x + 2y = 1 from (0,1/2) to (-1,1)
-        t < 1.25 * math.pi,          # left side x = -1
-        t < 1.75 * math.pi,          # bottom y = -1
-    ]
-    # unselected branches hit their singular angles; each linear form is
-    # bounded away from zero on its own segment
-    with np.errstate(divide="ignore"):
-        vals = [
-            1.0 / (c - s),
-            1.0 / s,
-            1.0 / (2.0 * s - c),
-            1.0 / (c + 2.0 * s),
-            -1.0 / c,
-            -1.0 / s,
-        ]
-        return np.select(conds, vals, default=1.0 / c)  # right side x = 1
-
-
-def _transformed_eval(shape: RadialShape, psi: np.ndarray) -> np.ndarray:
-    g, base = shape.params
-    x, y = g.inverse().apply(np.cos(psi), np.sin(psi))
-    return base.evaluate(np.arctan2(y, x)) / np.hypot(x, y)
-
-
-def _grid_bounds(evalf, n: int = _GRID_N) -> tuple[float, float]:
-    th = np.arange(n) * (_TWO_PI / n)
-    r = np.asarray(evalf(th))
-    return float(np.min(r)), float(np.max(r))
-
-
 def _detect_symmetry(evalf, cap: int = 16, tol: float = 1e-10) -> int:
     th = np.arange(512) * (_TWO_PI / 512)
     r0 = np.asarray(evalf(th))
@@ -349,22 +299,6 @@ def _detect_symmetry(evalf, cap: int = 16, tol: float = 1e-10) -> int:
         if float(np.max(np.abs(rk - r0))) <= tol * scale:
             return k
     return 1
-
-
-def _finish(kind, params, symmetry_order=None) -> RadialShape:
-    probe = RadialShape(kind=kind, params=params)
-    r_min, r_max = _grid_bounds(probe.evaluate)
-    if r_min <= 0.0:
-        raise ValidationError(f"radial function must stay positive (grid min {r_min:.3g})")
-    if symmetry_order is None:
-        symmetry_order = _detect_symmetry(probe.evaluate)
-    return RadialShape(
-        kind=kind,
-        params=params,
-        r_min=r_min,
-        r_max=r_max,
-        symmetry_order=symmetry_order,
-    )
 
 
 def circle(c: float = 1.0) -> RadialShape:
@@ -401,8 +335,7 @@ def odd_shape() -> RadialShape:
     Vertices (1,0), (2,1), (1,1), (0,1/2), (-1,1), (-1,-1), (1,-1); area 4.
     """
     return RadialShape(
-        kind="odd", params=(), r_min=1.0 / math.sqrt(5.0), r_max=math.sqrt(5.0),
-        symmetry_order=1,
+        kind="odd", params=(), r_min=0.5, r_max=math.sqrt(5.0), symmetry_order=1,
     )
 
 
@@ -412,20 +345,31 @@ def cosine_series(coeffs) -> RadialShape:
     if not coeffs:
         raise ValidationError("cosine series needs at least the constant term")
     nonzero = [q for q in range(1, len(coeffs)) if coeffs[q] != 0.0]
-    sym = 0 if not nonzero else math.gcd(*nonzero)
-    return _finish("cosine-series", coeffs, symmetry_order=sym)
+    r = _cosine_series(coeffs, np.arange(_GRID_N) * (_TWO_PI / _GRID_N))
+    r_min, r_max = float(np.min(r)), float(np.max(r))
+    if r_min <= 0.0:
+        raise ValidationError(f"radial function must stay positive (grid min {r_min:.3g})")
+    return RadialShape(
+        kind="cosine-series", params=coeffs, r_min=r_min, r_max=r_max,
+        symmetry_order=0 if not nonzero else math.gcd(*nonzero),
+    )
 
 
 def act(g: Mat2, shape: RadialShape) -> RadialShape:
-    """The radial function of g applied to the region of ``shape``.
-
-    Defined by g X(r(phi), phi) = X((g.r)(theta_g(phi)), theta_g(phi)) and
-    evaluated in closed form: the ray at angle psi is the image of the ray
-    through g^-1 u_psi, so (g.r)(psi) = r(arg g^-1 u_psi) / |g^-1 u_psi|.
-    """
+    """The image of the region of ``shape`` under g, of gauge t(g^-1 p); as
+    sigma_min(g) |x| <= |g x| <= sigma_max(g) |x|, its bounds are
+    sigma_min(g) r_min and sigma_max(g) r_max of ``shape``."""
     if g.det == 0.0:
         raise ValidationError("act requires a nonsingular matrix")
-    return _finish("transformed", (g, shape))
+    # g acts on x + iy as z |-> alpha z + beta conj(z); its singular values
+    # are |alpha| + |beta| and |det g| / (|alpha| + |beta|)
+    s_max = 0.5 * (math.hypot(g.a + g.d, g.c - g.b) + math.hypot(g.a - g.d, g.c + g.b))
+    params = (g, shape)
+    return RadialShape(
+        kind="transformed", params=params,
+        r_min=abs(g.det) / s_max * shape.r_min, r_max=s_max * shape.r_max,
+        symmetry_order=_detect_symmetry(RadialShape(kind="transformed", params=params).evaluate),
+    )
 
 
 def area(shape: RadialShape) -> float:

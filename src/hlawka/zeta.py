@@ -75,7 +75,7 @@ __all__ = [
     "ellipse_form",
 ]
 
-MAX_RADIUS = 20000.0
+MAX_RADIUS = _lattice.MAX_RADIUS
 
 # exact powers of (-i)
 _MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)

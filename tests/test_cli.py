@@ -50,6 +50,19 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--shape", "square", "--x", "1e7"),
+    ("spectrum", "--shape", "circle", "--tmax", "2e4"),
+    ("zeta", "--shape", "square", "--s", "2+0i", "--method", "spectrum", "--tmax", "2e4"),
+    ("perron", "--shape", "square", "--x", "1200.5", "--T", "100"),
+    ("verify", "--which", "odd-vs-square", "--tmax", "2e4"),
+])
+def test_walks_beyond_their_caps_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "beyond the cap" in err
+
+
 def test_spectrum_csv(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--shape", "square", "--tmax", "10",
                            "--format", "csv")

@@ -77,6 +77,39 @@ def test_gl2z_images_keep_the_exact_integer_spectrum():
             assert [(e.t, e.count) for e in spec.entries] == [(float(k), 8 * k) for k in range(1, 13)]
 
 
+@pytest.mark.parametrize("spec, x", [("odd@gl2=5,2,2,1", 50.0), ("odd@gl2=2,1,1,1", 100.5)])
+def test_gl2z_image_walks_reach_the_farthest_boundary_point(spec, x):
+    # the boundary of odd@gl2=5,2,2,1 reaches |g (2, 1)| = 13 at the vertex
+    # g (2, 1) = (12, 5), between the samples of an angle grid; a walk that
+    # stops short of x * 13 misses points of the last lines
+    sh = parse_shape(spec)
+    k = math.floor(x)
+    assert count_points(sh, x) == 4 * k * (k + 1)
+    spec_ = build_spectrum(sh, x)
+    assert [(e.t, e.count) for e in spec_.entries] == [(float(j), 8 * j) for j in range(1, k + 1)]
+
+
+def test_walks_beyond_their_caps_are_rejected_before_walking(monkeypatch):
+    from hlawka.funceq import perron_count_approx
+
+    def walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(lattice, "map_box_chunks", walk)
+    # a count walks at most the direct sums' radius, a spectrum a disc of
+    # 2^24 points (radius about 2311)
+    for call in (lambda: count_points(square(), 1e7),
+                 lambda: count_points(square(), math.inf),
+                 lambda: count_points(odd_shape(), lattice.MAX_RADIUS / math.sqrt(5.0) * 1.001,
+                                      half_weight_boundary=True),
+                 lambda: build_spectrum(circle(1.0), 2e4),
+                 lambda: build_spectrum(circle(1.0), 2312.0),
+                 lambda: build_spectrum(square(), math.inf),
+                 lambda: perron_count_approx(square(), 1200.5, 1.25, 100.0)):
+        with pytest.raises(ValidationError, match="beyond the cap"):
+            call()
+
+
 def test_transformed_dilation_times_match_radial_function():
     # t(p) = |p| / (g.r)(arg p), for every base kernel and both signs of det g
     rng = np.random.default_rng(33)

@@ -82,6 +82,67 @@ def test_positivity_and_cached_bounds():
         assert np.all(r <= sh.r_max + 1e-12)
 
 
+ODD_VERTICES = ((1.0, 0.0), (2.0, 1.0), (1.0, 1.0), (0.0, 0.5), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+
+def _with_angles(n, angles):
+    return np.concatenate([np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), np.asarray(angles, float)])
+
+
+def test_untransformed_bounds_are_the_extremes_of_r():
+    odd_angles = [math.atan2(y, x) for x, y in ODD_VERTICES]
+    cases = (
+        (circle(0.7), []),
+        (ellipse(2.0, 1.0), [0.0, math.pi / 2]),
+        (ellipse(1.7, 0.9, 0.6), [0.6, 0.6 + math.pi / 2]),
+        (square(), [k * math.pi / 4 for k in range(8)]),
+        (odd_shape(), odd_angles),
+        (cosine_series([1.0, 0, 0, 0, 0.1]), [0.0, math.pi / 4]),
+        (cosine_series([1.0, 0.1, 0, 0.05]), [0.0, math.pi]),
+    )
+    for sh, angles in cases:
+        r = np.asarray(sh.evaluate(_with_angles(1 << 16, angles)))
+        assert abs(sh.r_min - float(np.min(r))) <= 1e-12, sh.kind
+        assert abs(sh.r_max - float(np.max(r))) <= 1e-12, sh.kind
+
+
+def test_transformed_bounds_hold_at_the_image_vertices():
+    # sigma_min(g) r_min <= r <= sigma_max(g) r_max, also at the vertex g (2, 1)
+    # of the odd shape, which a grid of angles misses
+    for entries in ((5.0, 2.0, 2.0, 1.0), (2.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 0.0), (1.2, 0.3, -0.1, 0.8)):
+        g = Mat2(*entries)
+        for base in (square(), odd_shape(), ellipse(1.7, 0.9, 0.6)):
+            sh = act(g, base)
+            angles = [math.atan2(*reversed(g.apply(x, y))) for x, y in ODD_VERTICES]
+            r = np.asarray(sh.evaluate(_with_angles(4096, angles)))
+            assert sh.r_min <= float(np.min(r)) and float(np.max(r)) <= sh.r_max
+    sh = act(Mat2(5.0, 2.0, 2.0, 1.0), odd_shape())
+    assert sh.evaluate(math.atan2(5.0, 12.0)) == pytest.approx(13.0, rel=1e-15)
+
+
+def test_odd_boundary_points_lie_on_the_seven_edges():
+    # independent of the gauge: distance of (r cos, r sin) to the polygon's edges
+    th = _with_angles(1000, [math.atan2(y, x) for x, y in ODD_VERTICES])
+    r = np.asarray(odd_shape().evaluate(th))
+    px, py = r * np.cos(th), r * np.sin(th)
+    dist = np.full(len(th), np.inf)
+    for (ax, ay), (bx, by) in zip(ODD_VERTICES, ODD_VERTICES[1:] + ODD_VERTICES[:1]):
+        ex, ey = bx - ax, by - ay
+        u = np.clip(((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+        dist = np.minimum(dist, np.hypot(px - ax - u * ex, py - ay - u * ey))
+    assert float(np.max(dist)) <= 1e-14
+
+
+def test_rotated_ellipse_boundary_points_satisfy_the_ellipse_equation():
+    for a, b, phi in ((1.7, 0.9, 0.6), (2.0, 1.0, 0.3), (1.5, 1.0, 2.5003)):
+        th = _with_angles(1000, [phi, phi + math.pi / 2])
+        r = np.asarray(ellipse(a, b, phi).evaluate(th))
+        x, y = r * np.cos(th), r * np.sin(th)
+        u = x * math.cos(phi) + y * math.sin(phi)  # coordinates along the axes
+        v = -x * math.sin(phi) + y * math.cos(phi)
+        assert float(np.max(np.abs((u / a) ** 2 + (v / b) ** 2 - 1.0))) <= 1e-14
+
+
 def test_periodicity():
     for sh in (ellipse(2, 1, 0.3), odd_shape(), cosine_series([1.0, 0.2, 0, 0.1])):
         assert abs(sh.evaluate(0.0) - sh.evaluate(2.0 * math.pi - 1e-12)) < 1e-9
