@@ -13,11 +13,13 @@ divergence, overflow), 3 failed verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -114,12 +116,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write ``text``, a string or an iterable of strings written one after
+    another, to ``out_path`` or stdout."""
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _emit_json(obj, out_path: str | None) -> None:
@@ -149,18 +150,23 @@ def _cmd_spectrum(args) -> int:
     if args.format == "csv":
         _emit(lattice.spectrum_to_csv(spec), args.out)
     else:
-        _emit_json(
-            {
-                "shape": args.shape,
-                "t_max": spec.t_max,
-                "entries": [
-                    {"k": k, "t": e.t, "count": e.count, "witnesses": [list(w) for w in e.witnesses]}
-                    for k, e in enumerate(spec.entries, start=1)
-                ],
-            },
-            args.out,
-        )
+        _emit(_spectrum_json(args.shape, spec), args.out)
     return 0
+
+
+def _spectrum_json(shape_text: str, spec) -> Iterator[str]:
+    """The bytes ``_emit_json`` gives for {"entries", "shape", "t_max"},
+    one entry at a time: an entry's own indented dump, every line shifted
+    by the four spaces of its depth."""
+    entry_json = json.JSONEncoder(indent=2, sort_keys=True).encode
+    yield '{\n  "entries": ['
+    k = 0
+    for k, e in enumerate(spec.entries, start=1):
+        entry = {"k": k, "t": e.t, "count": e.count, "witnesses": [list(w) for w in e.witnesses]}
+        yield ("\n    " if k == 1 else ",\n    ") + entry_json(entry).replace("\n", "\n    ")
+    yield ("\n  ]" if k else "]") + (
+        f',\n  "shape": {json.dumps(shape_text)},\n  "t_max": {json.dumps(spec.t_max)}\n}}\n'
+    )
 
 
 def _cmd_count(args) -> int:

@@ -228,7 +228,6 @@ class RadialShape:
     params: tuple = ()
     r_min: float = field(default=0.0, compare=False)
     r_max: float = field(default=0.0, compare=False)
-    symmetry_order: int = field(default=1, compare=False)
 
     def evaluate(self, theta: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         """r(theta) = 1 / t(cos theta, sin theta) for scalar or array theta
@@ -251,6 +250,25 @@ class RadialShape:
         return out
 
     __call__ = evaluate
+
+    @cached_property
+    def symmetry_order(self) -> int:
+        """The largest k with r(theta + 2 pi / k) = r(theta), 0 for full
+        rotational symmetry; read from the kind, and for a transformed shape
+        sampled (k <= 16, within 1e-10) when first read."""
+        kind = self.kind
+        if kind == "constant":
+            return 0
+        if kind == "ellipse":
+            return 2
+        if kind == "square":
+            return 4
+        if kind == "odd":
+            return 1
+        if kind == "cosine-series":
+            nonzero = [q for q in range(1, len(self.params)) if self.params[q] != 0.0]
+            return math.gcd(*nonzero) if nonzero else 0
+        return _detect_symmetry(self.evaluate)
 
     @property
     def symmetry(self) -> Symmetry:
@@ -306,7 +324,7 @@ def circle(c: float = 1.0) -> RadialShape:
     if not (c > 0.0 and math.isfinite(c)):
         raise ValidationError("circle radius must be positive and finite")
     return RadialShape(
-        kind="constant", params=(float(c),), r_min=c, r_max=c, symmetry_order=0,
+        kind="constant", params=(float(c),), r_min=c, r_max=c,
     )
 
 
@@ -318,14 +336,14 @@ def ellipse(a: float, b: float, phi: float = 0.0) -> RadialShape:
         return circle(a)
     return RadialShape(
         kind="ellipse", params=(float(a), float(b), float(phi)),
-        r_min=b, r_max=a, symmetry_order=2,
+        r_min=b, r_max=a,
     )
 
 
 def square() -> RadialShape:
     """Square of side 2 centered at the origin (dilation times are integers)."""
     return RadialShape(
-        kind="square", params=(), r_min=1.0, r_max=math.sqrt(2.0), symmetry_order=4,
+        kind="square", params=(), r_min=1.0, r_max=math.sqrt(2.0),
     )
 
 
@@ -335,7 +353,7 @@ def odd_shape() -> RadialShape:
     Vertices (1,0), (2,1), (1,1), (0,1/2), (-1,1), (-1,-1), (1,-1); area 4.
     """
     return RadialShape(
-        kind="odd", params=(), r_min=0.5, r_max=math.sqrt(5.0), symmetry_order=1,
+        kind="odd", params=(), r_min=0.5, r_max=math.sqrt(5.0),
     )
 
 
@@ -344,15 +362,11 @@ def cosine_series(coeffs) -> RadialShape:
     coeffs = tuple(float(c) for c in coeffs)
     if not coeffs:
         raise ValidationError("cosine series needs at least the constant term")
-    nonzero = [q for q in range(1, len(coeffs)) if coeffs[q] != 0.0]
     r = _cosine_series(coeffs, np.arange(_GRID_N) * (_TWO_PI / _GRID_N))
     r_min, r_max = float(np.min(r)), float(np.max(r))
     if r_min <= 0.0:
         raise ValidationError(f"radial function must stay positive (grid min {r_min:.3g})")
-    return RadialShape(
-        kind="cosine-series", params=coeffs, r_min=r_min, r_max=r_max,
-        symmetry_order=0 if not nonzero else math.gcd(*nonzero),
-    )
+    return RadialShape(kind="cosine-series", params=coeffs, r_min=r_min, r_max=r_max)
 
 
 def act(g: Mat2, shape: RadialShape) -> RadialShape:
@@ -364,11 +378,9 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
     # g acts on x + iy as z |-> alpha z + beta conj(z); its singular values
     # are |alpha| + |beta| and |det g| / (|alpha| + |beta|)
     s_max = 0.5 * (math.hypot(g.a + g.d, g.c - g.b) + math.hypot(g.a - g.d, g.c + g.b))
-    params = (g, shape)
     return RadialShape(
-        kind="transformed", params=params,
+        kind="transformed", params=(g, shape),
         r_min=abs(g.det) / s_max * shape.r_min, r_max=s_max * shape.r_max,
-        symmetry_order=_detect_symmetry(RadialShape(kind="transformed", params=params).evaluate),
     )
 
 

@@ -1,7 +1,7 @@
 """Complex special functions used by the zeta and identity-check modules.
 
 Everything here is pure and scalar-complex, except that the incomplete
-gamma takes an array of x for one s:
+gamma takes arrays of (s, x) pairs:
 
 * ``gamma`` -- Lanczos approximation (g=7, 9 terms) with reflection for
   Re(s) < 1/2.  Relative error is ~1e-13 for moderate arguments.
@@ -12,7 +12,8 @@ gamma takes an array of x for one s:
 * ``upper_incomplete_gamma`` -- Lentz continued fraction for large x
   (masked per element, exact 0 where x^s e^(-x) underflows), lower series
   otherwise, downward recurrence near the poles of Gamma(s).  Each branch is
-  one array routine; a scalar x is an array of one.
+  one array routine over the (s, x) pairs that take it, stopping per
+  element; a scalar pair is an array of one.
 * ``hyp2f1_partial`` -- plain partial sums of the Gauss series with a
   geometric tail estimate.
 
@@ -216,25 +217,34 @@ _UNDERFLOW = -745.0
 _MAX_ITER = 500
 
 
-def _prefactor(s: complex, x: np.ndarray) -> np.ndarray:
+def _near_poles(s: np.ndarray, tol: float) -> np.ndarray:
+    """Per element of s: within ``tol`` of a nonpositive integer."""
+    r = np.round(s.real)
+    return (np.abs(s.imag) <= tol) & (r <= 0) & (np.abs(s.real - r) <= tol)
+
+
+def _prefactor(s, x: np.ndarray) -> np.ndarray:
     """x^s e^(-x) with overflow detection."""
     w = s * np.log(x) - x
-    if np.any(w.real > 700.0):
-        raise OverflowSignal(f"x^s exp(-x) overflows at s={s}, x={float(np.max(x))}")
+    over = w.real > 700.0
+    if np.any(over):
+        i = int(np.argmax(over))
+        raise OverflowSignal(f"x^s exp(-x) overflows at s={complex(np.broadcast_to(s, x.shape)[i])}, x={float(x[i])}")
     return np.exp(w)
 
 
-def _upper_gamma_cf(s: complex, x: np.ndarray) -> np.ndarray:
+def _upper_gamma_cf(s, x: np.ndarray) -> np.ndarray:
     """Gamma(s, x) by the modified Lentz continued fraction; converges for
-    every x > 0, in few steps once x passes |s|.
+    every x > 0, in few steps once x passes |s|.  ``s`` broadcasts against x.
 
     Each element stops taking steps once its own step is within a few ulps
     of 1.  Where x^s e^(-x) underflows the exact 0 is returned without
     iterating.
     """
+    s = np.broadcast_to(s, x.shape)
     out = np.zeros(x.shape, complex)
     live = (s * np.log(x) - x).real >= _UNDERFLOW
-    x = x[live]
+    s, x = s[live], x[live]
     if x.size == 0:
         return out
     pre = _prefactor(s, x)
@@ -242,10 +252,12 @@ def _upper_gamma_cf(s: complex, x: np.ndarray) -> np.ndarray:
     c = np.full(x.shape, 1e300 + 0j)
     d = 1.0 / b
     h = d.copy()
+    an = np.empty(x.shape, complex)
     todo = np.ones(x.shape, bool)
     dev = np.empty(x.shape)
     for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
+        np.subtract(i, s, out=an)
+        an *= -i
         b += 2.0
         d *= an
         d += b
@@ -260,28 +272,38 @@ def _upper_gamma_cf(s: complex, x: np.ndarray) -> np.ndarray:
         if not todo.any():
             break
     else:
-        raise DivergenceError(f"incomplete-gamma continued fraction stalled at s={s}, x={float(x[todo][0])}")
+        k = int(np.argmax(todo))
+        raise DivergenceError(f"incomplete-gamma continued fraction stalled at s={complex(s[k])}, x={float(x[k])}")
     if not np.all(np.isfinite(h)):
-        raise DivergenceError(f"incomplete-gamma continued fraction hit a zero denominator at s={s}")
+        raise DivergenceError("incomplete-gamma continued fraction hit a zero denominator")
     out[live] = pre * h
     return out
 
 
-def _lower_series(s: complex, x: np.ndarray) -> np.ndarray:
-    """gamma(s, x) = x^s e^(-x) sum x^n / (s (s+1) ... (s+n)).
+def _lower_series(s, x: np.ndarray) -> np.ndarray:
+    """gamma(s, x) = x^s e^(-x) sum x^n / (s (s+1) ... (s+n)), ``s``
+    broadcast against x.
 
-    Runs until every element's last term is below 1e-17 of its sum; the
-    terms only shrink from there, so the extra ones are harmless.
+    Every eighth term each element checks whether its last term is below
+    1e-17 of its sum; from then on its sum stays as it is, so it ends where
+    a one-element call ends.
     """
-    term = np.full(x.shape, 1.0 / s)
+    s = np.broadcast_to(s, x.shape)
+    # rounds as Python's complex 1.0 / s; numpy's 1.0 / s differs in the
+    # last bit for about a quarter of s
+    term = np.reciprocal(s)
     acc = term.copy()
+    todo = np.ones(x.shape, bool)
     for n in range(1, _MAX_ITER + 1):
         term *= x
         term /= s + n
-        acc += term
-        if n % 8 == 0 and np.all(np.abs(term) < 1e-17 * np.abs(acc)):
-            return _prefactor(s, x) * acc
-    raise DivergenceError(f"lower incomplete gamma series stalled at s={s}, x={float(np.max(x))}")
+        np.add(acc, term, out=acc, where=todo)
+        if n % 8 == 0:
+            todo &= np.abs(term) >= 1e-17 * np.abs(acc)
+            if not todo.any():
+                return _prefactor(s, x) * acc
+    k = int(np.argmax(todo))
+    raise DivergenceError(f"lower incomplete gamma series stalled at s={complex(s[k])}, x={float(x[k])}")
 
 
 def lower_incomplete_gamma(s: complex, x: float) -> complex:
@@ -306,43 +328,55 @@ def _exp_integral_e1(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def upper_incomplete_gamma(s: complex, x):
+def upper_incomplete_gamma(s, x):
     """Gamma(s, x) = integral_x^inf t^(s-1) e^(-t) dt for real x > 0, complex s.
 
-    ``x`` is a float or an array of floats, all for the one ``s``; a float
-    gives a complex, an array a complex array of its shape.
+    ``s`` (complex) and ``x`` (real) are scalars or arrays that broadcast
+    against each other; two scalars give a complex, anything else a complex
+    array of the broadcast shape.  Every element takes the branch, the shift
+    and the number of steps of its own one-element call.
 
     Branch selection, per element: continued fraction for x >= |s| + 2,
     and for Re s <= 1/2 already from x >= max(|s|, 1); ascending series
     otherwise.  The series route evaluates Gamma(s + m, x) with
-    Re(s + m) > 1/2 and recurses down m steps with
-    Gamma(a - 1, x) = (Gamma(a, x) - x^(a-1) e^(-x)) / (a - 1); near the poles
-    of Gamma(s) (which depends only on s) the anchor is Gamma(0, x) = E_1(x).
-    The recurrence cancels once x passes |s|, by up to 1.4e3 ulps at
-    x = 2 where the fraction stays within about 60.
+    Re(s + m) > 1/2 (Gamma(s + m) once per distinct value) and recurses down
+    m steps with Gamma(a - 1, x) = (Gamma(a, x) - x^(a-1) e^(-x)) / (a - 1);
+    within 1e-12 of a nonpositive integer -m the anchor is
+    Gamma(0, x) = E_1(x).  The recurrence cancels once x passes |s|, by up
+    to 1.4e3 ulps at x = 2 where the fraction stays within about 60.
     """
-    s = complex(s)
-    xa = np.asarray(x, dtype=float)
+    try:
+        sa, xa = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(x, dtype=float))
+    except ValueError:
+        raise ValidationError(
+            f"upper_incomplete_gamma: s of shape {np.shape(s)} does not broadcast against x of shape {np.shape(x)}"
+        ) from None
     if not np.all(xa > 0):
         raise ValidationError("upper_incomplete_gamma requires x > 0")
-    flat = xa.reshape(-1)
-    out = np.empty(flat.shape, complex)
-    cf = flat >= (abs(s) + 2.0 if s.real > 0.5 else max(abs(s), 1.0))
-    out[cf] = _upper_gamma_cf(s, flat[cf])
+    sf, xf = sa.reshape(-1), xa.reshape(-1)
+    out = np.empty(xf.shape, complex)
+    size = np.abs(sf)
+    cf = np.where(sf.real > 0.5, xf >= size + 2.0, xf >= np.maximum(size, 1.0))
+    out[cf] = _upper_gamma_cf(sf[cf], xf[cf])
     if not cf.all():
-        xn = flat[~cf]
-        if _near_nonpositive_integer(s, tol=1e-12):
-            m = -round(s.real)
-            base = complex(-m)
-            g = _exp_integral_e1(xn)
-        else:
-            # divisors stay away from 0: s is not near a nonpositive integer
-            m = 0 if s.real > 0.5 else int(math.ceil(0.5 - s.real)) + 1
-            base = s
-            g = gamma(s + m) - _lower_series(s + m, xn)
-        for j in range(m, 0, -1):
-            a = base + (j - 1)
-            g = (g - _prefactor(a, xn)) / a
+        sn, xn = sf[~cf], xf[~cf]
+        pole = _near_poles(sn, 1e-12)
+        # divisors stay away from 0: off the poles s is not near a nonpositive integer
+        m = np.where(pole, -np.round(sn.real), np.where(sn.real > 0.5, 0.0, np.ceil(0.5 - sn.real) + 1.0))
+        m = m.astype(np.int64)
+        base = np.where(pole, -m, sn)
+        g = np.empty(xn.shape, complex)
+        if pole.any():
+            g[pole] = _exp_integral_e1(xn[pole])
+        if not pole.all():
+            shifted = sn[~pole] + m[~pole]
+            values, which = np.unique(shifted, return_inverse=True)
+            full = np.array([gamma(complex(v)) for v in values])
+            g[~pole] = full[which] - _lower_series(shifted, xn[~pole])
+        for j in range(int(m.max()), 0, -1):
+            k = m >= j
+            a = base[k] + (j - 1)
+            g[k] = (g[k] - _prefactor(a, xn[k])) / a
         out[~cf] = g
     return complex(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 

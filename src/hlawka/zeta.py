@@ -482,18 +482,38 @@ def _cutoff(sp: complex, q: int, x_min: float, beta: float) -> tuple[float, floa
     def f(x: float) -> float:
         return 2.0 * math.exp(p * math.log(x / math.pi) - x) / (x - big_a)
 
-    x_ref = max(x_min, p, big_a + 1.0)
-    target = _TAIL_SHARE * f(x_ref)
-    x = x_ref + 36.0
-    while True:
+    def tail(k: int) -> tuple[float, float]:
+        x = x0 + k
         r = 1.0 - p / x  # f decays at least like e^(-r x) beyond x
         root = math.sqrt(x)
-        tail = f(x) * (1.0 + 1.0 / (x - big_a)) * (
+        return x, f(x) * (1.0 + 1.0 / (x - big_a)) * (
             (x + 1.0) / r + 1.0 / r**2 + beta * (root / r + 0.5 / (root * r**2))
         )
-        if tail <= target:
-            return x, tail
-        x += 1.0
+
+    # X is the first x0 + k with tail <= target.  Past x0 the log of the
+    # tail falls at a rate above 1 - (p + 1) / x0 > 0 (f contributes at
+    # most p/x - 1, the bracket at most 1/x), so the test is monotone in k
+    # and that rate bounds the search interval.
+    x_ref = max(x_min, p, big_a + 1.0)
+    target = _TAIL_SHARE * f(x_ref)
+    x0 = x_ref + 36.0
+    first = tail(0)
+    if first[1] <= target:
+        return first
+    lo = 0
+    hi = max(1, math.ceil(math.log(first[1] / target) / (1.0 - (p + 1.0) / x0))) if target > 0.0 else 1
+    best = tail(hi)
+    while best[1] > target:  # only if rounding defeats the rate bound
+        lo, hi = hi, 2 * hi
+        best = tail(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probe = tail(mid)
+        if probe[1] <= target:
+            hi, best = mid, probe
+        else:
+            lo = mid
+    return best
 
 
 def _theta_split(u: QuadForm2, det: float, s: complex, q_list) -> tuple[list, dict]:
@@ -522,20 +542,23 @@ def _theta_split(u: QuadForm2, det: float, s: complex, q_list) -> tuple[list, di
     m, n, qv = _cut_ellipse(u, max(x for x, _ in cuts) / scale)
     qs, inv, counts = np.unique(qv, return_inverse=True, return_counts=True)
     xs = scale * qs
-    logx = np.log(xs)
+    # every X^(-a) Gamma(a, X) of every q in one call: a = s' and q + 1 - s'
+    # on the x below that q's cut, the halves one after the other
+    ks = [int(np.searchsorted(xs, x_cut, side="right")) for x_cut, _ in cuts]
+    a = np.concatenate([np.repeat([s + q / 2.0, q + 1.0 - (s + q / 2.0)], k) for q, k in zip(q_list, ks)])
+    at = np.concatenate([np.arange(k) for k in ks for _ in (0, 1)])
+    terms = np.exp(-a * np.log(xs)[at]) * upper_incomplete_gamma(a, xs[at])
     harm = np.ones(len(m), complex)
     step = (m + 1j * n) ** 4
-    done = 0
+    done = start = 0
     out = []
-    for q, (x_cut, tail) in zip(q_list, cuts):
+    for q, k, (_, tail) in zip(q_list, ks, cuts):
         for _ in range((q - done) // 4):
             harm *= step
         done = q
         sp = s + q / 2.0
-        k = int(np.searchsorted(xs, x_cut, side="right"))
-        x, lx = xs[:k], logx[:k]
-        t1 = np.exp(-sp * lx) * upper_incomplete_gamma(sp, x)
-        t2 = np.exp((sp - q - 1.0) * lx) * upper_incomplete_gamma(q + 1.0 - sp, x)
+        t1, t2 = terms[start:start + k], terms[start + k:start + 2 * k]
+        start += 2 * k
         if q == 0:
             w = 2.0 * counts[:k]
             w_abs = w

@@ -73,6 +73,82 @@ def test_spectrum_csv(capsys):
     assert lines[10] == "10,10,80"
 
 
+SPECTRUM_JSON = """{
+  "entries": [
+    {
+      "count": 2,
+      "k": 1,
+      "t": 0.702112761023296,
+      "witnesses": [
+        [
+          -1,
+          0
+        ],
+        [
+          1,
+          0
+        ]
+      ]
+    },
+    {
+      "count": 2,
+      "k": 2,
+      "t": 0.9754394472506678,
+      "witnesses": [
+        [
+          0,
+          -1
+        ],
+        [
+          0,
+          1
+        ]
+      ]
+    },
+    {
+      "count": 2,
+      "k": 3,
+      "t": 1.0633692592167607,
+      "witnesses": [
+        [
+          -1,
+          -1
+        ],
+        [
+          1,
+          1
+        ]
+      ]
+    }
+  ],
+  "shape": "ellipse:a=1.5,b=1,phi=0.3",
+  "t_max": 1.3
+}
+"""
+
+
+def test_spectrum_json_bytes_are_pinned(capsys, tmp_path):
+    # written one entry at a time, byte for byte the indented dump of the
+    # whole document
+    code, out, _ = run_cli(capsys, "spectrum", "--shape", "ellipse:a=1.5,b=1,phi=0.3", "--tmax", "1.3",
+                           "--format", "json")
+    assert code == 0 and out == SPECTRUM_JSON
+    code, out, _ = run_cli(capsys, "spectrum", "--shape", "square", "--tmax", "0.5", "--format", "json")
+    assert code == 0 and out == '{\n  "entries": [],\n  "shape": "square",\n  "t_max": 0.5\n}\n'
+    path = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--shape", "odd@gl2=2,1,1,1", "--tmax", "9", "--format", "json",
+                 "--out", str(path)]) == 0
+    spec = lattice.build_spectrum(shapes.parse_shape("odd@gl2=2,1,1,1"), 9.0)
+    whole = {
+        "shape": "odd@gl2=2,1,1,1",
+        "t_max": 9.0,
+        "entries": [{"k": k, "t": e.t, "count": e.count, "witnesses": [list(w) for w in e.witnesses]}
+                    for k, e in enumerate(spec.entries, start=1)],
+    }
+    assert len(whole["entries"]) == 9
+    assert path.read_text() == json.dumps(whole, sort_keys=True, indent=2) + "\n"
+
+
 def test_count(capsys):
     code, out, _ = run_cli(capsys, "count", "--shape", "circle:c=1", "--x", "2",
                            "--half-weight")

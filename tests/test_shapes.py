@@ -161,6 +161,25 @@ def test_symmetry_orders():
     assert cosine_series([1.0, 0, 0, 0, 0.1]).symmetry_order == 4
 
 
+def test_image_symmetry_order_is_sampled_only_when_read(monkeypatch):
+    from hlawka import shapes
+
+    calls = []
+    sample = shapes._detect_symmetry
+
+    def counted(evalf):
+        calls.append(evalf)
+        return sample(evalf)
+
+    monkeypatch.setattr(shapes, "_detect_symmetry", counted)
+    image = parse_shape("odd@gl2=2,1,1,1")
+    assert calls == []
+    assert image.symmetry_order == 1 and len(calls) == 1
+    assert image.symmetry_order == 1 and len(calls) == 1  # kept once read
+    # a centrally symmetric base keeps its half turn under any g
+    assert parse_shape("ellipse:a=2,b=1@gl2=2,1,1,1").symmetry_order == 2
+
+
 def test_area_values():
     assert abs(area(circle(1.0)) - math.pi) < 1e-12
     assert abs(area(ellipse(2, 1)) - 2 * math.pi) < 1e-10

@@ -248,6 +248,42 @@ def test_upper_gamma_array_matches_scalar_and_mpmath():
             ref = complex(mp.gammainc(mp.mpc(s), xi))
             assert abs(v - ref) <= 1e-12 * abs(ref), (s, xi)
 
+    # one batch of (s, x) pairs mixing every branch: continued fraction,
+    # series with and without the downward recurrence, the E_1 anchor at
+    # s = 0 and below it at s = -2 (also within 1e-12 of it), and an element
+    # whose x^s e^(-x) underflows to an exact 0
+    pairs = [
+        (0.7 + 0.4j, 30.0),  # continued fraction
+        (2.5 - 9.0j, 4.0),  # series, Re s > 1/2
+        (-1.6 + 2.3j, 1.0),  # series and four recurrence steps
+        (-3.7 + 0.2j, 0.4),  # series and six recurrence steps
+        (0.0, 0.5),  # E_1 series
+        (0.0, 2.5),  # continued fraction at s = 0
+        (-3.0, 2.5),  # E_1 by its fraction and three recurrence steps
+        (-2.0, 1.0),  # E_1 and two recurrence steps
+        (-2.0 + 1e-13j, 0.7),  # within 1e-12 of the pole
+        (21.0 + 15.0j, 80.0),
+        (3.5 + 1.0j, 900.0),  # underflows
+        (-1.6 + 2.3j, 9.0),  # continued fraction for Re s <= 1/2
+    ]
+    s = np.array([p[0] for p in pairs], complex)
+    x = np.array([p[1] for p in pairs])
+    arr = upper_incomplete_gamma(s, x)
+    assert arr.shape == x.shape and arr[10] == 0.0
+    for si, xi, v in zip(s, x, arr):
+        one = upper_incomplete_gamma(complex(si), float(xi))
+        ref = complex(mp.gammainc(mp.mpc(complex(si)), xi))
+        assert abs(v - one) <= 1e-12 * abs(one), (si, xi)
+        assert abs(v - ref) <= 1e-12 * abs(ref), (si, xi)
+    # s broadcasts against x: a column of s against a row of x
+    grid = upper_incomplete_gamma(s[:3, None], x[None, :4])
+    assert grid.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert abs(grid[i, j] - upper_incomplete_gamma(complex(s[i]), float(x[j]))) <= 1e-12 * abs(grid[i, j])
+    with pytest.raises(ValidationError):
+        upper_incomplete_gamma(s[:3], x[:4])
+
 
 def test_upper_gamma_overflow_signal():
     from hlawka.errors import OverflowSignal

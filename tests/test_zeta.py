@@ -13,7 +13,7 @@ from hlawka import lattice, zeta
 from hlawka.errors import PoleError, ValidationError
 from hlawka.lattice import build_spectrum
 from hlawka.shapes import Mat2, Symmetry, act, circle, cosine_series, ellipse, odd_shape, square
-from hlawka.special import dirichlet_beta, riemann_zeta
+from hlawka.special import dirichlet_beta, riemann_zeta, upper_incomplete_gamma
 from hlawka.zeta import (
     QuadForm2,
     classical_eisenstein,
@@ -462,6 +462,57 @@ def test_reconstruct_bump_continued(bump_shape):
     rec = reconstruct_hlawka(bump_shape, 2.0, 40, mode="continued")
     direct = hlawka_direct(bump_shape, 2.0, 1500.0)
     assert abs(rec.value - direct.value) <= direct.error_estimate + 1e-9
+
+
+def test_continuations_make_one_incomplete_gamma_call(monkeypatch, bump_shape):
+    # every component, both halves, in one batch of (s, x) pairs
+    calls = []
+
+    def counted(s, x):
+        calls.append(np.size(x))
+        return upper_incomplete_gamma(s, x)
+
+    monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
+    reconstruct_hlawka(bump_shape, 2.0, 40, mode="continued")
+    assert len(calls) == 1 and calls[0] > 0
+    for run in (lambda: epstein_continued(QuadForm2(1.0, 0.4, 3.7), 0.3 + 5.0j),
+                lambda: eisenstein_fq_continued(8, 0.3 + 5.0j)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def _cutoff_scan(sp, q, x_min, beta):
+    """The cutoff by a linear scan over x_ref + 36 + k, k = 0, 1, ..."""
+    p = q / 2.0
+    big_a = max(sp.real - 1.0, q - sp.real, 0.0)
+
+    def f(x):
+        return 2.0 * math.exp(p * math.log(x / math.pi) - x) / (x - big_a)
+
+    x_ref = max(x_min, p, big_a + 1.0)
+    target = 2.0**-60 * f(x_ref)
+    x = x_ref + 36.0
+    while True:
+        r = 1.0 - p / x
+        root = math.sqrt(x)
+        tail = f(x) * (1.0 + 1.0 / (x - big_a)) * (
+            (x + 1.0) / r + 1.0 / r**2 + beta * (root / r + 0.5 / (root * r**2))
+        )
+        if tail <= target:
+            return x, tail
+        x += 1.0
+
+
+def test_cutoff_search_matches_the_linear_scan():
+    rng = np.random.default_rng(10)
+    for _ in range(3000):
+        s = complex(rng.uniform(-30.0, 30.0), rng.uniform(-60.0, 60.0))
+        q = 4 * int(rng.integers(0, 60 if rng.uniform() < 0.3 else 11))
+        x_min = math.exp(rng.uniform(-3.0, 4.0))
+        beta = rng.uniform(1.7, 40.0)
+        sp = s + q / 2.0
+        assert zeta._cutoff(sp, q, x_min, beta) == _cutoff_scan(sp, q, x_min, beta), (s, q, x_min, beta)
 
 
 def test_reconstruct_warns_on_kinked_shape(square_shape):
