@@ -25,6 +25,7 @@ import numpy as np
 
 from . import funceq, fourier, lattice, shapes, zeta
 from .errors import NumericError, ValidationError
+from .results import csv_table
 
 __all__ = ["main", "OPERATION_MAP"]
 
@@ -197,8 +198,8 @@ def _cmd_fourier(args) -> int:
     if args.method == "closed-form":
         rows = fourier.closed_form_coefficients(shape, s, args.qmax, k_max=args.kmax)
         if args.format == "csv":
-            lines = ["q,re,im"] + [f"{q},{v.real:.15g},{v.imag:.15g}" for q, v, _ in rows]
-            _emit("\n".join(lines) + "\n", args.out)
+            c = np.array([v for _, v, _ in rows], complex)
+            _emit(csv_table("q,re,im", [q for q, _, _ in rows], c.real, c.imag), args.out)
         else:
             _emit_json(
                 {"shape": args.shape, "s": s, "method": "closed-form",
@@ -329,8 +330,7 @@ def _cmd_act(args) -> int:
     th = np.arange(n) * (2.0 * math.pi / n)
     r = np.asarray(shape.evaluate(th))
     if args.format == "csv":
-        lines = ["theta,r"] + [f"{t:.15g},{v:.15g}" for t, v in zip(th, r)]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(csv_table("theta,r", th, r), args.out)
         return 0
     payload = {
         "shape": args.shape,

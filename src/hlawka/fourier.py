@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .results import EvalResult
+from .results import EvalResult, csv_table
 from .shapes import RadialShape
 
 __all__ = ["FourierTable", "fourier_coeffs", "ellipse_coefficient", "closed_form_coefficients",
@@ -37,10 +37,6 @@ class FourierTable:
     coefficients: dict[int, complex]
     errors: dict[int, float]
     n_quad: int
-
-    @property
-    def q_max(self) -> int:
-        return max(self.coefficients)
 
 
 def _grid_coeffs(shape: RadialShape, s: complex, q_max: int, n: int) -> dict[int, complex]:
@@ -168,8 +164,6 @@ def closed_form_coefficients(
 
 def fourier_table_to_csv(table: FourierTable) -> str:
     """CSV export: ``q,re,im`` rows, 15 significant digits, q ascending."""
-    lines = ["q,re,im"]
-    for q in sorted(table.coefficients):
-        c = table.coefficients[q]
-        lines.append(f"{q},{c.real:.15g},{c.imag:.15g}")
-    return "\n".join(lines) + "\n"
+    qs = sorted(table.coefficients)
+    c = np.array([table.coefficients[q] for q in qs], complex)
+    return csv_table("q,re,im", qs, c.real, c.imag)

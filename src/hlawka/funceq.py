@@ -25,6 +25,7 @@ from .errors import PoleError, ValidationError
 from .fourier import ellipse_coefficient
 from . import lattice as _lattice
 from .lattice import build_spectrum
+from .results import csv_table
 from .shapes import RadialShape, area, odd_shape, square
 from .special import gamma, riemann_zeta
 from .zeta import (
@@ -79,22 +80,8 @@ class CheckReport:
             "residuals_rel": list(self.residuals_rel),
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "metadata": _jsonable(self.metadata),
+            "metadata": dict(self.metadata),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -505,10 +492,7 @@ class PerronReport:
         return max(vals) if vals else math.nan
 
     def to_csv(self) -> str:
-        lines = ["T,residual"]
-        for t, r in zip(self.lobe_ends, self.lobe_residuals):
-            lines.append(f"{t:.15g},{r:.15g}")
-        return "\n".join(lines) + "\n"
+        return csv_table("T,residual", self.lobe_ends, self.lobe_residuals)
 
 
 def perron_count_approx(

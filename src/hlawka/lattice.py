@@ -47,6 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
+from .results import csv_table
 from .scratch import scratch
 from .shapes import RadialShape, Symmetry
 
@@ -486,7 +487,4 @@ def count_points(
 
 def spectrum_to_csv(spec: Spectrum) -> str:
     """CSV export: header ``k,t_k,a_k``, 15 significant digits."""
-    lines = ["k,t_k,a_k"]
-    for k, (t, a) in enumerate(zip(spec.t_values.tolist(), spec.counts.tolist()), start=1):
-        lines.append(f"{k},{t:.15g},{a}")
-    return "\n".join(lines) + "\n"
+    return csv_table("k,t_k,a_k", np.arange(1, len(spec.t_values) + 1), spec.t_values, spec.counts)

@@ -1,8 +1,11 @@
-"""Result container attaching truncation metadata and an error bound."""
+"""Result container attaching truncation metadata and an error bound, and
+the one CSV writer every table the library prints goes through."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -25,3 +28,13 @@ class EvalResult:
             "error_estimate": self.error_estimate,
             "truncation": dict(self.truncation),
         }
+
+
+def csv_table(header: str, *columns) -> str:
+    """CSV text: the header line, then one line per row of the equal-length
+    columns.  Integer columns print with ``%d``, every other column with
+    ``%.15g`` (15 significant digits)."""
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.15g" for c in cols)
+    lines = map(row.__mod__, zip(*(c.tolist() for c in cols)))
+    return "\n".join([header, *lines]) + "\n"

@@ -110,9 +110,6 @@ class Mat2:
         inv = 1.0 / self.det
         return Mat2(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
-
     def apply(self, x: ArrayLike, y: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         """Matrix-vector product on column vectors (vectorized)."""
         return self.a * x + self.b * y, self.c * x + self.d * y
@@ -129,12 +126,6 @@ class IwasawaCoords:
     x: float
     y: float
     theta: float
-
-    def recompose(self) -> Mat2:
-        sy = math.sqrt(self.y)
-        upper = Mat2(sy, self.x / sy, 0.0, 1.0 / sy)
-        m = upper @ Mat2.rotation(self.theta)
-        return Mat2(self.u * m.a, self.u * m.b, self.u * m.c, self.u * m.d)
 
 
 def iwasawa_decompose(g: Mat2) -> IwasawaCoords:

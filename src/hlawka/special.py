@@ -13,9 +13,11 @@ gamma takes arrays of (s, x) pairs:
   (masked per element, exact 0 where x^s e^(-x) underflows), lower series
   otherwise, downward recurrence near the poles of Gamma(s).  Each branch is
   one array routine over the (s, x) pairs that take it, stopping per
-  element; a scalar pair is an array of one.
+  element; a scalar pair is an array of one.  The lower incomplete gamma
+  is only its series branch, ``_lower_series``, and is not exported.
 * ``hyp2f1_partial`` -- plain partial sums of the Gauss series with a
-  geometric tail estimate.
+  geometric tail estimate.  No library code calls it yet: it is kept as the
+  series the ellipse's Fourier coefficients are to be summed by.
 
 Accuracy targets are 1e-12 relative at moderate arguments (|s| <= 50,
 |Im s| <= 50), degrading gracefully beyond.  Arbitrary precision and
@@ -37,7 +39,6 @@ __all__ = [
     "riemann_zeta",
     "dirichlet_beta",
     "upper_incomplete_gamma",
-    "lower_incomplete_gamma",
     "hyp2f1_partial",
 ]
 
@@ -304,13 +305,6 @@ def _lower_series(s, x: np.ndarray) -> np.ndarray:
                 return _prefactor(s, x) * acc
     k = int(np.argmax(todo))
     raise DivergenceError(f"lower incomplete gamma series stalled at s={complex(s[k])}, x={float(x[k])}")
-
-
-def lower_incomplete_gamma(s: complex, x: float) -> complex:
-    """gamma(s, x) by the standard ascending series (x > 0, s off the poles)."""
-    if not x > 0:
-        raise ValidationError("lower_incomplete_gamma requires x > 0")
-    return complex(_lower_series(complex(s), np.array([float(x)]))[0])
 
 
 def _exp_integral_e1(x: np.ndarray) -> np.ndarray:

@@ -516,6 +516,20 @@ def _cutoff(sp: complex, q: int, x_min: float, beta: float) -> tuple[float, floa
     return best
 
 
+def _harmonics(step: np.ndarray, q_list, phase: np.ndarray):
+    """``phase`` set to step^(q/4) for each q of ``q_list`` (ascending
+    multiples of 4) in turn: the K-finite harmonics (m + i n)^q for step
+    (m + i n)^4, e^(i q theta) for step e^(4 i theta).  The same array is
+    yielded each time, overwritten by the next q."""
+    phase.fill(1.0)
+    done = 0
+    for q in q_list:
+        for _ in range((q - done) // 4):
+            phase *= step
+        done = q
+        yield phase
+
+
 def _theta_split(u: QuadForm2, det: float, s: complex, q_list) -> tuple[list, dict]:
     """Completed theta-splitting sums of the reduced form u, one enumeration
     for all of ``q_list``:
@@ -548,14 +562,10 @@ def _theta_split(u: QuadForm2, det: float, s: complex, q_list) -> tuple[list, di
     a = np.concatenate([np.repeat([s + q / 2.0, q + 1.0 - (s + q / 2.0)], k) for q, k in zip(q_list, ks)])
     at = np.concatenate([np.arange(k) for k in ks for _ in (0, 1)])
     terms = np.exp(-a * np.log(xs)[at]) * upper_incomplete_gamma(a, xs[at])
-    harm = np.ones(len(m), complex)
-    step = (m + 1j * n) ** 4
-    done = start = 0
+    harmonics = _harmonics((m + 1j * n) ** 4, q_list, np.empty(len(m), complex))
+    start = 0
     out = []
-    for q, k, (_, tail) in zip(q_list, ks, cuts):
-        for _ in range((q - done) // 4):
-            harm *= step
-        done = q
+    for harm, q, k, (_, tail) in zip(harmonics, q_list, ks, cuts):
         sp = s + q / 2.0
         t1, t2 = terms[start:start + k], terms[start + k:start + 2 * k]
         start += 2 * k
@@ -730,15 +740,9 @@ def _twisted_sums_truncated(
         np.square(step, out=step)
         step /= np.square(norm2, out=tmp)
         powers = _powers(np.log(norm2, out=norm2), s)
-        phase = scratch("zeta.phase", k, complex)
-        phase.fill(1.0)
         weight = scratch("zeta.angle", k)
         weighted = scratch("zeta.twisted", k, complex)
-        done = 0
-        for q in q_list:
-            for _ in range((q - done) // 4):
-                phase *= step
-            done = q
+        for phase in _harmonics(step, q_list, scratch("zeta.phase", k, complex)):
             np.multiply(phase.real, orbit, out=weight)
             yield np.multiply(powers, weight, out=weighted)
 

@@ -1,6 +1,9 @@
 """CLI tests: argument parsing, output formats, determinism, exit codes, and
 the operation-to-subcommand coverage audit."""
 
+import ast
+import importlib
+import inspect
 import json
 import math
 import os
@@ -270,6 +273,82 @@ def test_perron(capsys, tmp_path):
     assert csv_path.read_text().startswith("T,residual")
 
 
+# pinned bytes: every CSV format keeps its exact text (the header, integers
+# as integers, other values to 15 significant digits)
+PERRON_CSV = """T,residual
+1.25386554862929,5.89946834731143
+2.50773109725857,-2.12167224508224
+3.76159664588786,-1.35145628858223
+5.01546219451714,-0.056701904356423
+6.26932774314643,-2.61732115140569
+7.52319329177571,0.0106175113323204
+8.777058840405,-0.43615931313537
+10.0309243890343,-1.19481431940539
+11.2847899376636,1.76313609864328
+12.5386554862929,-0.759766654532115
+13.7925210349221,2.36136037172877
+15.0463865835514,-0.11389896616155
+16.3002521321807,0.830736838919115
+17.55411768081,0.405045356691978
+18.8079832294393,-1.51092788896466
+20.0618487780686,-0.734957676797009
+21.3157143266978,-0.380827404606293
+22.5695798753271,-0.880161395031074
+23.8234454239564,0.0291852479202177
+25.0773109725857,-1.20489313136272
+26.331176521215,0.179244946268675
+27.5850420698443,-0.730310467381138
+28.8389076184736,-0.261260140851022
+30.0927731671028,-0.241951886529847
+31.3466387157321,0.0902220206559008
+32.6005042643614,0.643213314544539
+33.8543698129907,0.542027776767824
+35.10823536162,0.321741441977146
+36.3621009102493,0.751785354280429
+37.6159664588786,-0.611985730388106
+38.8698320075078,-0.215246972596951
+40,-0.259444815622189
+"""
+
+
+def test_perron_csv_is_pinned(capsys, tmp_path):
+    csv_path = tmp_path / "study.csv"
+    code, _, _ = run_cli(capsys, "perron", "--shape", "ellipse:a=1.3,b=1", "--x", "3.5",
+                         "--T", "40", "--csv", str(csv_path))
+    assert code == 0
+    assert csv_path.read_text() == PERRON_CSV
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("act", "--shape", "odd", "--gl2", "2,1,1,1", "--grid", "8", "--format", "csv"),
+     "theta,r\n"
+     "0,1\n"
+     "0.785398163397448,0.707106781186548\n"
+     "1.5707963267949,0.333333333333333\n"
+     "2.35619449019234,0.353553390593274\n"
+     "3.14159265358979,1\n"
+     "3.92699081698724,1.4142135623731\n"
+     "4.71238898038469,0.5\n"
+     "5.49778714378214,0.471404520791032\n"),
+    (("fourier", "--shape", "ellipse:a=2,b=1,phi=0.3", "--s=-1.5+3i", "--qmax", "4",
+      "--format", "csv"),
+     "q,re,im\n"
+     "-4,0.161253521588095,0.0425669576949632\n"
+     "-3,-4.59248304750975e-17,-2.14014241120747e-17\n"
+     "-2,-0.221943307446662,-0.225675247940327\n"
+     "-1,1.0598227292292e-17,7.82563646587686e-18\n"
+     "0,0.280075578541688,0.184663598898338\n"
+     "1,3.45603397242238e-17,-3.97802878002585e-19\n"
+     "2,-0.290761030323227,0.125084661324506\n"
+     "3,-4.41765658093145e-18,4.3744186435176e-17\n"
+     "4,-0.0901549207969295,-0.140309423660944\n"),
+])
+def test_csv_output_is_pinned(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_residue(capsys):
     code, out, _ = run_cli(capsys, "residue", "--shape", "circle:c=1")
     assert code == 0
@@ -345,6 +424,27 @@ def test_single_report_layout_is_pinned(capsys, argv, layout):
     code, out, _ = run_cli(capsys, "verify", *argv, "--samples", "4", "--seed", "3")
     assert code == 0
     assert _layout(json.loads(out)) == layout
+
+
+@pytest.mark.parametrize("argv", [
+    ("circle-fe",),
+    ("square-closed-form", "--radius", "1000"),
+    ("fq-fe", "--q", "0"),
+    ("fq-fe", "--q", "4"),
+    ("ellipse-fe",),
+    ("coefficient-identity",),
+    ("odd-vs-square", "--tmax", "30"),
+    ("regular-fe-probe",),
+])
+def test_reports_are_plain_json(capsys, monkeypatch, argv):
+    # every report is built of JSON types: plain json.dumps, with no default
+    # hook, gives the bytes verify prints
+    reports = []
+    verify_one = cli._verify_one
+    monkeypatch.setattr(cli, "_verify_one", lambda *a: reports.append(verify_one(*a)) or reports[-1])
+    code, out, _ = run_cli(capsys, "verify", "--which", *argv, "--samples", "3", "--seed", "5")
+    assert code == 0 and len(reports) == 1
+    assert json.dumps(reports[0].to_json_dict(), sort_keys=True, indent=2) + "\n" == out
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
@@ -491,3 +591,44 @@ def test_operation_map_is_complete_and_single_valued():
     actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
     subcommands = set(actions[0].choices)
     assert set(OPERATION_MAP.values()) <= subcommands
+
+
+def _references(path: Path) -> set[str]:
+    """``module.name`` of every name the code in ``path`` refers to; a
+    function's references to itself do not count."""
+    tree = ast.parse(path.read_text())
+    bound = {}  # local name -> module or module.name, from relative imports
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (
+                    alias.name if node.module is None else f"{node.module}.{alias.name}")
+    refs = set()
+    for top in tree.body:
+        own = f"{path.stem}.{top.name}" if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                ref = bound.get(node.id, f"{path.stem}.{node.id}")
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound:
+                ref = f"{bound[node.value.id]}.{node.attr}"
+            else:
+                continue
+            if ref != own:
+                refs.add(ref)
+    return refs
+
+
+def test_every_exported_function_has_a_library_caller():
+    # no test-only code in the library: each function in a module's __all__
+    # is used by other library code, is an operation of a subcommand, or is
+    # the console script
+    allowed = {"special.hyp2f1_partial": "ROADMAP item 7"}
+    package = Path(cli.__file__).parent
+    assert 'hlawka = "hlawka.cli:main"' in (package.parents[1] / "pyproject.toml").read_text()
+    called = set().union(*map(_references, package.glob("*.py")), OPERATION_MAP, {"cli.main"})
+    modules = {path.stem: importlib.import_module(f"hlawka.{path.stem}")
+               for path in package.glob("*.py") if path.stem != "__init__"}
+    exported = {f"{stem}.{name}" for stem, mod in modules.items()
+                for name in getattr(mod, "__all__", ()) if inspect.isfunction(getattr(mod, name))}
+    assert {"special.upper_incomplete_gamma", "lattice.spectrum_to_csv"} <= exported
+    assert sorted(exported - called - set(allowed)) == []

@@ -217,8 +217,11 @@ def test_iwasawa_recomposition_random():
         if g.det <= 0:
             continue
         count += 1
-        rec = iwasawa_decompose(g).recompose()
-        worst = max(worst, max(abs(a - b) for a, b in zip(rec.entries(), g.entries())))
+        iw = iwasawa_decompose(g)
+        sy = math.sqrt(iw.y)
+        m = Mat2(sy, iw.x / sy, 0.0, 1.0 / sy) @ Mat2.rotation(iw.theta)
+        rec = (iw.u * m.a, iw.u * m.b, iw.u * m.c, iw.u * m.d)
+        worst = max(worst, max(abs(a - b) for a, b in zip(rec, g.entries())))
     assert worst <= 1e-12
 
 
