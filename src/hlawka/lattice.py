@@ -7,13 +7,6 @@ sin theta) off it, except for the circle and the cosine series, whose t is
 |p| / r(theta(p)).  Distinct t values with multiplicities form the spectrum
 (t_1 < t_2 < ..., a_k = number of boundary points of t_k D).
 
-A ``Spectrum`` is array-backed: the lattice points up to t_max sorted by
-(t, m, n), the index where each spectral line starts in that order, and per
-line its first t value and its multiplicity.  Grouping the sorted values into
-lines is one vectorized gap test.  ``Spectrum.entries`` is a read-only view
-over those arrays that builds ``SpectrumEntry`` objects (with their first
-witness points) only when they are read.
-
 Enumeration walks only the rows of the disc |p| <= R, and of those only a
 fundamental domain of a subgroup G of D4 (``map_box_chunks``): the octant
 0 <= n <= m for all of D4, the quadrant m, n >= 0 for the reflections in the
@@ -31,6 +24,18 @@ square and the odd shape the dilation times are evaluated by exact integer
 piecewise-linear forms, which keeps their spectra exactly integral.  A
 transformed shape gD reuses the kernel of D through t_{gD}(p) = t_D(g^-1 p),
 so integral images such as GL(2,Z) images of the square stay exact too.
+
+A spectrum walks the same domain of ``shape.symmetry``.  Its kept
+representatives (int32) are ordered by t alone, with one stable argsort,
+and grouped into lines by one vectorized gap test; a line's a_k is the sum
+of its representatives' orbit sizes.  Every kernel gives all orbit images of
+a point the bit-identical t except the cosine series', so for a cosine
+series (also as the base of gD) each representative carries the smallest
+and the largest t of its kept images: the smallest orders it and can start
+a line, the largest can end one.  Lines, counts and near-tie warnings are
+then exactly those of grouping every point of the disc.  Witnesses (the
+first 8 points of a line by (t, m, n)) are the representatives' orbit
+images, sorted in one pass over all lines when an entry is first read.
 """
 
 from __future__ import annotations
@@ -78,8 +83,11 @@ MAX_THREADS = 64
 # the largest disc radius a count or a direct sum walks
 MAX_RADIUS = 20000.0
 
-# the most points of the disc a spectrum walks: at about 90 bytes per kept
-# point at its peak (measured on the circle) it stays under about 1.5 GB
+# the most points of the disc a spectrum walks.  At its peak a build
+# allocates about 50 bytes per point up to t_max for the odd shape, whose
+# walk folds nothing, 37-43 for the half-plane and half-disc folds and 7 for
+# the circle (measured at t_max 800-1000), and 46 at most once the witnesses
+# are built: at most about 850 MB
 _SPECTRUM_POINTS = 1 << 24
 
 # relative grouping tolerance of spectral lines and of point counts: the
@@ -101,23 +109,29 @@ class SpectrumEntry:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ordered dilation spectrum up to t_max.
+    """Ordered dilation spectrum up to t_max: line k (0-based) is the
+    dilation time ``t_values[k]``, the smallest of its points', with
+    ``counts[k]`` points, whose times agree within the grouping tolerance.
 
-    Line k (0-based) consists of the points ``m[starts[k]:starts[k] +
-    counts[k]]``, ``n[...]`` alike, whose dilation times agree within the
-    grouping tolerance; ``t_values[k]`` is the smallest of them.  All points
-    are sorted by (t, m, n).  The arrays are read-only.
+    The points themselves are not kept.  ``reps`` holds the representatives
+    walked in the fundamental domain of ``shape.symmetry`` as int32 rows
+    (m, n), line by line, ordered by t: line k's are ``reps[rep_starts[k]:
+    rep_starts[k + 1]]`` (the last line's run to the end), and its points
+    are their orbit images with t <= t_max (1 + tolerance), counted by orbit
+    size.  ``entries`` builds the witnesses of every line from them when an
+    entry is first read, and keeps them.  The arrays are read-only.
     """
 
     t_values: np.ndarray
     counts: np.ndarray
-    starts: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
     t_max: float
+    reps: np.ndarray
+    rep_starts: np.ndarray
+    shape: RadialShape
+    tolerance: float
 
     def __post_init__(self):
-        for a in (self.t_values, self.counts, self.starts, self.m, self.n):
+        for a in (self.t_values, self.counts, self.reps, self.rep_starts):
             a.flags.writeable = False
 
     @property
@@ -127,6 +141,41 @@ class Spectrum:
     def count_up_to(self, x: float) -> int:
         k = int(np.searchsorted(self.t_values, x, side="right"))
         return int(self.counts[:k].sum())
+
+    @functools.cached_property
+    def _witnesses(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, points): line k's witnesses are the int32 rows
+        ``points[offsets[k]:offsets[k + 1]]``, its first min(8, a_k) points
+        by (t, m, n).  Lines go in blocks of at most ``_CHUNK_POINTS`` orbit
+        images (or one line); within a block, (t, m, n) order is line order,
+        since every time of a line lies below the next line's first."""
+        images = _GROUP[self.shape.symmetry]
+        cut = self.t_max * (1.0 + self.tolerance)
+        firsts = np.minimum(self.counts, 8)
+        offsets = np.concatenate(([0], np.cumsum(firsts)))
+        sizes = np.diff(self.rep_starts, append=len(self.reps))
+        parts = [np.empty((0, 2), np.int32)]
+        for c in _runs(sizes, _CHUNK_POINTS // len(images)):
+            first = self.rep_starts[c.start]
+            r = self.reps[first:first + sizes[c].sum()].astype(np.int64)
+            ims = [_image(g, r[:, 0], r[:, 1]) for g in images]
+            m, n = np.concatenate([i[0] for i in ims]), np.concatenate([i[1] for i in ims])
+            t = dilation_times_block(self.shape, m, n)
+            keep = t <= cut
+            m, n, t = m[keep], n[keep], t[keep]
+            order = np.lexsort((n, m, t))
+            m, n = m[order], n[order]
+            # a point fixed by an element of G is its own image more than once
+            fresh = np.ones(len(m), bool)
+            fresh[1:] = (m[1:] != m[:-1]) | (n[1:] != n[:-1])
+            m, n = m[fresh], n[fresh]
+            line_first = np.cumsum(self.counts[c]) - self.counts[c]
+            take = firsts[c]
+            pick = np.arange(take.sum()) + np.repeat(line_first - (np.cumsum(take) - take), take)
+            parts.append(np.stack((m[pick], n[pick]), axis=1).astype(np.int32))
+        points = np.concatenate(parts)
+        points.flags.writeable = False
+        return offsets, points
 
 
 class SpectrumEntries(Sequence):
@@ -144,12 +193,10 @@ class SpectrumEntries(Sequence):
         if isinstance(k, slice):
             return tuple(self[i] for i in range(*k.indices(len(self))))
         sp = self._spec
-        t, count, start = sp.t_values[k], int(sp.counts[k]), int(sp.starts[k])
-        stop = start + min(count, 8)  # the first 8 points witness the line
-        witnesses = tuple(
-            LatticePoint(m, n) for m, n in zip(sp.m[start:stop].tolist(), sp.n[start:stop].tolist())
-        )
-        return SpectrumEntry(t=float(t), count=count, witnesses=witnesses)
+        k = range(len(self))[k]
+        offsets, points = sp._witnesses
+        witnesses = tuple(map(LatticePoint._make, points[offsets[k]:offsets[k + 1]].tolist()))
+        return SpectrumEntry(t=float(sp.t_values[k]), count=int(sp.counts[k]), witnesses=witnesses)
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -312,6 +359,44 @@ def orbit_sizes(symmetry: Symmetry, m: np.ndarray, n: np.ndarray, out: np.ndarra
     return out
 
 
+# the elements of each subgroup of D4 as (swap, sign of m, sign of n): the
+# image of (m, n) is (sm m', sn n') with (m', n') = (n, m) when swapped
+_GROUP = {
+    Symmetry.TRIVIAL: ((False, 1, 1),),
+    Symmetry.NEGATION: ((False, 1, 1), (False, -1, -1)),
+    Symmetry.REFLECTION: ((False, 1, 1), (False, 1, -1)),
+    Symmetry.KLEIN: tuple((False, a, b) for a in (1, -1) for b in (1, -1)),
+    Symmetry.D4: tuple((s, a, b) for s in (False, True) for a in (1, -1) for b in (1, -1)),
+}
+
+
+def _image(element, m: np.ndarray, n: np.ndarray, out_m=None, out_n=None):
+    """The images of the points (m, n) under one element of ``_GROUP``."""
+    swap, sm, sn = element
+    a, b = (n, m) if swap else (m, n)
+    return np.multiply(a, sm, out=out_m), np.multiply(b, sn, out=out_n)
+
+
+def _images_agree(shape: RadialShape) -> bool:
+    """Whether the kernel gives all orbit images of a point under
+    ``shape.symmetry`` the bit-identical t: every kind but the cosine series
+    (also as the base of gD), whose t goes through arctan2 and cos."""
+    while shape.kind == "transformed":
+        shape = shape.params[1]
+    return shape.kind != "cosine-series"
+
+
+def _runs(sizes: np.ndarray, cap: int) -> list[slice]:
+    """Consecutive runs of ``sizes`` that sum to at most ``cap``, or single
+    items larger than that."""
+    ends = np.cumsum(sizes)
+    cuts = [0]
+    while cuts[-1] < len(sizes):
+        limit = ends[cuts[-1]] - sizes[cuts[-1]] + cap
+        cuts.append(max(int(np.searchsorted(ends, limit, side="right")), cuts[-1] + 1))
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def map_box_chunks(
     bound: float,
     func: Callable[[np.ndarray, np.ndarray], object],
@@ -334,13 +419,7 @@ def map_box_chunks(
     k2 = math.floor(bound * bound)
     rows, first, counts = _domain_rows(k2, symmetry)
     mirror = symmetry is Symmetry.TRIVIAL
-    ends = np.cumsum(counts)
-    cap = _CHUNK_POINTS // 2 if mirror else _CHUNK_POINTS
-    cuts = [0]
-    while cuts[-1] < len(rows):
-        limit = ends[cuts[-1]] - counts[cuts[-1]] + cap
-        cuts.append(max(int(np.searchsorted(ends, limit, side="right")), cuts[-1] + 1))
-    chunks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    chunks = _runs(counts, _CHUNK_POINTS // 2 if mirror else _CHUNK_POINTS)
     top = math.isqrt(k2)
     ramp = np.arange(-top, top + 1)  # row segments are slices of it
 
@@ -375,10 +454,10 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 # ---------------------------------------------------------------------------
 
 
-def _walk_bound(shape: RadialShape, x: float, cap: float, name: str) -> int:
-    """A disc radius that holds every lattice point with t(p) <= x; a
-    ValidationError before any walk when it exceeds ``cap``."""
-    reach = x * shape.r_max * (1.0 + 1e-9)
+def _walk_bound(shape: RadialShape, x: float, tolerance: float, cap: float, name: str) -> int:
+    """A disc radius that holds every lattice point with t(p) <= x (1 +
+    tolerance); a ValidationError before any walk when it exceeds ``cap``."""
+    reach = x * shape.r_max * (1.0 + tolerance)
     if not reach <= cap:
         raise ValidationError(f"{name}={x:g} needs a walk of radius {reach:.6g}, beyond the cap {cap:.6g}")
     return int(math.ceil(reach)) + 1
@@ -390,12 +469,16 @@ def build_spectrum(
     tolerance: float | None = None,
     threads: int | None = None,
 ) -> Spectrum:
-    """Enumerate all dilation times <= t_max and group them into (t_k, a_k).
+    """Enumerate all dilation times <= t_max (1 + tolerance) and group them
+    into (t_k, a_k).
 
     Grouping is by relative gaps: consecutive sorted values within
     ``tolerance * t`` fall into one spectral line.  A warning is emitted when
     two groups are separated by less than 10x the tolerance, since floating
-    point cannot certify such near-ties.  A walk of more than
+    point cannot certify such near-ties.  The walk covers a fundamental
+    domain of ``shape.symmetry``; for a cosine series the lines equal those
+    of every point's own t as long as ``tolerance * t`` exceeds the few ulps
+    by which a point's orbit images differ.  A disc of more than
     ``_SPECTRUM_POINTS`` points is a ValidationError.
     """
     if not (t_max > 0.0):
@@ -404,35 +487,62 @@ def build_spectrum(
         tolerance = _TOLERANCE
     if tolerance <= 0.0:
         raise ValidationError("tolerance must be positive")
+    cut = t_max * (1.0 + tolerance)
+    symmetry = shape.symmetry
+    images = _GROUP[symmetry]
+    agree = len(images) == 1 or _images_agree(shape)
 
     def chunk(m: np.ndarray, n: np.ndarray):
         k = len(m)
-        t = dilation_times_block(shape, m, n, out=scratch("lattice.t", k))
-        keep = np.less_equal(t, t_max * (1.0 + tolerance), out=scratch("lattice.keep", k, bool))
-        return m[keep], n[keep], t[keep]  # copies
+        orbit = orbit_sizes(symmetry, m, n, out=scratch("lattice.orbit", k))
+        if agree:
+            lo = hi = dilation_times_block(shape, m, n, out=scratch("lattice.t", k))
+            keep = np.less_equal(lo, cut, out=scratch("lattice.keep", k, bool))
+        else:  # the smallest and largest t of the kept images, and their share
+            lo, hi, hits = scratch("lattice.lo", k), scratch("lattice.hi", k), scratch("lattice.hits", k)
+            lo.fill(np.inf)
+            hi.fill(-np.inf)
+            hits.fill(0.0)
+            for g in images:
+                im = _image(g, m, n, scratch("lattice.im", k, np.int64), scratch("lattice.in", k, np.int64))
+                t = dilation_times_block(shape, *im, out=scratch("lattice.t", k))
+                kept = np.less_equal(t, cut, out=scratch("lattice.keep", k, bool))
+                hits += kept
+                np.minimum(lo, t, out=lo, where=kept)
+                np.maximum(hi, t, out=hi, where=kept)
+            orbit *= hits
+            orbit /= len(images)  # an image repeats once per element fixing it
+            keep = np.greater(hits, 0.0, out=scratch("lattice.keep", k, bool))
+        reps = np.empty((np.count_nonzero(keep), 2), np.int32)
+        reps[:, 0], reps[:, 1] = m[keep], n[keep]
+        lo_kept = lo[keep]
+        return reps, lo_kept, lo_kept if agree else hi[keep], orbit[keep].astype(np.uint8)
 
     cap = math.sqrt(_SPECTRUM_POINTS / math.pi)  # the disc of 2^24 points
-    parts = map_box_chunks(_walk_bound(shape, t_max, cap, "t_max"), chunk, threads=threads)
-    m_all = np.concatenate([p[0] for p in parts])
-    n_all = np.concatenate([p[1] for p in parts])
-    t_all = np.concatenate([p[2] for p in parts])
-
-    order = np.lexsort((n_all, m_all, t_all))
-    m_all, n_all, t_all = m_all[order], n_all[order], t_all[order]
+    bound = _walk_bound(shape, t_max, tolerance, cap, "t_max")
+    parts = map_box_chunks(bound, chunk, threads=threads, symmetry=symmetry)
+    lo = np.concatenate([p[1] for p in parts])
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    reps = np.take(np.concatenate([p[0] for p in parts]), order, axis=0)
+    weight = np.concatenate([p[3] for p in parts])[order]
+    # hi[j]: the largest time of the representatives up to j
+    hi = lo if agree else np.maximum.accumulate(np.concatenate([p[2] for p in parts])[order])
+    del parts, order
 
     # a new line starts wherever the gap to the previous value exceeds the
     # relative tolerance
-    gap = np.diff(t_all)
-    breaks = np.flatnonzero(gap > tolerance * np.maximum(t_all[1:], 1.0)) + 1
-    starts = np.concatenate(([0], breaks)) if len(t_all) else breaks
-    counts = np.diff(np.append(starts, len(t_all)))
-    t_values = t_all[starts]
+    gap = lo[1:] - hi[:-1]
+    breaks = np.flatnonzero(gap > tolerance * np.maximum(lo[1:], 1.0)) + 1
+    starts = np.concatenate(([0], breaks)) if len(lo) else breaks
+    counts = np.add.reduceat(weight, starts, dtype=np.int64) if len(lo) else np.zeros(0, np.int64)
+    t_values = lo[starts]
 
     # the gap between a line's last value and the next line's first
     near = gap[breaks - 1] < 10.0 * tolerance * np.maximum(t_values[1:], 1.0)
     for b in breaks[near]:
         warnings.warn(
-            f"spectral lines at {t_all[b - 1]:.15g} and {t_all[b]:.15g} are separated by "
+            f"spectral lines at {hi[b - 1]:.15g} and {lo[b]:.15g} are separated by "
             f"less than 10x the grouping tolerance; grouping may be ambiguous",
             stacklevel=2,
         )
@@ -440,10 +550,11 @@ def build_spectrum(
     return Spectrum(
         t_values=t_values,
         counts=counts,
-        starts=starts,
-        m=m_all,
-        n=n_all,
         t_max=float(t_max),
+        reps=reps,
+        rep_starts=starts,
+        shape=shape,
+        tolerance=float(tolerance),
     )
 
 
@@ -481,7 +592,8 @@ def count_points(
         weight *= orbit_sizes(symmetry, m, n, out=scratch("lattice.orbit", k))
         return float(np.sum(weight))
 
-    parts = map_box_chunks(_walk_bound(shape, x, MAX_RADIUS, "x"), chunk, threads=threads, symmetry=symmetry)
+    bound = _walk_bound(shape, x, _TOLERANCE, MAX_RADIUS, "x")
+    parts = map_box_chunks(bound, chunk, threads=threads, symmetry=symmetry)
     return float(np.sum(np.asarray(parts)))
 
 

@@ -152,6 +152,40 @@ def test_spectrum_json_bytes_are_pinned(capsys, tmp_path):
     assert path.read_text() == json.dumps(whole, sort_keys=True, indent=2) + "\n"
 
 
+# (t, count, witnesses) per line of spectra whose walk folds the disc, as
+# grouping every point of the disc gives them
+FOLDED_SPECTRA = {
+    ("cos:c0=1,c4=0.1", 3.2): [  # D4
+        (0.9090909090909091, 4, [[-1, 0], [0, -1], [0, 1], [1, 0]]),
+        (1.5713484026367723, 4, [[-1, -1], [-1, 1], [1, -1], [1, 1]]),
+        (1.8181818181818181, 4, [[-2, 0], [0, -2], [0, 2], [2, 0]]),
+        (2.3004814583331172, 8, [[-2, -1], [-2, 1], [-1, -2], [-1, 2], [1, -2], [1, 2], [2, -1], [2, 1]]),
+        (2.727272727272727, 4, [[-3, 0], [0, -3], [0, 3], [3, 0]]),
+        (3.076145583821381, 8, [[-3, -1], [-3, 1], [-1, -3], [-1, 3], [1, -3], [1, 3], [3, -1], [3, 1]]),
+        (3.1426968052735447, 4, [[-2, -2], [-2, 2], [2, -2], [2, 2]]),
+    ],
+    ("ellipse:a=2,b=1", 2.1): [  # the reflections in the axes
+        (0.5, 2, [[-1, 0], [1, 0]]),
+        (1.0, 4, [[-2, 0], [0, -1], [0, 1], [2, 0]]),
+        (1.118033988749895, 4, [[-1, -1], [-1, 1], [1, -1], [1, 1]]),
+        (1.4142135623730951, 4, [[-2, -1], [-2, 1], [2, -1], [2, 1]]),
+        (1.5, 2, [[-3, 0], [3, 0]]),
+        (1.8027756377319946, 4, [[-3, -1], [-3, 1], [3, -1], [3, 1]]),
+        (2.0, 4, [[-4, 0], [0, -2], [0, 2], [4, 0]]),
+        (2.0615528128088303, 4, [[-1, -2], [-1, 2], [1, -2], [1, 2]]),
+    ],
+}
+
+
+@pytest.mark.parametrize("shape, t_max", list(FOLDED_SPECTRA))
+def test_folded_spectrum_json_bytes_are_pinned(capsys, shape, t_max):
+    entries = [{"k": k, "t": t, "count": count, "witnesses": w}
+               for k, (t, count, w) in enumerate(FOLDED_SPECTRA[shape, t_max], start=1)]
+    want = json.dumps({"entries": entries, "shape": shape, "t_max": t_max}, sort_keys=True, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, "spectrum", "--shape", shape, "--tmax", repr(t_max), "--format", "json")
+    assert code == 0 and out == want
+
+
 def test_count(capsys):
     code, out, _ = run_cli(capsys, "count", "--shape", "circle:c=1", "--x", "2",
                            "--half-weight")

@@ -321,6 +321,17 @@ def _reference_spectrum(shape, t_max, tolerance=1e-9, max_witnesses=8):
         (ellipse(2.0, 1.0, phi=0.4729), 100.0, 1e-9, True),
         (cosine_series([1.0, 0, 0, 0, 0.1]), 40.0, 1e-9, False),
         (circle(1.0), 12.0, 3e-3, True),  # coarse tolerance chains several values
+        # one row per symmetry class the walk folds by
+        (square(), 20.0, 1e-9, False),  # D4
+        (ellipse(2.0, 1.0), 40.0, 1e-9, False),  # reflections in the axes
+        (cosine_series([1.0, 0.1, 0, 0.05]), 30.0, 1e-9, False),  # n -> -n
+        (odd_shape(), 15.0, 1e-9, False),  # trivial
+        (parse_shape("odd@gl2=2,1,1,1"), 12.0, 1e-9, False),
+        (parse_shape("ellipse:a=2,b=1@gl2=1,1,0,1"), 30.0, 1e-9, False),  # p -> -p
+        # cosine series, whose orbit images differ in the last bits
+        (cosine_series([1.0, 0, 0.15]), 40.0, 1e-9, False),
+        (parse_shape("cos:c0=1,c4=0.1@gl2=2,1,1,1"), 20.0, 1e-9, False),
+        (cosine_series([1.0, 0, 0, 0, 0.1]), 145.0, 1e-9, True),
     ],
 )
 def test_grouping_matches_reference_loop(shape, t_max, tolerance, near_ties):
@@ -335,6 +346,53 @@ def test_grouping_matches_reference_loop(shape, t_max, tolerance, near_ties):
     assert spec.entries[-1] == spec.entries[len(want) - 1]
     assert spec.entries[1:3] == tuple(spec.entries)[1:3]
     assert bool(want_messages) == near_ties
+
+
+# per symmetry class, a t_max that keeps more points of the domain than a
+# chunk holds
+FOLDED = [
+    (square(), 300.0),
+    (ellipse(2.0, 1.0), 160.0),
+    (cosine_series([1.0, 0.1, 0, 0.05]), 160.0),
+    (odd_shape(), 100.0),
+    (parse_shape("odd@gl2=2,1,1,1"), 100.0),
+    (parse_shape("ellipse:a=2,b=1@gl2=1,1,0,1"), 110.0),
+    (cosine_series([1.0, 0, 0, 0, 0.1]), 320.0),
+]
+
+
+@pytest.mark.parametrize("shape, t_max", FOLDED)
+def test_folded_spectra_are_identical_across_thread_counts(shape, t_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # near-tie warnings of the cosine series
+        specs = [build_spectrum(shape, t_max, threads=k) for k in (1, 2, 4)]
+    first = specs[0]
+    assert len(first.reps) > lattice._CHUNK_POINTS
+    for spec in specs[1:]:
+        assert np.array_equal(spec.t_values, first.t_values)
+        assert np.array_equal(spec.counts, first.counts)
+        for a, b in zip(spec._witnesses, first._witnesses):  # offsets, points
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "shape, gauge, t_max, tolerance, points",
+    [
+        (square(), lambda m, n: np.maximum(np.abs(m), np.abs(n)), 200.0, 0.02, 167280),
+        (ellipse(2.0, 1.0), lambda m, n: np.hypot(m / 2.0, n), 100.0, 0.03, 66642),
+    ],
+)
+def test_coarse_tolerance_keeps_every_point_up_to_its_cut(shape, gauge, t_max, tolerance, points):
+    # the walk reaches t_max (1 + tolerance), the time up to which points are kept
+    cut = t_max * (1.0 + tolerance)
+    reach = int(cut * shape.r_max) + 2
+    m, n = (a.ravel() for a in np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1)))
+    t = gauge(m, n)
+    assert np.count_nonzero((t <= cut) & (t > 0)) == points
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lines within 10x the coarse tolerance
+        spec = build_spectrum(shape, t_max, tolerance=tolerance)
+    assert int(spec.counts.sum()) == points
 
 
 def test_empty_spectrum():
