@@ -13,6 +13,7 @@ divergence, overflow), 3 failed verification.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import copy
 import functools
@@ -79,12 +80,14 @@ SUBCOMMANDS = (
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` with no spaces (also plain reals and ``a-bi``)."""
+    """Parse ``a+bi`` with no spaces (also plain reals and ``a-bi``); a
+    non-finite part is a ValidationError."""
     t = text.strip()
     if not t:
         raise ValidationError("empty complex literal")
     if t in ("i", "+i", "-i"):
         return complex(0.0, -1.0 if t.startswith("-") else 1.0)
+    re_part, im_part = t, "0"
     if t.endswith(("i", "I", "j", "J")):
         body = t[:-1]
         split = -1
@@ -97,14 +100,13 @@ def parse_complex(text: str) -> complex:
         re_part, im_part = body[:split], body[split:]
         if im_part in ("+", "-"):
             im_part += "1"
-        try:
-            return complex(float(re_part), float(im_part))
-        except ValueError:
-            raise ValidationError(f"cannot parse complex literal {text!r}") from None
     try:
-        return complex(float(t), 0.0)
+        z = complex(float(re_part), float(im_part))
     except ValueError:
         raise ValidationError(f"cannot parse complex literal {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ValidationError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _json_default(obj):
@@ -130,7 +132,10 @@ def _emit_json(obj, out_path: str | None) -> None:
 
 def _random_samples(seed: int, n: int, re_range=(-2.0, 3.0), im_range=(0.25, 8.0)) -> list[complex]:
     """Seeded sample points with |Im s| bounded away from 0, so every real-axis
-    pole of the gamma and zeta factors is avoided by construction."""
+    pole of the gamma and zeta factors is avoided by construction.  A check
+    of no sample would pass vacuously, so ``n`` < 1 is a ValidationError."""
+    if n < 1:
+        raise ValidationError(f"--samples must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
@@ -266,6 +271,8 @@ def _cmd_eisenstein(args) -> int:
         )
         _emit_json({"z": z, "s": s, **res.to_json_dict()}, args.out)
         return 0
+    if not math.isfinite(args.rotation):  # echoed by both methods
+        raise ValidationError(f"--rotation must be finite, got {args.rotation}")
     if args.method == "truncated":
         res = zeta.eisenstein_fq_truncated(
             args.q, args.rotation, s, args.radius, threads=args.threads
@@ -327,6 +334,8 @@ def _cmd_act(args) -> int:
     else:
         shape = base
     n = args.grid
+    if n < 1:
+        raise ValidationError(f"--grid must be at least 1, got {n}")
     th = np.arange(n) * (2.0 * math.pi / n)
     r = np.asarray(shape.evaluate(th))
     if args.format == "csv":

@@ -512,7 +512,8 @@ def perron_count_approx(
     oscillation) by doubling Simpson panels of width at most 0.05, each
     doubling evaluating only the new midpoints, until two doublings of a
     lobe agree to 1e-6; the report records the running residual against
-    A'(x) after every lobe.
+    A'(x) after every lobe.  A T of more than ``lattice._SPECTRUM_POINTS``
+    lobes is a ValidationError before the spectrum is built.
 
     The lobes of one width (all but the last, which T may cut short, and
     the last) refine in lockstep: one batch per Simpson level over the lobes
@@ -537,6 +538,9 @@ def perron_count_approx(
         raise ValidationError("sigma must exceed 1")
     if not T > 0:
         raise ValidationError("T must be positive")
+    lobe = math.pi / (2.0 * max(math.log(x), 0.05))
+    if not T / lobe <= _lattice._SPECTRUM_POINTS:
+        raise ValidationError(f"T={T:g} needs more than {_lattice._SPECTRUM_POINTS} lobes")
     spec = build_spectrum(shape, 2.0 * x, threads=threads)
     tv = spec.t_values
     # no line within the counting tolerance of x, so A'(x) has no half-weight term
@@ -606,7 +610,6 @@ def perron_count_approx(
                 n *= 2
         return out
 
-    lobe = math.pi / (2.0 * max(math.log(x), 0.05))
     edges = np.append(np.arange(0.0, T, lobe), T)
     # the full lobes share their node offsets; the last lobe is a group of its own
     lobes = np.concatenate(

@@ -25,17 +25,17 @@ piecewise-linear forms, which keeps their spectra exactly integral.  A
 transformed shape gD reuses the kernel of D through t_{gD}(p) = t_D(g^-1 p),
 so integral images such as GL(2,Z) images of the square stay exact too.
 
-A spectrum walks the same domain of ``shape.symmetry``.  Its kept
-representatives (int32) are ordered by t alone, with one stable argsort,
-and grouped into lines by one vectorized gap test; a line's a_k is the sum
-of its representatives' orbit sizes.  Every kernel gives all orbit images of
-a point the bit-identical t except the cosine series', so for a cosine
-series (also as the base of gD) each representative carries the smallest
-and the largest t of its kept images: the smallest orders it and can start
-a line, the largest can end one.  Lines, counts and near-tie warnings are
-then exactly those of grouping every point of the disc.  Witnesses (the
-first 8 points of a line by (t, m, n)) are the representatives' orbit
-images, sorted in one pass over all lines when an entry is first read.
+Every kernel gives all orbit images of a point under ``shape.symmetry`` the
+bit-identical t: the cosine series folds the point into the fundamental
+domain before it calls arctan2, and gD inherits this since g^-1(-p) =
+-g^-1 p exactly.  So a time belongs to an orbit.  A spectrum walks the same
+domain of ``shape.symmetry``; its kept representatives (int32) are ordered
+by t alone, with one stable argsort, and grouped into lines by one
+vectorized gap test, and a line's a_k is the sum of its representatives'
+orbit sizes.  Lines, counts and near-tie warnings are exactly those of
+grouping every point of the disc.  Witnesses (the first 8 points of a line
+by (t, m, n)) are the representatives' orbit images, sorted in one pass
+over all lines when an entry is first read.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ class Spectrum:
     walked in the fundamental domain of ``shape.symmetry`` as int32 rows
     (m, n), line by line, ordered by t: line k's are ``reps[rep_starts[k]:
     rep_starts[k + 1]]`` (the last line's run to the end), and its points
-    are their orbit images with t <= t_max (1 + tolerance), counted by orbit
-    size.  ``entries`` builds the witnesses of every line from them when an
-    entry is first read, and keeps them.  The arrays are read-only.
+    are their orbit images, which share their t, counted by orbit size.
+    ``entries`` builds the witnesses of every line from them when an entry
+    is first read, and keeps them.  The arrays are read-only.
     """
 
     t_values: np.ndarray
@@ -128,7 +128,6 @@ class Spectrum:
     reps: np.ndarray
     rep_starts: np.ndarray
     shape: RadialShape
-    tolerance: float
 
     def __post_init__(self):
         for a in (self.t_values, self.counts, self.reps, self.rep_starts):
@@ -150,7 +149,6 @@ class Spectrum:
         images (or one line); within a block, (t, m, n) order is line order,
         since every time of a line lies below the next line's first."""
         images = _GROUP[self.shape.symmetry]
-        cut = self.t_max * (1.0 + self.tolerance)
         firsts = np.minimum(self.counts, 8)
         offsets = np.concatenate(([0], np.cumsum(firsts)))
         sizes = np.diff(self.rep_starts, append=len(self.reps))
@@ -160,9 +158,8 @@ class Spectrum:
             r = self.reps[first:first + sizes[c].sum()].astype(np.int64)
             ims = [_image(g, r[:, 0], r[:, 1]) for g in images]
             m, n = np.concatenate([i[0] for i in ims]), np.concatenate([i[1] for i in ims])
-            t = dilation_times_block(self.shape, m, n)
-            keep = t <= cut
-            m, n, t = m[keep], n[keep], t[keep]
+            # every orbit image has its representative's t
+            t = np.tile(dilation_times_block(self.shape, r[:, 0], r[:, 1]), len(images))
             order = np.lexsort((n, m, t))
             m, n = m[order], n[order]
             # a point fixed by an element of G is its own image more than once
@@ -229,9 +226,12 @@ def dilation_times_block(
     callers must mask out the origin themselves.
 
     One closed form per kind, which ``RadialShape.evaluate`` reads r off;
-    only the cosine series goes through r(theta).  For the square and the
-    odd shape the result is an exact small integer.  Temporaries come from
-    scratch arrays (a transformed shape allocates its preimage points).
+    only the cosine series goes through r(theta), at the point's image in
+    the fundamental domain of ``shape.symmetry``.  Every kind gives all
+    orbit images of a point under ``shape.symmetry`` the bit-identical t.
+    For the square and the odd shape the result is an exact small integer.
+    Temporaries come from scratch arrays (a transformed shape allocates its
+    preimage points).
     """
     k = len(m)
     if out is None:
@@ -271,10 +271,22 @@ def dilation_times_block(
         return np.sqrt(x, out=out)
     if kind != "cosine-series":
         raise ValidationError(f"unknown shape kind {kind!r}")
-    theta = np.arctan2(n, m, out=scratch("lattice.t1", k))
-    r = shape.evaluate(theta, out=scratch("lattice.t2", k))
-    np.hypot(m, n, out=out)
-    out /= r
+    # fold the point into the fundamental domain of the symmetry first, so
+    # that all its orbit images give arctan2 and hypot the same arguments
+    symmetry = shape.symmetry
+    x, y, theta = out, scratch("lattice.t1", k), scratch("lattice.t2", k)
+    np.absolute(n, out=y)
+    if symmetry is Symmetry.REFLECTION:
+        np.copyto(x, m)
+    else:
+        np.absolute(m, out=x)
+    if symmetry is Symmetry.D4:  # the octant 0 <= y <= x
+        np.minimum(x, y, out=theta)
+        np.maximum(x, y, out=x)
+        y, theta = theta, y
+    np.arctan2(y, x, out=theta)
+    np.hypot(x, y, out=out)
+    out /= shape.evaluate(theta, out=y)
     return out
 
 
@@ -370,20 +382,11 @@ _GROUP = {
 }
 
 
-def _image(element, m: np.ndarray, n: np.ndarray, out_m=None, out_n=None):
+def _image(element, m: np.ndarray, n: np.ndarray):
     """The images of the points (m, n) under one element of ``_GROUP``."""
     swap, sm, sn = element
     a, b = (n, m) if swap else (m, n)
-    return np.multiply(a, sm, out=out_m), np.multiply(b, sn, out=out_n)
-
-
-def _images_agree(shape: RadialShape) -> bool:
-    """Whether the kernel gives all orbit images of a point under
-    ``shape.symmetry`` the bit-identical t: every kind but the cosine series
-    (also as the base of gD), whose t goes through arctan2 and cos."""
-    while shape.kind == "transformed":
-        shape = shape.params[1]
-    return shape.kind != "cosine-series"
+    return a * sm, b * sn
 
 
 def _runs(sizes: np.ndarray, cap: int) -> list[slice]:
@@ -476,73 +479,50 @@ def build_spectrum(
     ``tolerance * t`` fall into one spectral line.  A warning is emitted when
     two groups are separated by less than 10x the tolerance, since floating
     point cannot certify such near-ties.  The walk covers a fundamental
-    domain of ``shape.symmetry``; for a cosine series the lines equal those
-    of every point's own t as long as ``tolerance * t`` exceeds the few ulps
-    by which a point's orbit images differ.  A disc of more than
-    ``_SPECTRUM_POINTS`` points is a ValidationError.
+    domain of ``shape.symmetry``, whose orbits share one t.  A disc of more
+    than ``_SPECTRUM_POINTS`` points is a ValidationError.
     """
     if not (t_max > 0.0):
         raise ValidationError("t_max must be positive")
     if tolerance is None:
         tolerance = _TOLERANCE
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValidationError("tolerance must be positive")
     cut = t_max * (1.0 + tolerance)
     symmetry = shape.symmetry
-    images = _GROUP[symmetry]
-    agree = len(images) == 1 or _images_agree(shape)
 
     def chunk(m: np.ndarray, n: np.ndarray):
         k = len(m)
+        t = dilation_times_block(shape, m, n, out=scratch("lattice.t", k))
+        keep = np.less_equal(t, cut, out=scratch("lattice.keep", k, bool))
         orbit = orbit_sizes(symmetry, m, n, out=scratch("lattice.orbit", k))
-        if agree:
-            lo = hi = dilation_times_block(shape, m, n, out=scratch("lattice.t", k))
-            keep = np.less_equal(lo, cut, out=scratch("lattice.keep", k, bool))
-        else:  # the smallest and largest t of the kept images, and their share
-            lo, hi, hits = scratch("lattice.lo", k), scratch("lattice.hi", k), scratch("lattice.hits", k)
-            lo.fill(np.inf)
-            hi.fill(-np.inf)
-            hits.fill(0.0)
-            for g in images:
-                im = _image(g, m, n, scratch("lattice.im", k, np.int64), scratch("lattice.in", k, np.int64))
-                t = dilation_times_block(shape, *im, out=scratch("lattice.t", k))
-                kept = np.less_equal(t, cut, out=scratch("lattice.keep", k, bool))
-                hits += kept
-                np.minimum(lo, t, out=lo, where=kept)
-                np.maximum(hi, t, out=hi, where=kept)
-            orbit *= hits
-            orbit /= len(images)  # an image repeats once per element fixing it
-            keep = np.greater(hits, 0.0, out=scratch("lattice.keep", k, bool))
         reps = np.empty((np.count_nonzero(keep), 2), np.int32)
         reps[:, 0], reps[:, 1] = m[keep], n[keep]
-        lo_kept = lo[keep]
-        return reps, lo_kept, lo_kept if agree else hi[keep], orbit[keep].astype(np.uint8)
+        return reps, t[keep], orbit[keep].astype(np.uint8)
 
     cap = math.sqrt(_SPECTRUM_POINTS / math.pi)  # the disc of 2^24 points
     bound = _walk_bound(shape, t_max, tolerance, cap, "t_max")
     parts = map_box_chunks(bound, chunk, threads=threads, symmetry=symmetry)
-    lo = np.concatenate([p[1] for p in parts])
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
+    t = np.concatenate([p[1] for p in parts])
+    order = np.argsort(t, kind="stable")
+    t = t[order]
     reps = np.take(np.concatenate([p[0] for p in parts]), order, axis=0)
-    weight = np.concatenate([p[3] for p in parts])[order]
-    # hi[j]: the largest time of the representatives up to j
-    hi = lo if agree else np.maximum.accumulate(np.concatenate([p[2] for p in parts])[order])
+    weight = np.concatenate([p[2] for p in parts])[order]
     del parts, order
 
     # a new line starts wherever the gap to the previous value exceeds the
     # relative tolerance
-    gap = lo[1:] - hi[:-1]
-    breaks = np.flatnonzero(gap > tolerance * np.maximum(lo[1:], 1.0)) + 1
-    starts = np.concatenate(([0], breaks)) if len(lo) else breaks
-    counts = np.add.reduceat(weight, starts, dtype=np.int64) if len(lo) else np.zeros(0, np.int64)
-    t_values = lo[starts]
+    gap = np.diff(t)
+    breaks = np.flatnonzero(gap > tolerance * np.maximum(t[1:], 1.0)) + 1
+    starts = np.concatenate(([0], breaks)) if len(t) else breaks
+    counts = np.add.reduceat(weight, starts, dtype=np.int64) if len(t) else np.zeros(0, np.int64)
+    t_values = t[starts]
 
     # the gap between a line's last value and the next line's first
     near = gap[breaks - 1] < 10.0 * tolerance * np.maximum(t_values[1:], 1.0)
     for b in breaks[near]:
         warnings.warn(
-            f"spectral lines at {hi[b - 1]:.15g} and {lo[b]:.15g} are separated by "
+            f"spectral lines at {t[b - 1]:.15g} and {t[b]:.15g} are separated by "
             f"less than 10x the grouping tolerance; grouping may be ambiguous",
             stacklevel=2,
         )
@@ -554,7 +534,6 @@ def build_spectrum(
         reps=reps,
         rep_starts=starts,
         shape=shape,
-        tolerance=float(tolerance),
     )
 
 

@@ -208,7 +208,7 @@ def ellipse_form(a: float, b: float, phi: float = 0.0) -> QuadForm2:
 
 def _require_convergent(s: complex) -> complex:
     s = complex(s)
-    if s.real <= 1.0:
+    if not s.real > 1.0:
         raise ValidationError(f"direct sum requires Re(s) > 1, got {s}")
     return s
 
@@ -363,6 +363,8 @@ def eisenstein_fq_truncated(
     if q != int(q):
         raise ValidationError("q must be an integer")
     q = int(q)
+    if not math.isfinite(g_rotation):
+        raise ValidationError(f"rotation must be finite, got {g_rotation}")
     s = _require_convergent(s)
     _check_radius(radius)
     cr, sr = math.cos(g_rotation), math.sin(g_rotation)

@@ -512,6 +512,32 @@ def test_reconstruct_truncated_rejects_a_bad_radius(capsys, monkeypatch, radius)
     assert "radius" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--shape", "circle", "--s", "nan", "--radius", "50"),
+    ("zeta", "--shape", "circle", "--s", "2+infi", "--radius", "50"),
+    ("epstein", "--u", "1,0,1", "--s", "nan+1i"),
+    ("eisenstein", "--s", "2", "--z", "inf+1i"),
+    ("eisenstein", "--q", "4", "--s", "2", "--rotation", "nan"),
+    ("eisenstein", "--q", "4", "--s", "2", "--rotation", "inf"),
+    ("eisenstein", "--q", "4", "--s", "2", "--rotation", "nan", "--method", "continued"),
+    ("perron", "--shape", "square", "--x", "10.5", "--T", "inf"),
+    ("perron", "--shape", "square", "--x", "10.5", "--T", "1e9"),  # 1.5e9 lobes
+    ("act", "--shape", "square", "--grid", "0"),
+    ("act", "--shape", "square", "--grid", "-3"),
+    ("verify", "--which", "all", "--samples", "0"),  # would pass checking nothing
+    ("verify", "--which", "circle-fe", "--samples", "-3"),
+])
+def test_non_finite_or_out_of_range_numbers_exit_1(capsys, monkeypatch, argv):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("built a spectrum before validating the arguments")
+
+    monkeypatch.setattr(funceq, "build_spectrum", no_spectrum)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("threads", ["0", "-5", "65"])
 def test_bad_thread_count_exits_1(capsys, threads):
     code, out, err = run_cli(capsys, "zeta", "--shape", "odd", "--s", "2", "--radius", "50",
@@ -655,7 +681,8 @@ def _references(path: Path) -> set[str]:
 def test_every_exported_function_has_a_library_caller():
     # no test-only code in the library: each function in a module's __all__
     # is used by other library code, is an operation of a subcommand, or is
-    # the console script
+    # the console script; each module-level private function is used by
+    # other library code
     allowed = {"special.hyp2f1_partial": "ROADMAP item 7"}
     package = Path(cli.__file__).parent
     assert 'hlawka = "hlawka.cli:main"' in (package.parents[1] / "pyproject.toml").read_text()
@@ -666,3 +693,9 @@ def test_every_exported_function_has_a_library_caller():
                 for name in getattr(mod, "__all__", ()) if inspect.isfunction(getattr(mod, name))}
     assert {"special.upper_incomplete_gamma", "lattice.spectrum_to_csv"} <= exported
     assert sorted(exported - called - set(allowed)) == []
+    private = {f"{path.stem}.{top.name}" for path in package.glob("*.py")
+               for top in ast.parse(path.read_text()).body
+               if isinstance(top, ast.FunctionDef) and top.name.startswith("_")
+               and not top.name.startswith("__")}
+    assert {"lattice._image", "cli._parser", "special._prefactor"} <= private
+    assert sorted(private - called) == []

@@ -328,7 +328,7 @@ def _reference_spectrum(shape, t_max, tolerance=1e-9, max_witnesses=8):
         (odd_shape(), 15.0, 1e-9, False),  # trivial
         (parse_shape("odd@gl2=2,1,1,1"), 12.0, 1e-9, False),
         (parse_shape("ellipse:a=2,b=1@gl2=1,1,0,1"), 30.0, 1e-9, False),  # p -> -p
-        # cosine series, whose orbit images differ in the last bits
+        # cosine series, whose kernel folds each point into the domain
         (cosine_series([1.0, 0, 0.15]), 40.0, 1e-9, False),
         (parse_shape("cos:c0=1,c4=0.1@gl2=2,1,1,1"), 20.0, 1e-9, False),
         (cosine_series([1.0, 0, 0, 0, 0.1]), 145.0, 1e-9, True),
@@ -487,6 +487,35 @@ def test_shape_symmetries_leave_the_dilation_times_invariant():
         for a, b, c, d in _ELEMENTS[shape.symmetry]:
             tg = dilation_times_block(shape, a * m + b * n, c * m + d * n)
             assert np.max(np.abs(tg - t) / t) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "circle:c=1.3",
+        "ellipse:a=1.7,b=0.9",
+        "ellipse:a=1.7,b=0.9,phi=0.4",
+        "square",
+        "odd",
+        "cos:c0=1,c4=0.1",  # D4
+        "cos:c0=1,c2=0.15",  # reflections in the axes
+        "cos:c0=1,c1=0.1,c3=0.05",  # n -> -n
+        "cos:c0=1,c4=0.1@gl2=2,1,1,1",
+        "cos:c0=1,c2=0.15@gl2=1.2,0.3,-0.1,0.8",
+        "ellipse:a=2,b=1@gl2=1,1,0,1",
+        "odd@gl2=2,1,1,1",
+    ],
+)
+def test_orbit_images_have_the_bit_identical_dilation_time(spec):
+    # a dilation time belongs to an orbit of the shape's symmetry, so every
+    # walk may evaluate one representative per orbit
+    shape = parse_shape(spec)
+    rng = np.random.default_rng(36)
+    m, n = rng.integers(-400, 401, size=(2, 5000))
+    m, n = m[(m != 0) | (n != 0)], n[(m != 0) | (n != 0)]
+    t = dilation_times_block(shape, m, n)
+    for element in lattice._GROUP[shape.symmetry]:
+        assert np.array_equal(dilation_times_block(shape, *lattice._image(element, m, n)), t)
 
 
 def test_disc_walk_chunks_are_capped_and_whole_rows():

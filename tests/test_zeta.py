@@ -75,6 +75,18 @@ def test_hlawka_direct_rejects_bad_inputs(unit_circle):
         hlawka_direct(unit_circle, 2.0, 1e9)
 
 
+@pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(math.nan, 1.0)])
+def test_direct_sums_reject_non_finite_inputs(unit_circle, s):
+    with pytest.raises(ValidationError, match="Re"):
+        hlawka_direct(unit_circle, s, 50.0)
+    with pytest.raises(ValidationError, match="Re"):
+        epstein_direct(IDENT, s, 50.0)
+    with pytest.raises(ValidationError, match="Re"):
+        eisenstein_fq_truncated(4, 0.0, s, 50.0)
+    with pytest.raises(ValidationError, match="rotation"):
+        eisenstein_fq_truncated(4, s.imag * math.inf, 2.0, 50.0)  # nan, then inf
+
+
 def test_hlawka_direct_square_closed_form(square_shape):
     res = hlawka_direct(square_shape, 2.0, 1000.0)
     target = 8.0 * riemann_zeta(3.0)
