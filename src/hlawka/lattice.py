@@ -414,9 +414,11 @@ def map_box_chunks(
     points unless it is a single row; for the trivial group the rows of the
     half plane n > 0 or (n = 0, m > 0) followed by their mirror image -p.
     Blocks depend only on ``bound`` and ``symmetry``, and results come back
-    in block order whatever the thread count.  ``func`` must be pure, must
-    not start another walk, and must not keep the int64 arrays it is handed:
-    they are the worker thread's scratch arrays, refilled for its next block.
+    in block order whatever the thread count.  ``func`` must be pure (or
+    only add exact integers into a total under a lock, which no order of
+    the blocks changes), must not start another walk, and must not keep the
+    int64 arrays it is handed: they are the worker thread's scratch arrays,
+    refilled for its next block.
     """
     threads = resolve_threads(threads)
     k2 = math.floor(bound * bound)

@@ -23,27 +23,34 @@ the terms' moduli plus the cut-off tail, divided by |pi^(-s) Gamma(s)| for
 the uncompleted functions, so it grows with the cancellation of the
 splitting at large |Im s|.
 
-All direct sums share ``_disc_sums``: identical per-chunk reduction, merge in
+The direct sums share ``_disc_sums``: identical per-chunk reduction, merge in
 chunk order with pairwise summation, so results are bit-identical across
-thread counts.  Each sum walks a fundamental domain of the subgroup G of D4
+thread counts (the integer-time counts below are exact, so their order does
+not matter).  Each sum walks a fundamental domain of the subgroup G of D4
 under which its terms are invariant, decided from the kind and parameters,
 and weights each point by its orbit size: all of D4 for the circle, the
 square, cosine series in cos(4k theta), the identity and diagonal
-u11 = u22 forms and twisted sums of q = 0 mod 4; the axis reflections for
-axis-aligned ellipses, diagonal forms, even cosine series and q = 2 mod 4;
-n -> -n for other cosine series and odd q; p -> -p for the rest of the
-centrally symmetric terms.  An unrotated twisted sum's orbit sum is
-|orbit| cos(q theta) |p|^(-2s).  G never holds the symmetry that cancels a
-component (p -> -p for odd q, the quarter turn for q = 2 mod 4), so those
-cancellations are still computed point by point.  ``error_estimate`` adds
-to the tail a rounding bound relative to a closed-form bound on the sum of
-the terms' moduli.
+u11 = u22 forms and every unrotated twisted sum; the axis reflections for
+axis-aligned ellipses, diagonal forms and even cosine series; n -> -n for
+other cosine series; p -> -p for the rest of the centrally symmetric terms.
+An unrotated twisted sum's orbit sum is (|orbit| / c) sum over k < c of
+cos(q theta(r^k p)) |p|^(-2s), r the quarter turn and c the number of
+cosets of the group that keeps e^{i q theta} real on each orbit; the
+cosets hold the symmetry that cancels a component (p -> -p for odd q, the
+quarter turn for q = 2 mod 4), and each image takes its own arctan2, so
+those cancellations are still computed point by point.  The square, the odd
+shape and their images under integer g with det +-1 have integer dilation
+times: their walk only counts the points of each t (exact integers, added
+in any order), and the sum takes one complex power per distinct t.
+``error_estimate`` adds to the tail a rounding bound relative to a
+closed-form bound on the sum of the terms' moduli.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,6 +83,10 @@ __all__ = [
 ]
 
 MAX_RADIUS = _lattice.MAX_RADIUS
+
+# the most integer dilation times a direct sum counts in one array (32 MB);
+# a shape whose radius / r_min reaches it is summed point by point
+_COUNT_BINS = 1 << 22
 
 # exact powers of (-i)
 _MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
@@ -132,7 +143,19 @@ def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0) 
     the relative error of x.  Per term, the exponent is off by at most
     |s| (3 |log x| + ulps) ulps (log, product, argument reduction), the
     exponential and the orbit weight by 8 and the twist by 4 + 4|q|;
-    pairwise summation within the chunks and across them adds 48."""
+    pairwise summation within the chunks and across them adds 48.
+
+    The same constants bound the sums by count and the octant twists.
+    Summed by count, count_t t^(-2s) is one exponential times an exact integer, like
+    an orbit weight, the moduli sum to the same mass, and there are fewer
+    terms to add.  An unrotated twist averages the c cosines of a point's
+    coset images.  Added in pairs, each of modulus at most 1, they carry
+    rounding of at most u (2 + 2 + 4) for c = 4 and u 2 for c = 2 (u =
+    2^-53), and the scale |orbit| / c, a power of two, is exact, so the
+    average is off by at most log2(c) u more than one cosine.  The walk
+    covers the octant, c times fewer points than the domain of the group
+    that keeps the twist real, which takes log2(c) levels, each worth u of
+    the mass, off the pairwise summation."""
     kappa = 60.0 + 4.0 * abs(q) + abs(s) * (3.0 * log_max + ulps)
     return kappa * _EPS * mass
 
@@ -225,6 +248,43 @@ def _check_radius(radius: float):
 # ---------------------------------------------------------------------------
 
 
+def _integer_times(shape: RadialShape) -> bool:
+    """t(p) is an integer at every lattice point p, decided from the kind and
+    g alone: the square, the odd shape and their images under an integer g
+    with det +-1, whose g^-1 is integral too."""
+    if shape.kind != "transformed":
+        return shape.kind in ("square", "odd")
+    g, base = shape.params
+    if not all(float(x).is_integer() for x in g.entries()):
+        return False
+    a, b, c, d = map(int, g.entries())
+    return abs(a * d - b * c) == 1 and _integer_times(base)
+
+
+def _time_counts(shape: RadialShape, radius: float, threads: int | None) -> np.ndarray:
+    """Entry t: the number of points 0 < |p| <= radius of integer dilation
+    time t, for t <= radius / r_min (+ 1, against the rounding of r_min).
+    Each chunk's orbit-weighted ``np.bincount`` is added into one float64
+    total under a lock; the counts are integers below 2^53, so the total is
+    exact whatever the order of the chunks, and its memory does not grow
+    with the number of chunks."""
+    symmetry = shape.symmetry
+    total = np.zeros(int(radius / shape.r_min) + 2)
+    lock = threading.Lock()
+
+    def chunk(m: np.ndarray, n: np.ndarray):
+        k = len(m)
+        t = _lattice.dilation_times_block(shape, m, n, out=scratch("zeta.log", k))
+        index = scratch("zeta.index", k, np.intp)
+        np.copyto(index, t, casting="unsafe")
+        counts = np.bincount(index, weights=orbit_sizes(symmetry, m, n, out=scratch("zeta.orbit", k)))
+        with lock:
+            total[:len(counts)] += counts
+
+    map_box_chunks(radius, chunk, threads=threads, symmetry=symmetry)
+    return total
+
+
 def hlawka_direct_many(
     shape: RadialShape,
     s_values,
@@ -235,20 +295,38 @@ def hlawka_direct_many(
 
     Z_r(s) = sum over 0 < |p| <= radius of r(theta(p))^(2s) / |p|^(2s)
            = sum of t(p)^(-2s).
+
+    Where every t is an integer (``_integer_times``: the square, the odd
+    shape and their images under integer g with det +-1) and t <= radius /
+    r_min stays below ``_COUNT_BINS``, the walk only counts the points of
+    each t, and the sum is count_t t^(-2s) over the distinct t, one complex
+    power per t and s.  Every other shape sums t(p)^(-2s) point by point
+    over the fundamental domain of ``shape.symmetry``.
     """
     s_list = [_require_convergent(s) for s in s_values]
     _check_radius(radius)
 
-    def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
-        log_t2 = _lattice.dilation_times_block(shape, m, n, out=scratch("zeta.log", len(m)))
-        np.log(log_t2, out=log_t2)
-        log_t2 *= 2.0
+    if _integer_times(shape) and radius / shape.r_min < _COUNT_BINS:
+        counts = _time_counts(shape, radius, threads)
+        times = np.flatnonzero(counts)
+        weights = counts[times]
+        log_t2 = 2.0 * np.log(times)
+        sums = []
         for sv in s_list:
             powers = _powers(log_t2, sv)
-            powers *= orbit
-            yield powers
+            powers *= weights
+            sums.append(complex(np.sum(powers)))
+    else:
+        def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
+            log_t2 = _lattice.dilation_times_block(shape, m, n, out=scratch("zeta.log", len(m)))
+            np.log(log_t2, out=log_t2)
+            log_t2 *= 2.0
+            for sv in s_list:
+                powers = _powers(log_t2, sv)
+                powers *= orbit
+                yield powers
 
-    sums = _disc_sums(terms, radius, threads, shape.symmetry)
+        sums = _disc_sums(terms, radius, threads, shape.symmetry)
     # t^2 lies in [r_max^-2, (radius / r_min)^2] and is good to a few ulps
     # of r_max / r_min (the spread a rounding of the angle can cause)
     log_max = 2.0 * max(abs(math.log(shape.r_max)), abs(math.log(radius / shape.r_min)))
@@ -354,11 +432,12 @@ def eisenstein_fq_truncated(
     rather than an algebraic identity of the implementation.  Components with
     q not divisible by 4 vanish identically (the disc preserves the pairings
     (c,d) -> (-c,-d) and (c,d) -> (-d,c)); the sum is still computed so the
-    cancellation itself can be verified: unrotated, the walk folds by the
-    reflections that keep e^{i q theta} real on each orbit (D4 for
-    q = 0 mod 4, the axis reflections for q = 2 mod 4, n -> -n for odd q),
-    and never by p -> -p for odd q or by the quarter turn for q = 2 mod 4;
-    rotated, it folds only by p -> -p for even q.
+    cancellation itself can be verified.  Unrotated, every q walks the D4
+    octant, since |p|^(-2s) is D4-invariant, with the twist
+    (|orbit| / c) sum over k < c of cos(q theta(r^k p)) (``_orbit_twist``):
+    one complex power per octant point, and each image's own arctan2, so p
+    and -p (odd q), p and its quarter turn (q = 2 mod 4) still cancel point
+    by point.  Rotated, it folds only by p -> -p for even q.
     """
     if q != int(q):
         raise ValidationError("q must be an integer")
@@ -369,24 +448,19 @@ def eisenstein_fq_truncated(
     _check_radius(radius)
     cr, sr = math.cos(g_rotation), math.sin(g_rotation)
     if g_rotation == 0.0:
-        symmetry = (Symmetry.D4, Symmetry.REFLECTION, Symmetry.KLEIN, Symmetry.REFLECTION)[q % 4]
+        symmetry = Symmetry.D4
     else:
         symmetry = Symmetry.TRIVIAL if q % 2 else Symmetry.NEGATION
 
     def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
         k = len(m)
         log_n2 = _log_norms(m, n)
-        angle = scratch("zeta.angle", k)
         if g_rotation == 0.0:
-            # the orbit sum of e^{i q theta} is |orbit| cos(q theta)
-            np.arctan2(n, m, out=angle)
-            angle *= q
-            np.cos(angle, out=angle)
-            angle *= orbit
             powers = _powers(log_n2, s)
-            powers *= angle
+            powers *= _orbit_twist(m, n, q, orbit)
             yield powers
             return
+        angle = scratch("zeta.angle", k)
         x, tmp = scratch("zeta.x", k), scratch("zeta.tmp", k)
         np.multiply(m, cr, out=x)
         x -= np.multiply(n, sr, out=tmp)
@@ -409,6 +483,42 @@ def eisenstein_fq_truncated(
     if q % 4 != 0:
         trunc["vanishes_identically"] = True
     return EvalResult(value=total, error_estimate=tail, truncation=trunc)
+
+
+def _cos_twist(y: np.ndarray, x: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
+    """cos(q arctan2(y, x)) into ``out``."""
+    np.arctan2(y, x, out=out)
+    out *= q
+    return np.cos(out, out=out)
+
+
+def _orbit_twist(m: np.ndarray, n: np.ndarray, q: int, orbit: np.ndarray) -> np.ndarray:
+    """The sum of e^{i q theta} over the D4 orbit of each octant point p,
+
+        (|orbit| / c) sum over k < c of cos(q theta(r^k p)),
+
+    into a scratch array, with r the quarter turn (m, n) -> (-n, m) and
+    c = (1, 4, 2, 4)[q % 4] the number of cosets of the subgroup of D4
+    that keeps e^{i q theta} real on each orbit (D4, the reflection
+    n -> -n, the axis reflections); that subgroup contributes the cosine.
+    Each image r^k p takes its own arctan2, and the c cosines are added in
+    pairs that cancel for q != 0 mod 4 (p with -p for odd q, p with r p for
+    q = 2 mod 4), so a vanishing sum still cancels point by point.
+    |orbit| / c is a power of two, so the scaling is exact."""
+    k = len(m)
+    cosets = (1, 4, 2, 4)[q % 4]
+    twist = _cos_twist(n, m, q, scratch("zeta.angle", k))
+    if cosets > 1:
+        neg_n = np.negative(n, out=scratch("zeta.image", k))
+        part = _cos_twist(m, neg_n, q, scratch("zeta.x", k))  # r p = (-n, m)
+        if cosets == 4:
+            neg_m = np.negative(m, out=scratch("zeta.tmp", k))
+            twist += _cos_twist(neg_n, neg_m, q, neg_n)  # r^2 p = -p
+            part += _cos_twist(neg_m, n, q, neg_m)  # r^3 p = (n, -m)
+        twist += part
+        twist /= cosets
+    twist *= orbit
+    return twist
 
 
 def _twisted_rounding(s: complex, q: int, radius: float) -> float:

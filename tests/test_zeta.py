@@ -3,13 +3,14 @@
 
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import disc_tail_correction
-from hlawka import lattice, zeta
+from hlawka import cli, lattice, zeta
 from hlawka.errors import PoleError, ValidationError
 from hlawka.lattice import build_spectrum
 from hlawka.shapes import Mat2, Symmetry, act, circle, cosine_series, ellipse, odd_shape, square
@@ -584,6 +585,12 @@ _ZETA_SHAPES = [
     ("odd@gl2", act(_GL2, odd_shape()), _TRIVIAL),
     ("cos odd harmonics@gl2", act(_GL2, cosine_series([1.0, 0.1, 0.0, 0.05])), _TRIVIAL),
 ]
+# images with integer dilation times, whose sums count the points of each t
+_INTEGER_IMAGES = [
+    ("square@gl2=1,1,0,1", act(Mat2(1.0, 1.0, 0.0, 1.0), square()), _NEG),
+    ("odd@gl2=2,1,1,1", act(Mat2(2.0, 1.0, 1.0, 1.0), odd_shape()), _TRIVIAL),
+    ("odd@gl2=0,1,1,0", act(Mat2(0.0, 1.0, 1.0, 0.0), odd_shape()), _TRIVIAL),  # det -1
+]
 _FORMS = [("epstein", _FORM, _NEG), ("epstein identity", IDENT, _D4),
           ("epstein diagonal", QuadForm2(1.3, 0.0, 0.9), _KLEIN)]
 
@@ -596,7 +603,7 @@ def _reconstruct_weight(shape, s, q_max):
 
 _FOLD_CASES = [
     (name, lambda sh=shape: hlawka_direct(sh, _S, _R).value, _zeta_weight(shape, _S), folded)
-    for name, shape, folded in _ZETA_SHAPES
+    for name, shape, folded in _ZETA_SHAPES + _INTEGER_IMAGES
 ] + [
     (name, lambda u=u: epstein_direct(u, _S, _R).value, lambda m, n, u=u: u.evaluate(m, n) ** (-_S), folded)
     for name, u, folded in _FORMS
@@ -605,9 +612,11 @@ _FOLD_CASES = [
      lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.3, _S)(m, n), _NEG if q % 2 == 0 else _TRIVIAL)
     for q in (3, 4, 6, 8)
 ] + [
+    # unrotated, every q walks the octant: |p|^(-2s) is D4-invariant and the
+    # twist sums cos(q theta) over the cosets of the group that keeps it real
     (f"twisted q={q} unrotated", lambda q=q: eisenstein_fq_truncated(q, 0.0, _S, _R).value,
-     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.0, _S)(m, n), folded)
-    for q, folded in ((2, _KLEIN), (3, _REFL), (4, _D4))
+     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.0, _S)(m, n), _D4)
+    for q in (1, 2, 3, 4, 5, 6, 7, 38)
 ] + [
     ("twisted sums q=0,4,8", lambda: zeta._twisted_sums_truncated(_S, [0, 4, 8], _R, None)[8],
      _twisted_weight(8, 0.0, _S), _D4),
@@ -651,9 +660,68 @@ def test_central_symmetry_is_structural():
     assert act(_GL2, cosine_series([1.0, 0.0, 0.15])).symmetry is _NEG
 
 
+def test_integer_dilation_times_at_the_verify_samples():
+    samples = cli._to_convergent(cli._random_samples(0, 10))
+    for s, res in zip(samples, hlawka_direct_many(square(), samples, _R)):
+        ref, scale = _disc_reference(_zeta_weight(square(), s), _R)
+        assert abs(res.value - ref) <= 1e-13 * scale
+
+
+@pytest.fixture
+def direct_paths(monkeypatch):
+    """Which path each direct sum of Z_r takes: "count" for the counts of
+    integer dilation times, "point" for the per-point disc sum."""
+    calls = []
+
+    def spy(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(zeta, "_time_counts", spy("count", zeta._time_counts))
+    monkeypatch.setattr(zeta, "_disc_sums", spy("point", zeta._disc_sums))
+    return calls
+
+
+def test_only_integral_images_count_dilation_times(direct_paths, monkeypatch):
+    for shape in [square(), odd_shape()] + [sh for _, sh, _ in _INTEGER_IMAGES]:
+        hlawka_direct_many(shape, [_S, 3.0], 60.0)
+    assert direct_paths == ["count"] * 5
+    direct_paths.clear()
+    for shape in (act(Mat2(1.5, 0.5, 0.0, 1.0), odd_shape()),  # not integral
+                  act(Mat2(2.0, 0.0, 0.0, 1.0), odd_shape()),  # det 2: g^-1 is not integral
+                  act(Mat2(0.5, 0.0, 0.0, 0.5), square()),
+                  circle(1.0), cosine_series([1.0, 0.0, 0.0, 0.0, 0.1])):
+        hlawka_direct_many(shape, [_S, 3.0], 60.0)
+    assert direct_paths == ["point"] * 5
+    direct_paths.clear()
+    # a shape whose times could exceed the count array is summed per point
+    monkeypatch.setattr(zeta, "_COUNT_BINS", 60)
+    hlawka_direct(square(), _S, 60.0)
+    hlawka_direct(square(), _S, 59.0)
+    assert direct_paths == ["point", "count"]
+
+
+def test_time_counts_lose_no_update_across_threads():
+    # more workers than cores and a short switch interval: an update of the
+    # shared total lost to a race would change a count
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = zeta._time_counts(odd_shape(), 400.0, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(many, zeta._time_counts(odd_shape(), 400.0, 1))
+    n = np.arange(-400, 401)
+    assert many.sum() == np.count_nonzero(n[:, None] ** 2 + n**2 <= 400**2) - 1
+
+
 _THREAD_CASES = {
     "zeta rotated ellipse": lambda t: hlawka_direct(ellipse(2.0, 1.0, 0.3), 2.0 + 0.5j, 600.0, threads=t).value,
     "zeta odd": lambda t: hlawka_direct(odd_shape(), 2.0 + 0.5j, 600.0, threads=t).value,
+    "zeta odd@gl2=2,1,1,1": lambda t: hlawka_direct(
+        act(Mat2(2.0, 1.0, 1.0, 1.0), odd_shape()), 2.0 + 0.5j, 600.0, threads=t).value,
     "zeta circle": lambda t: hlawka_direct(circle(1.0), 2.0 + 0.5j, 1500.0, threads=t).value,
     "zeta square": lambda t: hlawka_direct(square(), 2.0 + 0.5j, 1500.0, threads=t).value,
     "zeta cos:c0=1,c4=0.1": lambda t: hlawka_direct(
@@ -661,7 +729,9 @@ _THREAD_CASES = {
     "epstein": lambda t: epstein_direct(_FORM, 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=8": lambda t: eisenstein_fq_truncated(8, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=3": lambda t: eisenstein_fq_truncated(3, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
+    "twisted q=2 unrotated": lambda t: eisenstein_fq_truncated(2, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
     "twisted q=3 unrotated": lambda t: eisenstein_fq_truncated(3, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
+    "twisted q=5 unrotated": lambda t: eisenstein_fq_truncated(5, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
     "reconstruct": lambda t: reconstruct_hlawka(
         ellipse(1.1, 1.0), 2.0 + 0.5j, 24, radius=600.0, threads=t).value,
     "count cos:c0=1,c2=0.15": lambda t: lattice.count_points(
@@ -691,6 +761,14 @@ def test_direct_sum_error_estimate_bounds_rounding(radius, s):
         assert abs(res.value - exact) <= res.error_estimate
     res = reconstruct_hlawka(circle(1.0), s, 0, radius=radius)
     assert abs(res.value - exact) <= res.error_estimate
+
+
+@pytest.mark.parametrize("radius", [31.7, 400.0])
+def test_vanishing_twisted_sums_lie_within_their_error_estimate(radius):
+    for q in (q for q in range(-7, 41) if q % 4):
+        for s in (4.0, 6.0, 6.0 + 5.0j):
+            res = eisenstein_fq_truncated(q, 0.0, s, radius)
+            assert abs(res.value) <= res.error_estimate, (q, s)
 
 
 @pytest.mark.parametrize("radius", [-50.0, 3.0, float("nan"), 1e9])
