@@ -3,9 +3,13 @@ the one CSV writer every table the library prints goes through."""
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import NumericError
 
 
 @dataclass(frozen=True)
@@ -15,12 +19,17 @@ class EvalResult:
     ``error_estimate`` is an upper bound on the magnitude of the neglected
     tail under the tail model documented by the producing operation (integral
     comparison for direct sums, Gaussian cutoff for continuations, coefficient
-    decay for reconstructions).
+    decay for reconstructions).  A non-finite value or bound raises
+    NumericError: no result is ever NaN or infinite.
     """
 
     value: complex
     error_estimate: float
     truncation: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (cmath.isfinite(self.value) and math.isfinite(self.error_estimate)):
+            raise NumericError(f"non-finite result {self.value} with error estimate {self.error_estimate}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,10 +5,11 @@ gamma takes arrays of (s, x) pairs:
 
 * ``gamma`` -- Lanczos approximation (g=7, 9 terms) with reflection for
   Re(s) < 1/2.  Relative error is ~1e-13 for moderate arguments.
-* ``riemann_zeta`` -- accelerated alternating (eta) series for Re(s) >= 1/2,
-  symmetric functional equation below, with an Euler-Maclaurin fallback near
-  the zeros of 1 - 2^(1-s) where the eta transform is singular.
-* ``dirichlet_beta`` -- same acceleration applied to sum (-1)^k (2k+1)^(-s).
+* ``riemann_zeta`` and ``dirichlet_beta`` -- one Euler-Maclaurin routine,
+  ``_hurwitz``, for signed sums of Hurwitz zeta values: zeta(s) = zeta(s, 1)
+  and beta(s) = 4^(-s) (zeta(s, 1/4) - zeta(s, 3/4)), stopped by Johansson's
+  remainder bound.  Left of Re s = 0 each reflects by its functional
+  equation (zeta not within 0.05 of s = 0).
 * ``upper_incomplete_gamma`` -- Lentz continued fraction for large x
   (masked per element, exact 0 where x^s e^(-x) underflows), lower series
   otherwise, downward recurrence near the poles of Gamma(s).  Each branch is
@@ -55,10 +56,6 @@ _LANCZOS_COEFFS = (
     1.5056327351493116e-7,
 )
 
-# ln(3 + 2*sqrt(2)), convergence rate of the eta acceleration
-_ETA_RATE = math.log(3.0 + 2.0 * math.sqrt(2.0))
-
-
 def _near_nonpositive_integer(s: complex, tol: float = 1e-14) -> bool:
     if abs(s.imag) > tol:
         return False
@@ -86,121 +83,115 @@ def gamma(s: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Riemann zeta
+# Riemann zeta and Dirichlet beta
 # ---------------------------------------------------------------------------
 
-_eta_weight_cache: dict[int, tuple[float, ...]] = {}
+_EPS = 2.0**-52
+# Euler-Maclaurin corrections available before the number of terms doubles
+_EM_CORRECTIONS = 31
 
 
-def _eta_weights(n: int) -> tuple[float, ...]:
-    """Chebyshev-based weights d_0..d_n for the accelerated alternating sum."""
-    if n in _eta_weight_cache:
-        return _eta_weight_cache[n]
-    ds = []
-    for k in range(n + 1):
-        acc = 0
-        num = 1  # (n+i-1)! / (n-i)! * 4^i / (2i)! accumulated exactly
-        for i in range(k + 1):
-            acc += Fraction(
-                math.factorial(n + i - 1) * 4**i,
-                math.factorial(n - i) * math.factorial(2 * i),
-            )
-        ds.append(float(n * acc))
-    out = tuple(ds)
-    _eta_weight_cache[n] = out
-    return out
-
-
-def _eta_terms_needed(im_s: float) -> int:
-    # error <= 3/(3+sqrt(8))^n * (1+2|t|) e^(pi |t| / 2); aim below 1e-16
-    t = abs(im_s)
-    need = (16.0 * math.log(10.0) + 0.5 * math.pi * t + math.log(1.0 + 2.0 * t)) / _ETA_RATE
-    return max(24, int(need) + 6)
-
-
-def _alternating(s: complex, step: int) -> complex:
-    """sum over k >= 0 of (-1)^k (step k + 1)^(-s), accelerated: eta(s) for
-    step 1, beta(s) for step 2."""
-    n = _eta_terms_needed(s.imag)
-    d = _eta_weights(n)
-    acc = 0.0 + 0.0j
-    sign = 1.0
-    for k in range(n):
-        acc += sign * (d[k] - d[n]) * (step * k + 1) ** (-s)
-        sign = -sign
-    return -acc / d[n]
-
-
-_BERNOULLI_MAX = 62
-
-
-def _bernoulli_table(m_max: int = _BERNOULLI_MAX) -> tuple[float, ...]:
-    """B_0..B_m as floats (B_1 = -1/2 convention), computed exactly once."""
-    b = [Fraction(1)]
-    for m in range(1, m_max + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += Fraction(math.comb(m + 1, k)) * b[k]
-        b.append(-acc / (m + 1))
-    return tuple(float(x) for x in b)
+def _bernoulli_table() -> tuple[float, ...]:
+    """B_2j / (2j)! for j = 0..31, each rounded once from the exact d_j =
+    4^j B_2j / (2j)!, which (x/2) coth(x/2) = sum B_2j x^2j / (2j)! gives as
+    d_m = 1/(2m)! - sum_(j<m) d_j / (2m-2j+1)!."""
+    d: list[Fraction] = []
+    for m in range(_EM_CORRECTIONS + 1):
+        tail = sum(dj / math.factorial(2 * (m - j) + 1) for j, dj in enumerate(d))
+        d.append(Fraction(1, math.factorial(2 * m)) - tail)
+    return tuple(float(dj / 4**j) for j, dj in enumerate(d))
 
 
 _BERNOULLI = _bernoulli_table()
 
 
-def _zeta_euler_maclaurin(s: complex, n_bernoulli: int = 30) -> complex:
-    """Euler-Maclaurin evaluation, used near the eta-denominator zeros."""
-    big_n = max(25, int(abs(s.imag)) + 10)
-    acc = sum(k ** (-s) for k in range(1, big_n))
-    acc += big_n ** (1.0 - s) / (s - 1.0)
-    acc += 0.5 * big_n ** (-s)
-    # correction terms B_{2j}/(2j)! * (s)(s+1)...(s+2j-2) * N^(-s-2j+1)
-    rising = 1.0 + 0.0j
-    for j in range(1, n_bernoulli + 1):
-        if j == 1:
-            rising = s
+def _phi1(z: complex) -> complex:
+    """(e^z - 1) / z, with e^z - 1 written so that nothing cancels near 0."""
+    if z == 0:
+        return 1.0 + 0.0j
+    x, y = z.real, z.imag
+    half = math.sin(0.5 * y)
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * half * half, math.exp(x) * math.sin(y)) / z
+
+
+def _hurwitz(s: complex, q: int, offsets: tuple[int, ...]) -> complex:
+    """sum_i (-1)^i q^(-s) zeta(s, b_i / q) = sum_i (-1)^i sum_(k >= 0) (q k + b_i)^(-s)
+    over the integers b_i of ``offsets`` (one or two), for Re s > -1.
+
+    Euler-Maclaurin with N terms per offset, N starting at |s|/2 + 10, then
+    the terms at X_i = q N + b_i: X_i^(1-s) / (q (s - 1)), X_i^(-s) / 2 and
+    up to 31 corrections B_2j / (2j)! (s)_(2j-1) (q / X_i)^(2j-1) X_i^(-s).
+    It stops at the first M where Johansson's remainder bound
+    4 |(s)_2M| (N + a)^(-sigma-2M+1) / ((2 pi)^2M (sigma + 2M - 1)), times
+    q^(-sigma) per offset, falls below the rounding of the sum, and doubles
+    N if 31 corrections are not enough (F. Johansson, Numer. Algorithms 69,
+    2015).  The pole terms of a pair combine as
+    X_0^(1-s) Delta phi_1((1-s) Delta) / q, Delta = log(X_1 / X_0), so nothing
+    divides by s - 1 when the signs cancel.
+    """
+    sigma = s.real
+    signs = (1.0, -1.0)[: len(offsets)]
+    n = int(abs(s) / 2.0) + 10
+    while True:
+        xs = [q * n + b for b in offsets]
+        pole = xs[0] ** (1.0 - s) / q
+        if len(xs) == 1:
+            pole /= s - 1.0
         else:
-            rising *= (s + 2 * j - 3) * (s + 2 * j - 2)
-        acc += _BERNOULLI[2 * j] / math.factorial(2 * j) * rising * big_n ** (-s - 2 * j + 1)
-    return acc
+            delta = math.log1p((xs[1] - xs[0]) / xs[0])
+            pole *= delta * _phi1((1.0 - s) * delta)
+        acc, mass = pole, abs(pole)
+        powers = []
+        for c, b, x in zip(signs, offsets, xs):
+            terms = [(q * k + b) ** -s for k in range(n)]
+            terms.append(0.5 * x**-s)
+            acc += c * sum(terms)
+            mass += sum(map(abs, terms))
+            powers.append(2.0 * c * terms[-1] * q / x)
+        ratios = [(q / x) ** 2 for x in xs]
+        # the remainder bound over (s)_2M, for the smallest a
+        scale = 4.0 * len(xs) * q**-sigma * (xs[0] / q) ** (1.0 - sigma)
+        rising = s
+        for j in range(1, _EM_CORRECTIONS + 1):
+            corr = _BERNOULLI[j] * rising * sum(powers)
+            acc += corr
+            mass += abs(corr)
+            rising *= s + (2 * j - 1)
+            scale *= (q / (2.0 * math.pi * xs[0])) ** 2
+            if scale * abs(rising) / (sigma + 2 * j - 1) <= _EPS * mass:
+                return acc
+            rising *= s + 2 * j
+            powers = [p * r for p, r in zip(powers, ratios)]
+        n *= 2
 
 
 def riemann_zeta(s: complex) -> complex:
-    """Riemann zeta on C minus {1}.
+    """Riemann zeta on C minus {1}: zeta(s, 1) by ``_hurwitz``, and the
+    symmetric functional equation for Re s < 0, where the terms k^(-s) grow
+    and cancel against the pole term.  Within 0.05 of s = 0 ``_hurwitz``
+    stays: there 1 - s rounds next to the pole of zeta(1 - s).
 
     Raises PoleError within 1e-12 of s = 1.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-12:
         raise PoleError("zeta pole at s=1")
-    if s.real < -0.25:
-        # symmetric functional equation; 1 - s lands safely right of the
-        # critical strip, away from the eta-denominator zeros on Re = 1
-        return (
-            2.0**s
-            * math.pi ** (s - 1.0)
-            * cmath.sin(math.pi * s / 2.0)
-            * gamma(1.0 - s)
-            * riemann_zeta(1.0 - s)
-        )
-    if s.real < 0.5:
-        # between the reflection region and the accelerated series: the
-        # sin(pi s/2) Gamma(1-s) zeta(1-s) product degenerates near s = 0,
-        # while Euler-Maclaurin is uniformly fine here
-        return _zeta_euler_maclaurin(s)
-    denom = 1.0 - 2.0 ** (1.0 - s)
-    if abs(denom) < 1e-3:
-        # eta transform is singular on the line Re(s)=1 at Im(s) = 2 pi k/ln 2
-        return _zeta_euler_maclaurin(s)
-    return _alternating(s, 1) / denom
+    if s.real < 0.0 and abs(s) >= 0.05:
+        chi = 2.0**s * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0) * gamma(1.0 - s)
+        return chi * riemann_zeta(1.0 - s)
+    return _hurwitz(s, 1, (1,))
 
 
 def dirichlet_beta(s: complex) -> complex:
-    """Dirichlet beta L(s, chi_4) = sum (-1)^k (2k+1)^(-s), for Re(s) > 0."""
+    """Dirichlet beta L(s, chi_4) = sum (-1)^k (2k+1)^(-s) on the whole
+    plane: 4^(-s) (zeta(s, 1/4) - zeta(s, 3/4)) by ``_hurwitz`` (beta(1) =
+    pi/4 with no division by s - 1), and for Re s < 0 the functional equation
+    beta(s) = (pi/2)^(s-1) cos(pi s/2) Gamma(1-s) beta(1-s)."""
     s = complex(s)
-    if s.real <= 0:
-        raise ValidationError("dirichlet_beta implemented for Re(s) > 0 only")
-    return _alternating(s, 2)
+    if s.real < 0.0:
+        chi = (0.5 * math.pi) ** (s - 1.0) * cmath.cos(math.pi * s / 2.0) * gamma(1.0 - s)
+        return chi * dirichlet_beta(1.0 - s)
+    return _hurwitz(s, 4, (1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +199,6 @@ def dirichlet_beta(s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 _EULER_GAMMA = 0.5772156649015328606
-_EPS = 2.0**-52
 # A Lentz step changes the fraction by delta - 1, which cannot resolve below
 # an ulp; stopping at a few ulps keeps huge x from stalling.
 _CF_TOL = 4.0 * _EPS

@@ -700,7 +700,7 @@ def _theta_split(u: QuadForm2, det: float, s: complex, q_list) -> tuple[list, di
 
 def _special_ulps(s: complex) -> float:
     """Relative accuracy, in ulps, of pi^(-s) Gamma(s) and of riemann_zeta(s)
-    (against mpmath up to |s| = 45: at most 0.75 of this)."""
+    (against mpmath on a seeded grid up to |s| = 45: at most 0.75 of this)."""
     return 64.0 + 32.0 * abs(s) * math.log(2.0 + abs(s))
 
 

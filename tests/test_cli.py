@@ -569,6 +569,18 @@ def test_exit_code_numeric_error(capsys):
     assert "numeric" in err
 
 
+def test_non_finite_result_exits_2(capsys):
+    # on the 4096-point positivity grid r = 0.3 + 0.5 cos(4096 theta) is 0.8
+    # everywhere, but it is negative between the samples; its log warns and
+    # gives NaN, which an EvalResult refuses
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        code, out, err = run_cli(capsys, "zeta", "--shape", "cos:c0=0.3,c4096=0.5", "--s", "2+0i",
+                                 "--radius", "50")
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["nonsense-subcommand"]) == 1
 

@@ -141,24 +141,28 @@ def test_dirichlet_beta_catalan_and_pi_cubed():
     assert abs(dirichlet_beta(3.0).real - math.pi**3 / 32) < 1e-13
 
 
-@pytest.mark.parametrize("s", [2.0, 0.5 + 14.1j, 1.3 - 7.0j, 3.0 + 40.0j, 0.75 + 0.25j])
-def test_eta_and_beta_are_the_written_out_alternating_sums(s):
-    """riemann_zeta and dirichlet_beta share one accelerated loop; both stay
-    bit-identical to the loop written out over (k+1)^(-s) and (2k+1)^(-s)."""
-    s = complex(s)
-    n = special._eta_terms_needed(s.imag)
-    d = special._eta_weights(n)
+def _beta_reference(s):
+    return mp.dirichlet(mp.mpc(s), [0, 1, 0, -1])
 
-    def written_out(base):
-        acc = 0.0 + 0.0j
-        sign = 1.0
-        for k in range(n):
-            acc += sign * (d[k] - d[n]) * base(k) ** (-s)
-            sign = -sign
-        return -acc / d[n]
 
-    assert riemann_zeta(s) == written_out(lambda k: k + 1) / (1.0 - 2.0 ** (1.0 - s))
-    assert dirichlet_beta(s) == written_out(lambda k: 2 * k + 1)
+_GRID = [complex(x, y) for x in (-8.0, -2.8, -0.5, -0.03, 0.5, 1.0, 2.5, 8.0)
+         for y in (-200.0, -47.0, -3.0, 0.5, 14.1, 200.0)]
+_REAL = [-7.5, -0.5, 0.3, 2.0, 8.0]
+_MPMATH_TABLE = (
+    [("zeta", s) for s in _GRID + _REAL]
+    + [("beta", s) for s in _GRID + _REAL]
+    # the combined pole terms at s = 1, and left of Re s = 0
+    + [("beta", s) for s in (1.0, 1.0 + 1e-6, 1.0 - 1e-6, -1.0 + 3.0j, -2.5 + 10.0j)]
+)
+
+
+@pytest.mark.parametrize("name,s", _MPMATH_TABLE, ids=[f"{n}({s})" for n, s in _MPMATH_TABLE])
+def test_zeta_and_beta_match_mpmath(name, s):
+    """One Euler-Maclaurin series serves both; 1e-12 relative, absolute
+    below |value| = 1, on Re s in [-8, 8] and |Im s| <= 200."""
+    func, reference = {"zeta": (riemann_zeta, mp.zeta), "beta": (dirichlet_beta, _beta_reference)}[name]
+    ref = complex(reference(mp.mpc(s)))
+    assert abs(func(s) - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
 # ---------------------------------------------------------------------------
