@@ -34,7 +34,7 @@ from .shapes import (
     parse_shape,
     theta_g,
 )
-from .lattice import LatticePoint, Spectrum, build_spectrum, count_points, dilation_time
+from .lattice import LatticePoint, Spectrum, build_spectrum, count_points
 from .zeta import (
     QuadForm2,
     classical_eisenstein,
@@ -72,7 +72,6 @@ __all__ = [
     "Spectrum",
     "build_spectrum",
     "count_points",
-    "dilation_time",
     "QuadForm2",
     "classical_eisenstein",
     "eisenstein_fq_continued",

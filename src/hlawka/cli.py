@@ -37,7 +37,6 @@ OPERATION_MAP = {
     "shapes.iwasawa_decompose": "act",
     "shapes.cartan_decompose": "act",
     "shapes.act": "act",
-    "lattice.dilation_time": "count",
     "lattice.count_points": "count",
     "lattice.build_spectrum": "spectrum",
     "lattice.spectrum_to_csv": "spectrum",
@@ -152,7 +151,7 @@ def _random_samples(seed: int, n: int, re_range=(-2.0, 3.0), im_range=(0.25, 8.0
 
 def _cmd_spectrum(args) -> int:
     shape = shapes.parse_shape(args.shape)
-    spec = lattice.build_spectrum(shape, args.tmax, tolerance=args.tolerance, threads=args.threads)
+    spec = lattice.build_spectrum(shape, args.tmax, threads=args.threads)
     if args.format == "csv":
         _emit(lattice.spectrum_to_csv(spec), args.out)
     else:
@@ -480,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="dilation spectrum (t_k, a_k)")
     sp.add_argument("--shape", required=True)
     sp.add_argument("--tmax", type=float, required=True)
-    sp.add_argument("--tolerance", type=float, default=None)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     common(sp)
     sp.set_defaults(func=_cmd_spectrum)

@@ -28,7 +28,9 @@ so integral images such as GL(2,Z) images of the square stay exact too.
 Every kernel gives all orbit images of a point under ``shape.symmetry`` the
 bit-identical t: the cosine series folds the point into the fundamental
 domain before it calls arctan2, and gD inherits this since g^-1(-p) =
--g^-1 p exactly.  So a time belongs to an orbit.  A spectrum walks the same
+-g^-1 p exactly.  So a time belongs to an orbit.  ``time_ulps`` bounds the
+kernels' relative rounding, the one accuracy model of the times: spectra
+group by it and the direct sums charge it.  A spectrum walks the same
 domain of ``shape.symmetry``; its kept representatives (int32) are ordered
 by t alone, with one stable argsort, and grouped into lines by one
 vectorized gap test, and a line's a_k is the sum of its representatives'
@@ -54,15 +56,15 @@ import numpy as np
 from .errors import ValidationError
 from .results import csv_table
 from .scratch import scratch
-from .shapes import RadialShape, Symmetry
+from .shapes import RadialShape, Symmetry, _cosine_series
 
 __all__ = [
     "LatticePoint",
     "SpectrumEntry",
     "Spectrum",
     "SpectrumEntries",
-    "dilation_time",
     "dilation_times_block",
+    "time_ulps",
     "build_spectrum",
     "count_points",
     "map_box_chunks",
@@ -90,8 +92,8 @@ MAX_RADIUS = 20000.0
 # are built: at most about 850 MB
 _SPECTRUM_POINTS = 1 << 24
 
-# relative grouping tolerance of spectral lines and of point counts: the
-# same value makes ``Spectrum.count_up_to`` agree with ``count_points``
+# relative boundary window of ``count_points`` at a user-given x (also the
+# jump guard of funceq.perron_count_approx)
 _TOLERANCE = 1e-9
 
 
@@ -111,7 +113,7 @@ class SpectrumEntry:
 class Spectrum:
     """Ordered dilation spectrum up to t_max: line k (0-based) is the
     dilation time ``t_values[k]``, the smallest of its points', with
-    ``counts[k]`` points, whose times agree within the grouping tolerance.
+    ``counts[k]`` points, whose times agree within their rounding bound.
 
     The points themselves are not kept.  ``reps`` holds the representatives
     walked in the fundamental domain of ``shape.symmetry`` as int32 rows
@@ -286,7 +288,7 @@ def dilation_times_block(
         y, theta = theta, y
     np.arctan2(y, x, out=theta)
     np.hypot(x, y, out=out)
-    out /= shape.evaluate(theta, out=y)
+    out /= _cosine_series(shape.params, theta, y)
     return out
 
 
@@ -307,12 +309,46 @@ def _odd_times(m: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def dilation_time(shape: RadialShape, p: tuple[int, int]) -> float:
-    """t(p) for a single nonzero lattice point."""
-    m, n = int(p[0]), int(p[1])
-    if m == 0 and n == 0:
-        raise ValidationError("dilation time of the origin is undefined")
-    return float(dilation_times_block(shape, np.array([m]), np.array([n]))[0])
+def time_ulps(shape: RadialShape) -> float:
+    """A bound b on the relative rounding of ``dilation_times_block`` in
+    units of 2^-52 (a computed t is within b 2^-52 t of the exact one).
+
+    0 where every t is an exact integer: the square, the odd shape and their
+    images under an integer g with det +-1.  Else 16 r_max / r_min: the
+    closed forms round a few times (an ellipse's rotation cancels up to
+    a / b), and an image's preimage g^-1 p is off by 3.6 cond(g) ulps, which
+    the base's gauge scales by its r_max / r_min times its slope r_min
+    |grad t| (1 + S_1 / r_min for a cosine series, at most 1.2 for the other
+    kinds).  A cosine series, S_1 = sum q |c_q|, S_0 = sum |c_q|, k
+    harmonics, takes at least (5 A S_1 + (5 + k) S_0) / r_min + 5, each libm
+    call within 4 ulps: arctan2 of the point folded to an angle <= A errs by
+    4 A ulps, q theta by 4.5 q A and r by 4.5 A S_1; the cosines, products
+    and sums add (4.5 + k / 2) S_0, hypot and the division 4.5.  An image of
+    a series adds that preimage term to its base's bound.
+    """
+    kind, ratio = shape.kind, shape.r_max / shape.r_min
+    if kind in ("square", "odd"):
+        return 0.0
+    core = shape
+    while core.kind == "transformed":
+        core = core.params[1]
+    coeffs, series = core.params, core.kind == "cosine-series"
+    slope = 1.0 + sum(q * abs(x) for q, x in enumerate(coeffs)) / core.r_min if series else 1.2
+    if kind == "cosine-series":
+        angle = math.pi / {Symmetry.REFLECTION: 1, Symmetry.KLEIN: 2, Symmetry.D4: 4}[shape.symmetry]
+        evaluation = (5.0 + sum(x != 0.0 for x in coeffs[1:])) * sum(map(abs, coeffs)) / shape.r_min
+        return max(16.0 * ratio, 5.0 * angle * (slope - 1.0) + evaluation + 5.0)
+    if kind != "transformed":
+        return 16.0 * ratio
+    g, base = shape.params
+    inner = time_ulps(base)
+    if inner == 0.0 and all(float(x).is_integer() for x in g.entries()):
+        a, b, c, d = map(int, g.entries())
+        if abs(a * d - b * c) == 1:
+            return 0.0
+    if base.kind in ("constant", "ellipse", "square", "odd"):
+        return 16.0 * ratio
+    return max(16.0 * ratio, inner + 4.0 * ratio * slope)
 
 
 # ---------------------------------------------------------------------------
@@ -459,38 +495,31 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 # ---------------------------------------------------------------------------
 
 
-def _walk_bound(shape: RadialShape, x: float, tolerance: float, cap: float, name: str) -> int:
+def _walk_bound(shape: RadialShape, x: float, slack: float, cap: float, name: str) -> int:
     """A disc radius that holds every lattice point with t(p) <= x (1 +
-    tolerance); a ValidationError before any walk when it exceeds ``cap``."""
-    reach = x * shape.r_max * (1.0 + tolerance)
+    slack); a ValidationError before any walk when it exceeds ``cap``."""
+    reach = x * shape.r_max * (1.0 + slack)
     if not reach <= cap:
         raise ValidationError(f"{name}={x:g} needs a walk of radius {reach:.6g}, beyond the cap {cap:.6g}")
     return int(math.ceil(reach)) + 1
 
 
-def build_spectrum(
-    shape: RadialShape,
-    t_max: float,
-    tolerance: float | None = None,
-    threads: int | None = None,
-) -> Spectrum:
-    """Enumerate all dilation times <= t_max (1 + tolerance) and group them
-    into (t_k, a_k).
+def build_spectrum(shape: RadialShape, t_max: float, threads: int | None = None) -> Spectrum:
+    """Enumerate all dilation times <= t_max (1 + b) and group them into
+    (t_k, a_k), b = ``time_ulps(shape)`` 2^-52 their relative rounding bound.
 
-    Grouping is by relative gaps: consecutive sorted values within
-    ``tolerance * t`` fall into one spectral line.  A warning is emitted when
-    two groups are separated by less than 10x the tolerance, since floating
-    point cannot certify such near-ties.  The walk covers a fundamental
-    domain of ``shape.symmetry``, whose orbits share one t.  A disc of more
-    than ``_SPECTRUM_POINTS`` points is a ValidationError.
+    Two computed times of one exact value lie within 2 b t of each other, so
+    consecutive sorted times at most 2 b t apart fall into one spectral line
+    (equal ones where b = 0).  A warning is emitted when two lines are at
+    most 10x that window apart: floating point cannot certify such near-ties.
+    The walk covers a fundamental domain of ``shape.symmetry``, whose orbits
+    share one t.  A disc of more than ``_SPECTRUM_POINTS`` points is a
+    ValidationError.
     """
     if not (t_max > 0.0):
         raise ValidationError("t_max must be positive")
-    if tolerance is None:
-        tolerance = _TOLERANCE
-    if not tolerance > 0.0:
-        raise ValidationError("tolerance must be positive")
-    cut = t_max * (1.0 + tolerance)
+    bound = time_ulps(shape) * 2.0**-52
+    cut = t_max * (1.0 + bound)
     symmetry = shape.symmetry
 
     def chunk(m: np.ndarray, n: np.ndarray):
@@ -503,8 +532,8 @@ def build_spectrum(
         return reps, t[keep], orbit[keep].astype(np.uint8)
 
     cap = math.sqrt(_SPECTRUM_POINTS / math.pi)  # the disc of 2^24 points
-    bound = _walk_bound(shape, t_max, tolerance, cap, "t_max")
-    parts = map_box_chunks(bound, chunk, threads=threads, symmetry=symmetry)
+    radius = _walk_bound(shape, t_max, bound, cap, "t_max")
+    parts = map_box_chunks(radius, chunk, threads=threads, symmetry=symmetry)
     t = np.concatenate([p[1] for p in parts])
     order = np.argsort(t, kind="stable")
     t = t[order]
@@ -512,31 +541,20 @@ def build_spectrum(
     weight = np.concatenate([p[2] for p in parts])[order]
     del parts, order
 
-    # a new line starts wherever the gap to the previous value exceeds the
-    # relative tolerance
+    # a new line starts wherever the gap to the previous value exceeds 2 b t
+    window = 2.0 * bound
     gap = np.diff(t)
-    breaks = np.flatnonzero(gap > tolerance * np.maximum(t[1:], 1.0)) + 1
+    breaks = np.flatnonzero(gap > window * t[1:]) + 1
     starts = np.concatenate(([0], breaks)) if len(t) else breaks
     counts = np.add.reduceat(weight, starts, dtype=np.int64) if len(t) else np.zeros(0, np.int64)
     t_values = t[starts]
 
     # the gap between a line's last value and the next line's first
-    near = gap[breaks - 1] < 10.0 * tolerance * np.maximum(t_values[1:], 1.0)
+    near = gap[breaks - 1] <= 10.0 * window * t_values[1:]
     for b in breaks[near]:
-        warnings.warn(
-            f"spectral lines at {t[b - 1]:.15g} and {t[b]:.15g} are separated by "
-            f"less than 10x the grouping tolerance; grouping may be ambiguous",
-            stacklevel=2,
-        )
-
-    return Spectrum(
-        t_values=t_values,
-        counts=counts,
-        t_max=float(t_max),
-        reps=reps,
-        rep_starts=starts,
-        shape=shape,
-    )
+        warnings.warn(f"spectral lines at {t[b - 1]:.15g} and {t[b]:.15g} are separated by at most 10x "
+                      "their rounding bound; grouping may be ambiguous", stacklevel=2)
+    return Spectrum(t_values, counts, float(t_max), reps, starts, shape)
 
 
 def count_points(
@@ -548,7 +566,7 @@ def count_points(
     """Number of nonzero lattice points with t(p) <= x.
 
     With ``half_weight_boundary`` the points on the boundary (|t - x| within
-    the relative tolerance) contribute 1/2 each, matching the value the
+    ``_TOLERANCE`` x) contribute 1/2 each, matching the value the
     contour-integral inversion converges to at jump points.  The walk covers
     a fundamental domain of ``shape.symmetry`` and weights each point by its
     orbit size; every weight and count is a small multiple of 1/2, so the

@@ -220,25 +220,20 @@ class RadialShape:
     r_min: float = field(default=0.0, compare=False)
     r_max: float = field(default=0.0, compare=False)
 
-    def evaluate(self, theta: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
+    def evaluate(self, theta: ArrayLike) -> ArrayLike:
         """r(theta) = 1 / t(cos theta, sin theta) for scalar or array theta
-        (any real); an array result goes into ``out`` when it is given."""
+        (any real)."""
         th = np.asarray(theta, dtype=float)
         if th.ndim == 0:
             return float(self.evaluate(th[None])[0])
         if self.kind == "cosine-series":
-            return _cosine_series(self.params, th, out)
+            return _cosine_series(self.params, th)
         if self.kind == "constant":
-            r = np.full_like(th, self.params[0])
-        else:
-            from .lattice import dilation_times_block  # lattice imports this module
+            return np.full_like(th, self.params[0])
+        from .lattice import dilation_times_block  # lattice imports this module
 
-            t = dilation_times_block(self, np.cos(th).ravel(), np.sin(th).ravel())
-            r = np.divide(1.0, t, out=t).reshape(th.shape)
-        if out is None:
-            return r
-        out[...] = r
-        return out
+        t = dilation_times_block(self, np.cos(th).ravel(), np.sin(th).ravel())
+        return np.divide(1.0, t, out=t).reshape(th.shape)
 
     __call__ = evaluate
 

@@ -9,7 +9,7 @@ gamma takes arrays of (s, x) pairs:
   ``_hurwitz``, for signed sums of Hurwitz zeta values: zeta(s) = zeta(s, 1)
   and beta(s) = 4^(-s) (zeta(s, 1/4) - zeta(s, 3/4)), stopped by Johansson's
   remainder bound.  Left of Re s = 0 each reflects by its functional
-  equation (zeta not within 0.05 of s = 0).
+  equation (zeta not within 0.05 of s = 0), as gamma does left of 1/2.
 * ``upper_incomplete_gamma`` -- Lentz continued fraction for large x
   (masked per element, exact 0 where x^s e^(-x) underflows), lower series
   otherwise, downward recurrence near the poles of Gamma(s).  Each branch is
@@ -63,6 +63,14 @@ def _near_nonpositive_integer(s: complex, tol: float = 1e-14) -> bool:
     return r <= 0 and abs(s.real - r) <= tol
 
 
+def _sin_pi(x: complex) -> complex:
+    """sin(pi x) = (-1)^k sin(pi (x - k)), k the nearest integer: x - k is
+    exact, so the reflections keep their accuracy next to the zeros x = k."""
+    k = round(x.real)
+    value = cmath.sin(math.pi * (x - k))
+    return -value if k % 2 else value
+
+
 def gamma(s: complex) -> complex:
     """Complex gamma function.
 
@@ -73,7 +81,7 @@ def gamma(s: complex) -> complex:
         raise PoleError(f"gamma pole at s={s}")
     if s.real < 0.5:
         # Reflection: gamma(s) gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
+        return math.pi / (_sin_pi(s) * gamma(1.0 - s))
     z = s - 1.0
     x = _LANCZOS_COEFFS[0]
     for i, p in enumerate(_LANCZOS_COEFFS[1:], start=1):
@@ -177,7 +185,7 @@ def riemann_zeta(s: complex) -> complex:
     if abs(s - 1.0) < 1e-12:
         raise PoleError("zeta pole at s=1")
     if s.real < 0.0 and abs(s) >= 0.05:
-        chi = 2.0**s * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0) * gamma(1.0 - s)
+        chi = 2.0**s * math.pi ** (s - 1.0) * _sin_pi(s / 2.0) * gamma(1.0 - s)
         return chi * riemann_zeta(1.0 - s)
     return _hurwitz(s, 1, (1,))
 
@@ -186,10 +194,10 @@ def dirichlet_beta(s: complex) -> complex:
     """Dirichlet beta L(s, chi_4) = sum (-1)^k (2k+1)^(-s) on the whole
     plane: 4^(-s) (zeta(s, 1/4) - zeta(s, 3/4)) by ``_hurwitz`` (beta(1) =
     pi/4 with no division by s - 1), and for Re s < 0 the functional equation
-    beta(s) = (pi/2)^(s-1) cos(pi s/2) Gamma(1-s) beta(1-s)."""
+    beta(s) = (pi/2)^(s-1) sin(pi (s+1)/2) Gamma(1-s) beta(1-s)."""
     s = complex(s)
     if s.real < 0.0:
-        chi = (0.5 * math.pi) ** (s - 1.0) * cmath.cos(math.pi * s / 2.0) * gamma(1.0 - s)
+        chi = (0.5 * math.pi) ** (s - 1.0) * _sin_pi((s + 1.0) / 2.0) * gamma(1.0 - s)
         return chi * dirichlet_beta(1.0 - s)
     return _hurwitz(s, 4, (1, 3))
 

@@ -38,12 +38,12 @@ cos(q theta(r^k p)) |p|^(-2s), r the quarter turn and c the number of
 cosets of the group that keeps e^{i q theta} real on each orbit; the
 cosets hold the symmetry that cancels a component (p -> -p for odd q, the
 quarter turn for q = 2 mod 4), and each image takes its own arctan2, so
-those cancellations are still computed point by point.  The square, the odd
-shape and their images under integer g with det +-1 have integer dilation
-times: their walk only counts the points of each t (exact integers, added
-in any order), and the sum takes one complex power per distinct t.
-``error_estimate`` adds to the tail a rounding bound relative to a
-closed-form bound on the sum of the terms' moduli.
+those cancellations are still computed point by point.  Where
+``lattice.time_ulps`` is 0 the dilation times are exact integers: the walk
+only counts the points of each t (exact integers, added in any order), and
+the sum takes one complex power per distinct t.  ``error_estimate`` adds to
+the tail a rounding bound relative to a closed-form bound on the sum of the
+terms' moduli, charging t the rounding ``time_ulps`` bounds.
 """
 
 from __future__ import annotations
@@ -248,19 +248,6 @@ def _check_radius(radius: float):
 # ---------------------------------------------------------------------------
 
 
-def _integer_times(shape: RadialShape) -> bool:
-    """t(p) is an integer at every lattice point p, decided from the kind and
-    g alone: the square, the odd shape and their images under an integer g
-    with det +-1, whose g^-1 is integral too."""
-    if shape.kind != "transformed":
-        return shape.kind in ("square", "odd")
-    g, base = shape.params
-    if not all(float(x).is_integer() for x in g.entries()):
-        return False
-    a, b, c, d = map(int, g.entries())
-    return abs(a * d - b * c) == 1 and _integer_times(base)
-
-
 def _time_counts(shape: RadialShape, radius: float, threads: int | None) -> np.ndarray:
     """Entry t: the number of points 0 < |p| <= radius of integer dilation
     time t, for t <= radius / r_min (+ 1, against the rounding of r_min).
@@ -285,28 +272,24 @@ def _time_counts(shape: RadialShape, radius: float, threads: int | None) -> np.n
     return total
 
 
-def hlawka_direct_many(
-    shape: RadialShape,
-    s_values,
-    radius: float,
-    threads: int | None = None,
-) -> list[EvalResult]:
+def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int | None = None) -> list[EvalResult]:
     """Z_r at several s sharing one lattice enumeration.
 
     Z_r(s) = sum over 0 < |p| <= radius of r(theta(p))^(2s) / |p|^(2s)
            = sum of t(p)^(-2s).
 
-    Where every t is an integer (``_integer_times``: the square, the odd
-    shape and their images under integer g with det +-1) and t <= radius /
-    r_min stays below ``_COUNT_BINS``, the walk only counts the points of
-    each t, and the sum is count_t t^(-2s) over the distinct t, one complex
-    power per t and s.  Every other shape sums t(p)^(-2s) point by point
-    over the fundamental domain of ``shape.symmetry``.
+    Where every t is an exact integer (``lattice.time_ulps`` is 0) and
+    t <= radius / r_min stays below ``_COUNT_BINS``, the walk only counts
+    the points of each t, and the sum is count_t t^(-2s) over the distinct
+    t, one complex power per t and s.  Every other shape sums t(p)^(-2s)
+    point by point over the fundamental domain of ``shape.symmetry``, and
+    t^2 is charged twice the rounding ``time_ulps`` bounds for t.
     """
     s_list = [_require_convergent(s) for s in s_values]
     _check_radius(radius)
+    ulps = _lattice.time_ulps(shape)
 
-    if _integer_times(shape) and radius / shape.r_min < _COUNT_BINS:
+    if ulps == 0.0 and radius / shape.r_min < _COUNT_BINS:
         counts = _time_counts(shape, radius, threads)
         times = np.flatnonzero(counts)
         weights = counts[times]
@@ -327,16 +310,14 @@ def hlawka_direct_many(
                 yield powers
 
         sums = _disc_sums(terms, radius, threads, shape.symmetry)
-    # t^2 lies in [r_max^-2, (radius / r_min)^2] and is good to a few ulps
-    # of r_max / r_min (the spread a rounding of the angle can cause)
+    # t^2 lies in [r_max^-2, (radius / r_min)^2]
     log_max = 2.0 * max(abs(math.log(shape.r_max)), abs(math.log(radius / shape.r_min)))
-    ulps = 32.0 * shape.r_max / shape.r_min
     out = []
     for sv, total in zip(s_list, sums):
         sigma = sv.real
         tail = _disc_tail(2.0 * math.pi * shape.r_max ** (2.0 * sigma), sigma, radius)
         mass = shape.r_max ** (2.0 * sigma) * _lattice_mass(sigma)
-        out.append(EvalResult(value=total, error_estimate=tail + _rounding(sv, mass, log_max, ulps),
+        out.append(EvalResult(value=total, error_estimate=tail + _rounding(sv, mass, log_max, 2.0 * ulps),
                               truncation={"radius": radius, "s": [sv.real, sv.imag]}))
     return out
 

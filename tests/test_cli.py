@@ -285,6 +285,27 @@ def test_epstein_methods(capsys):
     assert abs(lam - math.pi**-2 * math.gamma(2 + 0) * 0 - cont * math.pi**-2) < 1e-9
 
 
+def test_epstein_direct_prints_the_library_sum(capsys):
+    code, out, _ = run_cli(capsys, "epstein", "--u", "1.0,0.5,1.0", "--s", "2+1i",
+                           "--method", "direct", "--radius", "60")
+    assert code == 0
+    res = zeta.epstein_direct(zeta.QuadForm2(1.0, 0.5, 1.0), 2 + 1j, 60.0)
+    assert json.loads(out) == {"form": [1.0, 0.5, 1.0], "s": {"re": 2.0, "im": 1.0}, "method": "direct",
+                               **json.loads(json.dumps(res.to_json_dict()))}
+
+
+def test_fourier_quadrature_json_prints_the_library_table(capsys):
+    code, out, _ = run_cli(capsys, "fourier", "--shape", "cos:c0=1,c4=0.1", "--s", "0.5+1i",
+                           "--qmax", "8", "--format", "json")
+    assert code == 0
+    table = fourier.fourier_coeffs(shapes.parse_shape("cos:c0=1,c4=0.1"), 0.5 + 1j, 8)
+    payload = json.loads(out)
+    assert payload["n_quad"] == table.n_quad
+    assert payload["coefficients"] == [
+        {"q": q, "value": {"re": table.coefficients[q].real, "im": table.coefficients[q].imag},
+         "error_estimate": table.errors[q]} for q in sorted(table.coefficients)]
+
+
 def test_eisenstein_truncated_and_classical(capsys):
     code, out, _ = run_cli(capsys, "eisenstein", "--q", "4", "--s", "2+0i",
                            "--radius", "200")
@@ -585,6 +606,27 @@ def test_exit_code_usage_error(capsys):
     assert main(["nonsense-subcommand"]) == 1
 
 
+def test_numpy_only_at_run_time():
+    # README and pyproject.toml promise a numpy-only library: scipy and mpmath
+    # serve the tests and the benchmark's oracles alone
+    code = """
+import contextlib, io, sys
+from hlawka.cli import main
+runs = [["zeta", "--shape", "cos:c0=1,c4=0.1", "--s", "2+1i", "--radius", "40"],
+        ["spectrum", "--shape", "ellipse:a=2,b=1,phi=0.3", "--tmax", "10"],
+        ["epstein", "--u", "1,0.5,1", "--s", "0.5+3i"],
+        ["verify", "--which", "circle-fe", "--samples", "2"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in ("scipy", "mpmath") if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_determinism_byte_identical(capsys):
     args = ("verify", "--which", "circle-fe", "--samples", "4", "--seed", "11")
     code1, out1, _ = run_cli(capsys, *args)
@@ -622,7 +664,7 @@ def test_operation_map_is_complete_and_single_valued():
     public_ops = set()
     for mod, names in (
         (shapes, ("theta_g", "iwasawa_decompose", "cartan_decompose", "act")),
-        (lattice, ("dilation_time", "count_points", "build_spectrum", "spectrum_to_csv")),
+        (lattice, ("count_points", "build_spectrum", "spectrum_to_csv")),
         (
             zeta,
             (

@@ -15,10 +15,10 @@ from hlawka.lattice import (
     LatticePoint,
     build_spectrum,
     count_points,
-    dilation_time,
     dilation_times_block,
     map_box_chunks,
     spectrum_to_csv,
+    time_ulps,
 )
 from hlawka.shapes import (
     Mat2,
@@ -34,28 +34,24 @@ from hlawka.shapes import (
 )
 
 
+def _time(shape, p):
+    return float(dilation_times_block(shape, np.array([p[0]]), np.array([p[1]]))[0])
+
+
 def test_dilation_time_examples(unit_circle, square_shape):
-    assert dilation_time(unit_circle, (3, 4)) == 5.0
-    assert dilation_time(square_shape, (2, 1)) == 2.0
+    assert _time(unit_circle, (3, 4)) == 5.0
+    assert _time(square_shape, (2, 1)) == 2.0
     el = ellipse(2.0, 1.0)
-    assert abs(dilation_time(el, (2, 0)) - 1.0) < 1e-15
-
-
-def test_dilation_time_rejects_origin(unit_circle):
-    with pytest.raises(ValidationError):
-        dilation_time(unit_circle, (0, 0))
+    assert abs(_time(el, (2, 0)) - 1.0) < 1e-15
 
 
 def test_dilation_time_rotated_ellipse_matches_generic():
     el = ellipse(1.7, 0.9, phi=0.6)
     rng = np.random.default_rng(31)
-    for _ in range(50):
-        m, n = int(rng.integers(-20, 21)), int(rng.integers(-20, 21))
-        if (m, n) == (0, 0):
-            continue
-        t_fast = dilation_time(el, (m, n))
-        t_generic = math.hypot(m, n) / el.evaluate(math.atan2(n, m))
-        assert abs(t_fast - t_generic) < 1e-12 * t_generic
+    m, n = rng.integers(-20, 21, size=(2, 50))
+    m, n = m[(m != 0) | (n != 0)], n[(m != 0) | (n != 0)]
+    t_generic = np.hypot(m, n) / el.evaluate(np.arctan2(n, m))
+    assert np.max(np.abs(dilation_times_block(el, m, n) - t_generic) / t_generic) < 1e-12
 
 
 def test_square_spectrum_exact_integers(square_shape):
@@ -131,6 +127,57 @@ def test_transformed_dilation_times_match_radial_function():
     assert min(dets) < 0 < max(dets)
 
 
+def _exact_time(shape, x, y):
+    """t(x, y) in mpmath, from each kind's definition; an image's preimage
+    by the exact inverse of its (float) matrix."""
+    import mpmath as mp
+
+    kind = shape.kind
+    if kind == "transformed":
+        g, base = shape.params
+        a, b, c, d = map(mp.mpf, g.entries())
+        det = a * d - b * c
+        return _exact_time(base, (d * x - b * y) / det, (a * y - c * x) / det)
+    if kind == "square":
+        return max(abs(x), abs(y))
+    if kind == "odd":
+        return max(-x, x - y, y, 2 * y - abs(x)) if y > 0 else max(abs(x), -y)
+    if kind == "constant":
+        return mp.hypot(x, y) / shape.params[0]
+    if kind == "ellipse":
+        a, b, phi = shape.params
+        cp, sp = mp.cos(phi), mp.sin(phi)
+        return mp.hypot((x * cp + y * sp) / a, (y * cp - x * sp) / b)
+    theta = mp.atan2(y, x)
+    return mp.hypot(x, y) / sum(c * mp.cos(q * theta) for q, c in enumerate(shape.params) if c)
+
+
+@pytest.mark.parametrize("spec", [
+    "circle:c=1.3", "ellipse:a=1.7,b=0.9", "ellipse:a=2,b=1,phi=0.3", "ellipse:a=5,b=1,phi=1.1",
+    "square", "odd", "cos:c0=1,c4=0.1", "cos:c0=1,c2=0.15", "cos:c0=1,c1=0.1,c3=0.05",
+    "cos:c0=1,c200=0.4", "cos:c0=1,c1000=0.45", "cos:c0=1,c1=0.3,c2=0.2,c7=0.1,c33=0.05",
+    "cos:c0=1,c4=0.1@gl2=2,1,1,1", "cos:c0=1,c1000=0.45@gl2=1.2,0.3,-0.1,0.8",
+    "ellipse:a=2,b=1,phi=0.3@gl2=3,-1,0.5,0.7", "odd@gl2=2,1,1,1", "square@gl2=0,1,1,0",
+    "odd@gl2=1.5,0.5,0,1",
+])
+def test_time_ulps_bounds_the_rounding_of_the_dilation_times(spec):
+    # against mpmath at 30 digits on 2000 points up to |p| = 1500: the
+    # claimed bound holds, and it is 0 exactly where the times are
+    import mpmath as mp
+
+    shape = parse_shape(spec)
+    rng = np.random.default_rng(37)
+    m, n = rng.integers(-1500, 1501, size=(2, 2000))
+    m, n = m[(m != 0) | (n != 0)], n[(m != 0) | (n != 0)]
+    t = dilation_times_block(shape, m, n)
+    with mp.workdps(30):
+        exact = [_exact_time(shape, mp.mpf(a), mp.mpf(b)) for a, b in zip(m.tolist(), n.tolist())]
+        worst = max(float(abs(ti - e) / e) for ti, e in zip(t.tolist(), exact))
+    claimed = time_ulps(shape) * 2.0**-52
+    assert worst <= claimed
+    assert (claimed == 0.0) == (shape.kind in ("square", "odd") or spec in ("odd@gl2=2,1,1,1", "square@gl2=0,1,1,0"))
+
+
 def test_circle_spectrum_brute_force_oracle(unit_circle):
     # oracle: enumerate |p| <= 2 by hand and group exact squared norms
     from collections import Counter
@@ -154,7 +201,7 @@ def test_spectrum_witnesses(square_shape):
     for e in spec.entries:
         assert 1 <= len(e.witnesses) <= 8
         for w in e.witnesses:
-            assert dilation_time(square_shape, w) == e.t
+            assert _time(square_shape, w) == e.t
 
 
 def test_spectrum_rejects_bad_tmax(unit_circle):
@@ -259,13 +306,27 @@ def test_thread_count_resolution(monkeypatch):
 
 
 def test_near_tie_warning():
-    # two spectral lines closer than 10x the tolerance trigger the warning
-    # sqrt(24) and sqrt(25) differ by ~0.101 < 10 * 3e-3 * 5
-    shape = circle(1.0)
+    # on an ellipse with a / b - 1 = 5e-14, (1, 0) and (0, 1) have times
+    # 5e-14 apart: more than the window 2 * 16 * 2^-52 of their rounding,
+    # so two lines, but less than 10x it, so a near tie
+    shape = ellipse(1.0 + 5e-14, 1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        build_spectrum(shape, 5.0, tolerance=3e-3)
-    assert any("tolerance" in str(w.message) for w in caught)
+        spec = build_spectrum(shape, 5.0)
+    assert spec.t_values[0] < spec.t_values[1] == 1.0
+    assert [int(a) for a in spec.counts[:2]] == [2, 2]
+    assert any("spectral lines at 0.99999999999995 and 1 " in str(w.message) for w in caught)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_spectrum(circle(1.0), 5.0)
+
+
+def test_spectrum_keeps_lines_within_the_rounding_bound_of_t_max():
+    # a line just above t_max, but within the times' rounding bound, is kept;
+    # integer times are exact, so their cut is t_max itself
+    assert build_spectrum(circle(1.0), 5.0 * (1.0 - 8.0 * 2.0**-52)).t_values[-1] == 5.0
+    assert build_spectrum(circle(1.0), 5.0 * (1.0 - 40.0 * 2.0**-52)).t_values[-1] < 5.0
+    assert build_spectrum(square(), math.nextafter(3.0, 0.0)).t_values[-1] == 2.0
 
 
 def test_spectrum_csv_format(square_shape):
@@ -277,16 +338,18 @@ def test_spectrum_csv_format(square_shape):
     assert lines[3] == "3,3,24"
 
 
-def _reference_spectrum(shape, t_max, tolerance=1e-9, max_witnesses=8):
-    """Point-by-point grouping loop: (t, count, witnesses) per line plus the
-    near-tie warning messages, in order."""
+def _reference_spectrum(shape, t_max, max_witnesses=8):
+    """Point-by-point grouping loop at the times' rounding bound: (t, count,
+    witnesses) per line plus the near-tie warning messages, in order."""
     bound = int(math.ceil(t_max * shape.r_max * (1.0 + 1e-9))) + 1
+    rounding = time_ulps(shape) * 2.0**-52
+    window = 2.0 * rounding
 
     def chunk(m, n):
         nz = (m != 0) | (n != 0)
         m, n = m[nz], n[nz]
         t = dilation_times_block(shape, m, n)
-        keep = t <= t_max * (1.0 + tolerance)
+        keep = t <= t_max * (1.0 + rounding)
         return m[keep], n[keep], t[keep]
 
     parts = map_box_chunks(bound, chunk, threads=1)
@@ -299,28 +362,31 @@ def _reference_spectrum(shape, t_max, tolerance=1e-9, max_witnesses=8):
     while i < total:
         t0 = t_all[i]
         j = i + 1
-        while j < total and t_all[j] - t_all[j - 1] <= tolerance * max(t_all[j], 1.0):
+        while j < total and t_all[j] - t_all[j - 1] <= window * t_all[j]:
             j += 1
         witnesses = tuple(
             LatticePoint(int(m_all[k]), int(n_all[k])) for k in range(i, min(j, i + max_witnesses))
         )
         lines.append((float(t0), j - i, witnesses))
-        if prev_upper is not None and t0 - prev_upper < 10.0 * tolerance * max(t0, 1.0):
+        if prev_upper is not None and t0 - prev_upper <= 10.0 * window * t0:
             messages.append(
                 f"spectral lines at {prev_upper:.15g} and {t0:.15g} are separated by "
-                f"less than 10x the grouping tolerance; grouping may be ambiguous"
+                f"at most 10x their rounding bound; grouping may be ambiguous"
             )
         prev_upper = t_all[j - 1]
         i = j
     return lines, messages
 
 
+# spread: the fixed relative window lines were once grouped by, which no
+# line's times may now span; close: some consecutive lines lie within 10x
+# it, closer than that grouping could tell apart
 @pytest.mark.parametrize(
-    "shape, t_max, tolerance, near_ties",
+    "shape, t_max, spread, close",
     [
         (ellipse(2.0, 1.0, phi=0.4729), 100.0, 1e-9, True),
         (cosine_series([1.0, 0, 0, 0, 0.1]), 40.0, 1e-9, False),
-        (circle(1.0), 12.0, 3e-3, True),  # coarse tolerance chains several values
+        (ellipse(1.0 + 5e-14, 1.0), 12.0, 1e-9, True),  # lines 5e-14 t apart: near ties
         # one row per symmetry class the walk folds by
         (square(), 20.0, 1e-9, False),  # D4
         (ellipse(2.0, 1.0), 40.0, 1e-9, False),  # reflections in the axes
@@ -334,18 +400,21 @@ def _reference_spectrum(shape, t_max, tolerance=1e-9, max_witnesses=8):
         (cosine_series([1.0, 0, 0, 0, 0.1]), 145.0, 1e-9, True),
     ],
 )
-def test_grouping_matches_reference_loop(shape, t_max, tolerance, near_ties):
-    want, want_messages = _reference_spectrum(shape, t_max, tolerance)
+def test_grouping_matches_reference_loop(shape, t_max, spread, close):
+    want, want_messages = _reference_spectrum(shape, t_max)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        spec = build_spectrum(shape, t_max, tolerance=tolerance, threads=2)
+        spec = build_spectrum(shape, t_max, threads=2)
     got = [(e.t, e.count, e.witnesses) for e in spec.entries]
     assert got == want
+    ends = np.append(spec.rep_starts[1:], len(spec.reps)) - 1
+    last = dilation_times_block(shape, *spec.reps[ends].T.astype(np.int64))
+    assert np.all(last - spec.t_values <= spread * spec.t_values)
+    assert bool(np.any(np.diff(spec.t_values) <= 10.0 * spread * spec.t_values[1:])) == close
     assert [str(w.message) for w in caught] == want_messages
     assert len(spec.entries) == len(spec.t_values) == len(spec.counts)
     assert spec.entries[-1] == spec.entries[len(want) - 1]
     assert spec.entries[1:3] == tuple(spec.entries)[1:3]
-    assert bool(want_messages) == near_ties
 
 
 # per symmetry class, a t_max that keeps more points of the domain than a
@@ -373,26 +442,6 @@ def test_folded_spectra_are_identical_across_thread_counts(shape, t_max):
         assert np.array_equal(spec.counts, first.counts)
         for a, b in zip(spec._witnesses, first._witnesses):  # offsets, points
             assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize(
-    "shape, gauge, t_max, tolerance, points",
-    [
-        (square(), lambda m, n: np.maximum(np.abs(m), np.abs(n)), 200.0, 0.02, 167280),
-        (ellipse(2.0, 1.0), lambda m, n: np.hypot(m / 2.0, n), 100.0, 0.03, 66642),
-    ],
-)
-def test_coarse_tolerance_keeps_every_point_up_to_its_cut(shape, gauge, t_max, tolerance, points):
-    # the walk reaches t_max (1 + tolerance), the time up to which points are kept
-    cut = t_max * (1.0 + tolerance)
-    reach = int(cut * shape.r_max) + 2
-    m, n = (a.ravel() for a in np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1)))
-    t = gauge(m, n)
-    assert np.count_nonzero((t <= cut) & (t > 0)) == points
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # lines within 10x the coarse tolerance
-        spec = build_spectrum(shape, t_max, tolerance=tolerance)
-    assert int(spec.counts.sum()) == points
 
 
 def test_empty_spectrum():
@@ -561,15 +610,15 @@ def test_concurrent_walks_give_the_serial_results():
     assert got == want * 3
 
 
-def _unfolded_count(shape, x, half_weight, tolerance=1e-9):
+def _unfolded_count(shape, x, half_weight):
     """count_points' rule on every point of the disc."""
     bound = int(math.ceil(x * shape.r_max * (1.0 + 1e-9))) + 1
     m, n = _walked_points(float(bound))
     t = dilation_times_block(shape, m, n)
-    inside = t <= x * (1.0 + tolerance)
+    inside = t <= x * (1.0 + 1e-9)
     if not half_weight:
         return float(np.count_nonzero(inside))
-    boundary = np.abs(t - x) <= x * tolerance
+    boundary = np.abs(t - x) <= x * 1e-9
     return float(np.count_nonzero(inside & ~boundary)) + 0.5 * float(np.count_nonzero(boundary))
 
 
@@ -581,7 +630,7 @@ def _unfolded_count(shape, x, half_weight, tolerance=1e-9):
 def test_folded_counts_equal_the_unfolded_walk(spec, witness):
     # x = t(witness) puts that point and its images exactly on the boundary
     shape = parse_shape(spec)
-    x = dilation_time(shape, witness)
+    x = _time(shape, witness)
     for half_weight in (False, True):
         for xx in (x, 0.999 * x, 1.01 * x):
             got = count_points(shape, xx, half_weight_boundary=half_weight, threads=2)

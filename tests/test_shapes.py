@@ -43,6 +43,12 @@ def test_square_radial_values():
     assert abs(sq.evaluate(math.pi / 4) - math.sqrt(2.0)) < 1e-15
 
 
+def test_ellipse_with_equal_axes_is_a_circle():
+    for a in (0.7, 1.0, 2.5):
+        e = ellipse(a, a, phi=0.3)
+        assert e == circle(a) and (e.kind, e.r_min, e.r_max) == ("constant", a, a)
+
+
 def test_ellipse_radial_values():
     el = ellipse(2.0, 1.0)
     assert abs(el.evaluate(0.0) - 2.0) < 1e-15

@@ -165,6 +165,23 @@ def test_zeta_and_beta_match_mpmath(name, s):
     assert abs(func(s) - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
+_NEAR_ZEROS = [("gamma", -3.0000001), ("gamma", -10.000001), ("gamma", -20.00001),
+               ("zeta", -4.00001), ("zeta", -6.000001), ("zeta", -2.0001 + 0.0001j), ("beta", -5.0000001)]
+
+
+@pytest.mark.parametrize("name,s", _NEAR_ZEROS, ids=[f"{n}({s})" for n, s in _NEAR_ZEROS])
+def test_reflections_keep_their_accuracy_next_to_poles_and_trivial_zeros(name, s):
+    # the reflections' sines are taken of the argument reduced by its
+    # nearest integer; unreduced, the rounding of pi s costs up to 1e-9
+    # relative here, where zeta._special_ulps claims about 1e-13
+    from hlawka import zeta
+
+    func, reference = {"gamma": (gamma, mp.gamma), "zeta": (riemann_zeta, mp.zeta),
+                       "beta": (dirichlet_beta, _beta_reference)}[name]
+    ref = complex(reference(mp.mpc(s)))
+    assert abs(func(s) - ref) <= zeta._special_ulps(s) * zeta._EPS * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # incomplete gamma
 # ---------------------------------------------------------------------------
