@@ -200,26 +200,19 @@ def _cmd_fourier(args) -> int:
     shape = shapes.parse_shape(args.shape)
     s = parse_complex(args.s)
     if args.method == "closed-form":
-        rows = fourier.closed_form_coefficients(shape, s, args.qmax, k_max=args.kmax)
-        if args.format == "csv":
-            c = np.array([v for _, v, _ in rows], complex)
-            _emit(csv_table("q,re,im", [q for q, _, _ in rows], c.real, c.imag), args.out)
-        else:
-            _emit_json(
-                {"shape": args.shape, "s": s, "method": "closed-form",
-                 "coefficients": [{"q": q, "value": v, "error_estimate": e} for q, v, e in rows]},
-                args.out,
-            )
-        return 0
-    table = fourier.fourier_coeffs(shape, s, args.qmax, args.n)
+        rows = fourier.closed_form_coefficients(shape, s, args.qmax)
+        extra = {"method": "closed-form"}
+    else:
+        table = fourier.fourier_coeffs(shape, s, args.qmax, args.n)
+        rows = [(q, table.coefficients[q], table.errors[q]) for q in sorted(table.coefficients)]
+        extra = {"n_quad": table.n_quad}
     if args.format == "csv":
-        _emit(fourier.fourier_table_to_csv(table), args.out)
+        c = np.array([v for _, v, _ in rows], complex)
+        _emit(csv_table("q,re,im", [q for q, _, _ in rows], c.real, c.imag), args.out)
     else:
         _emit_json(
-            {"shape": args.shape, "s": s, "n_quad": table.n_quad,
-             "coefficients": [{"q": q, "value": table.coefficients[q],
-                               "error_estimate": table.errors[q]}
-                              for q in sorted(table.coefficients)]},
+            {"shape": args.shape, "s": s, **extra,
+             "coefficients": [{"q": q, "value": v, "error_estimate": e} for q, v, e in rows]},
             args.out,
         )
     return 0
@@ -394,8 +387,9 @@ def _verify_one(which: str, args) -> funceq.CheckReport:
         a = 2.0 if args.a is None else args.a
         return funceq.check_ellipse_fe(a, args.b, args.phi, samples)
     if which == "coefficient-identity":
-        # the coefficient series only converges for mild eccentricity
-        # (|2d/c| < 1 needs a/b < sqrt 2), so its default is a^2/b^2 = 1.2
+        # the printed identity is evaluated literally, inside the domain
+        # |2d/c| < 1 of its series (a/b < sqrt 2), so its default is
+        # a^2/b^2 = 1.2; the library's closed form covers every ellipse
         a = math.sqrt(1.2) * args.b if args.a is None else args.a
         return funceq.check_coefficient_identity(a, args.b, max(args.q // 4, 1), samples)
     if which == "odd-vs-square":
@@ -505,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--qmax", type=int, default=40)
     sp.add_argument("--n", type=int, default=None, help="quadrature size (power of two)")
     sp.add_argument("--method", choices=("quadrature", "closed-form"), default="quadrature")
-    sp.add_argument("--kmax", type=int, default=400, help="closed-form series cap")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     common(sp)
     sp.set_defaults(func=_cmd_fourier)

@@ -8,9 +8,13 @@ chat(q) of r^(2s)(theta) = exp(2s ln r(theta)) in the e^{i q theta} basis,
 On a uniform grid the trapezoid rule is spectrally accurate for smooth
 periodic integrands; it is one FFT per grid, and its error is estimated by
 doubling the grid once.
-For ellipses a closed form exists (binomial expansion of (c + d cos^2)^(-s));
-it must reproduce the quadrature coefficients before being trusted, and the
-convergence condition |2d/c| < 1 is enforced rather than allowed to diverge.
+For ellipses a closed form exists: the binomial expansion of
+(c + d cos^2)^(-s) gives each coefficient as one Gauss series
+2F1(s+2q, 2q+1/2; 4q+1; -d/c), summed by ``special.hyp2f1`` with a bound on
+its tail and rounding.  It converges for |d/c| < 1, which every ellipse
+meets; the series' fixed term cap ends it near a/b = 41 at s = 2 (a
+DivergenceError beyond).  The tests check it against the quadrature and
+against mpmath.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
-from .results import EvalResult, csv_table
+from .errors import ValidationError
+from .results import EvalResult
 from .shapes import RadialShape
+from .special import hyp2f1
 
-__all__ = ["FourierTable", "fourier_coeffs", "ellipse_coefficient", "closed_form_coefficients",
-           "fourier_table_to_csv"]
+__all__ = ["FourierTable", "fourier_coeffs", "ellipse_coefficient", "closed_form_coefficients"]
+
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -77,73 +83,57 @@ def fourier_coeffs(
     return FourierTable(s=s, coefficients=coarse, errors=errors, n_quad=n_quad)
 
 
-def ellipse_coefficient(
-    cparam: float,
-    dparam: float,
-    s: complex,
-    q: int,
-    k_max: int = 400,
-) -> EvalResult:
-    """Closed-form coefficient chat(4q) of (c + d cos^2 theta)^(-s).
+def ellipse_coefficient(cparam: float, dparam: float, s: complex, q: int) -> EvalResult:
+    """Closed-form coefficient chat(4q) of (c + d cos^2 theta)^(-s), |d| < c.
 
-    Expands by the generalized binomial theorem and collects the cos(4q theta)
-    line:
+    The generalized binomial theorem collects the cos(4q theta) line as
 
-        chat(4q) = c^(-s) sum_{k >= 2q} binom(-s, k) binom(2k, k-2q) (d/c)^k / 2^(2k)
+        chat(4q) = c^(-s) sum_{k >= 2q} binom(-s, k) binom(2k, k-2q) (x/4)^k,  x = d/c
 
     (exponential basis: half the cosine-series amplitude for q > 0, and the
     correctly single-counted constant term for q = 0, so the values are
-    directly comparable with ``fourier_coeffs``).  Generalized binomials are
-    built by their product form, never through Gamma ratios.  Convergence is
-    enforced via |2d/c| < 1.
+    directly comparable with ``fourier_coeffs``).  With j = k - 2q the term
+    ratio is (s+2q+j)(2q+1/2+j) (-x) / ((4q+1+j)(j+1)), so
+
+        chat(4q) = c^(-s) binom(-s, 2q) (x/4)^(2q) 2F1(s+2q, 2q+1/2; 4q+1; -x),
+
+    summed by ``special.hyp2f1`` for every |x| < 1; binom(-s, 2q) is built
+    by its product form.  ``error_estimate`` is the prefactor times the
+    series' bound plus (|s log c| + 6q + 8) 2^-52 |value| for the rounding
+    of the prefactor: c^(-s) (|s log c| + 2), the 2q binomial factors (5q),
+    x and its power (q + 1) and the three products.  The rounding of x moves
+    the series' terms by at most one ulp times their index, inside the
+    share of hyp2f1's charge that real b, c and z leave unspent.
+    ``truncation["term_ratio"]`` is |x|, the limit of the term ratio.
     """
     if not (cparam > 0.0):
         raise ValidationError("cparam must be positive")
     if q < 0:
         raise ValidationError("q must be nonnegative")
-    if abs(2.0 * dparam / cparam) >= 1.0:
-        raise DivergenceError("ellipse coefficient series requires |2d/c| < 1")
     s = complex(s)
-    ratio = dparam / cparam
-
-    # binom(-s, k) iteratively; binom(2k, k-2q)/4^k carried as one scaled
-    # factor so nothing overflows for large k_max
-    acc = 0.0 + 0.0j
-    binom_ms = 1.0 + 0.0j
-    scaled_central = None
-    last = 0.0
-    prev = 0.0
-    converged = False
-    for k in range(k_max + 1):
-        if k >= 2 * q:
-            if scaled_central is None:
-                scaled_central = float(math.comb(2 * k, k - 2 * q)) / 4.0**k
-            term = binom_ms * scaled_central * ratio**k
-            acc += term
-            prev, last = last, abs(term)
-            if k > 2 * q + 2 and last < 1e-18 * max(abs(acc), 1e-30):
-                converged = True
-                break
-            scaled_central *= (2 * k + 1) * (2 * k + 2) / (4.0 * (k + 1 - 2 * q) * (k + 1 + 2 * q))
-        binom_ms *= (-s - k) / (k + 1)
-    rho = last / prev if prev > 0 else 0.0
-    if not converged and rho >= 0.999:
-        warnings.warn("ellipse coefficient series is stalling", stacklevel=2)
-    tail = last * rho / (1.0 - rho) if rho < 1.0 else math.inf
-    value = cparam ** (-s) * acc
+    x = dparam / cparam
+    pre = cparam ** (-s) * (x / 4.0) ** (2 * q)
+    for i in range(2 * q):
+        pre *= (-s - i) / (i + 1)
+    series, bound = hyp2f1(s + 2 * q, 2 * q + 0.5, 4 * q + 1, -x)
+    value = pre * series
     return EvalResult(
         value=value,
-        error_estimate=abs(cparam ** (-s)) * tail,
-        truncation={"k_max": k_max, "last_ratio": rho, "q": q},
+        error_estimate=abs(pre) * bound + (abs(s * math.log(cparam)) + 6 * q + 8) * _EPS * abs(value),
+        truncation={"q": q, "term_ratio": abs(x)},
     )
 
 
-def closed_form_coefficients(
-    shape: RadialShape, s: complex, q_max: int, k_max: int = 400
-) -> list[tuple[int, complex, float]]:
+def closed_form_coefficients(shape: RadialShape, s: complex, q_max: int) -> list[tuple[int, complex, float]]:
     """Rows ``(q, chat(q), error)`` of r^(2s), q = 0, 4, ..., q_max, for a circle
-    or an unrotated ellipse: r^(2s) = a^(2s) (c + d cos^2)^(-s) with
-    c = (a/b)^2, d = 1 - c, so each row is a^(2s) ``ellipse_coefficient``."""
+    or an unrotated ellipse with axes a >= b: r^(2s) = b^(2s) (1 + x cos^2)^(-s)
+    with x = (b/a)^2 - 1, so each row is b^(2s) ``ellipse_coefficient(1, x, s, q/4)``.
+
+    x = (b - a)(b + a) / a^2 carries at most 5 ulps (b - a is exact for
+    a <= 2b); the error adds (|s log b| + 5q/4 + 4) 2^-52 |value| for b^(2s),
+    the product and the power of x.  Its series' share lies inside the
+    unspent part of hyp2f1's charge, as in ``ellipse_coefficient``.
+    """
     if shape.kind not in ("ellipse", "constant"):
         raise ValidationError("closed-form coefficients exist only for ellipses")
     if shape.kind == "constant":
@@ -152,18 +142,13 @@ def closed_form_coefficients(
         a, b, phi = shape.params
         if phi != 0.0:
             raise ValidationError("closed form implemented for unrotated ellipses")
-    c = (a / b) ** 2
-    d = 1.0 - c
-    scale = complex(a) ** (2.0 * s)
-    qs = range(0, q_max + 1, 4)
-    if c == 1.0:
-        return [(q, scale if q == 0 else 0.0 + 0.0j, 0.0) for q in qs]
-    series = [(q, ellipse_coefficient(c, d, s, q // 4, k_max=k_max)) for q in qs]
-    return [(q, scale * res.value, abs(scale) * res.error_estimate) for q, res in series]
-
-
-def fourier_table_to_csv(table: FourierTable) -> str:
-    """CSV export: ``q,re,im`` rows, 15 significant digits, q ascending."""
-    qs = sorted(table.coefficients)
-    c = np.array([table.coefficients[q] for q in qs], complex)
-    return csv_table("q,re,im", qs, c.real, c.imag)
+    s = complex(s)
+    x = (b - a) * (b + a) / a**2
+    scale = complex(b) ** (2.0 * s)
+    rows = []
+    for q in range(0, q_max + 1, 4):
+        res = ellipse_coefficient(1.0, x, s, q // 4)
+        value = scale * res.value + 0.0  # a zero row (circle, q > 0) prints 0.0, not -0.0
+        rounding = (abs(s * math.log(b)) + 1.25 * q + 4) * _EPS * abs(value)
+        rows.append((q, value, abs(scale) * res.error_estimate + rounding))
+    return rows

@@ -292,8 +292,8 @@ def _coeff_series(reading: str, s: complex, q: int, c: float, d: float):
     """
     if reading == "k-form":
         # the printed weight 1/2^(2k-1) is twice the library's 1/4^k
-        res = ellipse_coefficient(c, d, s, q, k_max=600)
-        diag = {"reading": reading, "last_ratio": res.truncation["last_ratio"], "divergent": False}
+        res = ellipse_coefficient(c, d, s, q)
+        diag = {"reading": reading, "last_ratio": res.truncation["term_ratio"], "divergent": False}
         return 2.0 * res.value, diag
 
     # j-form: sum_j binom(2j+4q, j) d^(j+2q) Gamma(j+2q-s)

@@ -59,7 +59,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _GRID_N = 4096  # positivity / bounds grid of a cosine series
-_AREA_N = 1 << 14  # trapezoid points of ``area``
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -371,10 +370,19 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
 
 
 def area(shape: RadialShape) -> float:
-    """Region area, (1/2) integral of r^2 by the 2^14-point trapezoid rule."""
-    th = np.arange(_AREA_N) * (_TWO_PI / _AREA_N)
-    r = np.asarray(shape.evaluate(th))
-    return math.pi * float(np.mean(r * r))
+    """Exact region area: pi c^2 (circle), pi a b (ellipse), 4 (square and
+    odd shape), pi (c_0^2 + (1/2) sum c_q^2) for a cosine series (Parseval on
+    (1/2) integral r^2), |det g| area(D) for an image."""
+    kind, p = shape.kind, shape.params
+    if kind == "constant":
+        return math.pi * p[0] ** 2
+    if kind == "ellipse":
+        return math.pi * p[0] * p[1]
+    if kind == "cosine-series":
+        return math.pi * (p[0] ** 2 + 0.5 * sum(c * c for c in p[1:]))
+    if kind == "transformed":
+        return abs(p[0].det) * area(p[1])
+    return 4.0
 
 
 # ---------------------------------------------------------------------------

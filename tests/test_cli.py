@@ -9,8 +9,10 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import hlawka.cli as cli
@@ -230,8 +232,7 @@ def test_fourier_csv_and_closed_form(capsys):
 
 
 def test_fourier_closed_form_output_is_pinned(capsys):
-    # the closed-form rows moved from the CLI into fourier; its CSV and JSON
-    # must stay byte-identical
+    # the closed-form CSV and JSON bytes: the Gauss series' values and bounds
     args = ("fourier", "--shape", "ellipse:a=1.1,b=1", "--s", "2+1i", "--qmax", "8",
             "--method", "closed-form")
     code, out, _ = run_cli(capsys, *args, "--format", "csv")
@@ -239,31 +240,58 @@ def test_fourier_closed_form_output_is_pinned(capsys):
     assert out == (
         "q,re,im\n"
         "0,1.20644518724266,0.123623559968575\n"
-        "4,0.00616315890662624,0.00750074733383782\n"
+        "4,0.00616315890662625,0.00750074733383782\n"
         "8,9.40248482847691e-06,3.7391819842834e-05\n"
     )
     code, out, _ = run_cli(capsys, *args, "--format", "json")
     assert code == 0
     assert json.loads(out)["coefficients"] == [
-        {"error_estimate": 8.085642696948211e-20, "q": 0,
-         "value": {"im": 0.12362355996857473, "re": 1.2064451872426585}},
-        {"error_estimate": 3.8949012984092673e-22, "q": 4,
-         "value": {"im": 0.0075007473338378206, "re": 0.006163158906626245}},
-        {"error_estimate": 8.36836427359826e-24, "q": 8,
-         "value": {"im": 3.7391819842833977e-05, "re": 9.402484828476906e-06}},
+        {"error_estimate": 4.971573902082763e-14, "q": 0,
+         "value": {"im": 0.12362355996857469, "re": 1.2064451872426585}},
+        {"error_estimate": 4.341054893262855e-16, "q": 4,
+         "value": {"im": 0.0075007473338378206, "re": 0.006163158906626248}},
+        {"error_estimate": 1.881042814430607e-18, "q": 8,
+         "value": {"im": 3.739181984283396e-05, "re": 9.402484828476908e-06}},
     ]
     code, out, _ = run_cli(capsys, "fourier", "--shape", "circle:c=1.5", "--s", "2+1i",
                            "--qmax", "4", "--method", "closed-form", "--format", "json")
     assert code == 0
     assert json.loads(out)["coefficients"] == [
-        {"error_estimate": 0.0, "q": 0,
+        {"error_estimate": 1.4508372990259627e-14, "q": 0,
          "value": {"im": 3.6699492329085217, "re": 3.487173479750348}},
         {"error_estimate": 0.0, "q": 4, "value": {"im": 0.0, "re": 0.0}},
     ]
+    assert "-0.0" not in out  # the zero row is 0.0, not a signed zero
     for shape in ("square", "ellipse:a=2,b=1,phi=0.3"):
         code, _, err = run_cli(capsys, "fourier", "--shape", shape, "--s", "2+0i",
                                "--method", "closed-form")
         assert code == 1 and "error" in err
+
+
+def test_fourier_closed_form_covers_every_ellipse_up_to_the_term_cap(capsys):
+    # a/b = 2 was refused by the former |2d/c| < 1 check; its rows agree with
+    # b^(2s) binom(-s, q/2) (x/4)^(q/2) 2F1(s + q/2, q/2 + 1/2; q + 1; -x) in
+    # mpmath within their printed bars
+    code, out, _ = run_cli(capsys, "fourier", "--shape", "ellipse:a=2,b=1", "--s", "2+0i",
+                           "--qmax", "8", "--method", "closed-form", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["coefficients"]
+    assert [row["q"] for row in rows] == [0, 4, 8]
+    with mpmath.workdps(40):
+        x = mpmath.mpf(0.25) - 1
+        for row in rows:
+            k = row["q"] // 2
+            exact = mpmath.binomial(-2, k) * (x / 4) ** k * mpmath.hyp2f1(2 + k, k + 0.5, 2 * k + 1, -x)
+            assert abs(complex(row["value"]["re"], row["value"]["im"]) - exact) <= row["error_estimate"]
+    # a/b = 1000 needs more Gauss terms than the cap: a numeric failure, at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fourier", "--shape", "ellipse:a=1000,b=1", "--s", "2+0i",
+                             "--method", "closed-form")
+    assert code == 2 and out == "" and "terms" in err
+    assert time.perf_counter() - start < 5.0
+    code, out, err = run_cli(capsys, "fourier", "--shape", "ellipse:a=2,b=1,phi=0.3", "--s", "2+0i",
+                             "--method", "closed-form")
+    assert code == 1 and out == "" and "unrotated" in err
 
 
 def test_reconstruct(capsys):
@@ -737,7 +765,6 @@ def test_every_exported_function_has_a_library_caller():
     # is used by other library code, is an operation of a subcommand, or is
     # the console script; each module-level private function is used by
     # other library code
-    allowed = {"special.hyp2f1_partial": "ROADMAP item 7"}
     package = Path(cli.__file__).parent
     assert 'hlawka = "hlawka.cli:main"' in (package.parents[1] / "pyproject.toml").read_text()
     called = set().union(*map(_references, package.glob("*.py")), OPERATION_MAP, {"cli.main"})
@@ -746,7 +773,7 @@ def test_every_exported_function_has_a_library_caller():
     exported = {f"{stem}.{name}" for stem, mod in modules.items()
                 for name in getattr(mod, "__all__", ()) if inspect.isfunction(getattr(mod, name))}
     assert {"special.upper_incomplete_gamma", "lattice.spectrum_to_csv"} <= exported
-    assert sorted(exported - called - set(allowed)) == []
+    assert sorted(exported - called) == []
     private = {f"{path.stem}.{top.name}" for path in package.glob("*.py")
                for top in ast.parse(path.read_text()).body
                if isinstance(top, ast.FunctionDef) and top.name.startswith("_")

@@ -5,12 +5,14 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from hlawka import fourier
-from hlawka.errors import DivergenceError, ValidationError
-from hlawka.fourier import ellipse_coefficient, fourier_coeffs, fourier_table_to_csv
+from hlawka import fourier, special
+from hlawka.cli import main
+from hlawka.errors import ValidationError
+from hlawka.fourier import closed_form_coefficients, ellipse_coefficient, fourier_coeffs
 from hlawka.shapes import Mat2, act, circle, cosine_series, ellipse, odd_shape, parse_shape, square
 
 
@@ -161,18 +163,56 @@ def test_ellipse_coefficient_matches_quadrature_oracle():
         assert abs(closed.value - quad) <= closed.error_estimate + 1e-12
 
 
-def test_ellipse_coefficient_terms_decay_geometrically():
-    # early term ratio is about |2d/c| = 1/3, tending to |d/c| asymptotically
-    res = ellipse_coefficient(1.2, -0.2, 2.0, 1)
-    assert res.truncation["last_ratio"] <= 0.35
-    # partial sums stabilize fast: k_max=12 already within the tail estimate
-    short = ellipse_coefficient(1.2, -0.2, 2.0, 1, k_max=12)
-    assert abs(short.value - res.value) <= short.error_estimate + 1e-15
-
-
 def test_ellipse_coefficient_rejects_divergent_domain():
-    with pytest.raises(DivergenceError):
-        ellipse_coefficient(4.0, -3.0, 2.0, 1)  # |2d/c| = 1.5
+    # |d/c| = 0.75 converges (the former |2d/c| < 1 check refused it):
+    # against (1/2pi) integral (c + d cos^2)^(-s) e^(-4i theta) in mpmath
+    c, d, s = 4.0, -3.0, 2.0
+    res = ellipse_coefficient(c, d, s, 1)
+    with mpmath.workdps(40):
+        exact = mpmath.quad(lambda th: (c + d * mpmath.cos(th) ** 2) ** -s * mpmath.cos(4 * th),
+                            [0, mpmath.pi / 2, mpmath.pi]) / mpmath.pi
+        assert abs(res.value - exact) <= res.error_estimate < 1e-12 * abs(exact)
+    for d in (-4.0, 4.0, -5.0):
+        with pytest.raises(ValidationError):
+            ellipse_coefficient(c, d, s, 1)  # |d/c| >= 1
+
+
+def _closed_form_oracle(a, b, s, q):
+    """chat(q) of the ellipse (a, b) in mpmath: b^(2s) binom(-s, q/2) (x/4)^(q/2)
+    2F1(s + q/2, q/2 + 1/2; q + 1; -x) with x = (b/a)^2 - 1."""
+    a, b, s, k = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpc(s), q // 2
+    x = (b / a) ** 2 - 1
+    return (b ** (2 * s) * mpmath.binomial(-s, k) * (x / 4) ** k
+            * mpmath.hyp2f1(s + k, k + mpmath.mpf(0.5), 2 * k + 1, -x))
+
+
+@pytest.mark.parametrize("q", [0, 4, 12, 40])
+@pytest.mark.parametrize("s", [2.0, 1.5 + 0.7j, -1.63 + 0.71j, 0.5 + 40j, -3 + 30j])
+@pytest.mark.parametrize("ratio", [1.05, 1.3, 1.4, 2.0, 3.0, 10.0])
+def test_closed_form_error_estimates_bound_the_true_error(ratio, s, q):
+    # true/claimed <= 1 against mpmath at 40 digits, for the coefficient and
+    # for its Gauss series alone; a/b >= sqrt 2 was refused before, and the
+    # former bars under-claimed (at a/b = 1.4, s = 0.5+40i, q = 0 by 1e10)
+    k = q // 2
+    z = (1.0 - 1.0 / ratio) * (1.0 + 1.0 / ratio)
+    q_row, value, claimed = closed_form_coefficients(ellipse(ratio, 1.0), s, q)[-1]
+    series, bound = special.hyp2f1(s + k, k + 0.5, 2 * k + 1, z)
+    with mpmath.workdps(40):
+        exact = _closed_form_oracle(ratio, 1.0, s, q)
+        assert q_row == q
+        assert abs(value - exact) <= claimed
+        exact = mpmath.hyp2f1(mpmath.mpc(s) + k, k + mpmath.mpf(0.5), 2 * k + 1, mpmath.mpf(z))
+        assert abs(series - exact) <= bound
+
+
+def test_closed_form_matches_quadrature_beyond_sqrt_2():
+    # the formula itself, where the former series refused: a/b = 3
+    shape = ellipse(3.0, 1.0)
+    for s in (2.0, 1.5 + 0.7j, -1.63 + 0.71j):
+        table = fourier_coeffs(shape, s, 40, 1024)
+        floor = 1e-14 * abs(table.coefficients[0])  # FFT rounding, unseen by grid doubling
+        for q, value, claimed in closed_form_coefficients(shape, s, 40):
+            assert abs(value - table.coefficients[q]) <= claimed + table.errors[q] + floor
 
 
 def test_ellipse_coefficient_complex_s():
@@ -185,10 +225,10 @@ def test_ellipse_coefficient_complex_s():
         assert abs(closed.value - quad) <= 1e-8
 
 
-def test_fourier_csv_format(bump_shape):
-    table = fourier_coeffs(bump_shape, 0.5, 4, 256)
-    text = fourier_table_to_csv(table)
-    lines = text.strip().split("\n")
+def test_fourier_csv_format(capsys):
+    # the bump r = 1 + 0.1 cos(4 theta) through the command's one CSV path
+    assert main(["fourier", "--shape", "cos:c0=1,c4=0.1", "--s", "0.5+0i", "--qmax", "4", "--n", "256"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "q,re,im"
     assert len(lines) == 10  # q = -4..4
     assert lines[1].startswith("-4,")

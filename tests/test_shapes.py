@@ -189,8 +189,25 @@ def test_image_symmetry_order_is_sampled_only_when_read(monkeypatch):
 def test_area_values():
     assert abs(area(circle(1.0)) - math.pi) < 1e-12
     assert abs(area(ellipse(2, 1)) - 2 * math.pi) < 1e-10
-    assert abs(area(square()) - 4.0) < 1e-3      # kinked: trapezoid converges slowly
-    assert abs(area(odd_shape()) - 4.0) < 1e-3   # shoelace value of the 7 vertices
+    assert area(square()) == 4.0
+    assert area(odd_shape()) == 4.0   # shoelace value of the 7 vertices
+
+
+@pytest.mark.parametrize("spec", ["cos:c0=1,c4=0.1", "cos:c0=1,c1=0.2,c3=0.05", "ellipse:a=2,b=1,phi=0.3",
+                                  "ellipse:a=1.2,b=1@gl2=1,1,0,1", "cos:c0=1,c2=0.15@gl2=1.2,0.3,-0.1,0.8"])
+def test_exact_area_matches_the_trapezoid_on_smooth_shapes(spec):
+    # (1/2) integral r^2 by the trapezoid rule is spectrally accurate for these
+    shape = parse_shape(spec)
+    th = np.arange(1 << 12) * (2 * math.pi / (1 << 12))
+    r = np.asarray(shape.evaluate(th))
+    assert area(shape) == pytest.approx(math.pi * float(np.mean(r * r)), rel=1e-13)
+
+
+def test_exact_area_of_kinked_images_is_the_shoelace_area():
+    # |det g| times the base: the images of the square and the odd shape
+    for spec, expected in (("odd@gl2=2,1,1,1", 4.0), ("square@gl2=1,1,0,1", 4.0),
+                           ("odd@gl2=1.5,0.5,0,1", 6.0), ("square@gl2=0,1,1,0", 4.0)):
+        assert area(parse_shape(spec)) == expected
 
 
 # ---------------------------------------------------------------------------
