@@ -25,19 +25,27 @@ piecewise-linear forms, which keeps their spectra exactly integral.  A
 transformed shape gD reuses the kernel of D through t_{gD}(p) = t_D(g^-1 p),
 so integral images such as GL(2,Z) images of the square stay exact too.
 
+These integer kinds (``time_ulps`` 0) are counted without a walk:
+``time_counts`` gives the number of points of each integer t in a disc
+from exact range-adds over rows and the cones of the kind's star polygon,
+O(rows x edges) work where a walk takes O(R^2).  Their spectra and counts
+read it, and so do their direct sums (but for t beyond zeta._COUNT_BINS);
+only a spectrum's witnesses still walk.
+
 Every kernel gives all orbit images of a point under ``shape.symmetry`` the
 bit-identical t: the cosine series folds the point into the fundamental
 domain before it calls arctan2, and gD inherits this since g^-1(-p) =
 -g^-1 p exactly.  So a time belongs to an orbit.  ``time_ulps`` bounds the
 kernels' relative rounding, the one accuracy model of the times: spectra
-group by it and the direct sums charge it.  A spectrum walks the same
-domain of ``shape.symmetry``; its kept representatives (int32) are ordered
-by t alone, with one stable argsort, and grouped into lines by one
-vectorized gap test, and a line's a_k is the sum of its representatives'
-orbit sizes.  Lines, counts and near-tie warnings are exactly those of
-grouping every point of the disc.  Witnesses (the first 8 points of a line
-by (t, m, n)) are the representatives' orbit images, sorted in one pass
-over all lines when an entry is first read.
+group by it and the direct sums charge it.  A spectrum of any other kind
+walks the same domain of ``shape.symmetry``; its kept representatives
+(int32) are ordered by t alone, with one stable argsort, and grouped into
+lines by one vectorized gap test, and a line's a_k is the sum of its
+representatives' orbit sizes.  Lines, counts and near-tie warnings are
+exactly those of grouping every point of the disc.  Witnesses (the first 8
+points of a line by (t, m, n)) are the representatives' orbit images,
+sorted in one pass over all lines when an entry is first read; a spectrum
+counted by rows walks its representatives then.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ __all__ = [
     "SpectrumEntries",
     "dilation_times_block",
     "time_ulps",
+    "time_counts",
     "build_spectrum",
     "count_points",
     "map_box_chunks",
@@ -120,28 +129,52 @@ class Spectrum:
     (m, n), line by line, ordered by t: line k's are ``reps[rep_starts[k]:
     rep_starts[k + 1]]`` (the last line's run to the end), and its points
     are their orbit images, which share their t, counted by orbit size.
-    ``entries`` builds the witnesses of every line from them when an entry
-    is first read, and keeps them.  The arrays are read-only.
+    ``walk`` is (reps, rep_starts) where the build walked the points; where
+    it counted rows (``time_counts``) it is None, and the representatives
+    are walked, with ``threads`` workers, when first read.  ``entries``
+    builds the witnesses of every line from them when an entry is first
+    read, and keeps them.  The arrays are read-only.
     """
 
     t_values: np.ndarray
     counts: np.ndarray
     t_max: float
-    reps: np.ndarray
-    rep_starts: np.ndarray
     shape: RadialShape
+    threads: int
+    walk: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        for a in (self.t_values, self.counts, self.reps, self.rep_starts):
+        for a in (self.t_values, self.counts, *(self.walk or ())):
             a.flags.writeable = False
 
     @property
     def entries(self) -> "SpectrumEntries":
         return SpectrumEntries(self)
 
+    @property
+    def reps(self) -> np.ndarray:
+        return self._walked[0]
+
+    @property
+    def rep_starts(self) -> np.ndarray:
+        return self._walked[1]
+
     def count_up_to(self, x: float) -> int:
         k = int(np.searchsorted(self.t_values, x, side="right"))
         return int(self.counts[:k].sum())
+
+    @functools.cached_property
+    def _walked(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, rep_starts): ``walk``, or where the build counted rows the
+        walk of the same disc, whose exact times start a line wherever they
+        change."""
+        if self.walk is not None:
+            return self.walk
+        t, reps, _ = _walk_domain(self.shape, self.t_max, 0.0, self.threads)
+        starts = np.flatnonzero(np.diff(t, prepend=0.0))
+        for a in (reps, starts):
+            a.flags.writeable = False
+        return reps, starts
 
     @functools.cached_property
     def _witnesses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -356,15 +389,22 @@ def time_ulps(shape: RadialShape) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _row_extents(k2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows n = 0, ..., isqrt(k2) of the disc m^2 + n^2 <= k2 and their
+    extents isqrt(k2 - n^2): row n holds |m| <= its extent."""
+    rows = np.arange(math.isqrt(k2) + 1)
+    room = k2 - rows * rows
+    ext = np.floor(np.sqrt(room)).astype(np.int64)
+    ext += (ext + 1) ** 2 <= room  # exact integer correction of the float root
+    ext -= ext**2 > room
+    return rows, ext
+
+
 def _domain_rows(k2: int, symmetry: Symmetry):
     """Row segments (n, first m, count) of the fundamental domain of
     ``symmetry`` among the points 0 < m^2 + n^2 <= k2; for the trivial group
     the half plane n > 0 or (n = 0, m > 0), whose mirror image the walk adds."""
-    rows = np.arange(math.isqrt(k2) + 1)
-    room = k2 - rows * rows
-    ext = np.floor(np.sqrt(room)).astype(np.int64)  # row n holds |m| <= isqrt(room)
-    ext += (ext + 1) ** 2 <= room  # exact integer correction of the float root
-    ext -= ext**2 > room
+    rows, ext = _row_extents(k2)
     if symmetry is Symmetry.D4:  # octant 0 <= n <= m
         keep = rows <= ext
         rows, ext = rows[keep], ext[keep]
@@ -450,11 +490,10 @@ def map_box_chunks(
     points unless it is a single row; for the trivial group the rows of the
     half plane n > 0 or (n = 0, m > 0) followed by their mirror image -p.
     Blocks depend only on ``bound`` and ``symmetry``, and results come back
-    in block order whatever the thread count.  ``func`` must be pure (or
-    only add exact integers into a total under a lock, which no order of
-    the blocks changes), must not start another walk, and must not keep the
-    int64 arrays it is handed: they are the worker thread's scratch arrays,
-    refilled for its next block.
+    in block order whatever the thread count.  ``func`` must be pure, must
+    not start another walk, and must not keep the int64 arrays it is
+    handed: they are the worker thread's scratch arrays, refilled for its
+    next block.
     """
     threads = resolve_threads(threads)
     k2 = math.floor(bound * bound)
@@ -491,6 +530,91 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 
 # ---------------------------------------------------------------------------
+# Integer dilation times by rows
+# ---------------------------------------------------------------------------
+
+# the gauge of each integer kind as a star polygon: its vertices in
+# counterclockwise order, doubled so that the odd shape's notch (0, 1/2) is
+# integral, and the integer functional l_i of the edge from vertex i to
+# vertex i + 1 (l_i . v = 1 on it, undoubled); t(p) = l_i . p on the cone
+# between the rays of the two vertices
+_POLYGONS = {
+    "square": (((1, -1), (1, 1), (-1, 1), (-1, -1)), ((1, 0), (0, 1), (-1, 0), (0, -1))),
+    "odd": (((2, 0), (4, 2), (2, 2), (0, 1), (-2, 2), (-2, -2), (2, -2)),
+            ((1, -1), (0, 1), (-1, 2), (1, 2), (-1, 0), (0, -1), (1, 0))),
+}
+
+
+def _cones(shape: RadialShape) -> list[tuple[tuple[int, int], tuple[int, int], tuple[int, int]]]:
+    """The cones (a, b, l) of a shape whose ``time_ulps`` is 0: every nonzero
+    point p lies in exactly one, a x p >= 0 > b x p, where t(p) = l . p.  An
+    image hD has the rays h a, h b and the functional h^-T l, and swaps a and
+    b where det h = -1 turns the order of the rays."""
+    if shape.kind != "transformed":
+        verts, funcs = _POLYGONS[shape.kind]
+        return [(verts[i], verts[(i + 1) % len(verts)], funcs[i]) for i in range(len(verts))]
+    g, base = shape.params
+    a, b, c, d = map(int, g.entries())
+    det = a * d - b * c  # +-1, so h^-T = det [[d, -c], [-b, a]]
+    out = []
+    for u, v, (lx, ly) in _cones(base):
+        hu, hv = (a * u[0] + b * u[1], c * u[0] + d * u[1]), (a * v[0] + b * v[1], c * v[0] + d * v[1])
+        ell = (det * (d * lx - c * ly), det * (a * ly - b * lx))
+        out.append((hu, hv, ell) if det > 0 else (hv, hu, ell))
+    return out
+
+
+def _narrow(c: int, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Narrow each row's m-interval [lo, hi] to the integers with c m <= d."""
+    if c > 0:
+        np.minimum(hi, d // c, out=hi)
+    elif c < 0:
+        np.maximum(lo, -(d // -c), out=lo)
+    else:
+        np.copyto(hi, lo - 1, where=d < 0)
+
+
+def time_counts(shape: RadialShape, radius: float, top: int | None = None) -> np.ndarray:
+    """Entry t: the number of points 0 < |p| <= radius (those of the float
+    test against radius * radius) of dilation time t, for a shape whose
+    ``time_ulps`` is 0; only up to t = ``top`` when it is given.
+
+    No point is walked.  On each row n and each cone of ``_cones`` the
+    points form one m-interval, found from the two cross products in exact
+    integer arithmetic and clipped to the row's extent in the disc; on it
+    t = l . p runs through an arithmetic progression of step |l_x|.  Each
+    progression is a range-add: one difference array per step, summed up
+    along each residue class.
+    """
+    rows, ext = _row_extents(math.floor(radius * radius))
+    n, ext = np.concatenate((-rows[:0:-1], rows)), np.concatenate((ext[:0:-1], ext))
+    runs: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for (ax, ay), (bx, by), (lx, ly) in _cones(shape):
+        lo, hi = -ext, ext.copy()
+        _narrow(ay, ax * n, lo, hi)  # a x p >= 0
+        _narrow(-by, -bx * n - 1, lo, hi)  # b x p < 0
+        live = lo <= hi
+        lo, hi, row = lo[live], hi[live], n[live]
+        first = lx * (lo if lx >= 0 else hi) + ly * row  # the smallest t of the run
+        runs.setdefault(abs(lx), []).append((first, hi - lo + 1))
+    runs = {step: [np.concatenate(a) for a in zip(*parts)] for step, parts in runs.items()}
+    if top is None:  # the largest t of any run
+        top = max(int(np.max(first + (k - 1) * step, initial=0)) for step, (first, k) in runs.items())
+    counts = np.zeros(top + 1, np.int64)
+    for step, (first, length) in runs.items():
+        keep = first <= top
+        first, length = first[keep], length[keep]
+        if step == 0:  # t is constant along the run
+            counts += np.bincount(first, weights=length, minlength=top + 1).astype(np.int64)
+            continue
+        size = -(-(top + 1) // step) * step  # whole rows of ``step`` residues
+        end = first + step * np.minimum(length, (top - first) // step + 1)
+        diff = np.bincount(first, minlength=size) - np.bincount(end[end < size], minlength=size)
+        counts += np.cumsum(diff.reshape(-1, step), axis=0).ravel()[:top + 1]
+    return counts
+
+
+# ---------------------------------------------------------------------------
 # Spectrum construction
 # ---------------------------------------------------------------------------
 
@@ -504,21 +628,10 @@ def _walk_bound(shape: RadialShape, x: float, slack: float, cap: float, name: st
     return int(math.ceil(reach)) + 1
 
 
-def build_spectrum(shape: RadialShape, t_max: float, threads: int | None = None) -> Spectrum:
-    """Enumerate all dilation times <= t_max (1 + b) and group them into
-    (t_k, a_k), b = ``time_ulps(shape)`` 2^-52 their relative rounding bound.
-
-    Two computed times of one exact value lie within 2 b t of each other, so
-    consecutive sorted times at most 2 b t apart fall into one spectral line
-    (equal ones where b = 0).  A warning is emitted when two lines are at
-    most 10x that window apart: floating point cannot certify such near-ties.
-    The walk covers a fundamental domain of ``shape.symmetry``, whose orbits
-    share one t.  A disc of more than ``_SPECTRUM_POINTS`` points is a
-    ValidationError.
-    """
-    if not (t_max > 0.0):
-        raise ValidationError("t_max must be positive")
-    bound = time_ulps(shape) * 2.0**-52
+def _walk_domain(shape: RadialShape, t_max: float, bound: float, threads: int):
+    """(t, reps, orbit) of the walked representatives with t <= t_max (1 +
+    bound), ordered by t alone (one stable argsort): their times, their int32
+    rows (m, n) and their uint8 orbit sizes."""
     cut = t_max * (1.0 + bound)
     symmetry = shape.symmetry
 
@@ -531,16 +644,42 @@ def build_spectrum(shape: RadialShape, t_max: float, threads: int | None = None)
         reps[:, 0], reps[:, 1] = m[keep], n[keep]
         return reps, t[keep], orbit[keep].astype(np.uint8)
 
-    cap = math.sqrt(_SPECTRUM_POINTS / math.pi)  # the disc of 2^24 points
-    radius = _walk_bound(shape, t_max, bound, cap, "t_max")
-    parts = map_box_chunks(radius, chunk, threads=threads, symmetry=symmetry)
+    parts = map_box_chunks(_spectrum_radius(shape, t_max, bound), chunk, threads=threads, symmetry=symmetry)
     t = np.concatenate([p[1] for p in parts])
     order = np.argsort(t, kind="stable")
-    t = t[order]
     reps = np.take(np.concatenate([p[0] for p in parts]), order, axis=0)
-    weight = np.concatenate([p[2] for p in parts])[order]
-    del parts, order
+    return t[order], reps, np.concatenate([p[2] for p in parts])[order]
 
+
+def _spectrum_radius(shape: RadialShape, t_max: float, bound: float) -> int:
+    """The disc of a spectrum up to t_max: at most ``_SPECTRUM_POINTS`` points."""
+    return _walk_bound(shape, t_max, bound, math.sqrt(_SPECTRUM_POINTS / math.pi), "t_max")
+
+
+def build_spectrum(shape: RadialShape, t_max: float, threads: int | None = None) -> Spectrum:
+    """All dilation times <= t_max (1 + b), grouped into lines (t_k, a_k),
+    b = ``time_ulps(shape)`` 2^-52 their relative rounding bound.
+
+    Where b = 0 the times are exact integers, and the lines are the nonzero
+    entries of ``time_counts`` up to t_max: no point is walked.  Else the
+    build walks a fundamental domain of ``shape.symmetry``, whose orbits
+    share one t.  Two computed times of one exact value lie within 2 b t of
+    each other, so consecutive sorted times at most 2 b t apart fall into
+    one spectral line.  A warning is emitted when two lines are at most 10x
+    that window apart: floating point cannot certify such near-ties.  A disc
+    of more than ``_SPECTRUM_POINTS`` points is a ValidationError.
+    """
+    if not (t_max > 0.0):
+        raise ValidationError("t_max must be positive")
+    bound = time_ulps(shape) * 2.0**-52
+    radius = _spectrum_radius(shape, t_max, bound)
+    threads = resolve_threads(threads)
+    if bound == 0.0:
+        counts = time_counts(shape, radius, top=math.floor(t_max))
+        lines = np.flatnonzero(counts)
+        return Spectrum(lines.astype(float), counts[lines], float(t_max), shape, threads)
+
+    t, reps, weight = _walk_domain(shape, t_max, bound, threads)
     # a new line starts wherever the gap to the previous value exceeds 2 b t
     window = 2.0 * bound
     gap = np.diff(t)
@@ -554,7 +693,7 @@ def build_spectrum(shape: RadialShape, t_max: float, threads: int | None = None)
     for b in breaks[near]:
         warnings.warn(f"spectral lines at {t[b - 1]:.15g} and {t[b]:.15g} are separated by at most 10x "
                       "their rounding bound; grouping may be ambiguous", stacklevel=2)
-    return Spectrum(t_values, counts, float(t_max), reps, starts, shape)
+    return Spectrum(t_values, counts, float(t_max), shape, threads, (reps, starts))
 
 
 def count_points(
@@ -567,10 +706,12 @@ def count_points(
 
     With ``half_weight_boundary`` the points on the boundary (|t - x| within
     ``_TOLERANCE`` x) contribute 1/2 each, matching the value the
-    contour-integral inversion converges to at jump points.  The walk covers
-    a fundamental domain of ``shape.symmetry`` and weights each point by its
-    orbit size; every weight and count is a small multiple of 1/2, so the
-    sum is exact.  An x with x r_max > ``MAX_RADIUS`` is a ValidationError.
+    contour-integral inversion converges to at jump points.  Where
+    ``time_ulps(shape)`` is 0 these tests weigh the distinct t of
+    ``time_counts`` by their counts; else the walk covers a fundamental
+    domain of ``shape.symmetry`` and weights each point by its orbit size.
+    Every weight and count is a small multiple of 1/2, so the sum is exact.
+    An x with x r_max > ``MAX_RADIUS`` is a ValidationError.
     """
     if not (x > 0.0):
         raise ValidationError("x must be positive")
@@ -578,20 +719,32 @@ def count_points(
     edge = x * _TOLERANCE
     symmetry = shape.symmetry
 
-    def chunk(m: np.ndarray, n: np.ndarray):
-        k = len(m)
-        t = dilation_times_block(shape, m, n, out=scratch("lattice.t", k))
-        weight = np.less_equal(t, cut, out=scratch("lattice.weight", k))
+    def weigh(t: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """The weight of each time t into ``weight``; t is overwritten."""
+        np.less_equal(t, cut, out=weight)
         if half_weight_boundary:
             t -= x
             boundary = np.less_equal(np.absolute(t, out=t), edge, out=t)
             np.maximum(weight, boundary, out=weight)
             boundary *= 0.5
             weight -= boundary
+        return weight
+
+    def chunk(m: np.ndarray, n: np.ndarray):
+        k = len(m)
+        t = dilation_times_block(shape, m, n, out=scratch("lattice.t", k))
+        weight = weigh(t, scratch("lattice.weight", k))
         weight *= orbit_sizes(symmetry, m, n, out=scratch("lattice.orbit", k))
         return float(np.sum(weight))
 
     bound = _walk_bound(shape, x, _TOLERANCE, MAX_RADIUS, "x")
+    if time_ulps(shape) == 0.0:
+        resolve_threads(threads)
+        counts = time_counts(shape, bound, top=math.floor(cut))
+        t = np.flatnonzero(counts)
+        weight = weigh(t.astype(float), np.empty(len(t)))
+        weight *= counts[t]
+        return float(np.sum(weight))
     parts = map_box_chunks(bound, chunk, threads=threads, symmetry=symmetry)
     return float(np.sum(np.asarray(parts)))
 

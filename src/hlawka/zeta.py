@@ -25,8 +25,7 @@ splitting at large |Im s|.
 
 The direct sums share ``_disc_sums``: identical per-chunk reduction, merge in
 chunk order with pairwise summation, so results are bit-identical across
-thread counts (the integer-time counts below are exact, so their order does
-not matter).  Each sum walks a fundamental domain of the subgroup G of D4
+thread counts.  Each sum walks a fundamental domain of the subgroup G of D4
 under which its terms are invariant, decided from the kind and parameters,
 and weights each point by its orbit size: all of D4 for the circle, the
 square, cosine series in cos(4k theta), the identity and diagonal
@@ -39,8 +38,8 @@ cosets of the group that keeps e^{i q theta} real on each orbit; the
 cosets hold the symmetry that cancels a component (p -> -p for odd q, the
 quarter turn for q = 2 mod 4), and each image takes its own arctan2, so
 those cancellations are still computed point by point.  Where
-``lattice.time_ulps`` is 0 the dilation times are exact integers: the walk
-only counts the points of each t (exact integers, added in any order), and
+``lattice.time_ulps`` is 0 the dilation times are exact integers: no point
+is walked, ``lattice.time_counts`` counts the points of each t by rows, and
 the sum takes one complex power per distinct t.  ``error_estimate`` adds to
 the tail a rounding bound relative to a closed-form bound on the sum of the
 terms' moduli, charging t the rounding ``time_ulps`` bounds.
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,30 +246,6 @@ def _check_radius(radius: float):
 # ---------------------------------------------------------------------------
 
 
-def _time_counts(shape: RadialShape, radius: float, threads: int | None) -> np.ndarray:
-    """Entry t: the number of points 0 < |p| <= radius of integer dilation
-    time t, for t <= radius / r_min (+ 1, against the rounding of r_min).
-    Each chunk's orbit-weighted ``np.bincount`` is added into one float64
-    total under a lock; the counts are integers below 2^53, so the total is
-    exact whatever the order of the chunks, and its memory does not grow
-    with the number of chunks."""
-    symmetry = shape.symmetry
-    total = np.zeros(int(radius / shape.r_min) + 2)
-    lock = threading.Lock()
-
-    def chunk(m: np.ndarray, n: np.ndarray):
-        k = len(m)
-        t = _lattice.dilation_times_block(shape, m, n, out=scratch("zeta.log", k))
-        index = scratch("zeta.index", k, np.intp)
-        np.copyto(index, t, casting="unsafe")
-        counts = np.bincount(index, weights=orbit_sizes(symmetry, m, n, out=scratch("zeta.orbit", k)))
-        with lock:
-            total[:len(counts)] += counts
-
-    map_box_chunks(radius, chunk, threads=threads, symmetry=symmetry)
-    return total
-
-
 def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int | None = None) -> list[EvalResult]:
     """Z_r at several s sharing one lattice enumeration.
 
@@ -279,18 +253,20 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
            = sum of t(p)^(-2s).
 
     Where every t is an exact integer (``lattice.time_ulps`` is 0) and
-    t <= radius / r_min stays below ``_COUNT_BINS``, the walk only counts
-    the points of each t, and the sum is count_t t^(-2s) over the distinct
-    t, one complex power per t and s.  Every other shape sums t(p)^(-2s)
-    point by point over the fundamental domain of ``shape.symmetry``, and
-    t^2 is charged twice the rounding ``time_ulps`` bounds for t.
+    t <= radius / r_min stays below ``_COUNT_BINS``, no point is walked:
+    ``lattice.time_counts`` counts the points of each t row by row, and the
+    sum is count_t t^(-2s) over the distinct t, one complex power per t and
+    s.  Every other shape sums t(p)^(-2s) point by point over the
+    fundamental domain of ``shape.symmetry``, and t^2 is charged twice the
+    rounding ``time_ulps`` bounds for t.
     """
     s_list = [_require_convergent(s) for s in s_values]
     _check_radius(radius)
     ulps = _lattice.time_ulps(shape)
 
     if ulps == 0.0 and radius / shape.r_min < _COUNT_BINS:
-        counts = _time_counts(shape, radius, threads)
+        _lattice.resolve_threads(threads)
+        counts = _lattice.time_counts(shape, radius)
         times = np.flatnonzero(counts)
         weights = counts[times]
         log_t2 = 2.0 * np.log(times)

@@ -4,6 +4,7 @@ the operation-to-subcommand coverage audit."""
 import ast
 import importlib
 import inspect
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,41 @@ FOLDED_SPECTRA = {
         (2.0615528128088303, 4, [[-1, -2], [-1, 2], [1, -2], [1, 2]]),
     ],
 }
+
+
+# the integer kinds count their lines by rows and walk the disc only for
+# the witnesses: (t, count, witnesses) per line, and the sha256 of the whole
+# document at t_max 40, as the build that walked every point printed them
+COUNTED_SPECTRA = {
+    "odd": ([(1.0, 8, [[-1, -1], [-1, 0], [-1, 1], [0, -1], [1, -1], [1, 0], [1, 1], [2, 1]]),
+             (2.0, 16, [[-2, -2], [-2, -1], [-2, 0], [-2, 1], [-2, 2], [-1, -2], [0, -2], [0, 1]]),
+             (3.0, 24, [[-3, -3], [-3, -2], [-3, -1], [-3, 0], [-3, 1], [-3, 2], [-3, 3], [-2, -3]])],
+            "3db6c3be49865bb12ac225dfff17c521607c63d16bc045acad72afb1aca29cc2"),
+    "odd@gl2=0,1,1,0": (  # det -1
+        [(1.0, 8, [[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 1], [1, -1], [1, 1], [1, 2]]),
+         (2.0, 16, [[-2, -2], [-2, -1], [-2, 0], [-2, 1], [-2, 2], [-1, -2], [-1, 2], [0, -2]]),
+         (3.0, 24, [[-3, -3], [-3, -2], [-3, -1], [-3, 0], [-3, 1], [-3, 2], [-3, 3], [-2, -3]])],
+        "2e5eaf3b6b089d21579dcc8a4651bd495019c9096c6542040a0164f90a7feddb"),
+}
+
+
+@pytest.mark.parametrize("shape", list(COUNTED_SPECTRA))
+def test_counted_spectrum_json_bytes_are_pinned(capsys, shape):
+    lines, digest = COUNTED_SPECTRA[shape]
+    entries = [{"k": k, "t": t, "count": count, "witnesses": w}
+               for k, (t, count, w) in enumerate(lines, start=1)]
+    want = json.dumps({"entries": entries, "shape": shape, "t_max": 3.0}, sort_keys=True, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, "spectrum", "--shape", shape, "--tmax", "3", "--format", "json")
+    assert code == 0 and out == want
+    code, out, _ = run_cli(capsys, "spectrum", "--shape", shape, "--tmax", "40", "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_half_weight_count_at_a_jump_is_pinned(capsys):
+    # x = 5 is the square's fifth line: its 40 points count 1/2 each
+    code, out, _ = run_cli(capsys, "count", "--shape", "square", "--x", "5", "--half-weight")
+    assert code == 0
+    assert out == '{\n  "count": 100.0,\n  "half_weight": true,\n  "shape": "square",\n  "x": 5.0\n}\n'
 
 
 @pytest.mark.parametrize("shape, t_max", list(FOLDED_SPECTRA))

@@ -13,6 +13,7 @@ from hlawka import lattice
 from hlawka.errors import ValidationError
 from hlawka.lattice import (
     LatticePoint,
+    SpectrumEntry,
     build_spectrum,
     count_points,
     dilation_times_block,
@@ -83,6 +84,65 @@ def test_gl2z_image_walks_reach_the_farthest_boundary_point(spec, x):
     assert count_points(sh, x) == 4 * k * (k + 1)
     spec_ = build_spectrum(sh, x)
     assert [(e.t, e.count) for e in spec_.entries] == [(float(j), 8 * j) for j in range(1, k + 1)]
+
+
+# the integer kinds: both bases, det +1 and -1 images, a shear and a matrix
+# with a step-3 functional
+_INTEGER_KINDS = ["square", "odd", "odd@gl2=2,1,1,1", "odd@gl2=0,1,1,0", "square@gl2=1,1,0,1",
+                  "odd@gl2=1,-3,0,-1"]
+
+
+def _walked_time_counts(shape, radius):
+    """Entry t: the number of walked points of the disc with t(p) = t."""
+    def chunk(m, n):
+        return np.bincount(dilation_times_block(shape, m, n).astype(np.int64))
+
+    parts = map_box_chunks(radius, chunk, threads=1)
+    total = np.zeros(max(map(len, parts)), np.int64)
+    for p in parts:
+        total[:len(p)] += p
+    return total
+
+
+@pytest.mark.parametrize("spec", _INTEGER_KINDS)
+def test_time_counts_match_the_point_walk(spec):
+    shape = parse_shape(spec)
+    for radius in (10.0, 31.7, 250.5, 1000.0):
+        want = _walked_time_counts(shape, radius)
+        got = lattice.time_counts(shape, radius)
+        assert len(got) == len(want) and np.array_equal(got, want), radius
+        for top in (3, 40, len(want) + 5):  # clipped at t = top
+            want_top = np.zeros(top + 1, np.int64)
+            want_top[:min(top + 1, len(want))] = want[:top + 1]
+            assert np.array_equal(lattice.time_counts(shape, radius, top=top), want_top), (radius, top)
+
+
+@pytest.mark.parametrize("spec", _INTEGER_KINDS)
+def test_counted_spectra_match_the_walked_times(spec):
+    shape = parse_shape(spec)
+    for t_max in (30.5, 67.0, 150.0):
+        radius = int(math.ceil(t_max * shape.r_max)) + 1
+        t = np.concatenate(map_box_chunks(radius, lambda m, n: dilation_times_block(shape, m, n), threads=1))
+        lines, counts = np.unique(t[t <= t_max], return_counts=True)
+        spec_ = build_spectrum(shape, t_max)
+        assert np.array_equal(spec_.t_values, lines) and np.array_equal(spec_.counts, counts), t_max
+        assert spec_.t_values.dtype == np.float64 and spec_.counts.dtype == np.int64
+
+
+def test_counted_spectra_walk_only_for_witnesses(monkeypatch):
+    walks = []
+
+    def spy(*args, **kwargs):
+        walks.append(args[0])
+        return map_box_chunks(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "map_box_chunks", spy)
+    spec = build_spectrum(parse_shape("odd@gl2=0,1,1,0"), 20.0)
+    assert count_points(odd_shape(), 20.5, half_weight_boundary=True) == spec.count_up_to(20.5)
+    assert walks == []
+    assert spec.entries[2] == SpectrumEntry(3.0, 24, spec.entries[2].witnesses)
+    assert len(walks) == 1  # the witnesses, walked when first read and kept
+    assert spec.entries[5].count == 48 and len(walks) == 1
 
 
 def test_walks_beyond_their_caps_are_rejected_before_walking(monkeypatch):
@@ -285,6 +345,8 @@ def test_thread_count_outside_its_range_is_rejected_before_the_walk(threads):
         map_box_chunks(50.0, no_chunk, threads=threads)
     with pytest.raises(ValidationError, match="thread count"):
         count_points(odd_shape(), 50.0, threads=threads)
+    with pytest.raises(ValidationError, match="thread count"):
+        build_spectrum(square(), 50.0, threads=threads)
 
 
 @pytest.mark.parametrize("env", ["two", "1.5", "0", "-5", "65"])

@@ -3,7 +3,6 @@
 
 import cmath
 import math
-import sys
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +12,7 @@ from conftest import disc_tail_correction
 from hlawka import cli, lattice, zeta
 from hlawka.errors import PoleError, ValidationError
 from hlawka.lattice import build_spectrum
-from hlawka.shapes import Mat2, Symmetry, act, circle, cosine_series, ellipse, odd_shape, square
+from hlawka.shapes import Mat2, Symmetry, act, circle, cosine_series, ellipse, odd_shape, parse_shape, square
 from hlawka.special import dirichlet_beta, gamma, riemann_zeta, upper_incomplete_gamma
 from hlawka.zeta import (
     QuadForm2,
@@ -619,8 +618,11 @@ def _reconstruct_weight(shape, s, q_max):
                             for q, c in coeffs.items() if q % 4 == 0)
 
 
+# the integer kinds count their times by rows and walk no disc
+_COUNTED = {"square", "odd"} | {name for name, _, _ in _INTEGER_IMAGES}
 _FOLD_CASES = [
-    (name, lambda sh=shape: hlawka_direct(sh, _S, _R).value, _zeta_weight(shape, _S), folded)
+    (name, lambda sh=shape: hlawka_direct(sh, _S, _R).value, _zeta_weight(shape, _S),
+     None if name in _COUNTED else folded)
     for name, shape, folded in _ZETA_SHAPES + _INTEGER_IMAGES
 ] + [
     (name, lambda u=u: epstein_direct(u, _S, _R).value, lambda m, n, u=u: u.evaluate(m, n) ** (-_S), folded)
@@ -659,7 +661,7 @@ def fold_calls(monkeypatch):
 @pytest.mark.parametrize("name,compute,weight,folded", _FOLD_CASES, ids=[c[0] for c in _FOLD_CASES])
 def test_direct_sums_fold_exactly_the_even_terms(fold_calls, name, compute, weight, folded):
     value = compute()
-    assert fold_calls == [folded]
+    assert fold_calls == ([] if folded is None else [folded])
     ref, scale = _disc_reference(weight, _R)
     assert abs(value - ref) <= 1e-13 * scale
 
@@ -687,8 +689,8 @@ def test_integer_dilation_times_at_the_verify_samples():
 
 @pytest.fixture
 def direct_paths(monkeypatch):
-    """Which path each direct sum of Z_r takes: "count" for the counts of
-    integer dilation times, "point" for the per-point disc sum."""
+    """Which path each direct sum of Z_r takes: "count" for the row counts
+    of integer dilation times, "point" for the per-point disc sum."""
     calls = []
 
     def spy(name, f):
@@ -697,7 +699,7 @@ def direct_paths(monkeypatch):
             return f(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(zeta, "_time_counts", spy("count", zeta._time_counts))
+    monkeypatch.setattr(lattice, "time_counts", spy("count", lattice.time_counts))
     monkeypatch.setattr(zeta, "_disc_sums", spy("point", zeta._disc_sums))
     return calls
 
@@ -721,18 +723,43 @@ def test_only_integral_images_count_dilation_times(direct_paths, monkeypatch):
     assert direct_paths == ["point", "count"]
 
 
-def test_time_counts_lose_no_update_across_threads():
-    # more workers than cores and a short switch interval: an update of the
-    # shared total lost to a race would change a count
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        many = zeta._time_counts(odd_shape(), 400.0, 8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(many, zeta._time_counts(odd_shape(), 400.0, 1))
+@pytest.mark.parametrize("spec", ["square", "odd", "odd@gl2=1,-3,0,-1", "odd@gl2=0,1,1,0"])
+def test_integer_kinds_above_the_count_bins_keep_the_point_sum(monkeypatch, direct_paths, spec):
+    # the per-point sum of shapes whose times outgrow the count array agrees
+    # with the row counts to rounding, with the same error bar
+    shape = parse_shape(spec)
+    rows = hlawka_direct_many(shape, [_S, 3.0], 250.5)
+    monkeypatch.setattr(zeta, "_COUNT_BINS", 1)
+    points = hlawka_direct_many(shape, [_S, 3.0], 250.5)
+    assert direct_paths == ["count", "point"]
+    for a, b, s in zip(rows, points, [_S, 3.0]):
+        _, scale = _disc_reference(_zeta_weight(shape, s), 250.5)
+        assert abs(a.value - b.value) <= 1e-14 * scale
+        assert a.error_estimate == b.error_estimate
+
+
+def test_large_integer_images_sum_point_by_point(direct_paths):
+    # entries of 2e5 put radius / r_min beyond _COUNT_BINS at radius 10; the
+    # exact integer preimages h^-1 p give the reference times
+    shape = parse_shape("odd@gl2=200000,199999,1,1")
+    assert lattice.time_ulps(shape) == 0.0 and 10.0 / shape.r_min >= zeta._COUNT_BINS
+    res = hlawka_direct(shape, _S, 10.0)
+    assert direct_paths == ["point"]
+    n, m = np.meshgrid(np.arange(-10, 11), np.arange(-10, 11), indexing="ij")
+    keep = (m * m + n * n <= 100) & ((m != 0) | (n != 0))
+    m, n = m[keep], n[keep]
+    t = lattice.dilation_times_block(odd_shape(), m - 199999 * n, 200000 * n - m)
+    terms = t ** (-2.0 * _S)
+    assert abs(res.value - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+
+
+def test_time_counts_sum_to_the_disc_count():
+    # every nonzero point of the disc lies in exactly one cone of each kind
     n = np.arange(-400, 401)
-    assert many.sum() == np.count_nonzero(n[:, None] ** 2 + n**2 <= 400**2) - 1
+    points = np.count_nonzero(n[:, None] ** 2 + n**2 <= 400**2) - 1
+    for spec in ("square", "odd", "odd@gl2=2,1,1,1", "odd@gl2=0,1,1,0"):
+        counts = lattice.time_counts(parse_shape(spec), 400.0)
+        assert counts.sum() == points and counts[0] == 0
 
 
 _THREAD_CASES = {
@@ -779,6 +806,27 @@ def test_direct_sum_error_estimate_bounds_rounding(radius, s):
         assert abs(res.value - exact) <= res.error_estimate
     res = reconstruct_hlawka(circle(1.0), s, 0, radius=radius)
     assert abs(res.value - exact) <= res.error_estimate
+
+
+@pytest.mark.parametrize("s", [8.0, 8.0 + 30.0j])
+def test_direct_sum_error_estimate_charges_the_rounding_of_the_times(s):
+    # Z over 0 < |p| <= 10 in mpmath, then with every time off by the full
+    # rounding bound b 2^-52 of ``time_ulps`` in one direction, which the
+    # model admits: the bar covers both the true error and that shift.  At
+    # Re s = 8 the tail is 3e-12 and the shift about 1.8e-8 (b is 3233 for
+    # this series), so a bar that charged t no rounding would miss it
+    shape = cosine_series([1.0] + [0.0] * 999 + [0.45])
+    res = hlawka_direct(shape, s, 10.0)
+    n, m = np.meshgrid(np.arange(-10, 11), np.arange(-10, 11), indexing="ij")
+    keep = (m * m + n * n <= 100) & ((m != 0) | (n != 0))
+    with mp.workdps(30):
+        times = [mp.hypot(a, b) / (1 + mp.mpf(0.45) * mp.cos(1000 * mp.atan2(b, a)))
+                 for a, b in zip(m[keep].tolist(), n[keep].tolist())]
+        exact = mp.fsum(t ** (-2 * mp.mpc(s)) for t in times)
+        shrink = 1 - mp.mpf(lattice.time_ulps(shape)) * mp.mpf(2) ** -52
+        shift = float(abs(shrink ** (-2 * mp.mpc(s)) - 1) * abs(exact))
+    assert shift > 1e3 * zeta._disc_tail(2.0 * math.pi * shape.r_max**16, 8.0, 10.0)
+    assert abs(res.value - complex(exact)) + shift <= res.error_estimate
 
 
 @pytest.mark.parametrize("radius", [31.7, 400.0])
