@@ -32,7 +32,7 @@ from .zeta import (
     QuadForm2,
     eisenstein_fq_continued,
     ellipse_form,
-    epstein_continued,
+    epstein_continued_many,
     epstein_lambda,
     hlawka_direct_many,
     hlawka_from_spectrum,
@@ -654,33 +654,24 @@ def residue_at_one(shape: RadialShape) -> float:
     series at s = 1).
     """
 
+    steps = (2e-4, 1e-4)
     if shape.kind in ("constant", "ellipse"):
         if shape.kind == "constant":
             u = ellipse_form(shape.params[0], shape.params[0])
         else:
             a, b, phi = shape.params
             u = ellipse_form(a, b, phi)
-
-        def f(step: float) -> complex:
-            up = epstein_continued(u, 1.0 + step).value
-            dn = epstein_continued(u, 1.0 - step).value
-            return 0.5 * (step * up - step * dn)
-
+        # one reduction, one splitting and one incomplete-gamma call for all four s
+        values = [r.value for r in epstein_continued_many(u, [1.0 + h * sign for h in steps for sign in (1, -1)])]
     elif shape.kind in ("square", "odd"):
-
-        def f(step: float) -> complex:
-            up = 8.0 * riemann_zeta(1.0 + 2.0 * step)
-            dn = 8.0 * riemann_zeta(1.0 - 2.0 * step)
-            return 0.5 * (step * up - step * dn)
-
+        values = [8.0 * riemann_zeta(1.0 + 2.0 * h * sign) for h in steps for sign in (1, -1)]
     else:
         raise ValidationError(
             f"residue_at_one supports circle/ellipse (quadratic form) and "
             f"square/odd (closed form), not kind {shape.kind!r}"
         )
 
-    r1 = f(2e-4)
-    r2 = f(1e-4)
+    r1, r2 = (0.5 * (h * up - h * dn) for h, up, dn in zip(steps, values[::2], values[1::2]))
     res = (4.0 * r2 - r1) / 3.0
     return float(res.real)
 

@@ -11,11 +11,14 @@ gamma takes arrays of (s, x) pairs:
   remainder bound.  Left of Re s = 0 each reflects by its functional
   equation (zeta not within 0.05 of s = 0), as gamma does left of 1/2.
 * ``upper_incomplete_gamma`` -- Lentz continued fraction for large x
-  (masked per element, exact 0 where x^s e^(-x) underflows), lower series
-  otherwise, downward recurrence near the poles of Gamma(s).  Each branch is
-  one array routine over the (s, x) pairs that take it, stopping per
-  element; a scalar pair is an array of one.  The lower incomplete gamma
-  is only its series branch, ``_lower_series``, and is not exported.
+  (exact 0 where x^s e^(-x) underflows), lower series otherwise, downward
+  recurrence near the poles of Gamma(s).  Each branch is one array routine
+  over the (s, x) pairs that take it, run by term tables rather than one
+  numpy call per term: the fraction takes its steps eight at a time for
+  all pairs, the series 64 terms at a time, and each element reads its
+  value at its own stop from a cumprod of the table.  A scalar pair is an
+  array of one.  The lower incomplete gamma is only its series branch,
+  ``_lower_series``, and is not exported.
 * ``hyp2f1`` -- the Gauss series for |z| < 1 with a bound on its error: a
   tail bound proven from the term ratio, whose factors peak at the current
   index or in the limit, plus a rounding term in ulps of sum |t_n|.  It
@@ -216,6 +219,9 @@ _CF_TOL = 4.0 * _EPS
 _UNDERFLOW = -745.0
 # continued-fraction steps and series terms before a stall is reported
 _MAX_ITER = 500
+# continued-fraction steps per block, and series terms per block
+_CF_BLOCK = 8
+_SERIES_BLOCK = 64
 
 
 def _near_poles(s: np.ndarray, tol: float) -> np.ndarray:
@@ -225,12 +231,13 @@ def _near_poles(s: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _prefactor(s, x: np.ndarray) -> np.ndarray:
-    """x^s e^(-x) with overflow detection."""
+    """x^s e^(-x) with overflow detection; s and x broadcast."""
     w = s * np.log(x) - x
     over = w.real > 700.0
     if np.any(over):
         i = int(np.argmax(over))
-        raise OverflowSignal(f"x^s exp(-x) overflows at s={complex(np.broadcast_to(s, x.shape)[i])}, x={float(x[i])}")
+        sb, xb = np.broadcast_arrays(s, x)
+        raise OverflowSignal(f"x^s exp(-x) overflows at s={complex(sb.flat[i])}, x={float(xb.flat[i])}")
     return np.exp(w)
 
 
@@ -238,43 +245,53 @@ def _upper_gamma_cf(s, x: np.ndarray) -> np.ndarray:
     """Gamma(s, x) by the modified Lentz continued fraction; converges for
     every x > 0, in few steps once x passes |s|.  ``s`` broadcasts against x.
 
-    Each element stops taking steps once its own step is within a few ulps
-    of 1.  Where x^s e^(-x) underflows the exact 0 is returned without
+    Lentz's C_i and 1/d_i follow the same map w -> b_i + a_i / w, from 1e300
+    and b_0, so they step side by side as the two rows of one array.  All
+    elements take the steps together, eight at a time, with the rows of
+    a_i = -i (i - s) and b_i = x + 1 - s + 2i computed before each block
+    and broadcast over both, and the steps' factors
+    delta_i = d_i C_i go into a (steps x elements) table.  An element stops
+    at its first step with delta_i within a few ulps of 1, and its value is
+    h_0 delta_1 ... delta_k, multiplied in that order (a cumprod down the
+    table).  Where x^s e^(-x) underflows the exact 0 is returned without
     iterating.
     """
     s = np.broadcast_to(s, x.shape)
     out = np.zeros(x.shape, complex)
     live = (s * np.log(x) - x).real >= _UNDERFLOW
     s, x = s[live], x[live]
-    if x.size == 0:
+    size = x.size
+    if size == 0:
         return out
     pre = _prefactor(s, x)
-    b = x + (1.0 - s)
-    c = np.full(x.shape, 1e300 + 0j)
-    d = 1.0 / b
-    h = d.copy()
-    an = np.empty(x.shape, complex)
-    todo = np.ones(x.shape, bool)
-    dev = np.empty(x.shape)
-    for i in range(1, _MAX_ITER + 1):
-        np.subtract(i, s, out=an)
-        an *= -i
-        b += 2.0
-        d *= an
-        d += b
-        np.reciprocal(d, out=d)
-        np.divide(an, c, out=c)
-        c += b
-        delta = d * c
-        np.multiply(h, delta, out=h, where=todo)
-        delta -= 1.0
-        np.abs(delta, out=dev)
-        todo &= dev > _CF_TOL
-        if not todo.any():
+    b0 = x + (1.0 - s)
+    w = np.stack([np.full(size, 1e300 + 0j), b0])  # C_i and 1/d_i
+    blocks = [np.reciprocal(b0)[None]]  # h_0, then the deltas
+    stops = []
+    done = np.zeros(size, bool)
+    for first in range(1, _MAX_ITER + 1, _CF_BLOCK):
+        i = np.arange(first, min(first + _CF_BLOCK, _MAX_ITER + 1), dtype=complex)[:, None]
+        a = (i - s) * -i
+        b = b0 + 2.0 * i
+        table = np.empty((len(i), 2, size), complex)
+        for row, ai, bi in zip(table, a, b):
+            np.divide(ai, w, out=row)
+            row += bi
+            w = row
+        deltas = table[:, 0] / table[:, 1]
+        # a NaN step (a zero denominator) stops its element too; the
+        # isfinite test below reports it
+        stop = ~(np.abs(deltas - 1.0) > _CF_TOL)
+        blocks.append(deltas)
+        stops.append(stop)
+        done |= stop.any(axis=0)
+        if done.all():
             break
     else:
-        k = int(np.argmax(todo))
+        k = int(np.argmax(~done))
         raise DivergenceError(f"incomplete-gamma continued fraction stalled at s={complex(s[k])}, x={float(x[k])}")
+    steps = np.argmax(np.concatenate(stops), axis=0) + 1
+    h = np.cumprod(np.concatenate(blocks)[: steps.max() + 1], axis=0)[steps, np.arange(size)]
     if not np.all(np.isfinite(h)):
         raise DivergenceError("incomplete-gamma continued fraction hit a zero denominator")
     out[live] = pre * h
@@ -285,25 +302,39 @@ def _lower_series(s, x: np.ndarray) -> np.ndarray:
     """gamma(s, x) = x^s e^(-x) sum x^n / (s (s+1) ... (s+n)), ``s``
     broadcast against x.
 
-    Every eighth term each element checks whether its last term is below
-    1e-17 of its sum; from then on its sum stays as it is, so it ends where
-    a one-element call ends.
+    The terms come in blocks of 64: an (elements x terms) table of the
+    ratios x / (s+n), whose cumprod along each row, started from the last
+    term, gives the terms, and whose cumsum, started from the last sum,
+    gives the running sums.  Each element stops at the first multiple of 8
+    where its term is below 1e-17 of its sum and reads its sum there, so it
+    ends where a one-element call ends; the others take the next block.
     """
     s = np.broadcast_to(s, x.shape)
+    acc = np.empty(x.shape, complex)
+    todo = np.arange(x.size)
     # rounds as Python's complex 1.0 / s; numpy's 1.0 / s differs in the
     # last bit for about a quarter of s
     term = np.reciprocal(s)
-    acc = term.copy()
-    todo = np.ones(x.shape, bool)
-    for n in range(1, _MAX_ITER + 1):
-        term *= x
-        term /= s + n
-        np.add(acc, term, out=acc, where=todo)
-        if n % 8 == 0:
-            todo &= np.abs(term) >= 1e-17 * np.abs(acc)
-            if not todo.any():
-                return _prefactor(s, x) * acc
-    k = int(np.argmax(todo))
+    total = term.copy()
+    # blocks start one past a multiple of 8, so columns 8, 16, ... hold the tested terms
+    for first in range(1, _MAX_ITER + 1, _SERIES_BLOCK):
+        n = np.arange(first, min(first + _SERIES_BLOCK, _MAX_ITER + 1))
+        terms = np.empty((todo.size, n.size + 1), complex)
+        terms[:, 0] = term
+        np.divide(x[todo, None], s[todo, None] + n, out=terms[:, 1:])
+        np.cumprod(terms, axis=1, out=terms)
+        sums = terms.copy()
+        sums[:, 0] = total
+        np.cumsum(sums, axis=1, out=sums)
+        stop = ~(np.abs(terms[:, 8::8]) >= 1e-17 * np.abs(sums[:, 8::8]))
+        hit = stop.any(axis=1)
+        rows = np.flatnonzero(hit)
+        if rows.size:
+            acc[todo[rows]] = sums[rows, 8 * np.argmax(stop[rows], axis=1) + 8]
+        if rows.size == todo.size:
+            return _prefactor(s, x) * acc
+        todo, term, total = todo[~hit], terms[~hit, -1], sums[~hit, -1]
+    k = int(todo[0])
     raise DivergenceError(f"lower incomplete gamma series stalled at s={complex(s[k])}, x={float(x[k])}")
 
 
@@ -313,12 +344,15 @@ def _exp_integral_e1(x: np.ndarray) -> np.ndarray:
     far = x >= 2.0
     out[far] = _upper_gamma_cf(0j, x[far])
     near = x[~far]
-    acc = -_EULER_GAMMA - np.log(near)
-    term = -np.ones_like(near)
-    for k in range(1, 60):
-        term *= -near / k  # (-1)^(k+1) x^k / k!
-        acc += term / k
-    out[~far] = acc
+    k = np.arange(1, 60)
+    # (-1)^(k+1) x^k / k! / k, summed in order after -gamma - log x
+    terms = np.empty((near.size, k.size + 1))
+    terms[:, 0] = -1.0
+    terms[:, 1:] = -near[:, None] / k
+    np.cumprod(terms, axis=1, out=terms)
+    terms[:, 1:] /= k
+    terms[:, 0] = -_EULER_GAMMA - np.log(near)
+    out[~far] = np.cumsum(terms, axis=1)[:, -1]
     return out
 
 
@@ -328,7 +362,9 @@ def upper_incomplete_gamma(s, x):
     ``s`` (complex) and ``x`` (real) are scalars or arrays that broadcast
     against each other; two scalars give a complex, anything else a complex
     array of the broadcast shape.  Every element takes the branch, the shift
-    and the number of steps of its own one-element call.
+    and the number of steps of its own one-element call, and agrees with
+    that call to a few ulps (numpy rounds some complex operations on longer
+    arrays differently in the last bit), not bit for bit.
 
     Branch selection, per element: continued fraction for x >= |s| + 2,
     and for Re s <= 1/2 already from x >= max(|s|, 1); ascending series
@@ -350,7 +386,7 @@ def upper_incomplete_gamma(s, x):
     sf, xf = sa.reshape(-1), xa.reshape(-1)
     out = np.empty(xf.shape, complex)
     size = np.abs(sf)
-    cf = np.where(sf.real > 0.5, xf >= size + 2.0, xf >= np.maximum(size, 1.0))
+    cf = xf >= np.where(sf.real > 0.5, size + 2.0, np.maximum(size, 1.0))
     out[cf] = _upper_gamma_cf(sf[cf], xf[cf])
     if not cf.all():
         sn, xn = sf[~cf], xf[~cf]
@@ -364,13 +400,20 @@ def upper_incomplete_gamma(s, x):
             g[pole] = _exp_integral_e1(xn[pole])
         if not pole.all():
             shifted = sn[~pole] + m[~pole]
-            values, which = np.unique(shifted, return_inverse=True)
-            full = np.array([gamma(complex(v)) for v in values])
-            g[~pole] = full[which] - _lower_series(shifted, xn[~pole])
-        for j in range(int(m.max()), 0, -1):
-            k = m >= j
-            a = base[k] + (j - 1)
-            g[k] = (g[k] - _prefactor(a, xn[k])) / a
+            values = shifted.tolist()
+            full = {v: gamma(v) for v in set(values)}
+            g[~pole] = np.array([full[v] for v in values]) - _lower_series(shifted, xn[~pole])
+        top = int(m.max())
+        if top:
+            # step j of the recurrence divides by a = base + j - 1; every
+            # x^a e^(-x) an element needs in one table, 0 standing in for
+            # the a it does not reach
+            a = base[:, None] + np.arange(top)
+            used = m[:, None] > np.arange(top)
+            pre = _prefactor(np.where(used, a, 0.0), xn[:, None])
+            for j in range(top, 0, -1):
+                np.subtract(g, pre[:, j - 1], out=g, where=used[:, j - 1])
+                np.divide(g, a[:, j - 1], out=g, where=used[:, j - 1])
         out[~cf] = g
     return complex(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 

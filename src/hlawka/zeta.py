@@ -12,12 +12,16 @@ against its direct sum in the convergent half plane before use elsewhere
 (tests pin this to 1e-9); normalization constants come from that calibration,
 not from trusting any derivation.
 
-All continuations share ``_theta_split``.  The form is first Gauss-reduced
+All continuations share ``_theta_split``, which takes a list of (s, q)
+pairs and serves them all with one enumeration and one incomplete-gamma
+call: the components of ``reconstruct_hlawka``, or the several s of
+``epstein_continued_many``.  The form is first Gauss-reduced
 (|2b| <= a <= c, exactly, in rational arithmetic) and scaled to determinant
 one; the value is GL(2,Z)-invariant, and the reduced form's points of small
 Q are the points near the origin.  The sum then runs over the cut ellipse
 pi Q <= X, built row by row as one array on the half plane, with X set by the
-Gaussian decay of the incomplete gammas; points of equal Q share one
+Gaussian decay of the incomplete gammas (the largest X of the pairs; each
+pair sums only the points below its own); points of equal Q share one
 evaluation.  ``error_estimate`` is a bound: rounding relative to the sum of
 the terms' moduli plus the cut-off tail, divided by |pi^(-s) Gamma(s)| for
 the uncompleted functions, so it grows with the cancellation of the
@@ -72,6 +76,7 @@ __all__ = [
     "hlawka_from_spectrum",
     "epstein_direct",
     "epstein_continued",
+    "epstein_continued_many",
     "epstein_lambda",
     "eisenstein_fq_truncated",
     "eisenstein_fq_continued",
@@ -599,11 +604,11 @@ def _harmonics(step: np.ndarray, q_list, phase: np.ndarray):
         yield phase
 
 
-def _theta_split(u: QuadForm2, det: float, s: complex, q_list) -> tuple[list, dict]:
+def _theta_split(u: QuadForm2, det: float, pairs) -> tuple[list, dict]:
     """Completed theta-splitting sums of the reduced form u, one enumeration
-    for all of ``q_list``:
+    and one incomplete-gamma call for all (s, q) of ``pairs``:
 
-        Lambda_q = -[q = 0] (1/s' + 1/(q+1-s'))
+        Lambda_q(s) = -[q = 0] (1/s' + 1/(q+1-s'))
             + sum over x != 0 of P(x) [X^(-s') Gamma(s', X) + X^(s'-q-1) Gamma(q+1-s', X)]
 
     with s' = s + q/2, X = pi Q(x) / sqrt(det) (the form scaled to
@@ -612,40 +617,43 @@ def _theta_split(u: QuadForm2, det: float, s: complex, q_list) -> tuple[list, di
     (the identity form's twisted components; q > 0 needs the identity form,
     whose |P| = Q^(q/2) the tail bound assumes).  Points with equal Q share
     their incomplete gammas; Q and every P here are even, so the half plane
-    is summed and doubled.
+    is summed and doubled.  Each pair sums the points below its own cut, so
+    its value does not depend on the other pairs.
 
-    Returns [(Lambda_q, error bound)] and the truncation record.  The bound
-    is kappa 2^-52 times the sum of the terms' moduli (rounding, relative
-    error kappa ulps per term) plus the cutoff tail.
+    Returns [(Lambda_q(s), error bound)] in the order of ``pairs`` and the
+    truncation record of the shared enumeration.  The bound is kappa 2^-52
+    times the sum of the terms' moduli (rounding, relative error kappa ulps
+    per term) plus the cutoff tail.
     """
     root = math.sqrt(det)
     scale = math.pi / root
     beta = math.sqrt(math.pi * root / u.eigenvalues()[0])  # sqrt(pi / lambda_min(u / root))
-    cuts = [_cutoff(s + q / 2.0, q, scale * u.u11, beta) for q in q_list]
+    cuts = [_cutoff(s + q / 2.0, q, scale * u.u11, beta) for s, q in pairs]
     m, n, qv = _cut_ellipse(u, max(x for x, _ in cuts) / scale)
     qs, inv, counts = np.unique(qv, return_inverse=True, return_counts=True)
     xs = scale * qs
-    # every X^(-a) Gamma(a, X) of every q in one call: a = s' and q + 1 - s'
-    # on the x below that q's cut, the halves one after the other
+    # every X^(-a) Gamma(a, X) of every pair in one call: a = s' and
+    # q + 1 - s' on the x below that pair's cut, the halves one after the other
     ks = [int(np.searchsorted(xs, x_cut, side="right")) for x_cut, _ in cuts]
-    a = np.concatenate([np.repeat([s + q / 2.0, q + 1.0 - (s + q / 2.0)], k) for q, k in zip(q_list, ks)])
+    a = np.concatenate([np.repeat([s + q / 2.0, q + 1.0 - (s + q / 2.0)], k) for (s, q), k in zip(pairs, ks)])
     at = np.concatenate([np.arange(k) for k in ks for _ in (0, 1)])
     terms = np.exp(-a * np.log(xs)[at]) * upper_incomplete_gamma(a, xs[at])
-    harmonics = _harmonics((m + 1j * n) ** 4, q_list, np.empty(len(m), complex))
+    # the harmonic weights of each q, summed over the points of each Q
+    doubled = 2.0 * counts
+    weights = {0: (doubled, doubled)}
+    twisted = sorted({q for _, q in pairs} - {0})
+    if twisted:
+        for harm, q in zip(_harmonics((m + 1j * n) ** 4, twisted, np.empty(len(m), complex)), twisted):
+            weights[q] = (2.0 * (np.bincount(inv, harm.real, len(xs)) + 1j * np.bincount(inv, harm.imag, len(xs))),
+                          2.0 * np.bincount(inv, np.abs(harm), len(xs)))
     start = 0
     out = []
-    for harm, q, k, (_, tail) in zip(harmonics, q_list, ks, cuts):
+    for (s, q), k, (_, tail) in zip(pairs, ks, cuts):
         sp = s + q / 2.0
         t1, t2 = terms[start:start + k], terms[start + k:start + 2 * k]
         start += 2 * k
-        if q == 0:
-            w = 2.0 * counts[:k]
-            w_abs = w
-            polar = -(1.0 / sp + 1.0 / (1.0 - sp))
-        else:
-            w = 2.0 * (np.bincount(inv, harm.real, len(xs)) + 1j * np.bincount(inv, harm.imag, len(xs)))[:k]
-            w_abs = 2.0 * np.bincount(inv, np.abs(harm), len(xs))[:k]
-            polar = 0.0
+        w, w_abs = (v[:k] for v in weights[q])
+        polar = 0.0 if q else -(1.0 / sp + 1.0 / (1.0 - sp))
         lam = polar + complex(np.sum(w * (t1 + t2)))
         mass = abs(polar) + float(np.sum(w_abs * (np.abs(t1) + np.abs(t2))))
         # against mpmath the error stays below 43 ulps of the mass up to |s'| = 30
@@ -672,6 +680,32 @@ def _uncomplete(lam: complex, err: float, sp: complex) -> tuple[complex, float]:
     return value, err / abs(g) + _special_ulps(sp) * _EPS * abs(value)
 
 
+def _epstein_lambdas(u: QuadForm2, s_values) -> list[EvalResult]:
+    """``epstein_lambda`` at each s of ``s_values``: one reduction of u and
+    one ``_theta_split`` for all of them."""
+    s_list = [complex(s) for s in s_values]
+    for s in s_list:
+        if abs(s) < 1e-8 or abs(s - 1.0) < 1e-8:
+            raise PoleError(f"Epstein zeta pole at s={s}")
+    a, b, c = _gauss_reduce(u.u11, u.u12, u.u22)
+    red = QuadForm2(float(a), float(b), float(c))
+    if red.condition_number() > 1e8:
+        raise ValidationError("quadratic form too ill-conditioned")
+    det = float(a * c - b * b)  # exact, then rounded once
+    lams, trunc = _theta_split(red, det, [(s, 0) for s in s_list])
+    out = []
+    for s, (lam, err) in zip(s_list, lams):
+        factor = cmath.exp(-0.5 * s * math.log(det))
+        value = factor * lam
+        ulps = 4.0 + abs(s) * abs(math.log(det))
+        out.append(EvalResult(
+            value=value,
+            error_estimate=abs(factor) * err + ulps * _EPS * abs(value),
+            truncation={**trunc, "method": "incomplete-gamma splitting"},
+        ))
+    return out
+
+
 def epstein_lambda(u: QuadForm2, s: complex) -> EvalResult:
     """Completed Epstein zeta Lambda(u, s) = pi^(-s) Gamma(s) E(u, s).
 
@@ -688,23 +722,21 @@ def epstein_lambda(u: QuadForm2, s: complex) -> EvalResult:
     sum of the terms' moduli) plus that tail.  Meromorphic with only the two
     explicit poles at s = 0 and s = 1 (rejected within 1e-8).
     """
-    s = complex(s)
-    if abs(s) < 1e-8 or abs(s - 1.0) < 1e-8:
-        raise PoleError(f"Epstein zeta pole at s={s}")
-    a, b, c = _gauss_reduce(u.u11, u.u12, u.u22)
-    red = QuadForm2(float(a), float(b), float(c))
-    if red.condition_number() > 1e8:
-        raise ValidationError("quadratic form too ill-conditioned")
-    det = float(a * c - b * b)  # exact, then rounded once
-    [(lam, err)], trunc = _theta_split(red, det, s, [0])
-    factor = cmath.exp(-0.5 * s * math.log(det))
-    value = factor * lam
-    ulps = 4.0 + abs(s) * abs(math.log(det))
-    return EvalResult(
-        value=value,
-        error_estimate=abs(factor) * err + ulps * _EPS * abs(value),
-        truncation={**trunc, "method": "incomplete-gamma splitting"},
-    )
+    return _epstein_lambdas(u, [s])[0]
+
+
+def epstein_continued_many(u: QuadForm2, s_values) -> list[EvalResult]:
+    """``epstein_continued`` at several s sharing one reduction of u, one
+    enumeration and one incomplete-gamma call.  Each value and bound is
+    that of its own call, up to the last digits of the incomplete gammas
+    (a batch rounds some of them differently); the truncation record is the
+    shared enumeration's."""
+    s_list = [complex(s) for s in s_values]
+    out = []
+    for s, lam in zip(s_list, _epstein_lambdas(u, s_list)):
+        value, err = _uncomplete(lam.value, lam.error_estimate, s)
+        out.append(EvalResult(value=value, error_estimate=err, truncation=lam.truncation))
+    return out
 
 
 def epstein_continued(u: QuadForm2, s: complex) -> EvalResult:
@@ -715,10 +747,7 @@ def epstein_continued(u: QuadForm2, s: complex) -> EvalResult:
     error bound of Lambda is divided by |pi^(-s) Gamma(s)|, so it grows with
     the cancellation of the splitting at large |Im s|.
     """
-    s = complex(s)
-    lam = epstein_lambda(u, s)
-    value, err = _uncomplete(lam.value, lam.error_estimate, s)
-    return EvalResult(value=value, error_estimate=err, truncation=lam.truncation)
+    return epstein_continued_many(u, [s])[0]
 
 
 def eisenstein_fq_continued(q: int, s: complex) -> EvalResult:
@@ -737,7 +766,7 @@ def eisenstein_fq_continued(q: int, s: complex) -> EvalResult:
     if q < 4 or q % 4 != 0:
         raise ValidationError("continuation implemented for q >= 4 with q = 0 mod 4")
     s = complex(s)
-    [(lam, err)], trunc = _theta_split(QuadForm2.identity(), 1.0, s, [q])
+    [(lam, err)], trunc = _theta_split(QuadForm2.identity(), 1.0, [(s, q)])
     value, err = _uncomplete(lam, err, s + q / 2.0)
     return EvalResult(
         value=value,
@@ -865,7 +894,7 @@ def reconstruct_hlawka(
         t_errs = {q: _disc_tail(2.0 * math.pi, s.real, radius) + _twisted_rounding(s, q, radius)
                   for q in q_list}
     else:
-        lams, _ = _theta_split(QuadForm2.identity(), 1.0, s, q_list)
+        lams, _ = _theta_split(QuadForm2.identity(), 1.0, [(s, q) for q in q_list])
         comps = [_uncomplete(lam, e, s + q / 2.0) for q, (lam, e) in zip(q_list, lams)]
         t_sums = {q: v for q, (v, _) in zip(q_list, comps)}
         t_errs = {q: e for q, (_, e) in zip(q_list, comps)}

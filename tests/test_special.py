@@ -305,6 +305,68 @@ def test_upper_gamma_array_matches_scalar_and_mpmath():
         upper_incomplete_gamma(s[:3], x[:4])
 
 
+def _lentz_loop(s, x):
+    """Gamma(s, x) / (x^s e^(-x)) by the modified Lentz continued fraction,
+    one scalar step at a time, stopped as the library stops it."""
+    b = x + 1.0 - s
+    c, d = 1e300 + 0j, 1.0 / b
+    h = d
+    for i in range(1, special._MAX_ITER + 1):
+        an = -i * (i - s)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h *= d * c
+        if abs(d * c - 1.0) <= special._CF_TOL:
+            return h
+    raise AssertionError("reference fraction stalled")
+
+
+def _series_loop(s, x):
+    """gamma(s, x) / (x^s e^(-x)) one scalar term at a time, stopped as the
+    library stops it (every eighth term, below 1e-17 of the sum)."""
+    term = acc = 1.0 / s
+    for n in range(1, special._MAX_ITER + 1):
+        term = term * x / (s + n)
+        acc += term
+        if n % 8 == 0 and abs(term) < 1e-17 * abs(acc):
+            return acc
+    raise AssertionError("reference series stalled")
+
+
+def test_upper_gamma_tables_match_the_term_loops():
+    # the tables take each element's steps or terms in order up to its own
+    # stop, so against the scalar loops only the rounding of each step
+    # differs: a few ulps of the fraction or the sum (x^s e^(-x), whose
+    # exponent is ill-conditioned at large |s log x|, is divided out)
+    rng = np.random.default_rng(20)
+    s = rng.uniform(-2.0, 25.0, 200) + 1j * rng.uniform(-20.0, 20.0, 200)
+    x = np.abs(s) + 2.0 + rng.uniform(0.0, 30.0, 200)
+    fractions = special._upper_gamma_cf(s, x) / special._prefactor(s, x)
+    s_series = rng.uniform(0.6, 25.0, 200) + 1j * rng.uniform(-20.0, 20.0, 200)
+    x_series = rng.uniform(0.05, 1.0, 200) * (np.abs(s_series) + 2.0)
+    sums = special._lower_series(s_series, x_series) / special._prefactor(s_series, x_series)
+    for loop, ss, xs, got in ((_lentz_loop, s, x, fractions), (_series_loop, s_series, x_series, sums)):
+        for si, xi, v in zip(ss, xs, got):
+            ref = loop(complex(si), float(xi))
+            assert abs(v - ref) <= 16 * 2.0**-52 * abs(ref), (loop.__name__, si, xi)
+
+
+def test_upper_gamma_stalls_raise(monkeypatch):
+    # with eight steps or terms allowed, x = 3 stalls both branches (it needs
+    # about 20 fraction steps at s = 0.3+0.5i and 40 series terms at
+    # s = 2.5+i), alone and inside a batch of elements that stop in time
+    monkeypatch.setattr(special, "_MAX_ITER", 8)
+    fast_cf, fast_series = np.array([200.0, 300.0, 250.0, 400.0]), np.array([0.01, 0.02, 0.015])
+    for s, fast, stall in ((0.3 + 0.5j, fast_cf, "continued fraction stalled"),
+                           (2.5 + 1.0j, fast_series, "series stalled")):
+        assert np.all(np.isfinite(upper_incomplete_gamma(s, fast)))
+        with pytest.raises(DivergenceError, match=f"{stall} at .*x=3.0"):
+            upper_incomplete_gamma(s, 3.0)
+        with pytest.raises(DivergenceError, match=f"{stall} at .*x=3.0"):
+            upper_incomplete_gamma(s, np.insert(fast, 2, 3.0))
+
+
 def test_upper_gamma_overflow_signal():
     from hlawka.errors import OverflowSignal
 

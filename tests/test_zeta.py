@@ -11,6 +11,7 @@ import pytest
 from conftest import disc_tail_correction
 from hlawka import cli, lattice, zeta
 from hlawka.errors import PoleError, ValidationError
+from hlawka.funceq import residue_at_one
 from hlawka.lattice import build_spectrum
 from hlawka.shapes import Mat2, Symmetry, act, circle, cosine_series, ellipse, odd_shape, parse_shape, square
 from hlawka.special import dirichlet_beta, gamma, riemann_zeta, upper_incomplete_gamma
@@ -21,6 +22,7 @@ from hlawka.zeta import (
     eisenstein_fq_truncated,
     ellipse_form,
     epstein_continued,
+    epstein_continued_many,
     epstein_direct,
     epstein_lambda,
     hlawka_direct,
@@ -506,10 +508,54 @@ def test_continuations_make_one_incomplete_gamma_call(monkeypatch, bump_shape):
     reconstruct_hlawka(bump_shape, 2.0, 40, mode="continued")
     assert len(calls) == 1 and calls[0] > 0
     for run in (lambda: epstein_continued(QuadForm2(1.0, 0.4, 3.7), 0.3 + 5.0j),
-                lambda: eisenstein_fq_continued(8, 0.3 + 5.0j)):
+                lambda: eisenstein_fq_continued(8, 0.3 + 5.0j),
+                # the four s of the numeric limit in one batch
+                lambda: residue_at_one(parse_shape("circle:c=1.2")),
+                lambda: residue_at_one(parse_shape("ellipse:a=2,b=1,phi=0.3")),
+                lambda: epstein_continued_many(QuadForm2(1.0, 0.4, 3.7), [0.3 + 5.0j, -1.2 + 0.5j, 2.5])):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def test_epstein_continued_many_matches_single_calls():
+    # one reduction and one splitting for all s; each value stays within its
+    # own bound of the single call (only the incomplete gammas' last digits
+    # move with the batch), and so does the bound
+    u = QuadForm2(2.0, 0.9, 1.1)
+    s_values = [0.3 + 5.0j, -1.7 + 0.4j, 1.0 + 2e-4, 1.0 - 2e-4, 2.5, -2.0]
+    many = epstein_continued_many(u, s_values)
+    assert len(many) == len(s_values)
+    for s, res in zip(s_values, many):
+        one = epstein_continued(u, s)
+        assert abs(res.value - one.value) <= one.error_estimate
+        assert res.error_estimate == pytest.approx(one.error_estimate, rel=1e-9)
+    assert many[-1].value == 0.0  # the trivial zero at s = -2, exactly
+    with pytest.raises(PoleError):
+        epstein_continued_many(u, [2.0, 1.0])
+
+
+def test_theta_split_batches_agree_with_one_element_calls(monkeypatch, thin_ellipse):
+    # every (s, x) pair of a continuation's batch against its own call:
+    # numpy rounds some complex operations on longer arrays differently, so
+    # the two agree to a few ulps, not bit for bit
+    batches = []
+
+    def captured(s, x):
+        batches.append((np.array(s), np.array(x)))
+        return upper_incomplete_gamma(s, x)
+
+    monkeypatch.setattr(zeta, "upper_incomplete_gamma", captured)
+    epstein_continued(QuadForm2(1.0, 0.4, 3.7), 0.3 + 5.0j)
+    epstein_continued_many(QuadForm2(2.0, 0.9, 1.1), [-1.7 + 0.4j, 2.5 + 12.0j])
+    eisenstein_fq_continued(8, -0.6 + 7.0j)
+    reconstruct_hlawka(thin_ellipse, -1.2 + 3.0j, 40, mode="continued")
+    assert len(batches) == 4
+    for s, x in batches:
+        batch = upper_incomplete_gamma(s, x)
+        for si, xi, v in zip(s, x, batch):
+            one = upper_incomplete_gamma(complex(si), float(xi))
+            assert abs(v - one) <= 16 * 2.0**-52 * abs(one), (si, xi)
 
 
 def _cutoff_scan(sp, q, x_min, beta):
