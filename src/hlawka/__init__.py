@@ -41,7 +41,6 @@ from .zeta import (
     eisenstein_fq_continued,
     eisenstein_fq_truncated,
     epstein_continued,
-    epstein_direct,
     hlawka_direct,
     hlawka_from_spectrum,
     reconstruct_hlawka,
@@ -77,7 +76,6 @@ __all__ = [
     "eisenstein_fq_continued",
     "eisenstein_fq_truncated",
     "epstein_continued",
-    "epstein_direct",
     "hlawka_direct",
     "hlawka_from_spectrum",
     "reconstruct_hlawka",

@@ -42,7 +42,6 @@ OPERATION_MAP = {
     "lattice.spectrum_to_csv": "spectrum",
     "zeta.hlawka_direct": "zeta",
     "zeta.hlawka_from_spectrum": "zeta",
-    "zeta.epstein_direct": "epstein",
     "zeta.epstein_continued": "epstein",
     "zeta.epstein_lambda": "epstein",
     "zeta.eisenstein_fq_truncated": "eisenstein",
@@ -243,7 +242,7 @@ def _cmd_epstein(args) -> int:
     u = _parse_form(args.u)
     s = parse_complex(args.s)
     if args.method == "direct":
-        res = zeta.epstein_direct(u, s, args.radius, threads=args.threads)
+        res = zeta.hlawka_direct(u.region(), s, args.radius, threads=args.threads)
     elif args.method == "lambda":
         res = zeta.epstein_lambda(u, s)
     else:

@@ -139,7 +139,8 @@ def closed_form_coefficients(shape: RadialShape, s: complex, q_max: int) -> list
     if shape.kind == "constant":
         a = b = shape.params[0]
     else:
-        a, b, phi = shape.params
+        # an image from ``act`` may have a < b: a quarter turn keeps every row
+        (b, a), phi = sorted(shape.params[:2]), shape.params[2]
         if phi != 0.0:
             raise ValidationError("closed form implemented for unrotated ellipses")
     s = complex(s)

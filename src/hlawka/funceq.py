@@ -26,7 +26,7 @@ from .fourier import ellipse_coefficient
 from . import lattice as _lattice
 from .lattice import build_spectrum
 from .results import csv_table
-from .shapes import RadialShape, area, odd_shape, square
+from .shapes import Mat2, RadialShape, area, odd_shape, square
 from .special import gamma, riemann_zeta
 from .zeta import (
     QuadForm2,
@@ -68,9 +68,6 @@ class CheckReport:
     tolerance: float
     passed: bool
     metadata: dict = field(default_factory=dict)
-
-    def max_rel(self) -> float:
-        return max(self.residuals_rel) if self.residuals_rel else 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -483,14 +480,6 @@ class PerronReport:
     lobe_residuals: tuple
     last_lobe_magnitude: float
 
-    def residual_envelope(self, t_from: float, t_to: float) -> float:
-        vals = [
-            abs(r)
-            for t, r in zip(self.lobe_ends, self.lobe_residuals)
-            if t_from <= t <= t_to
-        ]
-        return max(vals) if vals else math.nan
-
     def to_csv(self) -> str:
         return csv_table("T,residual", self.lobe_ends, self.lobe_residuals)
 
@@ -656,11 +645,9 @@ def residue_at_one(shape: RadialShape) -> float:
 
     steps = (2e-4, 1e-4)
     if shape.kind in ("constant", "ellipse"):
-        if shape.kind == "constant":
-            u = ellipse_form(shape.params[0], shape.params[0])
-        else:
-            a, b, phi = shape.params
-            u = ellipse_form(a, b, phi)
+        # the form of kappa(-phi) diag(a, b), for either order of a and b
+        a, b, phi = shape.params if shape.kind == "ellipse" else (shape.params[0], shape.params[0], 0.0)
+        u = QuadForm2.from_transform(Mat2.rotation(-phi) @ Mat2.diagonal(a, b))
         # one reduction, one splitting and one incomplete-gamma call for all four s
         values = [r.value for r in epstein_continued_many(u, [1.0 + h * sign for h in steps for sign in (1, -1)])]
     elif shape.kind in ("square", "odd"):

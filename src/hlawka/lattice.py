@@ -21,9 +21,12 @@ thread fills its chunks' points into its own scratch arrays
 (``scratch.scratch``), and the hot dilation kernels write into such arrays
 too, so no chunk-sized array is allocated per chunk.  For the
 square and the odd shape the dilation times are evaluated by exact integer
-piecewise-linear forms, which keeps their spectra exactly integral.  A
-transformed shape gD reuses the kernel of D through t_{gD}(p) = t_D(g^-1 p),
-so integral images such as GL(2,Z) images of the square stay exact too.
+piecewise-linear forms, which keeps their spectra exactly integral.  An
+image of a circle or an ellipse is an ellipse (``shapes.act``), so it is
+timed by the ellipse's closed form.  A transformed shape gD (an image of a
+square, an odd shape or a cosine series) reuses the kernel of D through
+t_{gD}(p) = t_D(g^-1 p), so integral images such as GL(2,Z) images of the
+square stay exact too.
 
 These integer kinds (``time_ulps`` 0) are counted without a walk:
 ``time_counts`` gives the number of points of each integer t in a disc
@@ -349,15 +352,26 @@ def time_ulps(shape: RadialShape) -> float:
     0 where every t is an exact integer: the square, the odd shape and their
     images under an integer g with det +-1.  Else 16 r_max / r_min: the
     closed forms round a few times (an ellipse's rotation cancels up to
-    a / b), and an image's preimage g^-1 p is off by 3.6 cond(g) ulps, which
-    the base's gauge scales by its r_max / r_min times its slope r_min
-    |grad t| (1 + S_1 / r_min for a cosine series, at most 1.2 for the other
-    kinds).  A cosine series, S_1 = sum q |c_q|, S_0 = sum |c_q|, k
-    harmonics, takes at least (5 A S_1 + (5 + k) S_0) / r_min + 5, each libm
-    call within 4 ulps: arctan2 of the point folded to an angle <= A errs by
-    4 A ulps, q theta by 4.5 q A and r by 4.5 A S_1; the cosines, products
-    and sums add (4.5 + k / 2) S_0, hypot and the division 4.5.  An image of
-    a series adds that preimage term to its base's bound.
+    a / b), and a transformed shape's preimage g^-1 p is off by 3.6 cond(g)
+    ulps, which the base's gauge scales by its r_max / r_min times its slope
+    r_min |grad t| (1 + S_1 / r_min for a cosine series, at most 1.2 for
+    the other kinds).  The same 16 a / b covers the rounded axes and angle
+    of an ellipse made by ``shapes.act`` or ``QuadForm2.region``, against
+    the exact image, whatever g and the base: ``act`` forms g kappa(-phi)
+    diag(a, b) and its alpha and beta exactly (cos phi and sin phi to 45
+    digits) and rounds each once, so its axes are within a few ulps and
+    its angle within a few ulps of 1, which moves t by a few a / b ulps (an
+    angle error d turns t by at most d (a / b - b / a) / 2); the Cholesky
+    factor R of u rounds each entry of R^-1 a few times (det u / u11 is
+    formed exactly), which moves t by a few cond(R) = a / b ulps, where
+    cond(u) = (a / b)^2.  A nearly round image of a long base, where g
+    undoes the base's elongation, keeps a few ulps.  A cosine series,
+    S_1 = sum q |c_q|, S_0 = sum |c_q|, k harmonics, takes at least
+    (5 A S_1 + (5 + k) S_0) / r_min + 5, each libm call within 4 ulps:
+    arctan2 of the point folded to an angle <= A errs by 4 A ulps, q theta
+    by 4.5 q A and r by 4.5 A S_1; the cosines, products and sums add
+    (4.5 + k / 2) S_0, hypot and the division 4.5.  An image of a series
+    adds that preimage term to its base's bound.
     """
     kind, ratio = shape.kind, shape.r_max / shape.r_min
     if kind in ("square", "odd"):
@@ -379,7 +393,7 @@ def time_ulps(shape: RadialShape) -> float:
         a, b, c, d = map(int, g.entries())
         if abs(a * d - b * c) == 1:
             return 0.0
-    if base.kind in ("constant", "ellipse", "square", "odd"):
+    if base.kind in ("square", "odd"):
         return 16.0 * ratio
     return max(16.0 * ratio, inner + 4.0 * ratio * slope)
 

@@ -2,13 +2,15 @@
 
 Supported kinds: constant (circle), ellipse, square (side 2, centered), a
 seven-segment "odd" region with the same dilation spectrum as the square,
-finite cosine series, and images of any of these under a nonsingular 2x2
-matrix.  Each kind is defined once, by its gauge t(p) = inf{t : p in tD}
-(``lattice.dilation_times_block``); the radial function, whose curve
-theta |-> r(theta) (cos theta, sin theta) is the boundary, is r(theta) =
-1 / t(cos theta, sin theta).  The circle (r = c) and the cosine series
-keep r as their definition.  An image has t_{gD}(p) = t_D(g^-1 p), for
-either sign of det g.
+finite cosine series, and images of the last three under a nonsingular
+2x2 matrix (``transformed``).  GL(2,R) maps ellipses to ellipses, so
+``act`` returns an image of a circle or an ellipse as an ellipse (or a
+circle), read off the Cartan decomposition.  Each kind is defined once,
+by its gauge t(p) = inf{t : p in tD} (``lattice.dilation_times_block``);
+the radial function, whose curve theta |-> r(theta) (cos theta, sin theta)
+is the boundary, is r(theta) = 1 / t(cos theta, sin theta).  The circle
+(r = c) and the cosine series keep r as their definition.  A transformed
+shape has t_{gD}(p) = t_D(g^-1 p), for either sign of det g.
 
 Matrix conventions.  kappa(phi) denotes [[cos phi, sin phi], [-sin phi,
 cos phi]]; as a map of column vectors it rotates the plane by -phi, hence the
@@ -28,9 +30,11 @@ sampled); the direct sums walk one lattice point per orbit of it.
 from __future__ import annotations
 
 import cmath
+import decimal
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
@@ -58,7 +62,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_GRID_N = 4096  # positivity / bounds grid of a cosine series
+_TWO_PI_DEC = decimal.Decimal("6.283185307179586476925286766559005768394338798750211641949889184615632812572417997256")
+_GRID_N = 4096  # first bounds grid of a cosine series
+_GRID_CAP = 1 << 20  # its finest
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -203,15 +209,21 @@ class Symmetry(enum.Enum):
 @dataclass(frozen=True)
 class RadialShape:
     """Immutable star-shaped region with r_min <= r(theta) <= r_max: the
-    extremes of r, grid extremes for a cosine series, bounds for an image.
+    extremes of r for a circle, an ellipse (every image of one included),
+    the square and the odd shape; bounds from a grid and the series'
+    curvature for a cosine series; singular-value bounds for a transformed
+    shape.
 
     ``params`` is kind-specific:
       constant       (c,)
-      ellipse        (a, b, phi)
+      ellipse        (a, b, phi), a > b; an image from ``act`` whose axes
+                     lie on the coordinate axes has phi = 0 and either
+                     order
       square         ()
       odd            ()
       cosine-series  (c0, c1, ..., cQ)
-      transformed    (matrix, base_shape)
+      transformed    (matrix, base_shape): an image of a square, an odd
+                     shape or a cosine series (or of such an image)
     """
 
     kind: str
@@ -317,6 +329,8 @@ def ellipse(a: float, b: float, phi: float = 0.0) -> RadialShape:
     """Axes a >= b > 0, rotated phi counterclockwise."""
     if not (a >= b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError("ellipse requires a >= b > 0")
+    if not math.isfinite(phi):
+        raise ValidationError("ellipse requires a finite phi")
     if a == b:
         return circle(a)
     return RadialShape(
@@ -343,36 +357,108 @@ def odd_shape() -> RadialShape:
 
 
 def cosine_series(coeffs) -> RadialShape:
-    """r(theta) = sum_q coeffs[q] cos(q theta); rejected if not positive."""
+    """r(theta) = sum_q coeffs[q] cos(q theta), with proven bounds; rejected
+    unless they show it positive.
+
+    On the grid of spacing h = 2 pi / N, r lies within (h^2 / 8) sum q^2
+    |c_q| of the linear interpolant of its grid values, since |r''| <=
+    sum q^2 |c_q|.  The computed grid values err by at most (10 S_1 +
+    (3 + k) S_0) 2^-52, S_1 = sum q |c_q|, S_0 = sum |c_q|, k harmonics:
+    theta and q theta by 9.5 q ulps of 1, each cosine by 2, the products
+    and sums by (1 + k) / 2 ulps of S_0.  r_min and r_max are the grid's
+    extremes widened by both.  The grid starts at ``_GRID_N`` points and
+    doubles (keeping its points) while r_min is not positive, up to
+    ``_GRID_CAP`` points.
+    """
     coeffs = tuple(float(c) for c in coeffs)
     if not coeffs:
         raise ValidationError("cosine series needs at least the constant term")
-    r = _cosine_series(coeffs, np.arange(_GRID_N) * (_TWO_PI / _GRID_N))
-    r_min, r_max = float(np.min(r)), float(np.max(r))
-    if r_min <= 0.0:
-        raise ValidationError(f"radial function must stay positive (grid min {r_min:.3g})")
-    return RadialShape(kind="cosine-series", params=coeffs, r_min=r_min, r_max=r_max)
+    curvature = sum(q * q * abs(c) for q, c in enumerate(coeffs))
+    harmonics = sum(c != 0.0 for c in coeffs[1:])
+    rounding = (10.0 * sum(q * abs(c) for q, c in enumerate(coeffs))
+                + (3.0 + harmonics) * sum(map(abs, coeffs))) * 2.0**-52
+    n = _GRID_N
+    while True:
+        r = _cosine_series(coeffs, np.arange(n) * (_TWO_PI / n))
+        slack = (_TWO_PI / n) ** 2 / 8.0 * curvature + rounding
+        low = float(np.min(r))
+        if low - slack > 0.0:
+            return RadialShape(kind="cosine-series", params=coeffs, r_min=low - slack,
+                               r_max=float(np.max(r)) + slack)
+        # a finer grid keeps these points, so a minimum <= 0 stays
+        if low <= 0.0 or n >= _GRID_CAP:
+            raise ValidationError(f"radial function must stay positive (grid min {low:.3g} "
+                                  f"on {n} points, curvature slack {slack:.3g})")
+        n *= 2
+
+
+def _cos_sin(phi: float) -> tuple[Fraction, Fraction]:
+    """cos phi and sin phi within 1e-45 for |phi| < 1e15: their Taylor
+    series in 60-digit decimals, after an exact reduction of phi mod 2 pi
+    (to 85 digits); (2 pi)^80 / 80! < 1e-54."""
+    with decimal.localcontext(prec=60):
+        x, term, sums = decimal.Decimal(phi) % _TWO_PI_DEC, 1, [1, 0]
+        for n in range(1, 80):
+            term = term * x / n
+            sums[n % 2] += term if n % 4 < 2 else -term
+    return Fraction(sums[0]), Fraction(sums[1])
 
 
 def act(g: Mat2, shape: RadialShape) -> RadialShape:
-    """The image of the region of ``shape`` under g, of gauge t(g^-1 p); as
-    sigma_min(g) |x| <= |g x| <= sigma_max(g) |x|, its bounds are
-    sigma_min(g) r_min and sigma_max(g) r_max of ``shape``."""
+    """The image of the region of ``shape`` under g, of gauge t(g^-1 p).
+
+    An image of a circle or an ellipse is an ellipse (a circle where its
+    axes come out equal).  The ellipse (a, b, phi) is h B for the unit disc
+    B and h = kappa(-phi) diag(a, b), so its image is g h B, the ellipse
+    x^T (g h h^T g^T)^-1 x <= 1.  g h is formed in ``Fraction``, exactly
+    but for the cosine and sine of phi, which are taken to 45 digits (the
+    gauge's rounded ones would turn the image by an ulp, which moves t by
+    up to a / b ulps of a nearly round image), and times diag(1, -1)
+    (which maps B onto itself) where its det < 0.  Where g h h^T g^T is
+    diagonal the image's axes lie on the coordinate axes: its params are
+    the roots of the diagonal, (x axis, y axis, 0.0), so the axis
+    reflections stay exact symmetries even where the x axis is the
+    shorter.  Else, acting on x + iy as z |-> alpha z + beta conj(z), g h
+    has the axes d1 = |alpha| + |beta| and d2 = det / d1 and the angle
+    (arg alpha + arg beta) / 2 of its Cartan decomposition (as in
+    ``cartan_decompose``), a zero angle stored as +0.0.  Each axis is
+    rounded a few times from exact sums and squares, with no cancellation.
+    The bounds are the axes and the symmetry is read from the kind.  Any
+    other shape gives a ``transformed`` one; as sigma_min(g) |x| <= |g x|
+    <= sigma_max(g) |x|, its bounds are sigma_min(g) r_min and
+    sigma_max(g) r_max of ``shape``.
+    """
     if g.det == 0.0:
         raise ValidationError("act requires a nonsingular matrix")
     # g acts on x + iy as z |-> alpha z + beta conj(z); its singular values
     # are |alpha| + |beta| and |det g| / (|alpha| + |beta|)
     s_max = 0.5 * (math.hypot(g.a + g.d, g.c - g.b) + math.hypot(g.a - g.d, g.c + g.b))
-    return RadialShape(
-        kind="transformed", params=(g, shape),
-        r_min=abs(g.det) / s_max * shape.r_min, r_max=s_max * shape.r_max,
-    )
+    if not math.isfinite(s_max * shape.r_max):
+        raise ValidationError("the image is too large for floats")
+    if shape.kind not in ("constant", "ellipse"):
+        return RadialShape(kind="transformed", params=(g, shape),
+                           r_min=abs(g.det) / s_max * shape.r_min, r_max=s_max * shape.r_max)
+    a, b, phi = shape.params if shape.kind == "ellipse" else (shape.params[0], shape.params[0], 0.0)
+    cp, sp = _cos_sin(phi)
+    ga, gb, gc, gd = map(Fraction, g.entries())
+    h11, h12 = (ga * cp + gb * sp) * Fraction(a), (gb * cp - ga * sp) * Fraction(b)
+    h21, h22 = (gc * cp + gd * sp) * Fraction(a), (gd * cp - gc * sp) * Fraction(b)
+    if h11 * h21 + h12 * h22 == 0:
+        x, y = math.hypot(float(h11), float(h12)), math.hypot(float(h21), float(h22))
+        return circle(x) if x == y else RadialShape("ellipse", (x, y, 0.0), r_min=min(x, y), r_max=max(x, y))
+    det = h11 * h22 - h12 * h21
+    if det < 0:
+        h12, h22, det = -h12, -h22, -det
+    alpha, beta = ((h11 + h22) / 2, (h21 - h12) / 2), ((h11 - h22) / 2, (h21 + h12) / 2)
+    d1 = math.hypot(*map(float, alpha)) + math.hypot(*map(float, beta))
+    angle = 0.5 * (math.atan2(float(alpha[1]), float(alpha[0])) + math.atan2(float(beta[1]), float(beta[0])))
+    return ellipse(d1, min(d1, float(det / Fraction(d1))), angle + 0.0)
 
 
 def area(shape: RadialShape) -> float:
     """Exact region area: pi c^2 (circle), pi a b (ellipse), 4 (square and
     odd shape), pi (c_0^2 + (1/2) sum c_q^2) for a cosine series (Parseval on
-    (1/2) integral r^2), |det g| area(D) for an image."""
+    (1/2) integral r^2), |det g| area(D) for a transformed image gD."""
     kind, p = shape.kind, shape.params
     if kind == "constant":
         return math.pi * p[0] ** 2

@@ -31,11 +31,13 @@ The direct sums share ``_disc_sums``: identical per-chunk reduction, merge in
 chunk order with pairwise summation, so results are bit-identical across
 thread counts.  Each sum walks a fundamental domain of the subgroup G of D4
 under which its terms are invariant, decided from the kind and parameters,
-and weights each point by its orbit size: all of D4 for the circle, the
-square, cosine series in cos(4k theta), the identity and diagonal
-u11 = u22 forms and every unrotated twisted sum; the axis reflections for
-axis-aligned ellipses, diagonal forms and even cosine series; n -> -n for
-other cosine series; p -> -p for the rest of the centrally symmetric terms.
+and weights each point by its orbit size: all of D4 for the circle (the
+region of a form with u12 = 0 and u11 = u22 among them), the square, cosine
+series in cos(4k theta) and every unrotated twisted sum; the axis
+reflections for unrotated ellipses (the region of every other form with
+u12 = 0 among them) and even cosine series; n -> -n for other cosine
+series; p -> -p for the rest of the centrally symmetric terms, every other
+ellipse included.
 An unrotated twisted sum's orbit sum is (|orbit| / c) sum over k < c of
 cos(q theta(r^k p)) |p|^(-2s), r the quarter turn and c the number of
 cosets of the group that keeps e^{i q theta} real on each orbit; the
@@ -64,7 +66,7 @@ from .errors import PoleError, ValidationError
 from .lattice import map_box_chunks, orbit_sizes
 from .results import EvalResult
 from .scratch import scratch
-from .shapes import Mat2, RadialShape, Symmetry
+from .shapes import Mat2, RadialShape, Symmetry, act, circle
 from .special import dirichlet_beta, gamma, riemann_zeta, upper_incomplete_gamma
 from . import fourier as _fourier
 from . import lattice as _lattice
@@ -74,7 +76,6 @@ __all__ = [
     "hlawka_direct",
     "hlawka_direct_many",
     "hlawka_from_spectrum",
-    "epstein_direct",
     "epstein_continued",
     "epstein_continued_many",
     "epstein_lambda",
@@ -204,6 +205,19 @@ class QuadForm2:
         if lo <= 0.0:  # eigenvalue gap lost to rounding: hopeless conditioning
             return math.inf
         return hi / lo
+
+    def region(self) -> RadialShape:
+        """The region x^T u x <= 1, whose dilation time is sqrt(x^T u x):
+        R^-1 times the unit disc for the upper Cholesky factor R of u
+        (u = R^T R), an ellipse by ``shapes.act``.  R's last entry is the
+        root of det u / u11, formed exactly and rounded once, so a form with
+        u12 = 0 and u11 = u22 gives a circle."""
+        schur = Fraction(self.u22) - Fraction(self.u12) ** 2 / Fraction(self.u11)
+        if schur <= 0:  # a float det > 0 of an exactly singular form
+            raise ValidationError("quadratic form must be positive definite")
+        # R = [[r11, u12 / r11], [0, r22]], so R^-1 = [[1 / r11, -u12 / (u11 r22)], [0, 1 / r22]]
+        r11, r22 = math.sqrt(self.u11), math.sqrt(float(schur))
+        return act(Mat2(1.0 / r11, -self.u12 / (self.u11 * r22), 0.0, 1.0 / r22), circle())
 
     def evaluate(self, m, n):
         """x^T u x, vectorized."""
@@ -335,46 +349,6 @@ def hlawka_from_spectrum(spec: "_lattice.Spectrum", s: complex) -> EvalResult:
         error_estimate=tail,
         truncation={"t_max": spec.t_max, "entries": len(t)},
     )
-
-
-def epstein_direct(
-    u: QuadForm2,
-    s: complex,
-    radius: float,
-    threads: int | None = None,
-) -> EvalResult:
-    """sum over x != 0, |x| <= radius of (x^T u x)^(-s), Re(s) > 1."""
-    s = _require_convergent(s)
-    _check_radius(radius)
-
-    if u.u12 != 0.0:
-        symmetry = Symmetry.NEGATION
-    else:
-        symmetry = Symmetry.D4 if u.u11 == u.u22 else Symmetry.KLEIN
-
-    def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
-        q, tmp = scratch("zeta.log", len(m)), scratch("zeta.tmp", len(m))
-        np.multiply(m, m, out=q)
-        q *= u.u11
-        q += np.multiply(np.multiply(n, n, out=tmp), u.u22, out=tmp)
-        if u.u12 != 0.0:
-            q += np.multiply(np.multiply(m, n, out=tmp), 2.0 * u.u12, out=tmp)
-        powers = _powers(np.log(q, out=q), s)
-        powers *= orbit
-        yield powers
-
-    (total,) = _disc_sums(terms, radius, threads, symmetry)
-    sigma = s.real
-    # integral comparison: tail ~ R^(2-2s)/(2s-2) * angular integral of the form
-    th = np.arange(512) * (2.0 * math.pi / 512)
-    ang = float(np.mean(u.evaluate(np.cos(th), np.sin(th)) ** (-sigma))) * 2.0 * math.pi
-    tail = _disc_tail(ang, sigma, radius)
-    # x^T u x lies in [lam_min, lam_max radius^2]; cancellation in it costs
-    # up to the condition number
-    lo, hi = u.eigenvalues()
-    log_max = max(abs(math.log(lo)), abs(math.log(hi * radius * radius)))
-    rounding = _rounding(s, lo ** (-sigma) * _lattice_mass(sigma), log_max, 8.0 * hi / lo)
-    return EvalResult(value=total, error_estimate=tail + rounding, truncation={"radius": radius})
 
 
 def eisenstein_fq_truncated(
@@ -788,7 +762,8 @@ def classical_eisenstein(
     lattice sum divided by 2 zeta(2s).  (Conventions differ in the
     literature; this is the one used throughout this package.)
     y^(-1) |m z + n|^2 is the determinant-1 form [[ (x^2+y^2)/y, x/y ],
-    [ x/y, 1/y ]] in (m, n), so both modes delegate to the Epstein routines.
+    [ x/y, 1/y ]] in (m, n): the direct mode sums over its region
+    (``QuadForm2.region``), the continued mode continues its Epstein zeta.
     The continued mode reduces y times that form, (|z|^2, x, 1), exactly
     before dividing by y: the same as mapping z into the fundamental domain.
     """
@@ -798,7 +773,7 @@ def classical_eisenstein(
     x, y = z.real, z.imag
     if method == "direct":
         u = QuadForm2((x * x + y * y) / y, x / y, 1.0 / y)
-        base = epstein_direct(u, s, radius, threads=threads)
+        base = hlawka_direct(u.region(), s, radius, threads=threads)
     elif method == "continued":
         fx, fy = Fraction(x), Fraction(y)
         a, b, c = _gauss_reduce(fx * fx + fy * fy, fx, 1)

@@ -45,7 +45,8 @@ def random_complex_samples(seed, n, re_range=(-2.0, 3.0), im_min=0.25, im_max=8.
 
 
 def disc_tail_correction(u: QuadForm2, s: complex, radius: float) -> complex:
-    """Integral-comparison estimate of the omitted tail of ``epstein_direct``.
+    """Integral-comparison estimate of the omitted tail of the direct sum of
+    (x^T u x)^(-s) over the disc, ``hlawka_direct(u.region(), ...)``.
 
     Adding this to the direct sum cancels the leading truncation error; the
     remainder is governed by the lattice-count fluctuation and is several

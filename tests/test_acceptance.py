@@ -30,7 +30,6 @@ from hlawka.zeta import (
     eisenstein_fq_continued,
     eisenstein_fq_truncated,
     epstein_continued,
-    epstein_direct,
     epstein_lambda,
     hlawka_direct,
     hlawka_direct_many,
@@ -110,7 +109,7 @@ def test_c05_continuation_calibration():
     t0 = time.time()
     for s in (2.0, 3.0, 2.5 + 1.5j):
         cont = epstein_continued(IDENT, s).value
-        direct = epstein_direct(IDENT, s, 2000.0).value
+        direct = hlawka_direct(IDENT.region(), s, 2000.0).value
         corrected = direct + disc_tail_correction(IDENT, s, 2000.0)
         assert abs(cont - corrected) <= 1e-9 * abs(cont)
 
@@ -140,14 +139,14 @@ def test_c07_circle_functional_equation():
     samples = random_complex_samples(707, 20)
     for c in (1.0, 1.7):
         rep = check_circle_fe(c, samples)
-        assert rep.passed and rep.max_rel() <= 1e-10
+        assert rep.passed and max(rep.residuals_rel) <= 1e-10
     _ok(7, "circle functional equation residual <= 1e-10 on 20 samples, c in {1, 1.7}")
 
 
 def test_c08_twisted_component_fe():
     for q in (4, 8):
         rep = check_fq_fe(q, random_complex_samples(808 + q, 10))
-        assert rep.passed and rep.max_rel() <= 1e-8
+        assert rep.passed and max(rep.residuals_rel) <= 1e-8
     _ok(8, "gamma-ratio reflection of the q=4,8 components, residual <= 1e-8 on 10 samples")
 
 
@@ -190,7 +189,7 @@ def test_c11_ellipse_coefficient_closed_form():
 def test_c12_ellipse_functional_equation():
     for (a, b) in ((2.0, 1.0), (1.3, 1.0)):
         rep = check_ellipse_fe(a, b, 0.0, random_complex_samples(1212, 10))
-        assert rep.passed and rep.max_rel() <= 1e-9
+        assert rep.passed and max(rep.residuals_rel) <= 1e-9
     _ok(12, "ellipse functional equation residual <= 1e-9 on 10 samples, both axis ratios")
 
 
@@ -219,8 +218,9 @@ def test_c14_perron_inversion():
     assert abs(approx_ci - rep_ci.direct_half_weight) <= 1.0
 
     for rep in (rep_sq, rep_ci):
-        early = rep.residual_envelope(40.0, 50.0)
-        late = rep.residual_envelope(790.0, 800.0)
+        lobes = list(zip(rep.lobe_ends, rep.lobe_residuals))
+        early = max(abs(r) for t, r in lobes if 40.0 <= t <= 50.0)
+        late = max(abs(r) for t, r in lobes if 790.0 <= t <= 800.0)
         assert late < early
     elapsed = time.time() - t0
     assert elapsed < 60.0
@@ -289,6 +289,6 @@ def test_c17_coefficient_identity_report():
     assert all(v == 0.0 for pe in degen.metadata["residuals"].values() for vs in pe.values()
                for v in vs)
     circle_analogue = check_circle_fe(1.0, [2.0 + 0.3j])
-    assert circle_analogue.passed and circle_analogue.max_rel() <= 1e-9
+    assert circle_analogue.passed and max(circle_analogue.residuals_rel) <= 1e-9
     assert rep.passed  # gate: report produced and internally consistent
     _ok(17, "exploratory coefficient-identity report generated (both readings, both exponents)")

@@ -319,6 +319,12 @@ def test_fourier_closed_form_covers_every_ellipse_up_to_the_term_cap(capsys):
             k = row["q"] // 2
             exact = mpmath.binomial(-2, k) * (x / 4) ** k * mpmath.hyp2f1(2 + k, k + 0.5, 2 * k + 1, -x)
             assert abs(complex(row["value"]["re"], row["value"]["im"]) - exact) <= row["error_estimate"]
+    # the image of the unit circle under diag(2, 1) is that ellipse, row for
+    # row, and so is its quarter turn, the image under diag(1, 2)
+    for g in ("2,0,0,1", "1,0,0,2"):
+        code, out, _ = run_cli(capsys, "fourier", "--shape", "circle@gl2=" + g, "--s", "2+0i",
+                               "--qmax", "8", "--method", "closed-form", "--format", "json")
+        assert code == 0 and json.loads(out)["coefficients"] == rows
     # a/b = 1000 needs more Gauss terms than the cap: a numeric failure, at once
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "fourier", "--shape", "ellipse:a=1000,b=1", "--s", "2+0i",
@@ -353,7 +359,7 @@ def test_epstein_direct_prints_the_library_sum(capsys):
     code, out, _ = run_cli(capsys, "epstein", "--u", "1.0,0.5,1.0", "--s", "2+1i",
                            "--method", "direct", "--radius", "60")
     assert code == 0
-    res = zeta.epstein_direct(zeta.QuadForm2(1.0, 0.5, 1.0), 2 + 1j, 60.0)
+    res = zeta.hlawka_direct(zeta.QuadForm2(1.0, 0.5, 1.0).region(), 2 + 1j, 60.0)
     assert json.loads(out) == {"form": [1.0, 0.5, 1.0], "s": {"re": 2.0, "im": 1.0}, "method": "direct",
                                **json.loads(json.dumps(res.to_json_dict()))}
 
@@ -481,7 +487,7 @@ def test_act_json_includes_decompositions(capsys):
                            "--gl2", "2,1,0,1", "--grid", "32")
     assert code == 0
     payload = json.loads(out)
-    assert payload["kind"] == "transformed"
+    assert payload["kind"] == "ellipse"
     assert "iwasawa" in payload["gl2"] and "cartan" in payload["gl2"]
     cart = payload["gl2"]["cartan"]
     assert cart["d1"] >= cart["d2"] > 0
@@ -611,6 +617,9 @@ def test_reconstruct_truncated_rejects_a_bad_radius(capsys, monkeypatch, radius)
     ("act", "--shape", "square", "--grid", "-3"),
     ("verify", "--which", "all", "--samples", "0"),  # would pass checking nothing
     ("verify", "--which", "circle-fe", "--samples", "-3"),
+    ("count", "--shape", "ellipse:a=2,b=1,phi=nan", "--x", "10"),
+    ("act", "--shape", "ellipse:a=2,b=1,phi=inf@gl2=2,1,1,1"),
+    ("count", "--shape", "circle:c=10@gl2=1e308,0,0,1e308", "--x", "10"),  # axes beyond floats
 ])
 def test_non_finite_or_out_of_range_numbers_exit_1(capsys, monkeypatch, argv):
     def no_spectrum(*args, **kwargs):
@@ -655,15 +664,31 @@ def test_exit_code_numeric_error(capsys):
 
 
 def test_non_finite_result_exits_2(capsys):
-    # on the 4096-point positivity grid r = 0.3 + 0.5 cos(4096 theta) is 0.8
-    # everywhere, but it is negative between the samples; its log warns and
-    # gives NaN, which an EvalResult refuses
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        code, out, err = run_cli(capsys, "zeta", "--shape", "cos:c0=0.3,c4096=0.5", "--s", "2+0i",
+    # the circle of radius 1e77 has terms of 1e308 at |p| = 1: their sum
+    # overflows, which an EvalResult refuses
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, err = run_cli(capsys, "zeta", "--shape", "circle:c=1e77", "--s", "2+0i",
                                  "--radius", "50")
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("spec", ["cos:c0=0.3,c4096=0.5", "cos:c0=1.46,c275=0.9633,c394=0.513"])
+def test_series_negative_between_grid_points_exits_1_at_parse_time(capsys, spec):
+    # r = 0.3 + 0.5 cos(4096 theta) is 0.8 on every point of a 4096-point
+    # grid and -0.2 between them; the second dips to -0.0163 between the
+    # points of grids up to 4096
+    for args in (("zeta", "--s", "2+0i", "--radius", "60"), ("count", "--x", "3")):
+        code, out, err = run_cli(capsys, args[0], "--shape", spec, *args[1:])
+        assert code == 1 and out == "" and "must stay positive" in err
+
+
+def test_count_reaches_the_series_true_r_max(capsys):
+    # r_max 2.97628, where a 4096-point grid sees 2.94613; a walk to the
+    # grid's radius missed 232 points
+    code, out, _ = run_cli(capsys, "count", "--shape", "cos:c0=1.5,c275=-0.9633,c394=-0.513", "--x", "400")
+    assert code == 0 and json.loads(out)["count"] == 1430479.0
 
 
 def test_exit_code_usage_error(capsys):
@@ -734,7 +759,6 @@ def test_operation_map_is_complete_and_single_valued():
             (
                 "hlawka_direct",
                 "hlawka_from_spectrum",
-                "epstein_direct",
                 "epstein_continued",
                 "epstein_lambda",
                 "eisenstein_fq_truncated",

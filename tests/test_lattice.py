@@ -33,6 +33,7 @@ from hlawka.shapes import (
     parse_shape,
     square,
 )
+from hlawka.zeta import QuadForm2
 
 
 def _time(shape, p):
@@ -194,10 +195,7 @@ def _exact_time(shape, x, y):
 
     kind = shape.kind
     if kind == "transformed":
-        g, base = shape.params
-        a, b, c, d = map(mp.mpf, g.entries())
-        det = a * d - b * c
-        return _exact_time(base, (d * x - b * y) / det, (a * y - c * x) / det)
+        return _exact_preimage_time(*shape.params, x, y)
     if kind == "square":
         return max(abs(x), abs(y))
     if kind == "odd":
@@ -212,26 +210,55 @@ def _exact_time(shape, x, y):
     return mp.hypot(x, y) / sum(c * mp.cos(q * theta) for q, c in enumerate(shape.params) if c)
 
 
+def _exact_preimage_time(g, base, x, y):
+    """t_D(g^-1 p) in mpmath, by the exact inverse of the (float) matrix g."""
+    import mpmath as mp
+
+    a, b, c, d = map(mp.mpf, g.entries())
+    det = a * d - b * c
+    return _exact_time(base, (d * x - b * y) / det, (a * y - c * x) / det)
+
+
 @pytest.mark.parametrize("spec", [
     "circle:c=1.3", "ellipse:a=1.7,b=0.9", "ellipse:a=2,b=1,phi=0.3", "ellipse:a=5,b=1,phi=1.1",
     "square", "odd", "cos:c0=1,c4=0.1", "cos:c0=1,c2=0.15", "cos:c0=1,c1=0.1,c3=0.05",
     "cos:c0=1,c200=0.4", "cos:c0=1,c1000=0.45", "cos:c0=1,c1=0.3,c2=0.2,c7=0.1,c33=0.05",
     "cos:c0=1,c4=0.1@gl2=2,1,1,1", "cos:c0=1,c1000=0.45@gl2=1.2,0.3,-0.1,0.8",
     "ellipse:a=2,b=1,phi=0.3@gl2=3,-1,0.5,0.7", "odd@gl2=2,1,1,1", "square@gl2=0,1,1,0",
-    "odd@gl2=1.5,0.5,0,1",
+    "odd@gl2=1.5,0.5,0,1", "circle:c=1.3@gl2=1.5,0.3,0.2,0.8", "ellipse:a=5,b=1,phi=0.3@gl2=1,3,0,1",
+    "ellipse:a=1.5,b=1,phi=0.3@gl2=0,1,1,-2",
+    # g undoes the base's elongation up to 9 digits: a nearly round image
+    # (a / b = 1 + 6e-7) of a base of a / b = 1000
+    "ellipse:a=1000,b=1,phi=0.3@gl2=0.000955336,0.00029552,-0.295520207,0.955336489",
+    # regions x^T u x <= 1 of forms of condition number 1, 3, 1e3 and 1e6
+    "form:1,0,1", "form:1,0.5,1", "form:500.5,499.5,500.5", "form:500000.5,-499999.5,500000.5",
 ])
 def test_time_ulps_bounds_the_rounding_of_the_dilation_times(spec):
     # against mpmath at 30 digits on 2000 points up to |p| = 1500: the
-    # claimed bound holds, and it is 0 exactly where the times are
+    # claimed bound holds, and it is 0 exactly where the times are.  An
+    # image is measured against its base at the exact preimage g^-1 p,
+    # whatever shape ``act`` made of it, a form's region against
+    # sqrt(x^T u x)
     import mpmath as mp
 
-    shape = parse_shape(spec)
+    base_spec, image, entries = spec.partition("@gl2=")
+    if spec.startswith("form:"):
+        u = QuadForm2(*map(float, spec[5:].split(",")))
+        shape = u.region()
+        exact_time = lambda x, y: mp.sqrt(u.u11 * x * x + 2 * u.u12 * x * y + u.u22 * y * y)  # noqa: E731
+    elif image:
+        shape = parse_shape(spec)
+        g, base = Mat2(*map(float, entries.split(","))), parse_shape(base_spec)
+        exact_time = lambda x, y: _exact_preimage_time(g, base, x, y)  # noqa: E731
+    else:
+        shape = parse_shape(spec)
+        exact_time = lambda x, y: _exact_time(shape, x, y)  # noqa: E731
     rng = np.random.default_rng(37)
     m, n = rng.integers(-1500, 1501, size=(2, 2000))
     m, n = m[(m != 0) | (n != 0)], n[(m != 0) | (n != 0)]
     t = dilation_times_block(shape, m, n)
     with mp.workdps(30):
-        exact = [_exact_time(shape, mp.mpf(a), mp.mpf(b)) for a, b in zip(m.tolist(), n.tolist())]
+        exact = [exact_time(mp.mpf(a), mp.mpf(b)) for a, b in zip(m.tolist(), n.tolist())]
         worst = max(float(abs(ti - e) / e) for ti, e in zip(t.tolist(), exact))
     claimed = time_ulps(shape) * 2.0**-52
     assert worst <= claimed
@@ -278,6 +305,23 @@ def test_count_points_examples(unit_circle, square_shape):
 def test_count_rejects_nonpositive(unit_circle):
     with pytest.raises(ValidationError):
         count_points(unit_circle, -1.0)
+
+
+@pytest.mark.parametrize("g", [(2.0, 1.0, 1.0, 1.0), (3.0, 2.0, 1.0, 1.0), (1.0, 1.0, 1.0, 0.0), (0.0, 1.0, 1.0, -2.0)],
+                         ids=["det 1", "det 1 larger", "det -1", "det -1 larger"])
+@pytest.mark.parametrize("base", [circle(1.3), ellipse(2.0, 1.0), ellipse(1.5, 1.0, 0.3)],
+                         ids=["circle", "ellipse", "rotated ellipse"])
+def test_gl2z_images_of_quadratic_shapes_keep_the_spectrum_and_count(base, g):
+    # the trivial fiber: g^-1 permutes Z^2, so t_gD(p) = t_D(g^-1 p) takes
+    # D's values with D's multiplicities; the image is an ellipse of rounded
+    # axes and angle, so its times agree within the two rounding bounds
+    image = act(Mat2(*g), base)
+    assert image.kind in ("constant", "ellipse")
+    ref, got = build_spectrum(base, 60.0), build_spectrum(image, 60.0)
+    np.testing.assert_array_equal(got.counts, ref.counts)
+    window = 2.0 * max(time_ulps(base), time_ulps(image)) * 2.0**-52
+    assert np.all(np.abs(got.t_values - ref.t_values) <= window * ref.t_values)
+    assert count_points(image, 300.0) == count_points(base, 300.0)
 
 
 def test_spectrum_completeness_against_counts():

@@ -108,6 +108,13 @@ def test_untransformed_bounds_are_the_extremes_of_r():
     )
     for sh, angles in cases:
         r = np.asarray(sh.evaluate(_with_angles(1 << 16, angles)))
+        if sh.kind == "cosine-series":
+            # bounds, at most the curvature slack of the 4096-point grid (and
+            # its rounding) beyond the extremes
+            slack = (2 * math.pi / 4096) ** 2 / 8 * sum(q * q * abs(c) for q, c in enumerate(sh.params)) + 1e-12
+            assert float(np.min(r)) - slack <= sh.r_min <= float(np.min(r)), sh.kind
+            assert float(np.max(r)) <= sh.r_max <= float(np.max(r)) + slack, sh.kind
+            continue
         assert abs(sh.r_min - float(np.min(r))) <= 1e-12, sh.kind
         assert abs(sh.r_max - float(np.max(r))) <= 1e-12, sh.kind
 
@@ -159,6 +166,17 @@ def test_cosine_series_rejects_nonpositive():
         cosine_series([0.5, 0, 0.6])  # dips below zero near theta = pi/2
 
 
+@pytest.mark.parametrize("spec", [
+    "cos:c0=1,c4=0.1", "cos:c0=1,c2=0.15", "cos:c0=1,c1=0.1,c3=0.05", "cos:c0=1,c200=0.4",
+    "cos:c0=1,c1000=0.45", "cos:c0=1,c1=0.3,c2=0.2,c7=0.1,c33=0.05", "cos:c0=1.5,c275=-0.9633,c394=-0.513",
+    "cos:c0=1,c4096=0.5",  # 1.5 on every point of the first grid, 0.5 between them
+])
+def test_cosine_series_bounds_hold_on_a_fine_grid(spec):
+    sh = parse_shape(spec)
+    r = np.asarray(sh.evaluate(np.arange(1 << 20) * (2.0 * math.pi / (1 << 20))))
+    assert sh.r_min <= float(np.min(r)) and float(np.max(r)) <= sh.r_max
+
+
 def test_symmetry_orders():
     assert circle(1.0).symmetry_order == 0  # full rotational symmetry
     assert ellipse(2, 1).symmetry_order == 2
@@ -183,7 +201,48 @@ def test_image_symmetry_order_is_sampled_only_when_read(monkeypatch):
     assert image.symmetry_order == 1 and len(calls) == 1
     assert image.symmetry_order == 1 and len(calls) == 1  # kept once read
     # a centrally symmetric base keeps its half turn under any g
-    assert parse_shape("ellipse:a=2,b=1@gl2=2,1,1,1").symmetry_order == 2
+    parallelogram = parse_shape("square@gl2=2,1,1,1")
+    assert parallelogram.symmetry_order == 2 and len(calls) == 2
+
+
+def test_quadratic_images_are_ellipses_with_exact_bounds(monkeypatch):
+    # gD for D = kappa(-phi) diag(a, b) B has the singular values of
+    # g kappa(-phi) diag(a, b) as its axes; its symmetry comes from the kind
+    from hlawka import shapes
+    from hlawka.zeta import QuadForm2
+
+    def sampled(evalf):
+        raise AssertionError("a quadratic image sampled its symmetry")
+
+    monkeypatch.setattr(shapes, "_detect_symmetry", sampled)
+    u = QuadForm2(2.0, 0.7, 1.5)
+    cases = [  # (image, g, (a, b, phi) of D)
+        (parse_shape("circle:c=1.3@gl2=0,1,1,0"), (0, 1, 1, 0), (1.3, 1.3, 0.0)),
+        (parse_shape("circle@gl2=1.5,0.3,0.2,0.8"), (1.5, 0.3, 0.2, 0.8), (1.0, 1.0, 0.0)),
+        (parse_shape("ellipse:a=2,b=1@gl2=2,1,1,1"), (2, 1, 1, 1), (2.0, 1.0, 0.0)),
+        (parse_shape("ellipse:a=2,b=1@gl2=0,1,1,0"), (0, 1, 1, 0), (2.0, 1.0, 0.0)),
+        (parse_shape("ellipse:a=5,b=1,phi=0.3@gl2=1,3,0,1"), (1, 3, 0, 1), (5.0, 1.0, 0.3)),
+        (parse_shape("ellipse:a=1.5,b=1,phi=0.3@gl2=0,1,1,-2"), (0, 1, 1, -2), (1.5, 1.0, 0.3)),
+        # the region of u: R^-1 B for u = R^T R
+        (u.region(), np.linalg.inv(np.linalg.cholesky([[u.u11, u.u12], [u.u12, u.u22]]).T), (1.0, 1.0, 0.0)),
+    ]
+    for image, g, (a, b, phi) in cases:
+        h = np.reshape(g, (2, 2)) @ [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]] @ np.diag([a, b])
+        axes = np.linalg.svd(h, compute_uv=False)
+        assert image.kind in ("constant", "ellipse") and image.symmetry.has_negation
+        assert image.symmetry_order == (0 if image.kind == "constant" else 2)
+        assert image.r_max == pytest.approx(axes[0], rel=1e-14) and image.r_min == pytest.approx(axes[1], rel=1e-14)
+        r = np.asarray(image.evaluate(GRID))
+        assert image.r_min <= float(np.min(r)) and float(np.max(r)) <= image.r_max
+    long = parse_shape("ellipse:a=5,b=1,phi=0.3@gl2=1,3,0,1")
+    assert (round(long.r_max, 3), round(long.r_min, 3)) == (9.708, 0.515)
+    assert parse_shape("circle:c=1.3@gl2=0,1,1,0") == circle(1.3)
+    assert parse_shape("circle@gl2=2,0,0,1").params == (2.0, 1.0, 0.0)
+    # axes on the coordinate axes are stored unrotated, the shorter first or
+    # not, so the axis reflections stay exact symmetries
+    assert parse_shape("ellipse:a=2,b=1@gl2=0,1,1,0").params == (1.0, 2.0, 0.0)
+    assert QuadForm2(1.3, 0.0, 0.9).region().params == (1.0 / math.sqrt(1.3), 1.0 / math.sqrt(0.9), 0.0)
+    assert QuadForm2(1.3, 0.0, 0.9).region().symmetry.name == "KLEIN"
 
 
 def test_area_values():
@@ -419,7 +478,7 @@ def test_parse_shape_round_trips():
     co = parse_shape("cos:c0=1,c4=0.1")
     assert co.kind == "cosine-series" and co.params == (1.0, 0.0, 0.0, 0.0, 0.1)
     tr = parse_shape("circle:c=1@gl2=2,0,0,1")
-    assert tr.kind == "transformed"
+    assert tr.kind == "ellipse"
     assert np.max(np.abs(tr.evaluate(GRID) - ellipse(2, 1).evaluate(GRID))) < 1e-12
 
 

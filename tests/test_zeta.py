@@ -23,7 +23,6 @@ from hlawka.zeta import (
     ellipse_form,
     epstein_continued,
     epstein_continued_many,
-    epstein_direct,
     epstein_lambda,
     hlawka_direct,
     hlawka_direct_many,
@@ -82,7 +81,7 @@ def test_direct_sums_reject_non_finite_inputs(unit_circle, s):
     with pytest.raises(ValidationError, match="Re"):
         hlawka_direct(unit_circle, s, 50.0)
     with pytest.raises(ValidationError, match="Re"):
-        epstein_direct(IDENT, s, 50.0)
+        hlawka_direct(IDENT.region(), s, 50.0)
     with pytest.raises(ValidationError, match="Re"):
         eisenstein_fq_truncated(4, 0.0, s, 50.0)
     with pytest.raises(ValidationError, match="rotation"):
@@ -190,7 +189,7 @@ def test_odd_and_square_spectra_give_equal_zeta():
 
 
 def test_epstein_identity_matches_circle(unit_circle):
-    a = epstein_direct(IDENT, 2.0, 400.0)
+    a = hlawka_direct(IDENT.region(), 2.0, 400.0)
     b = hlawka_direct(unit_circle, 2.0, 400.0)
     assert abs(a.value - b.value) < 1e-13
 
@@ -198,8 +197,8 @@ def test_epstein_identity_matches_circle(unit_circle):
 def test_epstein_homogeneity():
     c = 2.5
     u = QuadForm2(c, 0.0, c)
-    a = epstein_direct(u, 2.0 + 1.0j, 200.0).value
-    b = epstein_direct(IDENT, 2.0 + 1.0j, 200.0).value
+    a = hlawka_direct(u.region(), 2.0 + 1.0j, 200.0).value
+    b = hlawka_direct(IDENT.region(), 2.0 + 1.0j, 200.0).value
     target = c ** -(2.0 + 1.0j) * b
     assert abs(a - target) <= 1e-13 * abs(target)
 
@@ -208,7 +207,7 @@ def test_epstein_equals_ellipse_hlawka():
     # the ellipse (a, b) has form diag(1/a^2, 1/b^2): same dilation times
     u = ellipse_form(2.0, 1.0)
     assert abs(u.u11 - 0.25) < 1e-15 and abs(u.u22 - 1.0) < 1e-15
-    a = epstein_direct(u, 2.0, 500.0).value
+    a = hlawka_direct(u.region(), 2.0, 500.0).value
     b = hlawka_direct(ellipse(2.0, 1.0), 2.0, 500.0).value
     assert abs(a - b) <= 1e-12 * abs(a)
 
@@ -219,7 +218,7 @@ def test_epstein_continued_calibration_against_direct():
     for u in (IDENT, ellipse_form(2.0, 1.0), QuadForm2(2.0, 0.5, 1.0)):
         for s in (2.0, 3.0, 2.5 + 1.5j):
             cont = epstein_continued(u, s).value
-            direct = epstein_direct(u, s, 1500.0)
+            direct = hlawka_direct(u.region(), s, 1500.0)
             corrected = direct.value + disc_tail_correction(u, s, 1500.0)
             assert abs(cont - corrected) <= 1e-9 * abs(cont)
             assert abs(cont - direct.value) <= direct.error_estimate * 1.05
@@ -365,7 +364,7 @@ def test_special_ulps_bounds_zeta_and_the_gamma_factor():
 
 def test_fq_truncated_q0_equals_epstein(unit_circle):
     a = eisenstein_fq_truncated(0, 0.0, 2.0, 300.0).value
-    b = epstein_direct(IDENT, 2.0, 300.0).value
+    b = hlawka_direct(IDENT.region(), 2.0, 300.0).value
     assert abs(a - b) < 1e-13
 
 
@@ -655,7 +654,8 @@ _INTEGER_IMAGES = [
     ("odd@gl2=0,1,1,0", act(Mat2(0.0, 1.0, 1.0, 0.0), odd_shape()), _TRIVIAL),  # det -1
 ]
 _FORMS = [("epstein", _FORM, _NEG), ("epstein identity", IDENT, _D4),
-          ("epstein diagonal", QuadForm2(1.3, 0.0, 0.9), _KLEIN)]
+          ("epstein diagonal", QuadForm2(1.3, 0.0, 0.9), _KLEIN),
+          ("epstein diagonal u11 < u22", QuadForm2(0.9, 0.0, 1.3), _KLEIN)]
 
 
 def _reconstruct_weight(shape, s, q_max):
@@ -671,7 +671,7 @@ _FOLD_CASES = [
      None if name in _COUNTED else folded)
     for name, shape, folded in _ZETA_SHAPES + _INTEGER_IMAGES
 ] + [
-    (name, lambda u=u: epstein_direct(u, _S, _R).value, lambda m, n, u=u: u.evaluate(m, n) ** (-_S), folded)
+    (name, lambda u=u: hlawka_direct(u.region(), _S, _R).value, lambda m, n, u=u: u.evaluate(m, n) ** (-_S), folded)
     for name, u, folded in _FORMS
 ] + [
     (f"twisted q={q}", lambda q=q: eisenstein_fq_truncated(q, 0.3, _S, _R).value,
@@ -817,7 +817,7 @@ _THREAD_CASES = {
     "zeta square": lambda t: hlawka_direct(square(), 2.0 + 0.5j, 1500.0, threads=t).value,
     "zeta cos:c0=1,c4=0.1": lambda t: hlawka_direct(
         cosine_series([1.0, 0.0, 0.0, 0.0, 0.1]), 2.0 + 0.5j, 1500.0, threads=t).value,
-    "epstein": lambda t: epstein_direct(_FORM, 2.0 + 0.5j, 600.0, threads=t).value,
+    "epstein": lambda t: hlawka_direct(_FORM.region(), 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=8": lambda t: eisenstein_fq_truncated(8, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=3": lambda t: eisenstein_fq_truncated(3, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=2 unrotated": lambda t: eisenstein_fq_truncated(2, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
@@ -847,7 +847,7 @@ def test_direct_sum_error_estimate_bounds_rounding(radius, s):
     # at R = 400, s = 6 the tail is 1e-27 and the float sum is off by about
     # 1e-16: only a rounding term makes the bar a bound
     exact = 4.0 * (riemann_zeta(s) * dirichlet_beta(s)).real
-    for res in (hlawka_direct(circle(1.0), s, radius), epstein_direct(IDENT, s, radius),
+    for res in (hlawka_direct(circle(1.0), s, radius), hlawka_direct(IDENT.region(), s, radius),
                 eisenstein_fq_truncated(0, 0.0, s, radius)):
         assert abs(res.value - exact) <= res.error_estimate
     res = reconstruct_hlawka(circle(1.0), s, 0, radius=radius)
