@@ -30,12 +30,12 @@ from .shapes import Mat2, RadialShape, area, odd_shape, square
 from .special import gamma, riemann_zeta
 from .zeta import (
     QuadForm2,
+    _spectrum_sums,
     eisenstein_fq_continued,
     ellipse_form,
     epstein_continued_many,
     epstein_lambda,
     hlawka_direct_many,
-    hlawka_from_spectrum,
 )
 
 __all__ = [
@@ -431,12 +431,9 @@ def check_odd_vs_square(t_max: float, samples, threads=None) -> CheckReport:
     entries_equal = np.array_equal(spec_sq.t_values, spec_od.t_values) and np.array_equal(
         spec_sq.counts, spec_od.counts
     )
-    residuals = []
-    for s in samples:
-        s = complex(s)
-        z1 = hlawka_from_spectrum(spec_sq, s).value
-        z2 = hlawka_from_spectrum(spec_od, s).value
-        residuals.append(_residual(z1, z2))
+    # one power call per spectrum for all samples
+    residuals = [_residual(z1.value, z2.value)
+                 for z1, z2 in zip(_spectrum_sums(spec_sq, samples), _spectrum_sums(spec_od, samples))]
     v_sq = boundary_vertex_count(sq)
     v_od = boundary_vertex_count(od)
     a_sq = area(sq)

@@ -49,6 +49,16 @@ is walked, ``lattice.time_counts`` counts the points of each t by rows, and
 the sum takes one complex power per distinct t.  ``error_estimate`` adds to
 the tail a rounding bound relative to a closed-form bound on the sum of the
 terms' moduli, charging t the rounding ``time_ulps`` bounds.
+
+Every complex power of the direct and spectrum sums comes from one kernel,
+``_powers``: a table-driven exponential in real numpy operations (a
+4096-entry table of roots of unity and degree-4 and -5 polynomials for the
+remainder of the phase), about 2.5 times as fast as numpy's complex exp,
+which calls scalar libm per element.  Each value depends on its own
+inputs alone, so chunking and thread counts cannot change it.  Its argument
+reduction is exact while |Im s log x| stays below 2^50 (2 pi / 4096), about
+1.7e12; a sum whose s and radius (or t_max) leave that range is a
+ValidationError.
 """
 
 from __future__ import annotations
@@ -58,11 +68,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import PoleError, ValidationError
+from .errors import NumericError, PoleError, ValidationError
 from .lattice import map_box_chunks, orbit_sizes
 from .results import EvalResult
 from .scratch import scratch
@@ -128,11 +138,124 @@ def _log_norms(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.log(out, out=out)
 
 
-def _powers(log_x: np.ndarray, s: complex) -> np.ndarray:
-    """e^(-s log_x) into a scratch array."""
-    c = scratch("zeta.terms", len(log_x), complex)
-    np.multiply(log_x, -s, out=c)
-    return np.exp(c, out=c)
+@cache
+def _unit_roots() -> np.ndarray:
+    """The power kernel's table e^(2 pi i j / size), j < size = 2^_TABLE_BITS,
+    built on first use, each part within 1 ulp: the first octant's cosines
+    and sines in extended precision (x86 long double; where long double is
+    double they are within 1.4 ulps), rounded once, and the rest by exact
+    swaps and negations (pi/2 - x swaps cosine and sine, a quarter turn maps
+    (c, s) to (-s, c))."""
+    size = 1 << _TABLE_BITS
+    eighth = size // 8
+    pi = np.longdouble(math.pi) + np.longdouble(_PI_LO)
+    x = pi * np.arange(eighth + 1, dtype=np.longdouble) / (size // 2)
+    c, s = np.cos(x).astype(float), np.sin(x).astype(float)
+    qr, qi = np.concatenate([c, s[eighth - 1:0:-1]]), np.concatenate([s, c[eighth - 1:0:-1]])
+    table = np.empty(size, complex)
+    table.real = np.concatenate([qr, -qi, -qr, qi])
+    table.imag = np.concatenate([qi, qr, -qi, -qr])
+    table.setflags(write=False)
+    return table
+
+
+# pi - fl(pi), rounded
+_PI_LO = 1.2246467991473532e-16
+# the power kernel's table size 4096, its step and the rounding constant
+# whose low mantissa bits give rint(u) mod 4096
+_TABLE_BITS = 12
+_DELTA = 2.0 * math.pi / (1 << _TABLE_BITS)
+_RINT = 1.5 * 2.0**52
+# Taylor coefficients of sin(delta v) / v and cos(delta v) in z = v^2
+_SIN_COEFFS = (_DELTA, -_DELTA**3 / 6.0, _DELTA**5 / 120.0)
+_COS_COEFFS = (-_DELTA**2 / 2.0, _DELTA**4 / 24.0)
+# |phase| / _DELTA stays below 2^50, half the 2^51 up to which the
+# reduction is exact, so that rounding cannot carry a phase out
+_PHASE_MAX = 2.0**50 * _DELTA
+# the (s, t) pairs of one power call of a sum over a list of times; the
+# thread that sums keeps its scratch (64 bytes a pair) from call to call
+_SUM_BLOCK = 1 << 12
+
+
+def _check_phase(s: complex, log_max: float, extra: float = 0.0):
+    """Reject an s whose phases |Im s| |log x| + ``extra`` (|log x| up to
+    ``log_max``) leave the domain of ``_powers``."""
+    if not abs(s.imag) * log_max + extra <= _PHASE_MAX:
+        raise ValidationError(
+            f"|Im s| = {abs(s.imag):g} is too large for a direct sum with |log x| up to {log_max:.6g}: "
+            f"|Im s| |log x| must stay below {_PHASE_MAX:.4g}")
+
+
+def _powers(log_x: np.ndarray, s: complex | np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
+    """e^(-s log_x + i phase) into a scratch array of the shape of ``log_x``
+    (``phase`` 0 when None; ``s`` a complex or an array broadcasting
+    against ``log_x``).
+
+    Table-driven (Tang, ACM TOMS 15(2), 1989), in real operations and
+    products of complex by real numbers only: with tau = Im s and
+    u = (phase - tau log_x) / delta, delta = 2 pi / 4096, j = rint(u) comes
+    from adding 1.5 2^52, whose low bits then hold j mod 4096, and the value
+    is e^(-Re s log_x) T[j mod 4096] (cos r + i sin r) for the table T of
+    ``_unit_roots`` and r = delta v, v = u - j (exact, |v| <= 1/2).  With
+    z = v^2, cos r = 1 + z (-delta^2/2 + z delta^4/24) and
+    sin r = v (delta + z (-delta^3/6 + z delta^5/120)) are within an ulp
+    (the next terms are below 2^-70 of them).  Exact while |u| < 2^51;
+    callers keep |u| below 2^50 by ``_check_phase``.  Each element depends
+    on its own inputs alone, whatever the array's length and position (no
+    product of two complex arrays, whose rounding numpy varies with them).
+    Its scratch arrays are the twisted kernels' ``zeta.x``, ``zeta.tmp``,
+    ``zeta.image`` and ``zeta.twisted``, free whenever a power is taken, so
+    a thread that has run those kernels holds no more scratch than before;
+    ``log_x`` and ``phase`` must not be among them."""
+    k, shape = log_x.size, log_x.shape
+    out = scratch("zeta.terms", k, complex).reshape(shape)
+    v, t, w = (scratch(name, k).reshape(shape) for name in ("zeta.x", "zeta.tmp", "zeta.image"))
+    np.multiply(log_x, -s.imag / _DELTA, out=v)
+    if phase is not None:
+        v += np.multiply(phase, 1.0 / _DELTA, out=t)
+    np.add(v, _RINT, out=t)
+    index = np.bitwise_and(t.view(np.int64), (1 << _TABLE_BITS) - 1, out=w.view(np.int64))
+    np.take(_unit_roots(), index, out=out, mode="clip")
+    t -= _RINT
+    v -= t
+    z = np.multiply(v, v, out=t)
+    sin = np.multiply(z, _SIN_COEFFS[2], out=w)
+    sin += _SIN_COEFFS[1]
+    sin *= z
+    sin += _SIN_COEFFS[0]
+    sin *= v
+    cos = np.multiply(z, _COS_COEFFS[1], out=v)
+    cos += _COS_COEFFS[0]
+    cos *= z
+    cos += 1.0
+    mod = np.exp(np.multiply(log_x, -s.real, out=t), out=t)
+    cos *= mod
+    sin *= mod
+    # out = T (cos + i sin): T cos, plus i T sin
+    turned = np.multiply(out, sin, out=scratch("zeta.twisted", k, complex).reshape(shape))
+    out *= cos
+    out.real -= turned.imag
+    out.imag += turned.real
+    return out
+
+
+def _power_sums(t: np.ndarray, weights: np.ndarray, s_list) -> list[complex]:
+    """sum over k of weights[k] t[k]^(-2s) for each s of ``s_list``: one
+    ``_powers`` call per block of t for all s at once, at most
+    ``_SUM_BLOCK`` (s, t) pairs, each s's row summed pairwise and the
+    blocks' sums merged pairwise."""
+    s2 = 2.0 * np.array(s_list, complex)[:, None]
+    size = max(_SUM_BLOCK // len(s2), 1)
+    parts = []
+    for a in range(0, len(t), size):
+        block = t[a:a + size]
+        log_t = scratch("zeta.log", len(s2) * len(block)).reshape(len(s2), len(block))
+        np.log(block, out=log_t[0])
+        log_t[1:] = log_t[0]
+        powers = _powers(log_t, s2)
+        powers *= weights[a:a + size]
+        parts.append(np.sum(powers, axis=1))
+    return [complex(v) for v in np.sum(np.ascontiguousarray(np.array(parts).T), axis=1)]
 
 
 def _lattice_mass(sigma: float) -> float:
@@ -142,12 +265,21 @@ def _lattice_mass(sigma: float) -> float:
 
 def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0) -> float:
     """Bound on the rounding of a direct sum of terms P(p) x(p)^(-s), with
-    |P| = 1 (the twist of degree q), computed as e^(-s log x): ``mass``
-    bounds the sum of their moduli, ``log_max`` bounds |log x| and ``ulps``
-    the relative error of x.  Per term, the exponent is off by at most
-    |s| (3 |log x| + ulps) ulps (log, product, argument reduction), the
-    exponential and the orbit weight by 8 and the twist by 4 + 4|q|;
-    pairwise summation within the chunks and across them adds 48.
+    |P| = 1 (the twist of degree q), computed as e^(-s log x) by
+    ``_powers``: ``mass`` bounds the sum of their moduli, ``log_max``
+    bounds |log x| and ``ulps`` the relative error of x.  Per term, the
+    exponent is off by at most |s| (3 |log x| + ulps) ulps: the log by
+    |s| |log x|, and the kernel's argument reduction by at most
+    1.7 |Im s log x| + |Re s log x| / 2 (the quotient Im s / delta, its
+    product with log x and the sum with a twist's phase round once each,
+    and delta's rounding against the table's exact steps adds 0.18).  The
+    exponential and the orbit weight are off by at most 8: the table entry
+    by 0.4, the real exp by 1, the two polynomials by 1, the products that
+    assemble T (cos r + i sin r) e^(-Re s log x) by 1.7 and the weight by
+    0.5.  The twist is off by 4 + 4|q|; a rotated twist's phase q theta is
+    reduced with the exponent, which adds up to 1.7 |q theta| <= 5.3 |q|
+    in the worst case (measured errors stay far below the share).
+    Pairwise summation within the chunks and across them adds 48.
 
     The same constants bound the sums by count and the octant twists.
     Summed by count, count_t t^(-2s) is one exponential times an exact integer, like
@@ -282,36 +414,36 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
     s_list = [_require_convergent(s) for s in s_values]
     _check_radius(radius)
     ulps = _lattice.time_ulps(shape)
+    # t^2 lies in [r_max^-2, (radius / r_min)^2]
+    log_max = 2.0 * max(abs(math.log(shape.r_max)), abs(math.log(radius / shape.r_min)))
+    scales = []
+    for sv in s_list:
+        _check_phase(sv, log_max)
+        try:
+            scales.append(shape.r_max ** (2.0 * sv.real))
+        except OverflowError:
+            raise NumericError(f"r_max^(2 Re s) = {shape.r_max:g}^{2.0 * sv.real:g} overflows") from None
 
     if ulps == 0.0 and radius / shape.r_min < _COUNT_BINS:
         _lattice.resolve_threads(threads)
         counts = _lattice.time_counts(shape, radius)
         times = np.flatnonzero(counts)
-        weights = counts[times]
-        log_t2 = 2.0 * np.log(times)
-        sums = []
-        for sv in s_list:
-            powers = _powers(log_t2, sv)
-            powers *= weights
-            sums.append(complex(np.sum(powers)))
+        sums = _power_sums(times, counts[times], s_list)
     else:
         def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
-            log_t2 = _lattice.dilation_times_block(shape, m, n, out=scratch("zeta.log", len(m)))
-            np.log(log_t2, out=log_t2)
-            log_t2 *= 2.0
+            log_t = _lattice.dilation_times_block(shape, m, n, out=scratch("zeta.log", len(m)))
+            np.log(log_t, out=log_t)
             for sv in s_list:
-                powers = _powers(log_t2, sv)
+                powers = _powers(log_t, 2.0 * sv)
                 powers *= orbit
                 yield powers
 
         sums = _disc_sums(terms, radius, threads, shape.symmetry)
-    # t^2 lies in [r_max^-2, (radius / r_min)^2]
-    log_max = 2.0 * max(abs(math.log(shape.r_max)), abs(math.log(radius / shape.r_min)))
     out = []
-    for sv, total in zip(s_list, sums):
+    for sv, total, scale in zip(s_list, sums, scales):
         sigma = sv.real
-        tail = _disc_tail(2.0 * math.pi * shape.r_max ** (2.0 * sigma), sigma, radius)
-        mass = shape.r_max ** (2.0 * sigma) * _lattice_mass(sigma)
+        tail = _disc_tail(2.0 * math.pi * scale, sigma, radius)
+        mass = scale * _lattice_mass(sigma)
         out.append(EvalResult(value=total, error_estimate=tail + _rounding(sv, mass, log_max, 2.0 * ulps),
                               truncation={"radius": radius, "s": [sv.real, sv.imag]}))
     return out
@@ -327,6 +459,27 @@ def hlawka_direct(
     return hlawka_direct_many(shape, [s], radius, threads=threads)[0]
 
 
+def _spectrum_sums(spec: "_lattice.Spectrum", s_values) -> list[EvalResult]:
+    """``hlawka_from_spectrum`` at each s of ``s_values``, one power call per
+    block of lines for all of them; each value agrees with its own call up
+    to rounding (the blocks are cut elsewhere), each bar exactly."""
+    s_list = [_require_convergent(s) for s in s_values]
+    if len(spec.t_values) == 0:
+        raise ValidationError(f"spectrum up to t_max={spec.t_max:g} has no line")
+    t = spec.t_values
+    a = spec.counts
+    log_max = 2.0 * max(abs(math.log(t[0])), abs(math.log(t[-1])))
+    for s in s_list:
+        _check_phase(s, log_max)
+    values = _power_sums(t, a, s_list)
+    area = 2.0 * float(a.sum()) / spec.t_max**2
+    return [EvalResult(
+        value=value,
+        error_estimate=_disc_tail(area, s.real, spec.t_max),
+        truncation={"t_max": spec.t_max, "entries": len(t)},
+    ) for s, value in zip(s_list, values)]
+
+
 def hlawka_from_spectrum(spec: "_lattice.Spectrum", s: complex) -> EvalResult:
     """Z_r(s) = sum a_k t_k^(-2s) over an already computed spectrum.
 
@@ -337,18 +490,7 @@ def hlawka_from_spectrum(spec: "_lattice.Spectrum", s: complex) -> EvalResult:
     margin of the disc sums (``_disc_tail``).  A spectrum with no line carries
     no area estimate and is rejected.
     """
-    s = _require_convergent(s)
-    if len(spec.t_values) == 0:
-        raise ValidationError(f"spectrum up to t_max={spec.t_max:g} has no line")
-    t = spec.t_values
-    a = spec.counts
-    value = complex(np.sum(a * np.exp(-2.0 * s * np.log(t))))
-    tail = _disc_tail(2.0 * float(a.sum()) / spec.t_max**2, s.real, spec.t_max)
-    return EvalResult(
-        value=value,
-        error_estimate=tail,
-        truncation={"t_max": spec.t_max, "entries": len(t)},
-    )
+    return _spectrum_sums(spec, [s])[0]
 
 
 def eisenstein_fq_truncated(
@@ -382,6 +524,7 @@ def eisenstein_fq_truncated(
         raise ValidationError(f"rotation must be finite, got {g_rotation}")
     s = _require_convergent(s)
     _check_radius(radius)
+    _check_phase(s, 2.0 * math.log(radius), 0.0 if g_rotation == 0.0 else abs(q) * math.pi)
     cr, sr = math.cos(g_rotation), math.sin(g_rotation)
     if g_rotation == 0.0:
         symmetry = Symmetry.D4
@@ -404,13 +547,9 @@ def eisenstein_fq_truncated(
         angle += np.multiply(n, cr, out=tmp)
         np.arctan2(angle, x, out=angle)
         angle *= q
-        c = scratch("zeta.terms", k, complex)
-        np.multiply(log_n2, -s.real, out=c.real)
-        np.multiply(log_n2, -s.imag, out=c.imag)
-        c.imag += angle
-        np.exp(c, out=c)
-        c *= orbit
-        yield c
+        powers = _powers(log_n2, s, angle)
+        powers *= orbit
+        yield powers
 
     (total,) = _disc_sums(terms, radius, threads, symmetry)
     total *= _MINUS_I_POW[q % 4]
@@ -803,7 +942,7 @@ def _twisted_sums_truncated(
 
     def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
         k = len(m)
-        norm2, tmp = scratch("zeta.x", k), scratch("zeta.tmp", k)
+        norm2, tmp = scratch("zeta.log", k), scratch("zeta.tmp", k)
         np.multiply(m, m, out=norm2)
         norm2 += np.multiply(n, n, out=tmp)
         step = scratch("zeta.step", k, complex)  # e^{4 i theta} = (m + i n)^4 / |p|^4
@@ -847,6 +986,7 @@ def reconstruct_hlawka(
     if mode == "truncated":
         _require_convergent(s)
         _check_radius(radius)
+        _check_phase(s, 2.0 * math.log(radius))
     if q_max < 0:
         raise ValidationError("q_max must be nonnegative")
 

@@ -663,6 +663,17 @@ def test_exit_code_numeric_error(capsys):
     assert "numeric" in err
 
 
+def test_overflowing_error_bar_exits_2(capsys):
+    # r_max^(2 Re s) = 1e400 is a Python float power, which raises
+    code, out, err = run_cli(capsys, "zeta", "--shape", "circle:c=1e100", "--s", "2+0i", "--radius", "50")
+    assert code == 2 and out == "" and "overflows" in err
+
+
+def test_phase_beyond_the_power_kernel_exits_1(capsys):
+    code, out, err = run_cli(capsys, "zeta", "--shape", "circle", "--s", "2+1e14i", "--radius", "50")
+    assert code == 1 and out == "" and "Im s" in err
+
+
 def test_non_finite_result_exits_2(capsys):
     # the circle of radius 1e77 has terms of 1e308 at |p| = 1: their sum
     # overflows, which an EvalResult refuses

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import disc_tail_correction
 from hlawka import cli, lattice, zeta
-from hlawka.errors import PoleError, ValidationError
+from hlawka.errors import NumericError, PoleError, ValidationError
 from hlawka.funceq import residue_at_one
 from hlawka.lattice import build_spectrum
 from hlawka.shapes import Mat2, Symmetry, act, circle, cosine_series, ellipse, odd_shape, parse_shape, square
@@ -163,6 +163,17 @@ def test_hlawka_from_spectrum_error_estimate_bounds_the_tail():
         res = hlawka_from_spectrum(spec, s)
         truth = epstein_continued(QuadForm2(1.0 / 9.0, 0.0, 1.0), s).value
         assert abs(res.value - truth) <= res.error_estimate
+
+
+def test_spectrum_sums_at_several_s_match_single_calls():
+    # 5022 lines: the batch cuts its blocks elsewhere, so values agree to
+    # rounding and bars exactly
+    spec = build_spectrum(ellipse(2.0, 1.0, 0.3), 40.0)
+    samples = [2.0, 1.5 + 3.0j, 2.5 - 7.0j]
+    for one, res in zip((hlawka_from_spectrum(spec, s) for s in samples),
+                        zeta._spectrum_sums(spec, samples)):
+        assert abs(res.value - one.value) <= 1e-14 * abs(one.value)
+        assert res.error_estimate == one.error_estimate
 
 
 def test_hlawka_from_spectrum_rejects_an_empty_spectrum(square_shape):
@@ -834,6 +845,99 @@ _THREAD_CASES = {
 def test_direct_sums_bit_identical_across_threads(kernel):
     one, two, three = (kernel(t) for t in (1, 2, 3))
     assert one == two == three
+
+
+# ---------------------------------------------------------------------------
+# the table-driven power kernel
+# ---------------------------------------------------------------------------
+
+# Re s in (1, 3], |Im s| <= 50 and a few up to 1e9
+_KERNEL_RNG = np.random.default_rng(2201)
+_KERNEL_S = [complex(a, b) for a, b in zip(_KERNEL_RNG.uniform(1.0, 3.0, 12), _KERNEL_RNG.uniform(-50.0, 50.0, 12))] \
+    + [1.01 + 40.0j, 3.0 - 50.0j, 2.0 + 1e4j, 1.5 - 3.7e6j, 2.0 + 1e9j]
+
+
+@pytest.mark.parametrize("s", _KERNEL_S)
+def test_power_kernel_within_the_rounding_budget(s):
+    # each term within what ``_rounding`` charges it apart from the
+    # summation: |s| 3 |log x| ulps for the exponent, 8 for the exponential,
+    # and 4 + 4|q| for a rotated twist's phase q theta; log x over the direct
+    # sums' range (t^2 from r_max^-2 to (MAX_RADIUS / r_min)^2)
+    rng = np.random.default_rng(2202)
+    log_x = np.concatenate([rng.uniform(-12.0, 2.0 * math.log(2e5), 150), [0.0, -12.0, 24.4]])
+    q = 40
+    phase = q * rng.uniform(-math.pi, math.pi, len(log_x))
+    for extra, twist in ((None, 0.0), (phase, 4.0 + 4.0 * q)):
+        got = zeta._powers(log_x, s, extra).copy()
+        with mp.workdps(60):
+            for k, lx in enumerate(log_x.tolist()):
+                arg = -mp.mpc(s) * mp.mpf(lx) + (0 if extra is None else 1j * mp.mpf(float(extra[k])))
+                exact = mp.exp(arg)
+                ulps = float(abs(mp.mpc(got[k]) - exact) / abs(exact)) / zeta._EPS
+                assert ulps <= abs(s) * 3.0 * abs(lx) + 8.0 + twist, (s, lx, ulps)
+
+
+def test_unit_root_table_within_an_ulp():
+    table = zeta._unit_roots()
+    size = len(table)
+    with mp.workdps(40):
+        for j, v in enumerate(table.tolist()):
+            x = mp.mpf(2 * j) / size
+            for got, exact in ((v.real, mp.cospi(x)), (v.imag, mp.sinpi(x))):
+                assert abs(got - exact) <= math.ulp(float(exact)), j
+
+
+def test_power_kernel_is_elementwise_whatever_the_length():
+    # no value depends on the array it sits in: chunks and thread counts
+    # cannot change a term
+    rng = np.random.default_rng(7)
+    log_x = rng.uniform(-5.0, 15.0, 40000)
+    phase = rng.uniform(-30.0, 30.0, len(log_x))
+    for s, extra in ((1.7 + 23.4j, None), (2.5 - 0.3j, phase)):
+        full = zeta._powers(log_x, s, extra).copy()
+        for start in (0, 1, 5, 8191, 8192, 12345, 39993):
+            for size in (1, 7, 32768):
+                stop = min(start + size, len(log_x))
+                part = zeta._powers(log_x[start:stop], s, None if extra is None else extra[start:stop])
+                assert np.array_equal(part, full[start:stop]), (s, start, size)
+
+
+def test_direct_sums_reject_phases_beyond_the_kernel(monkeypatch, square_shape):
+    # |Im s| |log x| beyond 2^50 delta (1.7e12) leaves the exact reduction
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before checking the phase")
+
+    spec = build_spectrum(square_shape, 20.0)
+    monkeypatch.setattr(zeta, "map_box_chunks", no_walk)
+    monkeypatch.setattr(zeta._lattice, "time_counts", no_walk)
+    s = 2.0 + 1e14j
+    for call in (lambda: hlawka_direct(circle(1.0), s, 50.0), lambda: hlawka_direct(square_shape, s, 50.0),
+                 lambda: eisenstein_fq_truncated(4, 0.0, s, 50.0), lambda: eisenstein_fq_truncated(4, 0.3, s, 50.0),
+                 lambda: reconstruct_hlawka(circle(1.0), s, 0, radius=50.0), lambda: hlawka_from_spectrum(spec, s)):
+        with pytest.raises(ValidationError, match="Im s"):
+            call()
+
+
+@pytest.mark.parametrize("shape", [circle(1.0), square()], ids=["walk", "counts"])
+def test_direct_sum_at_a_large_imaginary_part_within_its_bar(shape):
+    # at Im s = 1e9 the phases reach 4.6e9 and the bar is mostly rounding
+    s = 2.0 + 1e9j
+    res = hlawka_direct(shape, s, 10.0)
+    n, m = np.meshgrid(np.arange(-10, 11), np.arange(-10, 11), indexing="ij")
+    keep = (m * m + n * n <= 100) & ((m != 0) | (n != 0))
+    with mp.workdps(40):
+        if shape.kind == "constant":
+            exact = mp.fsum(mp.mpf(a * a + b * b) ** (-mp.mpc(s)) for a, b in zip(m[keep].tolist(), n[keep].tolist()))
+        else:
+            exact = mp.fsum(mp.mpf(max(abs(a), abs(b))) ** (-2 * mp.mpc(s))
+                            for a, b in zip(m[keep].tolist(), n[keep].tolist()))
+    assert abs(res.value - complex(exact)) <= res.error_estimate
+
+
+def test_direct_sum_whose_bar_overflows_is_a_numeric_error():
+    # r_max^(2 Re s) = 1e400 is beyond floats: no bar, so no value
+    with pytest.raises(NumericError, match="overflows"):
+        hlawka_direct(circle(1e100), 2.0, 50.0)
 
 
 # ---------------------------------------------------------------------------
