@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from . import lattice as _lattice
 from .lattice import build_spectrum
 from .results import csv_table
 from .shapes import Mat2, RadialShape, area, odd_shape, square
-from .special import gamma, riemann_zeta
+from .special import _exp_integral_e1, gamma, riemann_zeta
 from .zeta import (
     QuadForm2,
     _spectrum_sums,
@@ -466,7 +467,10 @@ def check_odd_vs_square(t_max: float, samples, threads=None) -> CheckReport:
 
 @dataclass(frozen=True)
 class PerronReport:
-    """Convergence record of the truncated contour integral."""
+    """Convergence record of the truncated contour integral.  ``lines``
+    holds the spectrum's (log (x/t_k)^2, a_k), from which
+    ``lobe_residuals``, the integral less A'(x) at every lobe end, is
+    computed when first read."""
 
     x: float
     sigma: float
@@ -474,11 +478,35 @@ class PerronReport:
     approx: float
     direct_half_weight: float
     lobe_ends: tuple
-    lobe_residuals: tuple
     last_lobe_magnitude: float
+    lines: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def lobe_residuals(self) -> tuple:
+        return tuple(_perron_residuals(*self.lines, self.sigma, np.array(self.lobe_ends)).tolist())
 
     def to_csv(self) -> str:
         return csv_table("T,residual", self.lobe_ends, self.lobe_residuals)
+
+
+def _perron_residuals(log_y: np.ndarray, counts: np.ndarray, sigma: float, ends: np.ndarray) -> np.ndarray:
+    """-(1/pi) sum_k a_k Im E_1(-lambda_k (sigma + i T)), lambda_k = log_y[k]
+    and a_k = counts[k], at each T of ``ends``: the truncated integral less
+    A'(x).  The (end x line) values go in blocks of at most
+    ``lattice._CHUNK_POINTS``, over the ends (each row summed over its lines
+    on its own, so these blocks change the cost and not the result) and,
+    where the lines exceed that, over the lines too, whose partial sums add
+    left to right."""
+    cap = _lattice._CHUNK_POINTS
+    rows, cols = max(1, cap // len(log_y)), min(len(log_y), cap)
+    out = np.zeros(len(ends))
+    for i in range(0, len(ends), rows):
+        s = sigma + 1j * ends[i:i + rows, None]
+        for j in range(0, len(log_y), cols):
+            z = -log_y[j:j + cols] * s
+            im = _exp_integral_e1(z.reshape(-1)).imag.reshape(z.shape)
+            out[i:i + rows] += np.sum(im * counts[j:j + cols], axis=1)
+    return out / -math.pi
 
 
 def perron_count_approx(
@@ -494,29 +522,22 @@ def perron_count_approx(
                                    / (sigma + i t) ] dt
 
     with Z_r evaluated through the spectrum up to 2x, from which A'(x) is
-    read as well.  Integration is lobe-wise (half-period of the x^(2it)
-    oscillation) by doubling Simpson panels of width at most 0.05, each
-    doubling evaluating only the new midpoints, until two doublings of a
-    lobe agree to 1e-6; the report records the running residual against
-    A'(x) after every lobe.  A T of more than ``lattice._SPECTRUM_POINTS``
-    lobes is a ValidationError before the spectrum is built.
+    read as well.  Each line (t_k, a_k) integrates in closed form: with
+    y = (x / t_k)^2 and lambda = log y,
 
-    The lobes of one width (all but the last, which T may cut short, and
-    the last) refine in lockstep: one batch per Simpson level over the lobes
-    not yet converged.  At the node t = a + u of a lobe starting at a the
-    phase factors,
+        (1/pi) integral_0^T Re[ y^(sigma + i t) / (sigma + i t) ] dt
+            = [y > 1] - (1/pi) Im E_1(-lambda (sigma + i T)),
 
-        Z_r(sigma + i t) x^(2 (sigma + i t))
-            = sum_k w_k e^(2ia log(x/t_k)) e^(2iu log(x/t_k))
-
-    with w_k = a_k (x/t_k)^(2 sigma), so a level is one contraction over the
-    lines of the lobe-start table, built once per call, with the level's
-    offset table: (lobes + nodes) x lines sines and cosines, not one per
-    node and line.  The tables are blocked over lobes and over
-    nodes so that none holds more than ``lattice._CHUNK_POINTS`` values (one
-    row over the lines where the spectrum has more lines than that); the
-    contraction and the sums along each lobe run in a fixed order, so the
-    blocking changes the cost and not the result.
+    (its T-derivative is the integrand, and it is 0 at T = 0+, where the
+    argument meets the cut from below for y > 1), so the integral is
+    A'(x) - (1/pi) sum_k a_k Im E_1(-lambda_k (sigma + i T)); the argument
+    has imaginary part -lambda T != 0 and stays off the cut.  The report
+    carries the lobe ends (half-periods of the x^(2it) oscillation, the
+    last one at T) and the magnitude of the last lobe, the integral's change
+    over it, which takes E_1 at its two ends; ``lobe_residuals``, the
+    integral less A'(x) at every lobe end, is computed on first read.  A T
+    of more than ``lattice._SPECTRUM_POINTS`` lobes is a ValidationError
+    before the spectrum is built.
     """
     if not x > 0:
         raise ValidationError("x must be positive")
@@ -538,72 +559,13 @@ def perron_count_approx(
             "half-weight count A'(x) is the target, choose x off the spectrum"
         )
     direct = float(spec.count_up_to(x))
-    log_ratio = math.log(x) - np.log(tv)
-    weights = spec.counts * np.exp(2.0 * sigma * log_ratio) / math.pi
-
-    cap = _lattice._CHUNK_POINTS
-    rows = max(1, cap // len(log_ratio))  # rows of a table over the lines
-
-    def lobe_sums(start_phase: np.ndarray, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """sum_j f(starts_l + offsets_j) per lobe l, f the integrand, where
-        start_phase[l] = weights e^(2i starts_l log(x/t))."""
-        block = max(1, min(len(offsets), rows, cap // len(starts)))
-        sums = np.zeros(len(starts))
-        for j in range(0, len(offsets), block):
-            u = offsets[j : j + block]
-            # einsum sums each entry over the lines in order; a BLAS product
-            # rounds by the shape of the call, so the blocks would show
-            z = np.einsum("lk,jk->lj", start_phase, np.exp(2j * np.multiply.outer(u, log_ratio)))
-            t = np.add.outer(starts, u)
-            # Re[z / (sigma + i t)]
-            vals = (sigma * z.real + t * z.imag) / (sigma * sigma + t * t)
-            # left to right along the nodes, carried across node blocks
-            vals[:, 0] += sums
-            sums = np.cumsum(vals, axis=1)[:, -1]
-        return sums
-
-    def simpson_lobes(starts: np.ndarray, width: float) -> np.ndarray:
-        """Integrals over [a, a + width] for every start a: the lobes go in
-        blocks, each refined one Simpson level at a time."""
-        n0 = max(4, 2 * math.ceil(width / 0.1))  # panels at most 0.05 wide
-        out = np.empty(len(starts))
-        for i in range(0, len(starts), rows):
-            a = starts[i : i + rows]
-            start_phase = weights * np.exp(2j * np.multiply.outer(a, log_ratio))
-            live = np.arange(i, i + len(a))  # positions in ``out`` of the lobes still refining
-            n = n0
-            ends = lobe_sums(start_phase, a, np.array([0.0, width]))
-            inner = lobe_sums(start_phase, a, (width / n) * np.arange(2, n, 2))
-            prev = None
-            while True:
-                h = width / n
-                mids = lobe_sums(start_phase, a, h * np.arange(1, n, 2))
-                simpson = h / 3.0 * (ends + 4.0 * mids + 2.0 * inner)
-                if prev is None:
-                    done = np.zeros(len(a), bool)
-                else:
-                    done = np.abs(simpson - prev) <= 1e-6
-                    out[live[done]] = (simpson + (simpson - prev) / 15.0)[done]
-                if n >= 1 << 16:
-                    out[live[~done]] = simpson[~done]
-                    break
-                keep = ~done
-                if not keep.any():
-                    break
-                # doubling keeps every node: the midpoints join the interior
-                live, a, start_phase = live[keep], a[keep], start_phase[keep]
-                prev, ends, inner = simpson[keep], ends[keep], (inner + mids)[keep]
-                n *= 2
-        return out
+    lines = (2.0 * (math.log(x) - np.log(tv)), spec.counts)
 
     edges = np.append(np.arange(0.0, T, lobe), T)
-    # the full lobes share their node offsets; the last lobe is a group of its own
-    lobes = np.concatenate(
-        (simpson_lobes(edges[:-2], lobe), simpson_lobes(edges[-2:-1], T - edges[-2]))
-    )
-    running = np.cumsum(lobes)
-    total = float(running[-1])
-    last_mag = abs(float(lobes[-1]))
+    # the integral at the last lobe's start and at T; it is 0 at T = 0
+    at = _perron_residuals(*lines, sigma, edges[-2:] if edges[-2] > 0.0 else edges[-1:]) + direct
+    total = float(at[-1])
+    last_mag = abs(total - float(at[0])) if len(at) == 2 else abs(total)
 
     if last_mag > 0.5:
         warnings.warn(
@@ -618,8 +580,8 @@ def perron_count_approx(
         approx=total,
         direct_half_weight=direct,
         lobe_ends=tuple(edges[1:].tolist()),
-        lobe_residuals=tuple((running - direct).tolist()),
         last_lobe_magnitude=last_mag,
+        lines=lines,
     )
     return total, report
 

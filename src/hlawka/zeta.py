@@ -263,7 +263,11 @@ def _lattice_mass(sigma: float) -> float:
     return 4.0 * (riemann_zeta(sigma) * dirichlet_beta(sigma)).real
 
 
-def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0) -> float:
+# ulps per unit of |q| that a rotated twist's phase q theta adds to a term
+_ROTATED_ULPS = 2.7 * math.pi
+
+
+def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0, rotated: bool = False) -> float:
     """Bound on the rounding of a direct sum of terms P(p) x(p)^(-s), with
     |P| = 1 (the twist of degree q), computed as e^(-s log x) by
     ``_powers``: ``mass`` bounds the sum of their moduli, ``log_max``
@@ -276,10 +280,12 @@ def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0) 
     exponential and the orbit weight are off by at most 8: the table entry
     by 0.4, the real exp by 1, the two polynomials by 1, the products that
     assemble T (cos r + i sin r) e^(-Re s log x) by 1.7 and the weight by
-    0.5.  The twist is off by 4 + 4|q|; a rotated twist's phase q theta is
-    reduced with the exponent, which adds up to 1.7 |q theta| <= 5.3 |q|
-    in the worst case (measured errors stay far below the share).
-    Pairwise summation within the chunks and across them adds 48.
+    0.5.  The twist is off by 4 + 4|q|.  A rotated twist takes its phase
+    q theta, |q theta| <= pi |q|, into the exponent: arctan2 and the product
+    round it by up to pi |q| ulps, and the kernel's reduction of it adds up
+    to 1.7 pi |q|, so a rotated twist is charged ``_ROTATED_ULPS`` |q| =
+    2.7 pi |q| more.  Pairwise summation within the chunks and across them
+    adds 48.
 
     The same constants bound the sums by count and the octant twists.
     Summed by count, count_t t^(-2s) is one exponential times an exact integer, like
@@ -293,6 +299,8 @@ def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0) 
     that keeps the twist real, which takes log2(c) levels, each worth u of
     the mass, off the pairwise summation."""
     kappa = 60.0 + 4.0 * abs(q) + abs(s) * (3.0 * log_max + ulps)
+    if rotated:
+        kappa += _ROTATED_ULPS * abs(q)
     return kappa * _EPS * mass
 
 
@@ -473,9 +481,15 @@ def _spectrum_sums(spec: "_lattice.Spectrum", s_values) -> list[EvalResult]:
         _check_phase(s, log_max)
     values = _power_sums(t, a, s_list)
     area = 2.0 * float(a.sum()) / spec.t_max**2
+    log_t = np.log(t)
+    # a line's t is within b t of the exact time of each of its points
+    # (b = time_ulps), and where the grouping merged two values, within its
+    # window 2 b t more: t^2 is off by at most 6 b
+    ulps = 6.0 * _lattice.time_ulps(spec.shape)
     return [EvalResult(
         value=value,
-        error_estimate=_disc_tail(area, s.real, spec.t_max),
+        error_estimate=_disc_tail(area, s.real, spec.t_max)
+        + _rounding(s, float(np.exp(log_t * (-2.0 * s.real)) @ a), log_max, ulps),
         truncation={"t_max": spec.t_max, "entries": len(t)},
     ) for s, value in zip(s_list, values)]
 
@@ -487,8 +501,10 @@ def hlawka_from_spectrum(spec: "_lattice.Spectrum", s: complex) -> EvalResult:
     the spectrum's own count A(t_max) = sum a_k estimates the area as
     A(t_max) / t_max^2.  The omitted terms then total about
     2 area t_max^(2 - 2 sigma) / (2 sigma - 2), inflated by the fluctuation
-    margin of the disc sums (``_disc_tail``).  A spectrum with no line carries
-    no area estimate and is rejected.
+    margin of the disc sums (``_disc_tail``).  The bar adds ``_rounding``
+    with the mass sum a_k t_k^(-2 sigma), |log t^2| up to the spectrum's
+    extremes and t^2 off by six times ``lattice.time_ulps``.  A spectrum
+    with no line carries no area estimate and is rejected.
     """
     return _spectrum_sums(spec, [s])[0]
 
@@ -553,7 +569,7 @@ def eisenstein_fq_truncated(
 
     (total,) = _disc_sums(terms, radius, threads, symmetry)
     total *= _MINUS_I_POW[q % 4]
-    tail = _disc_tail(2.0 * math.pi, s.real, radius) + _twisted_rounding(s, q, radius)
+    tail = _disc_tail(2.0 * math.pi, s.real, radius) + _twisted_rounding(s, q, radius, g_rotation != 0.0)
     trunc = {"radius": radius, "q": q, "rotation": g_rotation}
     if q % 4 != 0:
         trunc["vanishes_identically"] = True
@@ -596,9 +612,9 @@ def _orbit_twist(m: np.ndarray, n: np.ndarray, q: int, orbit: np.ndarray) -> np.
     return twist
 
 
-def _twisted_rounding(s: complex, q: int, radius: float) -> float:
+def _twisted_rounding(s: complex, q: int, radius: float, rotated: bool = False) -> float:
     """``_rounding`` of a q-twisted sum over |p| <= radius (|p|^2 is exact)."""
-    return _rounding(s, _lattice_mass(s.real), 2.0 * math.log(radius), 0.0, q)
+    return _rounding(s, _lattice_mass(s.real), 2.0 * math.log(radius), 0.0, q, rotated)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import json
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import random_complex_samples
-from hlawka import lattice
+from hlawka import funceq, lattice
 from hlawka.cli import main
 from hlawka.errors import ValidationError
 from hlawka.funceq import (
@@ -301,27 +302,72 @@ def test_perron_matches_the_lobe_by_lobe_loop(spec, x, T):
     assert rep.direct_half_weight == count_points(shape, x, half_weight_boundary=True)
 
 
-def test_perron_blocks_change_the_cost_not_the_result(monkeypatch):
-    # 8 lines; 94 full lobes of 22 panels (11 midpoints at the first level)
-    # and a last lobe
+def _quadrature_integrals(shape, x, sigma, ends):
+    """(1/pi) integral_0^T Re[sum_k a_k y_k^(sigma+it) / (sigma+it)] dt at
+    each T of ``ends``, y_k = (x / t_k)^2 over the spectrum up to 2x, by
+    mpmath's Gauss-Legendre quadrature lobe by lobe at 30 digits."""
+    spec = build_spectrum(shape, 2.0 * x)
+    with mp.workdps(30):
+        lam = [2 * (mp.log(x) - mp.log(t)) for t in spec.t_values.tolist()]
+        w = [a * mp.exp(sigma * lk) for a, lk in zip(spec.counts.tolist(), lam)]
+
+        def f(t):
+            return mp.re(mp.fsum(wk * mp.expj(lk * t) for wk, lk in zip(w, lam)) / mp.mpc(sigma, t))
+
+        out, acc, prev = [], mp.mpf(0), mp.mpf(0)
+        for end in ends:
+            acc += mp.quad(f, [prev, end], method="gauss-legendre")
+            prev = end
+            out.append(float(acc / mp.pi))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, x, sigma, T",
+    [
+        ("square", 2.5, 1.25, 12.0),
+        ("odd", 4.3, 1.25, 10.0),
+        ("ellipse:a=2,b=1,phi=0.3", 2.7, 1.25, 8.0),
+        ("cos:c0=1,c4=0.1", 2.9, 1.25, 10.0),
+        ("square", 2.5, 1.25, 1.0),  # T shorter than one lobe
+        ("square", 2.5, 1.25, 2.0),
+        ("square", 2.5, 8.0, 0.1),  # arguments 0.0125 rad from the cut
+        ("square", 1.03, 1.25, 40.0),  # log x < 0.05
+    ],
+)
+def test_perron_closed_form_matches_quadrature(spec, x, sigma, T):
+    shape = parse_shape(spec)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "last-lobe magnitude")  # the short T
+        approx, rep = perron_count_approx(shape, x, sigma, T)
+    want = _quadrature_integrals(shape, x, sigma, rep.lobe_ends)
+    assert abs(approx - want[-1]) <= 1e-12 * abs(want[-1])
+    for res, integral in zip(rep.lobe_residuals, want):
+        assert abs(res + rep.direct_half_weight - integral) <= 1e-12 * max(1.0, abs(integral))
+    assert len(rep.lobe_residuals) == len(want)
+
+
+def test_perron_residual_blocks_change_the_cost_not_the_result(monkeypatch):
+    # 8 lines and 95 lobe ends: one block of 760 E_1 values under a large
+    # cap, blocks of 8 ends under a cap of 64
     shape, x, T = square(), 4.343, 101.0
-    tables = []
-    einsum = np.einsum
+    sizes = []
+    e1 = funceq._exp_integral_e1
 
-    def recording(subscripts, a, b):
-        tables.append((a.shape, b.shape))
-        return einsum(subscripts, a, b)
+    def recording(z):
+        sizes.append(z.size)
+        return e1(z)
 
-    monkeypatch.setattr(np, "einsum", recording)
-    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 1 << 40)
-    _, whole = perron_count_approx(shape, x, 1.25, T)
-    assert ((94, 8), (11, 8)) in tables  # every lobe and midpoint in one table
-    tables.clear()
-    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 64)
-    _, split = perron_count_approx(shape, x, 1.25, T)
-    assert max(max(a[0] * a[1], b[0] * b[1], a[0] * b[0]) for a, b in tables) <= 64
-    assert ((8, 8), (8, 8)) in tables and ((8, 8), (3, 8)) in tables  # lobe and node blocks
-    assert split == whole
+    monkeypatch.setattr(funceq, "_exp_integral_e1", recording)
+    runs = []
+    for cap in (1 << 40, 64):
+        monkeypatch.setattr(lattice, "_CHUNK_POINTS", cap)
+        _, rep = perron_count_approx(shape, x, 1.25, T)
+        sizes.clear()
+        runs.append(rep.lobe_residuals)
+        assert len(runs[-1]) == 95 and max(sizes) <= cap
+    assert sizes == [64] * 11 + [56]
+    assert runs[0] == runs[1]
 
 
 def test_perron_cli_output_is_byte_identical_across_threads_and_runs(capsys):

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from hlawka import special
-from hlawka.errors import DivergenceError, PoleError, ValidationError
+from hlawka.errors import DivergenceError, OverflowSignal, PoleError, ValidationError
 from hlawka.special import (
     dirichlet_beta,
     gamma,
@@ -368,8 +368,6 @@ def test_upper_gamma_stalls_raise(monkeypatch):
 
 
 def test_upper_gamma_overflow_signal():
-    from hlawka.errors import OverflowSignal
-
     # x^s e^(-x) with s = 400, x = 500 is ~10^862
     with pytest.raises(OverflowSignal):
         upper_incomplete_gamma(400.0, 500.0)
@@ -378,6 +376,78 @@ def test_upper_gamma_overflow_signal():
 def test_upper_gamma_rejects_nonpositive_x():
     with pytest.raises(ValidationError):
         upper_incomplete_gamma(1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Exponential integral E_1
+# ---------------------------------------------------------------------------
+
+
+def _fixed_series_e1(x):
+    """E_1 for real x > 0 as summed before E_1 took complex arguments: the
+    fraction from x = 2, else -gamma - log x and 59 series terms in order."""
+    out = np.empty(x.shape, complex)
+    far = x >= 2.0
+    out[far] = special._upper_gamma_cf(0j, x[far])
+    near = x[~far]
+    k = np.arange(1, 60)
+    terms = np.empty((near.size, k.size + 1))
+    terms[:, 0] = -1.0
+    terms[:, 1:] = -near[:, None] / k
+    np.cumprod(terms, axis=1, out=terms)
+    terms[:, 1:] /= k
+    terms[:, 0] = -special._EULER_GAMMA - np.log(near)
+    out[~far] = np.cumsum(terms, axis=1)[:, -1]
+    return out
+
+
+def test_real_exp_integral_keeps_its_bits():
+    # the pole anchor of upper_incomplete_gamma: the series' further terms
+    # fall below half an ulp of the sum and leave it as it was
+    rng = np.random.default_rng(23)
+    x = np.concatenate([rng.uniform(0.0, 2.0, 3000), 10.0 ** rng.uniform(-300.0, 0.3, 500),
+                        rng.uniform(2.0, 700.0, 300), [2.0 - 2.0**-51, 2.0, 5e-324]])
+    x = x[x > 0.0]
+    assert np.array_equal(special._exp_integral_e1(x), _fixed_series_e1(x))
+
+
+# T / sigma of the Perron integrals' arguments: sigma = 8 with T = 0.1, T = 1
+# and T = 2 (shorter than a lobe) at sigma = 1.25, and a range up to 1e4
+_PERRON_RATIOS = [0.1 / 8.0, 1.0 / 1.25, 2.0 / 1.25, *np.geomspace(1e-3, 1e4, 8).tolist()]
+
+
+def test_complex_exp_integral_matches_mpmath():
+    # z = -lambda (sigma + i T): for lambda < 0 in the first quadrant, for
+    # lambda > 0 in the third, atan(T / sigma) from the cut; |z| from 1e-4
+    # (lines next to x, or log x < 0.05) to 1e4.  Where e^(-z) overflows
+    # the call raises; where it underflows the value is 0.
+    sizes = np.geomspace(1e-4, 1e4, 33)
+    z = np.concatenate([sign * sizes * (1.0 + 1j * r) / abs(1.0 + 1j * r)
+                        for r in _PERRON_RATIOS for sign in (1.0, -1.0)])
+    over = -z.real > 700.0
+    got = special._exp_integral_e1(z[~over])
+    with mp.workdps(30):
+        for zi, v in zip(z[~over].tolist(), got.tolist()):
+            exact = mp.e1(zi)
+            assert abs(v - complex(exact)) <= 1e-14 * float(abs(exact)) + 1e-300, zi
+    for zi in z[over]:
+        with pytest.raises(OverflowSignal):
+            special._exp_integral_e1(np.array([zi]))
+
+
+def test_exp_integral_rejects_the_cut_and_reports_stalls(monkeypatch):
+    for z in (-3.0 + 0j, 0j, -1e-3 - 0j):
+        with pytest.raises(ValidationError):
+            special._exp_integral_e1(np.array([1.0 + 1.0j, z]))
+    # with 8 steps or terms allowed, the fraction at |z| = 10 on the
+    # imaginary axis and the series next to the cut stall, each beside an
+    # element its branch settles in time
+    monkeypatch.setattr(special, "_MAX_ITER", 8)
+    for fast, z, stall in ((300.0 + 1j, 10.0j, "continued fraction stalled"),
+                           (0.01 + 0.01j, -10.0 + 0.1j, "E_1 series stalled")):
+        assert np.isfinite(special._exp_integral_e1(np.array([fast]))).all()
+        with pytest.raises(DivergenceError, match=stall):
+            special._exp_integral_e1(np.array([fast, z]))
 
 
 # ---------------------------------------------------------------------------

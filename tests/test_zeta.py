@@ -165,6 +165,16 @@ def test_hlawka_from_spectrum_error_estimate_bounds_the_tail():
         assert abs(res.value - truth) <= res.error_estimate
 
 
+@pytest.mark.parametrize("s", [3.0 + 1e6j, 3.0 + 1e9j])
+def test_hlawka_from_spectrum_bar_covers_the_rounding_at_large_imaginary_parts(square_shape, s):
+    # at Im s = 1e9 the phases reach 1e10 and the error is mostly rounding
+    # (1.7e-8, three times the tail bar alone)
+    res = hlawka_from_spectrum(build_spectrum(square_shape, 150.0), s)
+    with mp.workdps(30):
+        truth = 8 * mp.zeta(2 * mp.mpc(s) - 1)
+    assert float(abs(mp.mpc(res.value) - truth)) <= res.error_estimate
+
+
 def test_spectrum_sums_at_several_s_match_single_calls():
     # 5022 lines: the batch cuts its blocks elsewhere, so values agree to
     # rounding and bars exactly
@@ -861,18 +871,22 @@ _KERNEL_S = [complex(a, b) for a, b in zip(_KERNEL_RNG.uniform(1.0, 3.0, 12), _K
 def test_power_kernel_within_the_rounding_budget(s):
     # each term within what ``_rounding`` charges it apart from the
     # summation: |s| 3 |log x| ulps for the exponent, 8 for the exponential,
-    # and 4 + 4|q| for a rotated twist's phase q theta; log x over the direct
-    # sums' range (t^2 from r_max^-2 to (MAX_RADIUS / r_min)^2)
+    # and for a twist rotated by g, 4 + 4|q| plus ``_ROTATED_ULPS`` |q| for
+    # its phase q theta, formed as ``eisenstein_fq_truncated`` forms it and
+    # measured against the exact q (arg p + g); log x over the direct sums'
+    # range (t^2 from r_max^-2 to (MAX_RADIUS / r_min)^2)
     rng = np.random.default_rng(2202)
     log_x = np.concatenate([rng.uniform(-12.0, 2.0 * math.log(2e5), 150), [0.0, -12.0, 24.4]])
-    q = 40
-    phase = q * rng.uniform(-math.pi, math.pi, len(log_x))
-    for extra, twist in ((None, 0.0), (phase, 4.0 + 4.0 * q)):
+    q, g = 40, 0.3
+    m, n = rng.integers(-200000, 200001, (2, len(log_x))).astype(float)
+    cr, sr = math.cos(g), math.sin(g)
+    phase = q * np.arctan2(m * sr + n * cr, m * cr - n * sr)
+    for extra, twist in ((None, 0.0), (phase, 4.0 + (4.0 + zeta._ROTATED_ULPS) * q)):
         got = zeta._powers(log_x, s, extra).copy()
         with mp.workdps(60):
             for k, lx in enumerate(log_x.tolist()):
-                arg = -mp.mpc(s) * mp.mpf(lx) + (0 if extra is None else 1j * mp.mpf(float(extra[k])))
-                exact = mp.exp(arg)
+                turn = 0 if extra is None else 1j * q * (mp.atan2(n[k], m[k]) + mp.mpf(g))
+                exact = mp.exp(-mp.mpc(s) * mp.mpf(lx) + turn)
                 ulps = float(abs(mp.mpc(got[k]) - exact) / abs(exact)) / zeta._EPS
                 assert ulps <= abs(s) * 3.0 * abs(lx) + 8.0 + twist, (s, lx, ulps)
 
