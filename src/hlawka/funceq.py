@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import PoleError, ValidationError
+from .errors import NumericError, OverflowSignal, PoleError, ValidationError
 from .fourier import ellipse_coefficient
 from . import lattice as _lattice
 from .lattice import build_spectrum
@@ -466,6 +467,32 @@ def check_odd_vs_square(t_max: float, samples, threads=None) -> CheckReport:
 
 
 @dataclass(frozen=True)
+class LobeEnds(Sequence):
+    """The lobe ends of a Perron report, k lobe for k = 1, ..., size - 1
+    and then T (size = ceil(T / lobe)): the floats of
+    ``np.append(np.arange(0.0, T, lobe), T)[1:]``, held as three numbers.
+    ``np.asarray`` gives them as one array."""
+
+    lobe: float
+    T: float
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(self.size)))
+        k = i + self.size if i < 0 else i
+        if not 0 <= k < self.size:
+            raise IndexError("lobe end index out of range")
+        return self.T if k == self.size - 1 else float((k + 1) * self.lobe)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.append(np.arange(1, self.size) * self.lobe, self.T).astype(dtype or float, copy=False)
+
+
+@dataclass(frozen=True)
 class PerronReport:
     """Convergence record of the truncated contour integral.  ``lines``
     holds the spectrum's (log (x/t_k)^2, a_k), from which
@@ -477,13 +504,13 @@ class PerronReport:
     T: float
     approx: float
     direct_half_weight: float
-    lobe_ends: tuple
+    lobe_ends: LobeEnds
     last_lobe_magnitude: float
     lines: tuple = field(repr=False, compare=False)
 
     @cached_property
     def lobe_residuals(self) -> tuple:
-        return tuple(_perron_residuals(*self.lines, self.sigma, np.array(self.lobe_ends)).tolist())
+        return tuple(_perron_residuals(*self.lines, self.sigma, np.asarray(self.lobe_ends)).tolist())
 
     def to_csv(self) -> str:
         return csv_table("T,residual", self.lobe_ends, self.lobe_residuals)
@@ -537,7 +564,9 @@ def perron_count_approx(
     over it, which takes E_1 at its two ends; ``lobe_residuals``, the
     integral less A'(x) at every lobe end, is computed on first read.  A T
     of more than ``lattice._SPECTRUM_POINTS`` lobes is a ValidationError
-    before the spectrum is built.
+    before the spectrum is built.  A line whose E_1 overflows, where
+    (x / t_k)^(2 sigma) leaves the floats, is a NumericError naming x,
+    sigma and that t_k.
     """
     if not x > 0:
         raise ValidationError("x must be positive")
@@ -561,9 +590,16 @@ def perron_count_approx(
     direct = float(spec.count_up_to(x))
     lines = (2.0 * (math.log(x) - np.log(tv)), spec.counts)
 
-    edges = np.append(np.arange(0.0, T, lobe), T)
+    ends = LobeEnds(lobe, T, math.ceil(T / lobe))
     # the integral at the last lobe's start and at T; it is 0 at T = 0
-    at = _perron_residuals(*lines, sigma, edges[-2:] if edges[-2] > 0.0 else edges[-1:]) + direct
+    start = (len(ends) - 1) * lobe
+    try:
+        at = _perron_residuals(*lines, sigma, np.array([start, T] if start > 0.0 else [T])) + direct
+    except OverflowSignal:
+        k = int(np.argmax(lines[0]))
+        raise NumericError(
+            f"the Perron integrand overflows at x={x:g}, sigma={sigma:g}: the line t_k={tv[k]:.17g} "
+            f"contributes (x / t_k)^(2 sigma) = e^{sigma * lines[0][k]:.6g}") from None
     total = float(at[-1])
     last_mag = abs(total - float(at[0])) if len(at) == 2 else abs(total)
 
@@ -579,7 +615,7 @@ def perron_count_approx(
         T=T,
         approx=total,
         direct_half_weight=direct,
-        lobe_ends=tuple(edges[1:].tolist()),
+        lobe_ends=ends,
         last_lobe_magnitude=last_mag,
         lines=lines,
     )

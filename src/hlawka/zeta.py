@@ -37,18 +37,19 @@ series in cos(4k theta) and every unrotated twisted sum; the axis
 reflections for unrotated ellipses (the region of every other form with
 u12 = 0 among them) and even cosine series; n -> -n for other cosine
 series; p -> -p for the rest of the centrally symmetric terms, every other
-ellipse included.
-An unrotated twisted sum's orbit sum is (|orbit| / c) sum over k < c of
-cos(q theta(r^k p)) |p|^(-2s), r the quarter turn and c the number of
-cosets of the group that keeps e^{i q theta} real on each orbit; the
-cosets hold the symmetry that cancels a component (p -> -p for odd q, the
-quarter turn for q = 2 mod 4), and each image takes its own arctan2, so
-those cancellations are still computed point by point.  Where
-``lattice.time_ulps`` is 0 the dilation times are exact integers: no point
-is walked, ``lattice.time_counts`` counts the points of each t by rows, and
-the sum takes one complex power per distinct t.  ``error_estimate`` adds to
-the tail a rounding bound relative to a closed-form bound on the sum of the
+ellipse included.  An unrotated twisted sum (q = 0 mod 4; the other
+components vanish identically and are not summed) weights each octant
+point by |orbit| cos(q theta).  Where ``lattice.time_ulps`` is 0 the
+dilation times are exact integers: no point is walked,
+``lattice.time_counts`` counts the points of each t by rows, and the sum
+takes one complex power per distinct t.  ``error_estimate`` adds to the
+tail a rounding bound relative to a closed-form bound on the sum of the
 terms' moduli, charging t the rounding ``time_ulps`` bounds.
+
+Circles and ellipses (every image of one, and every Epstein form's region)
+need no walk where a cheaper route is as accurate: their disc sum is the
+Epstein value Z_Q(s) of their form, less the rows' tails beyond the disc
+and the full rows beyond it, all in O(R) (``hlawka_direct_many``).
 
 Every complex power of the direct and spectrum sums comes from one kernel,
 ``_powers``: a table-driven exponential in real numpy operations (a
@@ -76,8 +77,8 @@ from .errors import NumericError, PoleError, ValidationError
 from .lattice import map_box_chunks, orbit_sizes
 from .results import EvalResult
 from .scratch import scratch
-from .shapes import Mat2, RadialShape, Symmetry, act, circle
-from .special import dirichlet_beta, gamma, riemann_zeta, upper_incomplete_gamma
+from .shapes import Mat2, RadialShape, Symmetry, _cos_sin, act, circle
+from .special import _BERNOULLI, _hurwitz, dirichlet_beta, gamma, riemann_zeta, upper_incomplete_gamma
 from . import fourier as _fourier
 from . import lattice as _lattice
 
@@ -101,10 +102,6 @@ MAX_RADIUS = _lattice.MAX_RADIUS
 # the most integer dilation times a direct sum counts in one array (32 MB);
 # a shape whose radius / r_min reaches it is summed point by point
 _COUNT_BINS = 1 << 22
-
-# exact powers of (-i)
-_MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
-
 
 def _fluctuation_margin(radius: float) -> float:
     """Inflation factor turning the integral-comparison tail into a bound.
@@ -287,17 +284,9 @@ def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0, 
     2.7 pi |q| more.  Pairwise summation within the chunks and across them
     adds 48.
 
-    The same constants bound the sums by count and the octant twists.
-    Summed by count, count_t t^(-2s) is one exponential times an exact integer, like
-    an orbit weight, the moduli sum to the same mass, and there are fewer
-    terms to add.  An unrotated twist averages the c cosines of a point's
-    coset images.  Added in pairs, each of modulus at most 1, they carry
-    rounding of at most u (2 + 2 + 4) for c = 4 and u 2 for c = 2 (u =
-    2^-53), and the scale |orbit| / c, a power of two, is exact, so the
-    average is off by at most log2(c) u more than one cosine.  The walk
-    covers the octant, c times fewer points than the domain of the group
-    that keeps the twist real, which takes log2(c) levels, each worth u of
-    the mass, off the pairwise summation."""
+    The same constants bound the sums by count: count_t t^(-2s) is one
+    exponential times an exact integer, like an orbit weight, the moduli
+    sum to the same mass, and there are fewer terms to add."""
     kappa = 60.0 + 4.0 * abs(q) + abs(s) * (3.0 * log_max + ulps)
     if rotated:
         kappa += _ROTATED_ULPS * abs(q)
@@ -416,8 +405,35 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
     ``lattice.time_counts`` counts the points of each t row by row, and the
     sum is count_t t^(-2s) over the distinct t, one complex power per t and
     s.  Every other shape sums t(p)^(-2s) point by point over the
-    fundamental domain of ``shape.symmetry``, and t^2 is charged twice the
-    rounding ``time_ulps`` bounds for t.
+    fundamental domain of ``shape.symmetry`` (the walk), and t^2 is charged
+    twice the rounding ``time_ulps`` bounds for t.  The walk's bar is the
+    disc tail plus ``_rounding``.
+
+    A circle or an ellipse, t^2 = Q(m, n) = u11 ((m + shift n)^2 + c_n^2)
+    for a positive form Q, takes O(R) row tails instead where they add no
+    more to the bar than the walk's own bar, which is known before either
+    runs; else it walks.  With N = isqrt(floor(R^2)) and
+    a_n = isqrt(floor(R^2) - n^2) + 1 (the walk's integer disc test),
+
+        S_R(s) = Z_Q(s) - 2 sum_(|n| <= N) sum_(m >= a_n) Q(m, n)^(-s)
+                 - 2 c zeta(2s - 1, N + 1),
+
+    c = sqrt(pi) Gamma(s - 1/2) / Gamma(s) u11^(s-1) det^(1/2-s): Z_Q from
+    one ``epstein_continued_many`` call for every s (of the form reduced
+    exactly, which has the same Z), each row's tail by Euler-Maclaurin with
+    its integral in closed form (``_row_tails``), and the rows |n| > N by
+    Poisson summation (the first Chowla-Selberg term; the neglected Bessel
+    terms decay like e^(-2 pi N sqrt(det) / u11)).  The bar keeps the disc
+    tail and the ``time_ulps`` share of ``_rounding`` and adds the
+    continued bar and proven bounds on the Euler-Maclaurin remainders, the
+    series truncation, the Bessel terms and the rounding
+    (``_row_tail_sums``), so it at most doubles.  Beyond Re s = 4 and
+    |s| = 50, where the continuation's bar is not to be trusted, and for
+    shapes whose form leaves the floats, it walks.  ``truncation`` records
+    the route: ``"route": "row-tails"`` with ``rows`` (the rows summed:
+    2N + 1, or N + 1 where rows n and -n have equal tails) and
+    ``em_terms`` (the Euler-Maclaurin corrections per row), or
+    ``"route": "walk"``.  Neither route depends on the thread count.
     """
     s_list = [_require_convergent(s) for s in s_values]
     _check_radius(radius)
@@ -432,28 +448,42 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
         except OverflowError:
             raise NumericError(f"r_max^(2 Re s) = {shape.r_max:g}^{2.0 * sv.real:g} overflows") from None
 
+    tails = [_disc_tail(2.0 * math.pi * scale, sv.real, radius) for sv, scale in zip(s_list, scales)]
+    masses = [scale * _lattice_mass(sv.real) for sv, scale in zip(s_list, scales)]
+    walk_bars = [tail + _rounding(sv, mass, log_max, 2.0 * ulps) for sv, tail, mass in zip(s_list, tails, masses)]
+    out: list = [None] * len(s_list)
+    rows = _quadratic_rows(shape, radius)
+    if rows is not None:
+        _lattice.resolve_threads(threads)
+        for i, (value, added, em_terms) in _row_tail_sums(rows, s_list, masses, walk_bars).items():
+            sv = s_list[i]
+            share = abs(sv) * 2.0 * ulps * _EPS * masses[i]  # the times' share of ``_rounding``
+            out[i] = EvalResult(value=value, error_estimate=tails[i] + share + added,
+                                truncation={"radius": radius, "s": [sv.real, sv.imag], "route": "row-tails",
+                                            "rows": len(rows.x), "em_terms": em_terms})
+    walk = [i for i, res in enumerate(out) if res is None]
+    if not walk:
+        return out
+    walk_s = [s_list[i] for i in walk]
     if ulps == 0.0 and radius / shape.r_min < _COUNT_BINS:
         _lattice.resolve_threads(threads)
         counts = _lattice.time_counts(shape, radius)
         times = np.flatnonzero(counts)
-        sums = _power_sums(times, counts[times], s_list)
+        sums = _power_sums(times, counts[times], walk_s)
     else:
         def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
             log_t = _lattice.dilation_times_block(shape, m, n, out=scratch("zeta.log", len(m)))
             np.log(log_t, out=log_t)
-            for sv in s_list:
+            for sv in walk_s:
                 powers = _powers(log_t, 2.0 * sv)
                 powers *= orbit
                 yield powers
 
         sums = _disc_sums(terms, radius, threads, shape.symmetry)
-    out = []
-    for sv, total, scale in zip(s_list, sums, scales):
-        sigma = sv.real
-        tail = _disc_tail(2.0 * math.pi * scale, sigma, radius)
-        mass = scale * _lattice_mass(sigma)
-        out.append(EvalResult(value=total, error_estimate=tail + _rounding(sv, mass, log_max, 2.0 * ulps),
-                              truncation={"radius": radius, "s": [sv.real, sv.imag]}))
+    for i, total in zip(walk, sums):
+        sv = s_list[i]
+        out[i] = EvalResult(value=total, error_estimate=walk_bars[i],
+                            truncation={"radius": radius, "s": [sv.real, sv.imag], "route": "walk"})
     return out
 
 
@@ -465,6 +495,298 @@ def hlawka_direct(
 ) -> EvalResult:
     """Direct lattice sum for Z_r(s); requires Re(s) > 1 and radius >= 10."""
     return hlawka_direct_many(shape, [s], radius, threads=threads)[0]
+
+
+# ---------------------------------------------------------------------------
+# Quadratic disc sums by row tails
+# ---------------------------------------------------------------------------
+
+# Euler-Maclaurin corrections a row tail may take, the fewest that suffice
+_EM_TERMS = (2, 4, 6, 9, 12)
+# the most terms of a row integral's Gauss series, taken in steps of 8
+_SERIES_TERMS = 64
+# the largest condition of a reduced form that ``epstein_continued`` takes
+_COND_MAX = 1e8
+# the largest |s| at which the continuation's special functions keep their
+# accuracy contract (README): beyond it Gamma(s) soon overflows
+_S_MAX = 50.0
+# the largest Re s at which the continuation's bar was seen to hold: beyond
+# it Gamma(1 - s, x) near x = |1 - s| runs a cancelling recurrence that the
+# bar does not charge (9.5 times under-claimed at s = 4.2+0.1i)
+_SIGMA_MAX = 4.0
+# the extremes of r that keep a form's entries and determinant normal floats
+_R_RANGE = (1e-75, 1e75)
+# the shares of a distance that a Cauchy disc or a shifted contour may take
+_SHARES = np.array([0.05 * k for k in range(1, 20)] + [0.97, 0.99])
+
+
+@dataclass(frozen=True)
+class _QuadRows:
+    """A circle's or an ellipse's form Q(m, n) = u11 P, P = (m + shift n)^2
+    + c^2 with c = gamma |n|, and the rows |n| <= top of the disc
+    m^2 + n^2 <= floor(R^2): ``x`` holds a_n + shift n for row n's first
+    point outside, a_n = isqrt(floor(R^2) - n^2) + 1.  Where shift = 0,
+    rows n and -n have equal tails, and only n >= 0 are kept, weighted 2
+    (``weight``)."""
+
+    reduced: QuadForm2  # Q Gauss-reduced exactly, then rounded once
+    u11: float
+    det: float
+    gamma: float
+    top: int
+    x: np.ndarray
+    c: np.ndarray
+    log_p: np.ndarray  # log P(a_n, n)
+    weight: np.ndarray
+    skew: float  # r_max / r_min, at least |shift| / gamma
+
+
+def _quadratic_rows(shape: RadialShape, radius: float) -> _QuadRows | None:
+    """The rows of a circle or an ellipse; None for every other kind, for a
+    shape beyond ``_R_RANGE`` and for a form too ill-conditioned to
+    continue.  The ellipse (a, b, phi),
+    either axis the longer, has the form (cos^2/a^2 + sin^2/b^2,
+    cos sin (1/a^2 - 1/b^2), sin^2/a^2 + cos^2/b^2), a circle of radius c
+    (1/c^2, 0, 1/c^2).  Its entries are formed exactly (cos phi and sin phi
+    to 45 digits), so that only the reduced form and the row parameters
+    round, each once."""
+    if shape.kind not in ("constant", "ellipse") or not _R_RANGE[0] <= shape.r_min <= shape.r_max <= _R_RANGE[1]:
+        return None
+    a, b, phi = shape.params if shape.kind == "ellipse" else (shape.params[0], shape.params[0], 0.0)
+    cp, sp = _cos_sin(phi)
+    ia, ib = 1 / Fraction(a) ** 2, 1 / Fraction(b) ** 2
+    u11, u12, u22 = cp * cp * ia + sp * sp * ib, cp * sp * (ia - ib), sp * sp * ia + cp * cp * ib
+    reduced = QuadForm2(*map(float, _gauss_reduce(u11, u12, u22)))
+    if not reduced.condition_number() <= _COND_MAX:
+        return None
+    det = u11 * u22 - u12 * u12
+    _, ext = _lattice._row_extents(math.floor(radius * radius))
+    top = len(ext) - 1
+    n = np.arange(0 if u12 == 0 else -top, top + 1)
+    gamma_ = math.sqrt(float(det / (u11 * u11)))
+    x = (ext[np.abs(n)] + 1) + float(u12 / u11) * n
+    c = gamma_ * np.abs(n)
+    weight = np.where(n > 0, 2.0, 1.0) if u12 == 0 else np.ones(len(n))
+    return _QuadRows(reduced, float(u11), float(det), gamma_, top, x, c, np.log(x * x + c * c), weight,
+                     shape.r_max / shape.r_min)
+
+
+def _log_sum_exp(logs: np.ndarray) -> float:
+    """log sum e^logs without overflow."""
+    top = float(np.max(logs))
+    return top + math.log(float(np.sum(np.exp(logs - top)))) if math.isfinite(top) else top
+
+
+def _bound(log_value: float) -> float:
+    """e^log_value, inf where that overflows."""
+    return math.exp(log_value) if log_value < 700.0 else math.inf
+
+
+def _em_remainder(rows: _QuadRows, s: complex, p: int) -> float:
+    """Bound on the Euler-Maclaurin remainders of 2 sum_n (row tails) after
+    p corrections (DLMF 2.10.1, with m = p + 1):
+    |R| <= 4 zeta(2m) / (2 pi)^2m int_a^inf |f^(2m)|.  Row n's
+    f = u11^-s P^-s has its complex zeros at distance d = sqrt(P) from every
+    real point, so on a disc of radius theta d, |P| >= (1 - theta)^2 P and
+    |arg P| <= 2 arcsin theta, and Cauchy's estimate gives
+    |f^(2m)| <= (2m)! (theta d)^-2m (1 - theta)^-2 sigma e^(2 |tau| arcsin theta) u11^-sigma P^-sigma.
+    What is left is J = int_x^inf (y^2 + c^2)^-sigma' dy, sigma' = sigma + m,
+    at most x^(1 - 2 sigma') / (2 sigma' - 1) for x >= c,
+    c^(1 - 2 sigma') 2 sigma' / (2 sigma' - 1) for 0 <= x < c and twice
+    that for x < 0.  theta is the share of ``_SHARES`` that minimizes the
+    factor it sets."""
+    sigma, tau, m = s.real, abs(s.imag), p + 1
+    h = -2 * m * np.log(_SHARES) - 2.0 * sigma * np.log1p(-_SHARES) + 2.0 * tau * np.arcsin(_SHARES)
+    sp = sigma + m
+    # 2 (the two halves of each row) 4 zeta(2m), zeta(2m) <= 1.1
+    log_const = (math.log(8.8) + math.lgamma(2 * m + 1) - 2 * m * math.log(2.0 * math.pi) + float(h.min())
+                 - sigma * math.log(rows.u11) - math.log(2.0 * sp - 1.0))
+    x, c = rows.x, rows.c
+    outer = x >= c
+    log_j = np.log(rows.weight) + np.where(
+        outer, (1.0 - 2.0 * sp) * np.log(np.where(outer, x, 1.0)),
+        (1.0 - 2.0 * sp) * np.log(np.where(outer, 1.0, c)) + math.log(2.0 * sp) + math.log(2.0) * (x < 0.0))
+    return _bound(log_const + _log_sum_exp(log_j))
+
+
+def _bessel_bound(rows: _QuadRows, s: complex) -> float:
+    """Bound on the neglected terms of the full rows |n| > top: Poisson
+    summation gives row n as u11^-s sum_k fhat_k e^(2 pi i k shift n),
+    fhat_k = int (y^2 + c^2)^-s e^(-2 pi i k y) dy, of which only k = 0
+    (the Chowla-Selberg term) is kept.  Shifting the contour by eta c
+    towards the decay, where |arg(y^2 + c^2)| <= arcsin eta and
+    |y^2 + c^2| >= y^2 + (1 - eta^2) c^2, bounds |fhat_k| by
+    e^(|tau| arcsin eta) sqrt(pi) Gamma(sigma - 1/2) / Gamma(sigma)
+    ((1 - eta^2) c^2)^(1/2 - sigma) e^(-2 pi |k| eta c); summed over k != 0
+    and |n| > top (c = gamma |n|, w = 2 pi eta gamma), that is at most
+    4 (gamma (top + 1))^(1 - 2 sigma) e^(-w (top + 1)) / ((1 - e^(-w (top + 1))) (1 - e^-w))
+    times the rest, with eta from ``_SHARES``."""
+    sigma, tau = s.real, abs(s.imag)
+    w = 2.0 * math.pi * _SHARES * rows.gamma
+    edge = rows.top + 1
+    h = (tau * np.arcsin(_SHARES) + (0.5 - sigma) * np.log1p(-_SHARES**2) - w * edge
+         - np.log(-np.expm1(-w * edge)) - np.log(-np.expm1(-w)))
+    return _bound(math.log(4.0) - sigma * math.log(rows.u11) + 0.5 * math.log(math.pi) + math.lgamma(sigma - 0.5)
+                  - math.lgamma(sigma) + (1.0 - 2.0 * sigma) * math.log(rows.gamma * edge) + float(h.min()))
+
+
+def _full_rows(rows: _QuadRows, s: complex, half_line: complex) -> tuple[complex, float]:
+    """The Chowla-Selberg term of the rows |n| > top,
+    2 sqrt(pi) Gamma(s - 1/2) / Gamma(s) u11^(s-1) det^(1/2-s) zeta(2s - 1, top + 1)
+    (``half_line`` is sqrt(pi) Gamma(s - 1/2) / Gamma(s)), and a bound on
+    its rounding: ``special._hurwitz`` stops where its remainder is below
+    its rounding, and its moduli sum to at most zeta(2 sigma - 1, top + 1)."""
+    sigma, edge = s.real, rows.top + 1
+    const = half_line * cmath.exp((s - 1.0) * math.log(rows.u11) + (0.5 - s) * math.log(rows.det))
+    value = 2.0 * const * _hurwitz(2.0 * s - 1.0, 1, (edge,))
+    mass = edge ** (1.0 - 2.0 * sigma) + edge ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
+    kappa = (2.0 * _special_ulps(s) + 2.0 * abs(s) * (abs(math.log(rows.u11)) + abs(math.log(rows.det)) + 2.0)
+             + 4.0 * abs(2.0 * s - 1.0) * (math.log(edge + abs(2.0 * s - 1.0)) + 1.0) + 128.0)
+    return value, kappa * _EPS * 2.0 * abs(const) * mass
+
+
+def _gauss_series(s: complex, beta: complex, z: np.ndarray, scale: np.ndarray, target: float):
+    """2F1(s, 1; beta; z) = sum rho_k z^k, rho_k = (s)_k / (beta)_k, at each
+    z of ``z`` (0 <= z <= 1/2), by Horner over the first K terms, K the
+    first multiple of 8 up to ``_SERIES_TERMS`` at which the rest, weighted
+    by ``scale``, is at most ``target``.  Past rho_K the term ratios are at
+    most rate = z max(1, |s + K| / |beta + K|) (``special.hyp2f1``), so the
+    rest is at most |rho_K| z^K / (1 - rate).  Returns the sums, the sums
+    of |rho_k| z^k and the weighted bound on the rests (inf where a rate
+    reaches 1)."""
+    k = np.arange(_SERIES_TERMS)
+    rho = np.concatenate([[1.0], np.cumprod((s + k) / (beta + k))])
+    if len(z) == 0:
+        return np.zeros(0, complex), np.zeros(0), 0.0
+    z_max, total = float(np.max(z)), float(np.sum(scale))
+    for size in range(8, _SERIES_TERMS + 1, 8):
+        growth = max(1.0, abs(s + size) / abs(beta + size))
+        if z_max * growth < 1.0 and total * abs(rho[size]) * z_max**size <= target * (1.0 - z_max * growth):
+            break
+    if not z_max * growth < 1.0:
+        return np.zeros(len(z), complex), np.zeros(len(z)), math.inf
+    rest = float(np.sum(scale * abs(rho[size]) * z**size / (1.0 - z * growth)))
+    value = np.full(len(z), rho[size - 1])
+    mass = np.full(len(z), abs(rho[size - 1]))
+    for r in rho[size - 2::-1]:
+        value *= z
+        value += r
+        mass *= z
+        mass += abs(r)
+    return value, mass, rest
+
+
+def _row_integrals(rows: _QuadRows, s: complex, half_line: complex, target: float):
+    """int_x^inf (y^2 + c^2)^-s dy for each row, the moduli its rounding is
+    relative to, and the weighted bound on its series truncation.  From
+    |x|, with P = x^2 + c^2, it is |x| P^-s / (2s - 1)
+    2F1(s, 1; s + 1/2; c^2/P) where |x| >= c, and else
+    c^(1-2s) h / 2 - |x| P^-s 2F1(1, s; 3/2; x^2/P), h = ``half_line``
+    = sqrt(pi) Gamma(s - 1/2) / Gamma(s) (Pfaff transforms, DLMF 15.8.1);
+    for x < 0 it is c^(1-2s) h less the integral from |x|.  Either series
+    argument is at most 1/2 (``_gauss_series``, its rests weighted by
+    ``rows.weight`` at most ``target`` where it can)."""
+    x, c, log_p = rows.x, rows.c, rows.log_p
+    ax, inv_p = np.abs(x), np.exp(-log_p)
+    # c^(1-2s) h where |x| < c or the row's minimum lies in the integral
+    outer, flip = ax >= c, x < 0.0
+    c_pow = np.zeros(len(x), complex)
+    c_pow[~outer | flip] = np.exp((1.0 - 2.0 * s) * np.log(c[~outer | flip])) * half_line
+    # |x| P^-s times the series, over (2s - 1) where |x| >= c
+    pref = ax * np.exp(-s * log_p)
+    pref[outer] /= 2.0 * s - 1.0
+    scale = rows.weight * np.abs(pref)
+    series, series_mass, rest = np.empty(len(x), complex), np.empty(len(x)), 0.0
+    for part, beta, z in ((outer, s + 0.5, c * c), (~outer, 1.5, x * x)):
+        series[part], series_mass[part], part_rest = _gauss_series(s, beta, z[part] * inv_p[part], scale[part], target)
+        rest += part_rest
+    integral = pref * series
+    integral[~outer] = 0.5 * c_pow[~outer] - integral[~outer]
+    integral[flip] = c_pow[flip] - integral[flip]
+    return integral, np.abs(pref) * series_mass + np.abs(c_pow) * (~outer | flip), rest
+
+
+def _row_tails(rows: _QuadRows, s: complex, p: int, half_line: complex, target: float) -> tuple[complex, float]:
+    """2 sum_n sum_(m >= a_n) Q(m, n)^-s over the rows |n| <= top (the left
+    tail of row n is the right tail of row -n), and a bound on its series
+    truncation and rounding.  Row n's tail is, by Euler-Maclaurin,
+    u11^-s [int_x^inf (y^2 + c^2)^-s dy + P^-s (1/2 - sum_(j <= p) B_2j / (2j) g_(2j-1))]
+    (``_row_integrals``), with g_k the Taylor coefficients of
+    (1 + c1 h + c2 h^2)^-s, c1 = 2x/P, c2 = 1/P, by Miller's recurrence
+    g_k = -[c1 (k - 1 + s) g_(k-1) + c2 (k - 2 + 2s) g_(k-2)] / k.  The
+    rounding is charged relative to the moduli of every part, the
+    recurrence's through its majorant
+    G_k = [|c1| |k - 1 + s| G_(k-1) + c2 |k - 2 + 2s| G_(k-2)] / k."""
+    x, c, log_p, w = rows.x, rows.c, rows.log_p, rows.weight
+    norm = 2.0 * rows.u11 ** -s.real
+    integral, mass, rest = _row_integrals(rows, s, half_line, target / norm)
+    p_s = np.exp(-s * log_p)
+    c2 = np.exp(-log_p)
+    c1 = 2.0 * x * c2
+    g2, g1 = np.ones_like(p_s), -s * c1
+    m2, m1 = np.ones_like(c1), abs(s) * np.abs(c1)
+    corr, corr_mass = _BERNOULLI[1] * g1, abs(_BERNOULLI[1]) * m1
+    for k in range(2, 2 * p):
+        g2, g1 = g1, -(c1 * (k - 1 + s) * g1 + c2 * (k - 2 + 2.0 * s) * g2) / k
+        m2, m1 = m1, (np.abs(c1) * abs(k - 1 + s) * m1 + c2 * abs(k - 2 + 2.0 * s) * m2) / k
+        if k % 2:
+            corr += _BERNOULLI[(k + 1) // 2] * math.factorial(k) * g1
+            corr_mass += abs(_BERNOULLI[(k + 1) // 2]) * math.factorial(k) * m1
+    total = np.sum(w * (integral + p_s * (0.5 - corr)))
+    mass = float(np.sum(w * (mass + np.abs(p_s) * (0.5 + corr_mass))))
+    log_c = float(np.max(np.abs(np.log(c[c > 0.0])))) if np.any(c > 0.0) else 0.0
+    kappa = (64.0 + 8.0 * _SERIES_TERMS + 16.0 * p + 2.0 * _special_ulps(s)
+             + abs(s) * (2.0 * float(np.max(np.abs(log_p))) + 16.0 * rows.skew + 32.0)
+             + 2.0 * abs(2.0 * s - 1.0) * log_c)
+    value = 2.0 * cmath.exp(-s * math.log(rows.u11)) * complex(total)
+    return value, norm * (rest + kappa * _EPS * mass)
+
+
+def _row_tail_sums(rows: _QuadRows, s_list, masses, budgets) -> dict[int, tuple[complex, float, int]]:
+    """The disc sums S_R(s) = Z_Q(s) - (row tails) - (full rows) of the s of
+    ``s_list`` whose route adds at most their ``budgets`` (the walk's bars)
+    to the disc tail and the times' rounding: index -> (value, added bar,
+    Euler-Maclaurin corrections).  The added bar holds the continued bar,
+    the Euler-Maclaurin remainders, the series truncation, the neglected
+    Bessel terms, and the rounding of the O(R) sums and of the reduced form
+    (relative to Q at most cond / 2 ulps, so |s| cond ulps of ``masses``,
+    the bounds on the sums of the terms' moduli, doubled).  The remainders
+    and the series aim at an ulp of ``masses``.  The bounds that need no
+    continued value are checked before it is computed; an s beyond
+    ``_SIGMA_MAX`` or ``_S_MAX`` walks."""
+    plans = {}
+    for i, s in enumerate(s_list):
+        if not (s.real <= _SIGMA_MAX and abs(s) <= _S_MAX):
+            continue
+        target = _EPS * masses[i]
+        fixed = _bessel_bound(rows, s) + 2.0 * abs(s) * rows.reduced.condition_number() * target
+        tried = []
+        for p in _EM_TERMS:
+            tried.append((_em_remainder(rows, s, p), p))
+            if tried[-1][0] <= target:
+                break
+        bound, p = min(tried)
+        if fixed + bound <= budgets[i] < math.inf:  # an infinite bar is the walk's to report
+            plans[i] = (p, fixed + bound)
+    if not plans:
+        return {}
+    try:
+        conts = epstein_continued_many(rows.reduced, [s_list[i] for i in plans])
+    except NumericError:  # s within 1e-8 of the pole, a stalled fraction: the walk serves them
+        return {}
+    out = {}
+    for (i, (p, bound)), cont in zip(plans.items(), conts):
+        s = s_list[i]
+        if bound + cont.error_estimate > budgets[i]:
+            continue
+        half_line = math.sqrt(math.pi) * gamma(s - 0.5) / gamma(s)
+        tail, tail_err = _row_tails(rows, s, p, half_line, _EPS * masses[i])
+        full, full_err = _full_rows(rows, s, half_line)
+        added = (bound + cont.error_estimate + tail_err + full_err
+                 + 4.0 * _EPS * (abs(cont.value) + abs(tail) + abs(full)))
+        if added <= budgets[i]:
+            out[i] = (cont.value - tail - full, added, p)
+    return out
 
 
 def _spectrum_sums(spec: "_lattice.Spectrum", s_values) -> list[EvalResult]:
@@ -524,14 +846,13 @@ def eisenstein_fq_truncated(
     The rotation is applied per lattice point (the points are rotated, then
     their angles taken), so rotation covariance is a genuine numeric check
     rather than an algebraic identity of the implementation.  Components with
-    q not divisible by 4 vanish identically (the disc preserves the pairings
-    (c,d) -> (-c,-d) and (c,d) -> (-d,c)); the sum is still computed so the
-    cancellation itself can be verified.  Unrotated, every q walks the D4
-    octant, since |p|^(-2s) is D4-invariant, with the twist
-    (|orbit| / c) sum over k < c of cos(q theta(r^k p)) (``_orbit_twist``):
-    one complex power per octant point, and each image's own arctan2, so p
-    and -p (odd q), p and its quarter turn (q = 2 mod 4) still cancel point
-    by point.  Rotated, it folds only by p -> -p for even q.
+    q not divisible by 4 vanish identically, whatever the rotation: the
+    quarter turn maps the disc and Z^2 onto themselves and multiplies the
+    sum by i^q != 1.  They are the exact 0 with error estimate 0, after the
+    same validation, and walk nothing.  Unrotated, q = 0 mod 4 walks the D4
+    octant, since |p|^(-2s) is D4-invariant and so is e^{i q theta}, with
+    the twist |orbit| cos(q theta) (the sines cancel over the orbit); one
+    complex power per octant point.  Rotated, it folds by p -> -p.
     """
     if q != int(q):
         raise ValidationError("q must be an integer")
@@ -541,21 +862,24 @@ def eisenstein_fq_truncated(
     s = _require_convergent(s)
     _check_radius(radius)
     _check_phase(s, 2.0 * math.log(radius), 0.0 if g_rotation == 0.0 else abs(q) * math.pi)
+    trunc = {"radius": radius, "q": q, "rotation": g_rotation}
+    if q % 4 != 0:
+        return EvalResult(value=0j, error_estimate=0.0, truncation={**trunc, "vanishes_identically": True})
     cr, sr = math.cos(g_rotation), math.sin(g_rotation)
-    if g_rotation == 0.0:
-        symmetry = Symmetry.D4
-    else:
-        symmetry = Symmetry.TRIVIAL if q % 2 else Symmetry.NEGATION
 
     def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
         k = len(m)
         log_n2 = _log_norms(m, n)
+        angle = scratch("zeta.angle", k)
         if g_rotation == 0.0:
+            np.arctan2(n, m, out=angle)
+            angle *= q
+            np.cos(angle, out=angle)
+            angle *= orbit
             powers = _powers(log_n2, s)
-            powers *= _orbit_twist(m, n, q, orbit)
+            powers *= angle
             yield powers
             return
-        angle = scratch("zeta.angle", k)
         x, tmp = scratch("zeta.x", k), scratch("zeta.tmp", k)
         np.multiply(m, cr, out=x)
         x -= np.multiply(n, sr, out=tmp)
@@ -567,49 +891,9 @@ def eisenstein_fq_truncated(
         powers *= orbit
         yield powers
 
-    (total,) = _disc_sums(terms, radius, threads, symmetry)
-    total *= _MINUS_I_POW[q % 4]
+    (total,) = _disc_sums(terms, radius, threads, Symmetry.D4 if g_rotation == 0.0 else Symmetry.NEGATION)
     tail = _disc_tail(2.0 * math.pi, s.real, radius) + _twisted_rounding(s, q, radius, g_rotation != 0.0)
-    trunc = {"radius": radius, "q": q, "rotation": g_rotation}
-    if q % 4 != 0:
-        trunc["vanishes_identically"] = True
     return EvalResult(value=total, error_estimate=tail, truncation=trunc)
-
-
-def _cos_twist(y: np.ndarray, x: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
-    """cos(q arctan2(y, x)) into ``out``."""
-    np.arctan2(y, x, out=out)
-    out *= q
-    return np.cos(out, out=out)
-
-
-def _orbit_twist(m: np.ndarray, n: np.ndarray, q: int, orbit: np.ndarray) -> np.ndarray:
-    """The sum of e^{i q theta} over the D4 orbit of each octant point p,
-
-        (|orbit| / c) sum over k < c of cos(q theta(r^k p)),
-
-    into a scratch array, with r the quarter turn (m, n) -> (-n, m) and
-    c = (1, 4, 2, 4)[q % 4] the number of cosets of the subgroup of D4
-    that keeps e^{i q theta} real on each orbit (D4, the reflection
-    n -> -n, the axis reflections); that subgroup contributes the cosine.
-    Each image r^k p takes its own arctan2, and the c cosines are added in
-    pairs that cancel for q != 0 mod 4 (p with -p for odd q, p with r p for
-    q = 2 mod 4), so a vanishing sum still cancels point by point.
-    |orbit| / c is a power of two, so the scaling is exact."""
-    k = len(m)
-    cosets = (1, 4, 2, 4)[q % 4]
-    twist = _cos_twist(n, m, q, scratch("zeta.angle", k))
-    if cosets > 1:
-        neg_n = np.negative(n, out=scratch("zeta.image", k))
-        part = _cos_twist(m, neg_n, q, scratch("zeta.x", k))  # r p = (-n, m)
-        if cosets == 4:
-            neg_m = np.negative(m, out=scratch("zeta.tmp", k))
-            twist += _cos_twist(neg_n, neg_m, q, neg_n)  # r^2 p = -p
-            part += _cos_twist(neg_m, n, q, neg_m)  # r^3 p = (n, -m)
-        twist += part
-        twist /= cosets
-    twist *= orbit
-    return twist
 
 
 def _twisted_rounding(s: complex, q: int, radius: float, rotated: bool = False) -> float:
@@ -880,7 +1164,10 @@ def epstein_continued(u: QuadForm2, s: complex) -> EvalResult:
 
 
 def eisenstein_fq_continued(q: int, s: complex) -> EvalResult:
-    """Entire continuation of the q-twisted component, q >= 4, q = 0 mod 4.
+    """Entire continuation of the q-twisted component, q >= 4, q = 0 mod 4;
+    for q not divisible by 4 the component vanishes identically
+    (``eisenstein_fq_truncated``), and the exact 0 with error estimate 0 is
+    returned.
 
     With P(x) = (m + i n)^q (harmonic of degree q) and s' = s + q/2,
 
@@ -892,9 +1179,13 @@ def eisenstein_fq_continued(q: int, s: complex) -> EvalResult:
     ``epstein_continued`` on the identity form.)  Summed over the cut disc
     and bounded as in ``epstein_lambda``.
     """
-    if q < 4 or q % 4 != 0:
-        raise ValidationError("continuation implemented for q >= 4 with q = 0 mod 4")
+    if q != int(q):
+        raise ValidationError("q must be an integer")
     s = complex(s)
+    if q % 4 != 0:
+        return EvalResult(value=0j, error_estimate=0.0, truncation={"q": int(q), "vanishes_identically": True})
+    if q < 4:
+        raise ValidationError("continuation implemented for q >= 4 with q = 0 mod 4")
     [(lam, err)], trunc = _theta_split(QuadForm2.identity(), 1.0, [(s, q)])
     value, err = _uncomplete(lam, err, s + q / 2.0)
     return EvalResult(

@@ -858,3 +858,20 @@ def test_every_exported_function_has_a_library_caller():
                and not top.name.startswith("__")}
     assert {"lattice._image", "cli._parser", "special._prefactor"} <= private
     assert sorted(private - called) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--shape", "circle:c=1.3", "--s=2.3+5i", "--method", "direct", "--radius", "700"),
+    ("zeta", "--shape", "ellipse:a=2.5,b=1,phi=0.7", "--s=1.2+7.9i", "--method", "direct", "--radius", "900"),
+    ("zeta", "--shape", "ellipse:a=1.5,b=1@gl2=1.2,0.3,-0.1,0.8", "--s=3-2i", "--method", "direct",
+     "--radius", "400"),
+    ("epstein", "--u", "2.5,-1.5,1", "--s=2.317+7.84i", "--method", "direct", "--radius", "1331.5"),
+    ("eisenstein", "--z", "0.3+0.8i", "--s=2+1i", "--method", "truncated", "--radius", "500"),
+    ("zeta", "--shape", "circle", "--s=2+40i", "--method", "direct", "--radius", "600"),  # walks
+])
+def test_quadratic_direct_sums_print_the_same_bytes_at_any_thread_count(capsys, argv):
+    code1, out1, _ = run_cli(capsys, *argv, "--threads", "1")
+    code2, out2, _ = run_cli(capsys, *argv, "--threads", "2")
+    assert code1 == code2 == 0 and out1 == out2
+    route = json.loads(out1)["truncation"]["route"]
+    assert route == ("walk" if "2+40i" in argv[3] else "row-tails")

@@ -12,7 +12,7 @@ import pytest
 from conftest import random_complex_samples
 from hlawka import funceq, lattice
 from hlawka.cli import main
-from hlawka.errors import ValidationError
+from hlawka.errors import NumericError, ValidationError
 from hlawka.funceq import (
     RegularFEForm,
     boundary_vertex_count,
@@ -423,3 +423,29 @@ def test_probe_handles_gamma_poles_gracefully():
 def test_regular_fe_form_validates_slopes():
     with pytest.raises(ValidationError):
         RegularFEForm(A=1.0, B=1.0, alpha_mu=((-1.0, 0.0),), beta_omega=())
+
+
+def test_lobe_ends_take_no_memory_per_lobe():
+    # 1M lobes (x = 1.03 sets the lobe to pi / 0.1): the ends are k lobe and
+    # then T, held as three numbers, not as a tuple of a million floats
+    import tracemalloc
+
+    lobe, T = math.pi / 0.1, 1e6 * math.pi / 0.1 - 1.0
+    tracemalloc.start()
+    _, rep = perron_count_approx(square(), 1.03, 1.25, T)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 << 20
+    ends = rep.lobe_ends
+    assert len(ends) == 1_000_000 == math.ceil(T / lobe)
+    assert ends[0] == lobe and ends[1] == 2 * lobe and ends[-2] == 999_999 * lobe and ends[-1] == T
+    assert ends[3:6] == (4 * lobe, 5 * lobe, 6 * lobe) and list(ends[-2:]) == [999_999 * lobe, T]
+    with pytest.raises(IndexError):
+        ends[1_000_000]
+    # the same floats as the arange the report once held
+    assert np.array_equal(np.asarray(ends), np.append(np.arange(0.0, T, lobe), T)[1:])
+
+
+def test_overflowing_perron_integrand_names_the_line():
+    with pytest.raises(NumericError, match=r"overflows at x=8\.5, sigma=200: the line t_k=1 "):
+        perron_count_approx(square(), 8.5, 200.0, 10.0)

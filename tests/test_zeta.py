@@ -438,9 +438,13 @@ def test_fq_continued_entire_at_critical_line():
 
 
 def test_fq_continued_rejects_bad_q():
-    for q in (2, 3, 6, -4, 0):
+    for q in (-4, 0):
         with pytest.raises(ValidationError):
             eisenstein_fq_continued(q, 2.0)
+    # the components that vanish identically are exact zeros
+    for q in (2, 3, 6, -3):
+        res = eisenstein_fq_continued(q, 2.0)
+        assert res.value == 0 and res.error_estimate == 0.0 and res.truncation["vanishes_identically"]
 
 
 # ---------------------------------------------------------------------------
@@ -695,14 +699,16 @@ _FOLD_CASES = [
     (name, lambda u=u: hlawka_direct(u.region(), _S, _R).value, lambda m, n, u=u: u.evaluate(m, n) ** (-_S), folded)
     for name, u, folded in _FORMS
 ] + [
+    # q not divisible by 4 vanishes identically and walks nothing: its exact
+    # 0 is checked against the numpy sum, which cancels to rounding
     (f"twisted q={q}", lambda q=q: eisenstein_fq_truncated(q, 0.3, _S, _R).value,
-     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.3, _S)(m, n), _NEG if q % 2 == 0 else _TRIVIAL)
+     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.3, _S)(m, n), _NEG if q % 4 == 0 else None)
     for q in (3, 4, 6, 8)
 ] + [
-    # unrotated, every q walks the octant: |p|^(-2s) is D4-invariant and the
-    # twist sums cos(q theta) over the cosets of the group that keeps it real
+    # unrotated, q = 0 mod 4 walks the octant: |p|^(-2s) and e^{i q theta}
+    # are D4-invariant
     (f"twisted q={q} unrotated", lambda q=q: eisenstein_fq_truncated(q, 0.0, _S, _R).value,
-     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.0, _S)(m, n), _D4)
+     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.0, _S)(m, n), _D4 if q % 4 == 0 else None)
     for q in (1, 2, 3, 4, 5, 6, 7, 38)
 ] + [
     ("twisted sums q=0,4,8", lambda: zeta._twisted_sums_truncated(_S, [0, 4, 8], _R, None)[8],
@@ -714,8 +720,10 @@ _FOLD_CASES = [
 
 @pytest.fixture
 def fold_calls(monkeypatch):
-    """The symmetry of every disc walk the direct sums start."""
+    """The symmetry of every disc walk the direct sums start; circles and
+    ellipses are made to walk, not to take their row tails."""
     calls = []
+    monkeypatch.setattr(zeta, "_quadratic_rows", lambda shape, radius: None)
 
     def spy(bound, func, threads=None, symmetry=Symmetry.TRIVIAL):
         calls.append(symmetry)
@@ -757,17 +765,21 @@ def test_integer_dilation_times_at_the_verify_samples():
 @pytest.fixture
 def direct_paths(monkeypatch):
     """Which path each direct sum of Z_r takes: "count" for the row counts
-    of integer dilation times, "point" for the per-point disc sum."""
+    of integer dilation times, "point" for the per-point disc sum, "rows"
+    for the row tails of a circle or an ellipse."""
     calls = []
 
     def spy(name, f):
         def wrapped(*args, **kwargs):
-            calls.append(name)
-            return f(*args, **kwargs)
+            out = f(*args, **kwargs)
+            if name != "rows" or out:
+                calls.append(name)
+            return out
         return wrapped
 
     monkeypatch.setattr(lattice, "time_counts", spy("count", lattice.time_counts))
     monkeypatch.setattr(zeta, "_disc_sums", spy("point", zeta._disc_sums))
+    monkeypatch.setattr(zeta, "_row_tail_sums", spy("rows", zeta._row_tail_sums))
     return calls
 
 
@@ -781,7 +793,7 @@ def test_only_integral_images_count_dilation_times(direct_paths, monkeypatch):
                   act(Mat2(0.5, 0.0, 0.0, 0.5), square()),
                   circle(1.0), cosine_series([1.0, 0.0, 0.0, 0.0, 0.1])):
         hlawka_direct_many(shape, [_S, 3.0], 60.0)
-    assert direct_paths == ["point"] * 5
+    assert direct_paths == ["point"] * 3 + ["rows", "point"]
     direct_paths.clear()
     # a shape whose times could exceed the count array is summed per point
     monkeypatch.setattr(zeta, "_COUNT_BINS", 60)
@@ -840,10 +852,10 @@ _THREAD_CASES = {
         cosine_series([1.0, 0.0, 0.0, 0.0, 0.1]), 2.0 + 0.5j, 1500.0, threads=t).value,
     "epstein": lambda t: hlawka_direct(_FORM.region(), 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=8": lambda t: eisenstein_fq_truncated(8, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
-    "twisted q=3": lambda t: eisenstein_fq_truncated(3, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
-    "twisted q=2 unrotated": lambda t: eisenstein_fq_truncated(2, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
-    "twisted q=3 unrotated": lambda t: eisenstein_fq_truncated(3, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
-    "twisted q=5 unrotated": lambda t: eisenstein_fq_truncated(5, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
+    "twisted q=12": lambda t: eisenstein_fq_truncated(12, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
+    "twisted q=4 unrotated": lambda t: eisenstein_fq_truncated(4, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
+    "twisted q=16 unrotated": lambda t: eisenstein_fq_truncated(16, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
+    "twisted q=20 unrotated": lambda t: eisenstein_fq_truncated(20, 0.0, 2.0 + 0.5j, 900.0, threads=t).value,
     "reconstruct": lambda t: reconstruct_hlawka(
         ellipse(1.1, 1.0), 2.0 + 0.5j, 24, radius=600.0, threads=t).value,
     "count cos:c0=1,c2=0.15": lambda t: lattice.count_points(
@@ -1010,3 +1022,191 @@ def test_reconstruct_truncated_validates_its_radius(monkeypatch, radius):
     monkeypatch.setattr(zeta._fourier, "fourier_coeffs", no_walk)
     with pytest.raises(ValidationError):
         reconstruct_hlawka(circle(1.0), 2.0, 8, mode="truncated", radius=radius)
+
+
+# ---------------------------------------------------------------------------
+# circles and ellipses by row tails: Z_Q less the tails beyond the disc
+# ---------------------------------------------------------------------------
+
+
+def _walked(shape, s_list, radius, threads=None):
+    """The walk's results for a circle or an ellipse (its row tails off)."""
+    original = zeta._quadratic_rows
+    zeta._quadratic_rows = lambda shape, radius: None
+    try:
+        return hlawka_direct_many(shape, s_list, radius, threads=threads)
+    finally:
+        zeta._quadratic_rows = original
+
+
+def _bare_bar(res, shape, s, radius):
+    """A direct sum's bar less the disc tail both routes charge: what it
+    claims for the truncated sum itself."""
+    return res.error_estimate - zeta._disc_tail(2.0 * math.pi * shape.r_max ** (2.0 * s.real), s.real, radius)
+
+
+# forms up to condition 1e3 and one at 2.9e4, circles, rotated ellipses, an
+# ellipse whose x axis is the shorter (a < b, from ``act``) and images
+_ROW_SHAPES = {
+    "circle": circle(1.0),
+    "circle c=0.7": circle(0.7),
+    "ellipse": ellipse(2.0, 1.0),
+    "rotated ellipse": ellipse(2.5, 1.0, 0.7),
+    "ellipse a < b": act(Mat2(1.0, 0.0, 0.0, 2.0), ellipse(1.5, 1.0)),
+    "circle@gl2": act(Mat2(1.2, 0.3, -0.1, 0.8), circle(1.0)),
+    "ellipse@gl2": act(Mat2(2.0, 0.5, 0.0, 0.7), ellipse(1.3, 1.0, 0.4)),
+    "form (2.5,-1.5,1)": QuadForm2(2.5, -1.5, 1.0).region(),
+    "form cond 727": QuadForm2(1.0, 5.0, 26.0).region(),
+    "form cond 1e3": QuadForm2(1.0, 0.0, 1000.0).region(),
+    "form cond 2.9e4": QuadForm2(1.0, 13.0, 170.0).region(),
+}
+_ROW_S = [1.05 + 0.3j, 1.2 + 8.0j, 1.5 + 0.1j, 2.3 + 5.0j, 3.0 + 8.0j, 4.0 - 2.0j, 2.69494 + 6.392013j]
+_ROW_RADII = [10.0, 30.5, 250.0, 600.0, 1339.85, 1500.0]
+_ROW_GRID_RNG = np.random.default_rng(2601)
+_ROW_GRID = [(name, radius, list(_ROW_GRID_RNG.choice(len(_ROW_S), 3 if radius < 1000 else 1, replace=False)))
+             for name in _ROW_SHAPES for radius in _ROW_RADII]
+
+
+@pytest.mark.parametrize("name,radius,picks", _ROW_GRID, ids=[f"{n} R={r}" for n, r, _ in _ROW_GRID])
+def test_row_tails_agree_with_the_walk(name, radius, picks):
+    # the two routes to the same truncated sum agree within the sum of
+    # what their bars claim for it (the disc tail to infinity aside)
+    shape, s_list = _ROW_SHAPES[name], [_ROW_S[k] for k in picks]
+    for s, res, walked in zip(s_list, hlawka_direct_many(shape, s_list, radius), _walked(shape, s_list, radius)):
+        if res.truncation["route"] == "walk":
+            assert res == walked
+            continue
+        assert res.truncation["rows"] > 0 and res.truncation["em_terms"] in zeta._EM_TERMS
+        assert abs(res.value - walked.value) <= _bare_bar(res, shape, s, radius) + _bare_bar(walked, shape, s, radius)
+        # the added bars take at most the walk's own bar
+        assert res.error_estimate <= 2.0 * walked.error_estimate
+
+
+def test_row_tails_carry_most_of_the_grid():
+    taken = {(name, radius): [res.truncation["route"] for res in hlawka_direct_many(
+        _ROW_SHAPES[name], [_ROW_S[k] for k in picks], radius)] for name, radius, picks in _ROW_GRID}
+    assert sum(routes.count("row-tails") for routes in taken.values()) >= 0.8 * sum(map(len, taken.values()))
+    # every shape takes them at R >= 250, where the walk is costly
+    for name in _ROW_SHAPES:
+        assert "row-tails" in taken[(name, 600.0)] + taken[(name, 1500.0)], name
+
+
+def _mp_row_integral(x, c, s):
+    with mp.workdps(30):
+        f = lambda y: (y * y + mp.mpf(c) ** 2) ** (-mp.mpc(s))  # noqa: E731
+        return mp.quad(f, [mp.mpf(x), mp.mpf(x) + 1 + 4 * mp.mpf(c), mp.inf])
+
+
+def _test_rows(x, c, u11=1.0):
+    x, c = np.array(x, float), np.array(c, float)
+    return zeta._QuadRows(QuadForm2.identity(), u11, 1.0, 1.0, 1, x, c, np.log(x * x + c * c),
+                          np.ones(len(x)), 1.0)
+
+
+@pytest.mark.parametrize("s", [2.3 + 5.0j, 1.05 + 0.3j, 3.0 - 8.0j])
+def test_row_integrals_match_mpmath(s):
+    # |x| >= c (the first branch), |x| < c (the second), x < 0 on both, and
+    # c = 0 (the row n = 0)
+    x, c = [40.0, 3.0, 12.5, -3.0, -40.0, 7.0, 25.0], [30.0, 10.0, 12.4, 10.0, 30.0, 0.0, 25.0]
+    rows = _test_rows(x, c)
+    half_line = math.sqrt(math.pi) * gamma(s - 0.5) / gamma(s)
+    got, mass, rest = zeta._row_integrals(rows, s, half_line, 0.0)
+    for k in range(len(x)):
+        want = complex(_mp_row_integral(x[k], c[k], s))
+        assert abs(got[k] - want) <= 1e-14 * abs(want) + 4e-13 * mass[k], (x[k], c[k])
+    assert rest <= 1e-16 * float(np.sum(mass))
+
+
+@pytest.mark.parametrize("s", [2.3 + 5.0j, 1.2 + 8.0j])
+def test_row_tails_match_mpmath(s):
+    # single rows of the form (2.5, -1.5, 1): row n's tail from a,
+    # sum over m >= a of Q(m, n)^-s, against mpmath's own Euler-Maclaurin sum
+    u = QuadForm2(2.5, -1.5, 1.0)
+    for n, a in ((0, 30), (7, 20), (25, 3), (40, -2)):
+        shift, c = u.u12 / u.u11, math.sqrt(u.det) / u.u11 * abs(n)
+        rows = _test_rows([a + shift * n], [c], u.u11)
+        half_line = math.sqrt(math.pi) * gamma(s - 0.5) / gamma(s)
+        with mp.workdps(30):
+            want = 2 * mp.sumem(lambda m: (u.u11 * m * m + 2 * u.u12 * m * n + u.u22 * n * n) ** (-mp.mpc(s)),
+                                [a, mp.inf])
+        for p in (4, 6, 12):
+            value, bound = zeta._row_tails(rows, s, p, half_line, 0.0)
+            em = zeta._em_remainder(rows, s, p)
+            assert abs(value - complex(want)) <= bound + em + 1e-15 * abs(value), (n, a, p)
+            if a >= 20 and p == 12:  # far from the row's zeros the sum is accurate
+                assert abs(value - complex(want)) <= 1e-14 * abs(value)
+
+
+def test_row_tails_fall_back_to_the_walk():
+    # at Im s = 40 the continued bar is far above the walk's; at R = 10 the
+    # forms of condition 727 and 2.9e4 whose rows run along the long axis
+    # leave too few rows for the full rows' Bessel terms to fade; beyond
+    # Re s = 4 the continuation's bar under-claims (its true error at this
+    # circle's s is 7.9e-8, against a route bar of 3.1e-8), beyond |s| = 50
+    # Gamma(s) overflows, and a circle of radius 1e-100 has a form beyond
+    # the floats
+    for shape, s, radius in ((circle(1.0), 2.0 + 40.0j, 600.0), (ellipse(2.0, 1.0, 0.3), 1.5 - 40.0j, 300.0),
+                             (QuadForm2(26.0, 5.0, 1.0).region(), 3.0 + 2.0j, 10.0),
+                             (QuadForm2(170.0, 13.0, 1.0).region(), 3.0 + 2.0j, 10.0),
+                             (circle(3.170547189776429), 4.7383619576290155 + 0.08859570606956685j, 12.53),
+                             (ellipse(1.3, 0.2, 0.4), 150.0 + 1.0j, 50.0), (circle(1e-100), 2.0 + 1.0j, 50.0)):
+        res = hlawka_direct(shape, s, radius)
+        assert res.truncation["route"] == "walk"
+        assert res == _walked(shape, [s], radius)[0]
+
+
+def test_row_tails_serve_every_s_of_one_call(monkeypatch):
+    # one continuation for every s; the s that fall back share one walk
+    calls = []
+    monkeypatch.setattr(zeta, "epstein_continued_many",
+                        lambda u, s_list: calls.append(len(s_list)) or epstein_continued_many(u, s_list))
+    s_list = [2.0 + 1.0j, 2.0 + 40.0j, 3.0, 1.5 - 40.0j]
+    many = hlawka_direct_many(ellipse(2.0, 1.0, 0.3), s_list, 600.0)
+    assert calls == [4]
+    assert [r.truncation["route"] for r in many] == ["row-tails", "walk", "row-tails", "walk"]
+    walked = _walked(ellipse(2.0, 1.0, 0.3), [s_list[1], s_list[3]], 600.0)
+    assert [many[1], many[3]] == walked
+    for s, res in zip(s_list, many):
+        assert res == hlawka_direct(ellipse(2.0, 1.0, 0.3), s, 600.0)
+
+
+def test_row_tail_bars_bound_the_true_error():
+    # against Z_Q(s) in mpmath less the exact tails: the disc sum at R = 40,
+    # summed in mpmath, with the bar less the disc tail
+    u = QuadForm2(2.5, -1.5, 1.0)
+    shape, radius = u.region(), 40.0
+    for s in (2.3 + 5.0j, 1.2 + 8.0j, 3.0):
+        res = hlawka_direct(shape, s, radius)
+        assert res.truncation["route"] == "row-tails"
+        with mp.workdps(30):
+            exact = mp.fsum((u.u11 * m * m + 2 * u.u12 * m * n + u.u22 * n * n) ** (-mp.mpc(s))
+                            for m in range(-40, 41) for n in range(-40, 41) if 0 < m * m + n * n <= 1600)
+        assert abs(res.value - complex(exact)) <= _bare_bar(res, shape, complex(s), radius)
+
+
+# ---------------------------------------------------------------------------
+# vanishing twisted components
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rotation", [0.0, 0.3])
+def test_vanishing_twisted_components_are_exact_zeros(monkeypatch, rotation):
+    # the quarter turn maps the disc onto itself and multiplies the sum by
+    # i^q != 1: the exact 0, without a walk; the numpy sum over the disc
+    # cancels to its rounding
+    monkeypatch.setattr(zeta, "map_box_chunks", lambda *args, **kwargs: pytest.fail("walked"))
+    for q in (1, 2, 3, 5, 6, 7, 10, 38, -3, -6):
+        res = eisenstein_fq_truncated(q, rotation, _S, _R)
+        assert res.value == 0 and res.error_estimate == 0.0
+        assert res.truncation == {"radius": _R, "q": q, "rotation": rotation, "vanishes_identically": True}
+        ref, scale = _disc_reference(_twisted_weight(q, rotation, _S), _R)
+        assert abs(ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("args,match", [
+    ((2.5, 0.0, 2.0, 50.0), "integer"), ((3, math.inf, 2.0, 50.0), "rotation"), ((3, 0.0, 1.0, 50.0), "Re"),
+    ((3, 0.0, 2.0, 5.0), "radius"), ((3, 0.3, 2.0 + 1e14j, 50.0), "Im s"),
+])
+def test_vanishing_twisted_components_validate_first(args, match):
+    with pytest.raises(ValidationError, match=match):
+        eisenstein_fq_truncated(*args)
