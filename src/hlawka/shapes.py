@@ -404,6 +404,23 @@ def _cos_sin(phi: float) -> tuple[Fraction, Fraction]:
     return Fraction(sums[0]), Fraction(sums[1])
 
 
+def _axes(shape: RadialShape) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The axes a, b of a circle's or an ellipse's region, either the
+    longer, and cos phi, sin phi of its angle (``_cos_sin``), all exact: a
+    circle of radius c is the ellipse (c, c, 0)."""
+    a, b, phi = shape.params if shape.kind == "ellipse" else (shape.params[0], shape.params[0], 0.0)
+    return (Fraction(a), Fraction(b), *_cos_sin(phi))
+
+
+def _exact_form(shape: RadialShape) -> tuple[Fraction, Fraction, Fraction]:
+    """The exact form (u11, u12, u22) of a circle or an ellipse (a, b, phi),
+    the Q with t(p)^2 = Q(p): (cos^2/a^2 + sin^2/b^2, cos sin (1/a^2 - 1/b^2),
+    sin^2/a^2 + cos^2/b^2), cos phi and sin phi within 1e-45."""
+    a, b, cp, sp = _axes(shape)
+    ia, ib = 1 / (a * a), 1 / (b * b)
+    return cp * cp * ia + sp * sp * ib, cp * sp * (ia - ib), sp * sp * ia + cp * cp * ib
+
+
 def act(g: Mat2, shape: RadialShape) -> RadialShape:
     """The image of the region of ``shape`` under g, of gauge t(g^-1 p).
 
@@ -438,11 +455,10 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
     if shape.kind not in ("constant", "ellipse"):
         return RadialShape(kind="transformed", params=(g, shape),
                            r_min=abs(g.det) / s_max * shape.r_min, r_max=s_max * shape.r_max)
-    a, b, phi = shape.params if shape.kind == "ellipse" else (shape.params[0], shape.params[0], 0.0)
-    cp, sp = _cos_sin(phi)
+    a, b, cp, sp = _axes(shape)
     ga, gb, gc, gd = map(Fraction, g.entries())
-    h11, h12 = (ga * cp + gb * sp) * Fraction(a), (gb * cp - ga * sp) * Fraction(b)
-    h21, h22 = (gc * cp + gd * sp) * Fraction(a), (gd * cp - gc * sp) * Fraction(b)
+    h11, h12 = (ga * cp + gb * sp) * a, (gb * cp - ga * sp) * b
+    h21, h22 = (gc * cp + gd * sp) * a, (gd * cp - gc * sp) * b
     if h11 * h21 + h12 * h22 == 0:
         x, y = math.hypot(float(h11), float(h12)), math.hypot(float(h21), float(h22))
         return circle(x) if x == y else RadialShape("ellipse", (x, y, 0.0), r_min=min(x, y), r_max=max(x, y))

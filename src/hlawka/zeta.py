@@ -77,7 +77,7 @@ from .errors import NumericError, PoleError, ValidationError
 from .lattice import map_box_chunks, orbit_sizes
 from .results import EvalResult
 from .scratch import scratch
-from .shapes import Mat2, RadialShape, Symmetry, _cos_sin, act, circle
+from .shapes import Mat2, RadialShape, Symmetry, _exact_form, act, circle
 from .special import _BERNOULLI, _hurwitz, dirichlet_beta, gamma, riemann_zeta, upper_incomplete_gamma
 from . import fourier as _fourier
 from . import lattice as _lattice
@@ -425,15 +425,17 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
     Poisson summation (the first Chowla-Selberg term; the neglected Bessel
     terms decay like e^(-2 pi N sqrt(det) / u11)).  The bar keeps the disc
     tail and the ``time_ulps`` share of ``_rounding`` and adds the
-    continued bar and proven bounds on the Euler-Maclaurin remainders, the
-    series truncation, the Bessel terms and the rounding
-    (``_row_tail_sums``), so it at most doubles.  Beyond Re s = 4 and
-    |s| = 50, where the continuation's bar is not to be trusted, and for
-    shapes whose form leaves the floats, it walks.  ``truncation`` records
-    the route: ``"route": "row-tails"`` with ``rows`` (the rows summed:
-    2N + 1, or N + 1 where rows n and -n have equal tails) and
-    ``em_terms`` (the Euler-Maclaurin corrections per row), or
-    ``"route": "walk"``.  Neither route depends on the thread count.
+    continued bar (checked against mpmath, not proven), a bound on the
+    rounding of the continuation's Gamma(1 - s, X) recurrence, which the
+    continued bar does not charge (``_gamma_recurrence``), and bounds on
+    the Euler-Maclaurin remainders, the series truncation, the Bessel terms
+    and the rounding (``_row_tail_sums``), so it at most doubles.  Beyond
+    |s| = 50 and for shapes whose form leaves the floats, it walks.
+    ``truncation`` records the route: ``"route": "row-tails"`` with
+    ``rows`` (the rows summed: 2N + 1, or N + 1 where rows n and -n have
+    equal tails) and ``em_terms`` (the Euler-Maclaurin corrections per
+    row), or ``"route": "walk"``.  Neither route depends on the thread
+    count.
     """
     s_list = [_require_convergent(s) for s in s_values]
     _check_radius(radius)
@@ -510,10 +512,6 @@ _COND_MAX = 1e8
 # the largest |s| at which the continuation's special functions keep their
 # accuracy contract (README): beyond it Gamma(s) soon overflows
 _S_MAX = 50.0
-# the largest Re s at which the continuation's bar was seen to hold: beyond
-# it Gamma(1 - s, x) near x = |1 - s| runs a cancelling recurrence that the
-# bar does not charge (9.5 times under-claimed at s = 4.2+0.1i)
-_SIGMA_MAX = 4.0
 # the extremes of r that keep a form's entries and determinant normal floats
 _R_RANGE = (1e-75, 1e75)
 # the shares of a distance that a Cauchy disc or a shifted contour may take
@@ -544,18 +542,11 @@ class _QuadRows:
 def _quadratic_rows(shape: RadialShape, radius: float) -> _QuadRows | None:
     """The rows of a circle or an ellipse; None for every other kind, for a
     shape beyond ``_R_RANGE`` and for a form too ill-conditioned to
-    continue.  The ellipse (a, b, phi),
-    either axis the longer, has the form (cos^2/a^2 + sin^2/b^2,
-    cos sin (1/a^2 - 1/b^2), sin^2/a^2 + cos^2/b^2), a circle of radius c
-    (1/c^2, 0, 1/c^2).  Its entries are formed exactly (cos phi and sin phi
-    to 45 digits), so that only the reduced form and the row parameters
-    round, each once."""
+    continue.  The form is exact (``shapes._exact_form``), so that only
+    the reduced form and the row parameters round, each once."""
     if shape.kind not in ("constant", "ellipse") or not _R_RANGE[0] <= shape.r_min <= shape.r_max <= _R_RANGE[1]:
         return None
-    a, b, phi = shape.params if shape.kind == "ellipse" else (shape.params[0], shape.params[0], 0.0)
-    cp, sp = _cos_sin(phi)
-    ia, ib = 1 / Fraction(a) ** 2, 1 / Fraction(b) ** 2
-    u11, u12, u22 = cp * cp * ia + sp * sp * ib, cp * sp * (ia - ib), sp * sp * ia + cp * cp * ib
+    u11, u12, u22 = _exact_form(shape)
     reduced = QuadForm2(*map(float, _gauss_reduce(u11, u12, u22)))
     if not reduced.condition_number() <= _COND_MAX:
         return None
@@ -628,6 +619,50 @@ def _bessel_bound(rows: _QuadRows, s: complex) -> float:
          - np.log(-np.expm1(-w * edge)) - np.log(-np.expm1(-w)))
     return _bound(math.log(4.0) - sigma * math.log(rows.u11) + 0.5 * math.log(math.pi) + math.lgamma(sigma - 0.5)
                   - math.lgamma(sigma) + (1.0 - 2.0 * sigma) * math.log(rows.gamma * edge) + float(h.min()))
+
+
+def _gamma_recurrence(red: QuadForm2, s: complex) -> float:
+    """Bound on the rounding of the continuation's Gamma(1 - s, X) that its
+    own bar does not charge.  For X = pi Q / sqrt(det) < max(|1 - s|, 1)
+    ``special.upper_incomplete_gamma`` recurses down m = ceil(Re s - 1/2) + 1
+    steps, Gamma(d, X) = (Gamma(d + 1, X) - X^d e^-X) / d for
+    d = 1 - s + m - 1, ..., 1 - s, from the anchor Gamma(b) - gamma(b, X),
+    b = 1 - s + m (E_1(X) where 1 - s is within 1e-12 of -m).  Carried
+    down, an error of the anchor is divided by |prod d| = |Gamma(b) /
+    Gamma(1 - s)|: near an integer s >= 2 the anchor cancels by about
+    1 / dist(s, k), which the continuation's bar (a few dozen ulps of its
+    terms) does not see.  The anchor is charged ``_special_ulps(b)`` of
+    |Gamma(b)| and 8 X + 260 + |b| |log X| ulps of its series' mass, at
+    most gamma(Re b, X) <= Gamma(Re b) as |b + k| >= Re b + k (the series
+    takes about 2 X + 64 terms); E_1 64 ulps of its series' mass
+    0.58 + |log X| + e^X.  Each step adds (4 + |d| |log X| + X) ulps of
+    |Gamma(d + 1, X)| + |X^d e^-X|, then divides by |d|, where
+    |Gamma(d + 1, X)| <= Gamma(Re d + 1, X) is at most X^(Re d) e^-X for
+    Re d <= 0 and Gamma(Re d + 1) above.  Summed over both halves of the
+    plane, weighted by X^(sigma - 1), carried to Z as the continuation's
+    bar is, and doubled.  Against mpmath, for Re s up to 8 and forms with
+    X just below |1 - s|, it holds with a factor of 70 to spare."""
+    sigma, a, root = s.real, 1.0 - s, math.sqrt(red.det)
+    _, _, q = _cut_ellipse(red, max(abs(a), 1.0) * root / math.pi * (1.0 + 1e-9))
+    if len(q) == 0:
+        return 0.0
+    x = math.pi / root * q
+    log_x = np.log(x)
+    top = round(a.real)
+    if abs(a.imag) <= 1e-12 and top <= 0 and abs(a.real - top) <= 1e-12:
+        m, base = -top, complex(top)
+        err = 64.0 * (0.58 + np.abs(log_x) + np.exp(x))
+    else:
+        m = math.ceil(sigma - 0.5) + 1
+        base, b = a, a + m
+        err = _special_ulps(b) * abs(gamma(b)) + (8.0 * x + 260.0 + abs(b) * np.abs(log_x)) * math.gamma(b.real)
+    for j in range(m, 0, -1):  # m <= |s| + 2 <= _S_MAX + 2 steps
+        d = base + j - 1
+        up = d.real + 1.0
+        g = np.exp((up - 1.0) * log_x - x) if up <= 1.0 else math.gamma(up)
+        err = (err + (4.0 + abs(d) * np.abs(log_x) + x) * (g + np.exp(d.real * log_x - x))) / abs(d)
+    lam = 4.0 * _EPS * float(np.sum(np.exp((sigma - 1.0) * log_x) * err))
+    return lam * red.det ** (-0.5 * sigma) / abs(cmath.exp(-s * math.log(math.pi)) * gamma(s))
 
 
 def _full_rows(rows: _QuadRows, s: complex, half_line: complex) -> tuple[complex, float]:
@@ -752,14 +787,15 @@ def _row_tail_sums(rows: _QuadRows, s_list, masses, budgets) -> dict[int, tuple[
     (relative to Q at most cond / 2 ulps, so |s| cond ulps of ``masses``,
     the bounds on the sums of the terms' moduli, doubled).  The remainders
     and the series aim at an ulp of ``masses``.  The bounds that need no
-    continued value are checked before it is computed; an s beyond
-    ``_SIGMA_MAX`` or ``_S_MAX`` walks."""
+    continued value, ``_gamma_recurrence`` among them, are checked before
+    it is computed; an s beyond ``_S_MAX`` walks."""
     plans = {}
     for i, s in enumerate(s_list):
-        if not (s.real <= _SIGMA_MAX and abs(s) <= _S_MAX):
+        if not abs(s) <= _S_MAX:
             continue
         target = _EPS * masses[i]
-        fixed = _bessel_bound(rows, s) + 2.0 * abs(s) * rows.reduced.condition_number() * target
+        fixed = (_bessel_bound(rows, s) + _gamma_recurrence(rows.reduced, s)
+                 + 2.0 * abs(s) * rows.reduced.condition_number() * target)
         tried = []
         for p in _EM_TERMS:
             tried.append((_em_remainder(rows, s, p), p))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hlawka import zeta
 from hlawka.shapes import circle, cosine_series, ellipse, odd_shape, square
 from hlawka.zeta import QuadForm2
 
@@ -31,6 +32,15 @@ def thin_ellipse():
 def bump_shape():
     # r = 1 + 0.1 cos(4 theta): smooth, 4-fold symmetric
     return cosine_series([1.0, 0.0, 0.0, 0.0, 0.1])
+
+
+@pytest.fixture
+def walk_only(monkeypatch):
+    """Circles and ellipses walk their discs instead of taking row tails.
+    The row tails are Z_Q less its tails, with Z_Q from
+    ``epstein_continued``, so a direct sum that checks the continuation
+    must walk, or an error of the continuation cancels on both sides."""
+    monkeypatch.setattr(zeta, "_quadratic_rows", lambda shape, radius: None)
 
 
 def random_complex_samples(seed, n, re_range=(-2.0, 3.0), im_min=0.25, im_max=8.0):

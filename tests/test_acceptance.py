@@ -105,12 +105,14 @@ def test_c04_circle_value_two_oracles():
     _ok(4, "circle value 6.0268120... confirmed by brute force and 4 zeta(2) beta(2)")
 
 
-def test_c05_continuation_calibration():
+def test_c05_continuation_calibration(walk_only):
+    # the direct sums walk: row tails are built on the continuation
     t0 = time.time()
     for s in (2.0, 3.0, 2.5 + 1.5j):
         cont = epstein_continued(IDENT, s).value
-        direct = hlawka_direct(IDENT.region(), s, 2000.0).value
-        corrected = direct + disc_tail_correction(IDENT, s, 2000.0)
+        direct = hlawka_direct(IDENT.region(), s, 2000.0)
+        assert direct.truncation["route"] == "walk"
+        corrected = direct.value + disc_tail_correction(IDENT, s, 2000.0)
         assert abs(cont - corrected) <= 1e-9 * abs(cont)
 
         fq_cont = eisenstein_fq_continued(4, s).value

@@ -233,13 +233,14 @@ def test_epstein_equals_ellipse_hlawka():
     assert abs(a - b) <= 1e-12 * abs(a)
 
 
-def test_epstein_continued_calibration_against_direct():
+def test_epstein_continued_calibration_against_direct(walk_only):
     # oracle-first: the continuation must reproduce tail-corrected direct
-    # sums in the convergent region before any use beyond it
+    # sums in the convergent region before any use beyond it; the sums walk
     for u in (IDENT, ellipse_form(2.0, 1.0), QuadForm2(2.0, 0.5, 1.0)):
         for s in (2.0, 3.0, 2.5 + 1.5j):
             cont = epstein_continued(u, s).value
             direct = hlawka_direct(u.region(), s, 1500.0)
+            assert direct.truncation["route"] == "walk"
             corrected = direct.value + disc_tail_correction(u, s, 1500.0)
             assert abs(cont - corrected) <= 1e-9 * abs(cont)
             assert abs(cont - direct.value) <= direct.error_estimate * 1.05
@@ -458,9 +459,9 @@ def test_classical_eisenstein_at_i():
     assert abs(res.value - expected) < 1e-9
 
 
-def test_classical_eisenstein_circle_identity():
+def test_classical_eisenstein_circle_identity(walk_only):
     # Z_circle(s) = 2 c^(2s) zeta(2s) E(i, s): left side by continuation,
-    # right side by the direct lattice sum plus its integral tail correction
+    # right side by the walked lattice sum plus its integral tail correction
     c, s = 1.7, 2.0
     lhs = c ** (2 * s) * epstein_continued(IDENT, s).value
     direct = classical_eisenstein(1j, s, method="direct", radius=1000.0)
@@ -719,11 +720,10 @@ _FOLD_CASES = [
 
 
 @pytest.fixture
-def fold_calls(monkeypatch):
+def fold_calls(monkeypatch, walk_only):
     """The symmetry of every disc walk the direct sums start; circles and
     ellipses are made to walk, not to take their row tails."""
     calls = []
-    monkeypatch.setattr(zeta, "_quadratic_rows", lambda shape, radius: None)
 
     def spy(bound, func, threads=None, symmetry=Symmetry.TRIVIAL):
         calls.append(symmetry)
@@ -1137,18 +1137,47 @@ def test_row_tails_match_mpmath(s):
                 assert abs(value - complex(want)) <= 1e-14 * abs(value)
 
 
+def _mp_disc_sum(u, s, radius):
+    """sum of Q(m, n)^-s over 0 < m^2 + n^2 <= floor(radius^2), in mpmath."""
+    top, total = math.floor(radius * radius), mp.mpc(0)
+    with mp.workdps(30):
+        for m in range(-math.isqrt(top), math.isqrt(top) + 1):
+            for n in range(-math.isqrt(top - m * m), math.isqrt(top - m * m) + 1):
+                if m or n:
+                    total += (mp.mpf(u.u11) * m * m + 2 * mp.mpf(u.u12) * m * n + mp.mpf(u.u22) * n * n) ** (-mp.mpc(s))
+        return complex(total)
+
+
+def _recurrence_form(s, share=0.99999):
+    """A form (1, 0.3, k) whose least X = pi Q / sqrt(det) is ``share`` of
+    |1 - s|, just inside the range where the continuation's
+    Gamma(1 - s, X) recurses."""
+    return QuadForm2(1.0, 0.3, (math.pi / (share * abs(1.0 - s))) ** 2 + 0.09)
+
+
+@pytest.mark.parametrize("s", [3.0 + 0.02j, 3.9 + 0.02j, 4.0 + 0.02j])
+def test_row_tail_bars_charge_the_gamma_recurrence(s):
+    # near an integer s >= 2 the continuation's Gamma(1 - s, X), X just
+    # below |1 - s|, cancels by about 1 / dist(s, k); its own bar does not
+    # charge that, and without ``_gamma_recurrence`` the route's bar would
+    # under-claim 2.3 to 7 times here
+    u = _recurrence_form(s)
+    res = hlawka_direct(u.region(), s, 20.0)
+    assert res.truncation["route"] == "row-tails"
+    assert abs(res.value - _mp_disc_sum(u, s, 20.0)) <= _bare_bar(res, u.region(), s, 20.0)
+
+
 def test_row_tails_fall_back_to_the_walk():
-    # at Im s = 40 the continued bar is far above the walk's; at R = 10 the
-    # forms of condition 727 and 2.9e4 whose rows run along the long axis
-    # leave too few rows for the full rows' Bessel terms to fade; beyond
-    # Re s = 4 the continuation's bar under-claims (its true error at this
-    # circle's s is 7.9e-8, against a route bar of 3.1e-8), beyond |s| = 50
-    # Gamma(s) overflows, and a circle of radius 1e-100 has a form beyond
-    # the floats
+    # at Im s = 40 the continuation's bars are far above the walk's; at
+    # R = 10 the forms of condition 727 and 2.9e4 whose rows run along the
+    # long axis leave too few rows for the full rows' Bessel terms to fade;
+    # within 1e-6 of s = 4 the continuation's Gamma(1 - s, X) recurrence
+    # cancels by about 1e6, beyond |s| = 50 Gamma(s) overflows, and a circle
+    # of radius 1e-100 has a form beyond the floats
     for shape, s, radius in ((circle(1.0), 2.0 + 40.0j, 600.0), (ellipse(2.0, 1.0, 0.3), 1.5 - 40.0j, 300.0),
                              (QuadForm2(26.0, 5.0, 1.0).region(), 3.0 + 2.0j, 10.0),
                              (QuadForm2(170.0, 13.0, 1.0).region(), 3.0 + 2.0j, 10.0),
-                             (circle(3.170547189776429), 4.7383619576290155 + 0.08859570606956685j, 12.53),
+                             (_recurrence_form(4.0 + 1e-6j).region(), 4.0 + 1e-6j, 20.0),
                              (ellipse(1.3, 0.2, 0.4), 150.0 + 1.0j, 50.0), (circle(1e-100), 2.0 + 1.0j, 50.0)):
         res = hlawka_direct(shape, s, radius)
         assert res.truncation["route"] == "walk"
@@ -1156,13 +1185,15 @@ def test_row_tails_fall_back_to_the_walk():
 
 
 def test_row_tails_serve_every_s_of_one_call(monkeypatch):
-    # one continuation for every s; the s that fall back share one walk
+    # one continuation for every s that may take the row tails (at
+    # |Im s| = 40 the recurrence's bar rules them out before it runs); the
+    # s that fall back share one walk
     calls = []
     monkeypatch.setattr(zeta, "epstein_continued_many",
                         lambda u, s_list: calls.append(len(s_list)) or epstein_continued_many(u, s_list))
     s_list = [2.0 + 1.0j, 2.0 + 40.0j, 3.0, 1.5 - 40.0j]
     many = hlawka_direct_many(ellipse(2.0, 1.0, 0.3), s_list, 600.0)
-    assert calls == [4]
+    assert calls == [2]
     assert [r.truncation["route"] for r in many] == ["row-tails", "walk", "row-tails", "walk"]
     walked = _walked(ellipse(2.0, 1.0, 0.3), [s_list[1], s_list[3]], 600.0)
     assert [many[1], many[3]] == walked
