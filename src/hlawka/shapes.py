@@ -395,7 +395,9 @@ def cosine_series(coeffs) -> RadialShape:
 def _cos_sin(phi: float) -> tuple[Fraction, Fraction]:
     """cos phi and sin phi within 1e-45 for |phi| < 1e15: their Taylor
     series in 60-digit decimals, after an exact reduction of phi mod 2 pi
-    (to 85 digits); (2 pi)^80 / 80! < 1e-54."""
+    (to 85 digits); (2 pi)^80 / 80! < 1e-54.  At phi = 0 they are 1 and 0."""
+    if phi == 0.0:
+        return Fraction(1), Fraction(0)
     with decimal.localcontext(prec=60):
         x, term, sums = decimal.Decimal(phi) % _TWO_PI_DEC, 1, [1, 0]
         for n in range(1, 80):

@@ -49,7 +49,11 @@ terms' moduli, charging t the rounding ``time_ulps`` bounds.
 Circles and ellipses (every image of one, and every Epstein form's region)
 need no walk where a cheaper route is as accurate: their disc sum is the
 Epstein value Z_Q(s) of their form, less the rows' tails beyond the disc
-and the full rows beyond it, all in O(R) (``hlawka_direct_many``).
+and the full rows beyond it, all in O(R) (``hlawka_direct_many``).  So are
+the unrotated twisted sums, the harmonic continuation of each component
+less its twisted tails (``eisenstein_fq_truncated``, the truncated mode of
+``reconstruct_hlawka``).  The route is taken where the walk would visit
+more than ``_WALK_POINTS`` points, its fixed cost's worth.
 
 Every complex power of the direct and spectrum sums comes from one kernel,
 ``_powers``: a table-driven exponential in real numpy operations (a
@@ -410,9 +414,11 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
     disc tail plus ``_rounding``.
 
     A circle or an ellipse, t^2 = Q(m, n) = u11 ((m + shift n)^2 + c_n^2)
-    for a positive form Q, takes O(R) row tails instead where they add no
-    more to the bar than the walk's own bar, which is known before either
-    runs; else it walks.  With N = isqrt(floor(R^2)) and
+    for a positive form Q, takes O(R) row tails instead where the walk
+    would visit more than ``_WALK_POINTS`` points (pi R^2 / |G| for the
+    group G of ``shape.symmetry``) and the row tails add no more to the bar
+    than the walk's own bar, which is known before either runs; else it
+    walks.  With N = isqrt(floor(R^2)) and
     a_n = isqrt(floor(R^2) - n^2) + 1 (the walk's integer disc test),
 
         S_R(s) = Z_Q(s) - 2 sum_(|n| <= N) sum_(m >= a_n) Q(m, n)^(-s)
@@ -425,11 +431,11 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
     Poisson summation (the first Chowla-Selberg term; the neglected Bessel
     terms decay like e^(-2 pi N sqrt(det) / u11)).  The bar keeps the disc
     tail and the ``time_ulps`` share of ``_rounding`` and adds the
-    continued bar (checked against mpmath, not proven), a bound on the
-    rounding of the continuation's Gamma(1 - s, X) recurrence, which the
-    continued bar does not charge (``_gamma_recurrence``), and bounds on
-    the Euler-Maclaurin remainders, the series truncation, the Bessel terms
-    and the rounding (``_row_tail_sums``), so it at most doubles.  Beyond
+    continued bar (checked against mpmath, not proven; it charges the
+    cancellation of its Gamma(1 - s, X) recursion, ``_gamma_recurrence``),
+    and bounds on the Euler-Maclaurin remainders, the series truncation,
+    the Bessel terms and the rounding (``_row_tail_sums``), so it at most
+    doubles.  Beyond
     |s| = 50 and for shapes whose form leaves the floats, it walks.
     ``truncation`` records the route: ``"route": "row-tails"`` with
     ``rows`` (the rows summed: 2N + 1, or N + 1 where rows n and -n have
@@ -457,7 +463,10 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
     rows = _quadratic_rows(shape, radius)
     if rows is not None:
         _lattice.resolve_threads(threads)
-        for i, (value, added, em_terms) in _row_tail_sums(rows, s_list, masses, walk_bars).items():
+        sums = _row_tail_sums(rows, [(sv, 0) for sv in s_list], masses, walk_bars,
+                              lambda pairs: [(r.value, r.error_estimate)
+                                             for r in epstein_continued_many(rows.reduced, [sv for sv, _ in pairs])])
+        for i, (value, added, em_terms) in sums.items():
             sv = s_list[i]
             share = abs(sv) * 2.0 * ulps * _EPS * masses[i]  # the times' share of ``_rounding``
             out[i] = EvalResult(value=value, error_estimate=tails[i] + share + added,
@@ -500,7 +509,7 @@ def hlawka_direct(
 
 
 # ---------------------------------------------------------------------------
-# Quadratic disc sums by row tails
+# Disc sums by row tails
 # ---------------------------------------------------------------------------
 
 # Euler-Maclaurin corrections a row tail may take, the fewest that suffice
@@ -516,6 +525,23 @@ _S_MAX = 50.0
 _R_RANGE = (1e-75, 1e75)
 # the shares of a distance that a Cauchy disc or a shifted contour may take
 _SHARES = np.array([0.05 * k for k in range(1, 20)] + [0.97, 0.99])
+# the most points a walk visits (pi R^2 / |G|) where it is still the cheaper
+# route: the row tails cost 2.5 to 4 ms whatever the radius (6 to 8 for a
+# reconstruction), about what a walk takes at this many points; over the
+# quadratic, twisted and reconstruct jobs of four direct-sums benchmark
+# decks of two seeds (2 threads, 2 cores), thresholds from 40000 to 100000
+# give totals within 1% of each other, and none (row tails at every
+# radius) 13% more
+_WALK_POINTS = 60000.0
+# the terms of a twisted row integral's series in n / a and the
+# Gauss-Legendre points per panel it may take, the fewest that suffice
+_TWIST_TERMS = (8, 16, 24, 32, 48)
+_GAUSS_POINTS = (4, 6, 8, 12, 16, 24)
+# the shares of a panel's distance to the singularities that its Bernstein
+# ellipse may take, and the Cauchy radii (times the largest argument) of
+# the series
+_THETAS = (0.1, 0.3, 0.6, 0.9)
+_RADII = np.array([1.25, 1.5, 2.0, 3.0, 4.0, 6.0])
 
 
 @dataclass(frozen=True)
@@ -540,11 +566,15 @@ class _QuadRows:
 
 
 def _quadratic_rows(shape: RadialShape, radius: float) -> _QuadRows | None:
-    """The rows of a circle or an ellipse; None for every other kind, for a
-    shape beyond ``_R_RANGE`` and for a form too ill-conditioned to
-    continue.  The form is exact (``shapes._exact_form``), so that only
-    the reduced form and the row parameters round, each once."""
-    if shape.kind not in ("constant", "ellipse") or not _R_RANGE[0] <= shape.r_min <= shape.r_max <= _R_RANGE[1]:
+    """The rows of a circle or an ellipse; None for every other kind, where
+    its walk visits at most ``_WALK_POINTS`` points (pi R^2 / |G| for the
+    group G of its terms' symmetries), for a shape beyond ``_R_RANGE`` and
+    for a form too ill-conditioned to continue.  The form is exact
+    (``shapes._exact_form``), so that only the reduced form and the row
+    parameters round, each once."""
+    if (shape.kind not in ("constant", "ellipse")
+            or math.pi * radius * radius / len(_lattice._GROUP[shape.symmetry]) <= _WALK_POINTS
+            or not _R_RANGE[0] <= shape.r_min <= shape.r_max <= _R_RANGE[1]):
         return None
     u11, u12, u22 = _exact_form(shape)
     reduced = QuadForm2(*map(float, _gauss_reduce(u11, u12, u22)))
@@ -573,109 +603,102 @@ def _bound(log_value: float) -> float:
     return math.exp(log_value) if log_value < 700.0 else math.inf
 
 
-def _em_remainder(rows: _QuadRows, s: complex, p: int) -> float:
+def _twisted(h: np.ndarray, q, bound):
+    """``bound(min h)`` for the exponents ``h`` over ``_SHARES`` raised by
+    the log of the most the twist ((y + i n) / (y - i n))^(q/2) grows within
+    theta of the distance to its zeros y = +-i n, or on a contour shifted by
+    theta |n|: (|q|/2) log((1 + theta) / (1 - theta)); one bound for each q
+    of a sequence ``q``, or for the one q."""
+    rise = np.log((1.0 + _SHARES) / (1.0 - _SHARES))
+    bounds = [bound(float(v)) for v in np.min(h + 0.5 * np.abs(np.atleast_1d(q))[:, None] * rise, axis=1)]
+    return bounds if np.ndim(q) else bounds[0]
+
+
+def _em_remainder(rows: _QuadRows, s: complex, p: int, q=0):
     """Bound on the Euler-Maclaurin remainders of 2 sum_n (row tails) after
     p corrections (DLMF 2.10.1, with m = p + 1):
     |R| <= 4 zeta(2m) / (2 pi)^2m int_a^inf |f^(2m)|.  Row n's
-    f = u11^-s P^-s has its complex zeros at distance d = sqrt(P) from every
-    real point, so on a disc of radius theta d, |P| >= (1 - theta)^2 P and
-    |arg P| <= 2 arcsin theta, and Cauchy's estimate gives
-    |f^(2m)| <= (2m)! (theta d)^-2m (1 - theta)^-2 sigma e^(2 |tau| arcsin theta) u11^-sigma P^-sigma.
-    What is left is J = int_x^inf (y^2 + c^2)^-sigma' dy, sigma' = sigma + m,
-    at most x^(1 - 2 sigma') / (2 sigma' - 1) for x >= c,
-    c^(1 - 2 sigma') 2 sigma' / (2 sigma' - 1) for 0 <= x < c and twice
-    that for x < 0.  theta is the share of ``_SHARES`` that minimizes the
-    factor it sets."""
+    f = u11^-s P^-s, twisted by ((y + i n) / (y - i n))^(q/2), has its
+    complex zeros at distance d = sqrt(P) from every real point, so on a
+    disc of radius theta d, |P| >= (1 - theta)^2 P, |arg P| <= 2 arcsin theta
+    and the twist is at most ((1 + theta) / (1 - theta))^(|q|/2), and
+    Cauchy's estimate gives |f^(2m)| <= (2m)! (theta d)^-2m
+    (1 - theta)^-2 sigma e^(2 |tau| arcsin theta) u11^-sigma P^-sigma times
+    that.  What is left is J = int_x^inf (y^2 + c^2)^-sigma' dy,
+    sigma' = sigma + m, at most x^(1 - 2 sigma') / (2 sigma' - 1) for
+    x >= c, c^(1 - 2 sigma') 2 sigma' / (2 sigma' - 1) for 0 <= x < c and
+    twice that for x < 0.  theta is the share of ``_SHARES`` that minimizes
+    the factor it sets.  One bound per q of a sequence ``q``."""
     sigma, tau, m = s.real, abs(s.imag), p + 1
     h = -2 * m * np.log(_SHARES) - 2.0 * sigma * np.log1p(-_SHARES) + 2.0 * tau * np.arcsin(_SHARES)
     sp = sigma + m
-    # 2 (the two halves of each row) 4 zeta(2m), zeta(2m) <= 1.1
-    log_const = (math.log(8.8) + math.lgamma(2 * m + 1) - 2 * m * math.log(2.0 * math.pi) + float(h.min())
-                 - sigma * math.log(rows.u11) - math.log(2.0 * sp - 1.0))
     x, c = rows.x, rows.c
     outer = x >= c
-    log_j = np.log(rows.weight) + np.where(
+    log_j = _log_sum_exp(np.log(rows.weight) + np.where(
         outer, (1.0 - 2.0 * sp) * np.log(np.where(outer, x, 1.0)),
-        (1.0 - 2.0 * sp) * np.log(np.where(outer, 1.0, c)) + math.log(2.0 * sp) + math.log(2.0) * (x < 0.0))
-    return _bound(log_const + _log_sum_exp(log_j))
+        (1.0 - 2.0 * sp) * np.log(np.where(outer, 1.0, c)) + math.log(2.0 * sp) + math.log(2.0) * (x < 0.0)))
+    # 2 (the two halves of each row) 4 zeta(2m), zeta(2m) <= 1.1
+    return _twisted(h, q, lambda h_min: _bound(
+        (math.log(8.8) + math.lgamma(2 * m + 1) - 2 * m * math.log(2.0 * math.pi) + h_min
+         - sigma * math.log(rows.u11) - math.log(2.0 * sp - 1.0)) + log_j))
 
 
-def _bessel_bound(rows: _QuadRows, s: complex) -> float:
+def _bessel_bound(rows: _QuadRows, s: complex, q=0):
     """Bound on the neglected terms of the full rows |n| > top: Poisson
     summation gives row n as u11^-s sum_k fhat_k e^(2 pi i k shift n),
-    fhat_k = int (y^2 + c^2)^-s e^(-2 pi i k y) dy, of which only k = 0
-    (the Chowla-Selberg term) is kept.  Shifting the contour by eta c
-    towards the decay, where |arg(y^2 + c^2)| <= arcsin eta and
-    |y^2 + c^2| >= y^2 + (1 - eta^2) c^2, bounds |fhat_k| by
-    e^(|tau| arcsin eta) sqrt(pi) Gamma(sigma - 1/2) / Gamma(sigma)
-    ((1 - eta^2) c^2)^(1/2 - sigma) e^(-2 pi |k| eta c); summed over k != 0
-    and |n| > top (c = gamma |n|, w = 2 pi eta gamma), that is at most
+    fhat_k = int (y^2 + c^2)^-s e^(-2 pi i k y) dy (twisted by
+    ((y + i n) / (y - i n))^(q/2)), of which only k = 0 (the Chowla-Selberg
+    term) is kept.  Shifting the contour by eta c towards the decay, where
+    |arg(y^2 + c^2)| <= arcsin eta, |y^2 + c^2| >= y^2 + (1 - eta^2) c^2
+    and the twist is at most ((1 + eta) / (1 - eta))^(|q|/2), bounds
+    |fhat_k| by that times e^(|tau| arcsin eta) sqrt(pi) Gamma(sigma - 1/2)
+    / Gamma(sigma) ((1 - eta^2) c^2)^(1/2 - sigma) e^(-2 pi |k| eta c);
+    summed over k != 0 and |n| > top (c = gamma |n|, w = 2 pi eta gamma),
+    that is at most
     4 (gamma (top + 1))^(1 - 2 sigma) e^(-w (top + 1)) / ((1 - e^(-w (top + 1))) (1 - e^-w))
-    times the rest, with eta from ``_SHARES``."""
+    times the rest, with eta from ``_SHARES``.  One bound per q of a
+    sequence ``q``."""
     sigma, tau = s.real, abs(s.imag)
     w = 2.0 * math.pi * _SHARES * rows.gamma
     edge = rows.top + 1
     h = (tau * np.arcsin(_SHARES) + (0.5 - sigma) * np.log1p(-_SHARES**2) - w * edge
          - np.log(-np.expm1(-w * edge)) - np.log(-np.expm1(-w)))
-    return _bound(math.log(4.0) - sigma * math.log(rows.u11) + 0.5 * math.log(math.pi) + math.lgamma(sigma - 0.5)
-                  - math.lgamma(sigma) + (1.0 - 2.0 * sigma) * math.log(rows.gamma * edge) + float(h.min()))
+    return _twisted(h, q, lambda h_min: _bound(
+        math.log(4.0) - sigma * math.log(rows.u11) + 0.5 * math.log(math.pi) + math.lgamma(sigma - 0.5)
+        - math.lgamma(sigma) + (1.0 - 2.0 * sigma) * math.log(rows.gamma * edge) + h_min))
 
 
-def _gamma_recurrence(red: QuadForm2, s: complex) -> float:
-    """Bound on the rounding of the continuation's Gamma(1 - s, X) that its
-    own bar does not charge.  For X = pi Q / sqrt(det) < max(|1 - s|, 1)
-    ``special.upper_incomplete_gamma`` recurses down m = ceil(Re s - 1/2) + 1
-    steps, Gamma(d, X) = (Gamma(d + 1, X) - X^d e^-X) / d for
-    d = 1 - s + m - 1, ..., 1 - s, from the anchor Gamma(b) - gamma(b, X),
-    b = 1 - s + m (E_1(X) where 1 - s is within 1e-12 of -m).  Carried
-    down, an error of the anchor is divided by |prod d| = |Gamma(b) /
-    Gamma(1 - s)|: near an integer s >= 2 the anchor cancels by about
-    1 / dist(s, k), which the continuation's bar (a few dozen ulps of its
-    terms) does not see.  The anchor is charged ``_special_ulps(b)`` of
-    |Gamma(b)| and 8 X + 260 + |b| |log X| ulps of its series' mass, at
-    most gamma(Re b, X) <= Gamma(Re b) as |b + k| >= Re b + k (the series
-    takes about 2 X + 64 terms); E_1 64 ulps of its series' mass
-    0.58 + |log X| + e^X.  Each step adds (4 + |d| |log X| + X) ulps of
-    |Gamma(d + 1, X)| + |X^d e^-X|, then divides by |d|, where
-    |Gamma(d + 1, X)| <= Gamma(Re d + 1, X) is at most X^(Re d) e^-X for
-    Re d <= 0 and Gamma(Re d + 1) above.  Summed over both halves of the
-    plane, weighted by X^(sigma - 1), carried to Z as the continuation's
-    bar is, and doubled.  Against mpmath, for Re s up to 8 and forms with
-    X just below |1 - s|, it holds with a factor of 70 to spare."""
-    sigma, a, root = s.real, 1.0 - s, math.sqrt(red.det)
-    _, _, q = _cut_ellipse(red, max(abs(a), 1.0) * root / math.pi * (1.0 + 1e-9))
-    if len(q) == 0:
-        return 0.0
-    x = math.pi / root * q
-    log_x = np.log(x)
-    top = round(a.real)
-    if abs(a.imag) <= 1e-12 and top <= 0 and abs(a.real - top) <= 1e-12:
-        m, base = -top, complex(top)
-        err = 64.0 * (0.58 + np.abs(log_x) + np.exp(x))
-    else:
-        m = math.ceil(sigma - 0.5) + 1
-        base, b = a, a + m
-        err = _special_ulps(b) * abs(gamma(b)) + (8.0 * x + 260.0 + abs(b) * np.abs(log_x)) * math.gamma(b.real)
-    for j in range(m, 0, -1):  # m <= |s| + 2 <= _S_MAX + 2 steps
-        d = base + j - 1
-        up = d.real + 1.0
-        g = np.exp((up - 1.0) * log_x - x) if up <= 1.0 else math.gamma(up)
-        err = (err + (4.0 + abs(d) * np.abs(log_x) + x) * (g + np.exp(d.real * log_x - x))) / abs(d)
-    lam = 4.0 * _EPS * float(np.sum(np.exp((sigma - 1.0) * log_x) * err))
-    return lam * red.det ** (-0.5 * sigma) / abs(cmath.exp(-s * math.log(math.pi)) * gamma(s))
+def _row_line(s: complex, q: int) -> tuple[complex, float]:
+    """int over the real line of (y + i)^(q/2 - s) (y - i)^(-q/2 - s) dy,
+    a full row of the form P = y^2 + 1 twisted by q (with y = cot t, the
+    beta integral int_0^pi e^(i q t) sin^(2s - 2) t dt), and its rounding
+    in ulps: sqrt(pi) Gamma(s - 1/2) / Gamma(s) for q = 0, else
+    2 pi 2^(1 - 2s) Gamma(2s - 1) / (Gamma(s - q/2) Gamma(s + q/2)), q = 0
+    mod 4, the exact 0 where s - q/2 is a pole of Gamma."""
+    if not q:
+        return math.sqrt(math.pi) * gamma(s - 0.5) / gamma(s), 2.0 * _special_ulps(s)
+    k = 0.5 * abs(q)
+    try:
+        inverse = 1.0 / (gamma(s - k) * gamma(s + k))
+    except PoleError:
+        return 0j, 0.0
+    line = 2.0 * math.pi * cmath.exp((1.0 - 2.0 * s) * math.log(2.0)) * gamma(2.0 * s - 1.0) * inverse
+    return line, (_special_ulps(2.0 * s - 1.0) + _special_ulps(s - k) + _special_ulps(s + k)
+                  + 2.0 * abs(2.0 * s - 1.0) + 8.0)
 
 
-def _full_rows(rows: _QuadRows, s: complex, half_line: complex) -> tuple[complex, float]:
+def _full_rows(rows: _QuadRows, s: complex, line: tuple[complex, float], hurwitz: complex) -> tuple[complex, float]:
     """The Chowla-Selberg term of the rows |n| > top,
-    2 sqrt(pi) Gamma(s - 1/2) / Gamma(s) u11^(s-1) det^(1/2-s) zeta(2s - 1, top + 1)
-    (``half_line`` is sqrt(pi) Gamma(s - 1/2) / Gamma(s)), and a bound on
-    its rounding: ``special._hurwitz`` stops where its remainder is below
-    its rounding, and its moduli sum to at most zeta(2 sigma - 1, top + 1)."""
+    2 L u11^(s-1) det^(1/2-s) zeta(2s - 1, top + 1) for the full-row
+    integral L of ``_row_line`` (``line``: L and its rounding in ulps) and
+    ``hurwitz`` = zeta(2s - 1, top + 1), and a bound on its rounding:
+    ``special._hurwitz`` stops where its remainder is below its rounding,
+    and its moduli sum to at most zeta(2 sigma - 1, top + 1)."""
     sigma, edge = s.real, rows.top + 1
-    const = half_line * cmath.exp((s - 1.0) * math.log(rows.u11) + (0.5 - s) * math.log(rows.det))
-    value = 2.0 * const * _hurwitz(2.0 * s - 1.0, 1, (edge,))
+    const = line[0] * cmath.exp((s - 1.0) * math.log(rows.u11) + (0.5 - s) * math.log(rows.det))
+    value = 2.0 * const * hurwitz
     mass = edge ** (1.0 - 2.0 * sigma) + edge ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
-    kappa = (2.0 * _special_ulps(s) + 2.0 * abs(s) * (abs(math.log(rows.u11)) + abs(math.log(rows.det)) + 2.0)
+    kappa = (line[1] + 2.0 * abs(s) * (abs(math.log(rows.u11)) + abs(math.log(rows.det)) + 2.0)
              + 4.0 * abs(2.0 * s - 1.0) * (math.log(edge + abs(2.0 * s - 1.0)) + 1.0) + 128.0)
     return value, kappa * _EPS * 2.0 * abs(const) * mass
 
@@ -741,88 +764,291 @@ def _row_integrals(rows: _QuadRows, s: complex, half_line: complex, target: floa
     return integral, np.abs(pref) * series_mass + np.abs(c_pow) * (~outer | flip), rest
 
 
-def _row_tails(rows: _QuadRows, s: complex, p: int, half_line: complex, target: float) -> tuple[complex, float]:
+@cache
+def _legendre(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p-point Gauss-Legendre rule on [-1, 1]: nodes and weights."""
+    return np.polynomial.legendre.leggauss(p)
+
+
+def _twisted_integrals(rows: _QuadRows, s: complex, q_list, target: float):
+    """The row integrals of the twisted sums on the identity form's rows,
+    for each q of ``q_list`` (multiples of 4): row n's tail and row -n's
+    together are twisted by cos(q theta), so row n >= 0 takes
+    I_n = int_(a_n)^inf cos(q theta) (y^2 + n^2)^-s dy, theta = arctan(n / y).
+    Returned as the arrays I and |I|, one row per q, and a bound on the
+    truncation and rounding of each sum over the rows of I (weighted by
+    ``rows.weight``), at most ``target`` where it can be.
+
+    With y = n cot t, I_n = n^(1-2s) G(psi_n) for psi_n = arctan(n / a_n)
+    and G(psi) = int_0^psi cos(q t) sin^(2s-2) t dt, one G for every row:
+
+    - Where z = n / a_n <= z_c = 1 / max(q, 8), the series
+      I_n = a_n^(1-2s) sum_(k even) c_k z^k / (2s - 1 + k) of the Taylor
+      coefficients c_k of (1 + i z)^(q/2 - s) (1 - i z)^(-q/2 - s) (the even
+      ones: the odd cancel between e^(i q theta) and e^(-i q theta)),
+      c_(k+1) = [i q c_k - (2s + k - 1) c_(k-1)] / (k + 1).  On |z| = r < 1
+      that function is at most M_r = ((1 + r) / (1 - r))^(q/2)
+      (1 - r^2)^-sigma e^(2 |tau| arcsin r), so by Cauchy's estimate the
+      terms from K on add at most M_r (z / r)^K / ((1 - z / r)
+      (2 sigma - 1 + K)); r from ``_RADII`` z_c, K the first of
+      ``_TWIST_TERMS`` that meets the target.  As z q <= 1 the terms
+      cancel by at most about e.
+    - Above, G(psi) = G(psi_c) + int_(psi_c)^psi, psi_c = arctan z_c, with
+      G(psi_c) from the series at z = z_c and the integral by p-point
+      Gauss-Legendre panels between the rows' psi and a grid of step psi_c,
+      so that each panel [alpha, beta] has beta <= 2 alpha and
+      q (beta - alpha) <= 1.  On the Bernstein ellipse of parameter rho
+      about a panel (centre c, half-width h, half-axes A, B), clear of the
+      zeros 0 and pi of sin, |cos q t| <= e^(q B),
+      |sin t|^2 <= sin^2 min(c + A, pi/2) + sinh^2 B and
+      |arg sin t| <= arctan(B max(1 / (c - A), 1 / (pi - c - A))), so the
+      rule errs by at most (64/15) h M rho^-2p / (rho^2 - 1) for their
+      product M (Trefethen, *Approximation Theory and Approximation
+      Practice*, Thm 19.3); A a share of ``_THETAS`` of the distance to 0
+      or pi, p the first of ``_GAUSS_POINTS`` that meets the target.  The
+      panels are summed cumulatively in psi, and a row is charged its
+      position in that sum in ulps of the running moduli.
+
+    The bounds take the largest q for every q of the list, which share the
+    panels."""
+    sigma, tau = s.real, abs(s.imag)
+    n, a, w = rows.c, rows.x, rows.weight
+    k_max = 0.5 * max(q_list)
+    zc = 1.0 / max(2.0 * k_max, 8.0)
+    z = n / a
+    near = z <= zc
+    far = np.flatnonzero(~near)  # ascending psi
+    log_n = np.log(n[far])
+    far_scale = w[far] * np.exp((1.0 - 2.0 * sigma) * log_n)
+    # the series at the rows below z_c and at z_c (a = 1 / z_c), each point
+    # weighted by the rows whose sums it enters
+    zz = np.append(z[near], zc) ** 2
+    log_a = np.log(np.append(a[near], 1.0 / zc))
+    scale = np.exp((1.0 - 2.0 * sigma) * log_a)
+    spread = np.append(w[near], np.sum(far_scale)) * scale
+    r = zc * _RADII
+    log_m = k_max * np.log((1.0 + r) / (1.0 - r)) - sigma * np.log1p(-r * r) + 2.0 * tau * np.arcsin(r)
+    ratio = np.sqrt(zz)[:, None] / r
+    for terms in _TWIST_TERMS:
+        trunc = float(np.min(np.exp(log_m) * (spread @ (ratio**terms / (1.0 - ratio))))) / (2.0 * sigma - 1.0 + terms)
+        if trunc <= target:
+            break
+    kappa = 0.5 * np.array(q_list, float)
+    coef = np.empty((terms, len(kappa)), complex)
+    major = np.empty(terms)
+    coef[0], major[0] = 1.0, 1.0
+    coef[1], major[1] = 2j * kappa, 2.0 * k_max
+    for k in range(1, terms - 1):
+        coef[k + 1] = (2j * kappa * coef[k] - (2.0 * s + k - 1.0) * coef[k - 1]) / (k + 1)
+        major[k + 1] = (2.0 * k_max * major[k] + abs(2.0 * s + k - 1.0) * major[k - 1]) / (k + 1)
+    div = 2.0 * s - 1.0 + np.arange(0, terms, 2)
+    coef, major = coef[::2] / div[:, None], major[::2] / np.abs(div)
+    series = np.empty((len(kappa), len(zz)), complex)
+    series[:] = coef[-1][:, None]
+    series_mass = np.full(len(zz), major[-1])
+    for k in range(len(div) - 2, -1, -1):
+        series *= zz
+        series += coef[k][:, None]
+        series_mass *= zz
+        series_mass += major[k]
+    series *= np.exp((1.0 - 2.0 * s) * log_a)
+    series_mass *= scale
+    # the coefficients within 6 k ulps of their majorants, Horner, a^(1-2s)
+    series_err = (8.0 * terms + 16.0 + 2.0 * abs(1.0 - 2.0 * s) * (np.abs(log_a) + 1.0)) * _EPS * series_mass
+    rest = trunc + float(spread @ (series_err / scale))
+
+    # the panels above psi_c
+    psi_c = math.atan(zc)
+    psi = np.arctan2(n[far], a[far])
+    top_psi = float(psi[-1]) if len(far) else psi_c
+    ends = np.unique(np.concatenate([[psi_c], psi_c * np.arange(2, int(top_psi / psi_c) + 1), psi]))
+    at = np.searchsorted(ends, psi)
+    centre, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+    # one row per share theta
+    ratio = np.maximum(np.array(_THETAS)[:, None] * (np.minimum(centre, math.pi - centre) / half), 1.0 + 1e-6)
+    rho = ratio + np.sqrt(ratio * ratio - 1.0)
+    big_a, big_b = half * (0.5 * (rho + 1.0 / rho)), half * (0.5 * (rho - 1.0 / rho))
+    u_lo, u_hi = centre - big_a, centre + big_a
+    log_err = (math.log(64.0 / 15.0) + np.log(half) - np.log(rho * rho - 1.0) + 2.0 * k_max * big_b
+               + (sigma - 1.0) * np.log(np.sin(np.minimum(u_hi, 0.5 * math.pi)) ** 2 + np.sinh(big_b) ** 2)
+               + 2.0 * tau * np.arctan(big_b * np.maximum(1.0 / u_lo, 1.0 / (math.pi - u_hi))))
+    log_rho = np.log(rho)
+    for points in _GAUSS_POINTS:
+        err = np.exp(np.minimum(np.min(log_err - 2.0 * points * log_rho, axis=0), 700.0))
+        quad = float(far_scale @ np.concatenate([[0.0], np.cumsum(err)])[at])
+        if quad <= target:
+            break
+    t, weights = _legendre(points)
+    nodes = centre[:, None] + half[:, None] * t
+    log_sin = np.log(np.sin(nodes))
+    values = _powers(log_sin, 2.0 - 2.0 * s) * (half[:, None] * weights)
+    # per row: the moduli of G's parts, and the ulps of each node's value
+    # (node, sin, log, the power and the twist's q / 4 steps) and of the sums
+    moduli = float(series_mass[-1]) + np.concatenate([[0.0], np.cumsum(np.sum(np.abs(values), axis=1))])[at]
+    ulps = (32.0 + 16.0 * k_max + abs(2.0 * s - 2.0) * (3.0 * float(np.max(np.abs(log_sin), initial=0.0)) + 6.0)
+            + points + 2.0 * (2.0 * sigma - 1.0) + 2.0 * abs(1.0 - 2.0 * s) * (np.abs(log_n) + 2.0) + at)
+    rest += quad + float(far_scale @ (ulps * _EPS * moduli))
+    g = np.empty((len(kappa), len(ends)), complex)
+    g[:, 0] = series[:, -1]
+    np.cumsum(np.einsum("pk,qpk->qp", values, np.cos(np.multiply.outer(2.0 * kappa, nodes))), axis=1, out=g[:, 1:])
+    g[:, 1:] += g[:, :1]
+    integrals = np.empty((len(kappa), len(n)), complex)
+    integrals[:, near] = series[:, :-1]
+    integrals[:, far] = np.exp((1.0 - 2.0 * s) * log_n) * g[:, at]
+    return integrals, np.abs(integrals), np.full(len(kappa), rest)
+
+
+def _row_tails(rows: _QuadRows, s: complex, p: int, half_line: complex, target: float, q=0,
+               integrals=None) -> tuple:
     """2 sum_n sum_(m >= a_n) Q(m, n)^-s over the rows |n| <= top (the left
     tail of row n is the right tail of row -n), and a bound on its series
     truncation and rounding.  Row n's tail is, by Euler-Maclaurin,
-    u11^-s [int_x^inf (y^2 + c^2)^-s dy + P^-s (1/2 - sum_(j <= p) B_2j / (2j) g_(2j-1))]
-    (``_row_integrals``), with g_k the Taylor coefficients of
-    (1 + c1 h + c2 h^2)^-s, c1 = 2x/P, c2 = 1/P, by Miller's recurrence
-    g_k = -[c1 (k - 1 + s) g_(k-1) + c2 (k - 2 + 2s) g_(k-2)] / k.  The
-    rounding is charged relative to the moduli of every part, the
+    u11^-s [int_x^inf f + f(x) (1/2 - sum_(j <= p) B_2j / (2j) g_(2j-1))]
+    for f(y) = (y^2 + c^2)^-s (``_row_integrals``), with g_k the Taylor
+    coefficients of f(x + h) / f(x), c1 = 2x/P, c2 = 1/P, by Miller's
+    recurrence g_k = -[c1 (k - 1 + s) g_(k-1) + c2 (k - 2 + 2s) g_(k-2)] / k.
+
+    Twisted by e^(i q theta) on the identity form's rows (an array ``q`` of
+    twists, the integrals from ``_twisted_integrals``, one tail and bound
+    per q), f(y) = (y + i n)^(k - s) (y - i n)^(-k - s), k = q/2, whose
+    recurrence gains -2 i k n c2 g_(k-1) / k: g_k is a polynomial in k,
+    run as the array of its coefficients, and rows n and -n (k and -k)
+    together take f(x) (1/2 - sum ...) with its even part (in k) times
+    cos(q theta) and its odd part times i sin(q theta).
+
+    The rounding is charged relative to the moduli of every part, the
     recurrence's through its majorant
-    G_k = [|c1| |k - 1 + s| G_(k-1) + c2 |k - 2 + 2s| G_(k-2)] / k."""
+    G_k = [(|c1| |k - 1 + s| + 2 k_max n c2) G_(k-1) + c2 |k - 2 + 2s| G_(k-2)] / k."""
     x, c, log_p, w = rows.x, rows.c, rows.log_p, rows.weight
     norm = 2.0 * rows.u11 ** -s.real
-    integral, mass, rest = _row_integrals(rows, s, half_line, target / norm)
+    twisted = np.ndim(q) > 0
+    if twisted:
+        integral, mass, rest = integrals
+    else:
+        integral, mass, rest = _row_integrals(rows, s, half_line, target / norm)
     p_s = np.exp(-s * log_p)
     c2 = np.exp(-log_p)
     c1 = 2.0 * x * c2
-    g2, g1 = np.ones_like(p_s), -s * c1
+    # coefficient l (of k^l) in row l; one row where untwisted
+    size = 2 * p if twisted else 1
+    g2, g1 = np.zeros((size, len(x)), complex), np.zeros((size, len(x)), complex)
+    g2[0], g1[0] = np.ones_like(p_s), -s * c1
     m2, m1 = np.ones_like(c1), abs(s) * np.abs(c1)
+    if twisted:
+        twist, k_max = -2j * c * c2, 0.5 * float(np.max(q))
+        g1[1] = twist
+        m1 = m1 + k_max * np.abs(twist)
     corr, corr_mass = _BERNOULLI[1] * g1, abs(_BERNOULLI[1]) * m1
     for k in range(2, 2 * p):
-        g2, g1 = g1, -(c1 * (k - 1 + s) * g1 + c2 * (k - 2 + 2.0 * s) * g2) / k
-        m2, m1 = m1, (np.abs(c1) * abs(k - 1 + s) * m1 + c2 * abs(k - 2 + 2.0 * s) * m2) / k
+        lead, lead_mass = c1 * (k - 1 + s), np.abs(c1) * abs(k - 1 + s)
+        new = np.zeros_like(g1)
+        low = new[:k + 1]  # g_k has degree k in q/2
+        np.negative(lead * g1[:k + 1] + c2 * (k - 2 + 2.0 * s) * g2[:k + 1], out=low)
+        if twisted:
+            low[1:] += twist * g1[:k]
+            lead_mass = lead_mass + k_max * np.abs(twist)
+        g2, g1 = g1, new / k
+        m2, m1 = m1, (lead_mass * m1 + c2 * abs(k - 2 + 2.0 * s) * m2) / k
         if k % 2:
-            corr += _BERNOULLI[(k + 1) // 2] * math.factorial(k) * g1
+            corr[:k + 1] += _BERNOULLI[(k + 1) // 2] * math.factorial(k) * g1[:k + 1]
             corr_mass += abs(_BERNOULLI[(k + 1) // 2]) * math.factorial(k) * m1
-    total = np.sum(w * (integral + p_s * (0.5 - corr)))
-    mass = float(np.sum(w * (mass + np.abs(p_s) * (0.5 + corr_mass))))
     log_c = float(np.max(np.abs(np.log(c[c > 0.0])))) if np.any(c > 0.0) else 0.0
     kappa = (64.0 + 8.0 * _SERIES_TERMS + 16.0 * p + 2.0 * _special_ulps(s)
              + abs(s) * (2.0 * float(np.max(np.abs(log_p))) + 16.0 * rows.skew + 32.0)
              + 2.0 * abs(2.0 * s - 1.0) * log_c)
-    value = 2.0 * cmath.exp(-s * math.log(rows.u11)) * complex(total)
-    return value, norm * (rest + kappa * _EPS * mass)
+    scale = 2.0 * cmath.exp(-s * math.log(rows.u11))
+    if not twisted:
+        total = np.sum(w * (integral + p_s * (0.5 - corr[0])))
+        mass = float(np.sum(w * (mass + np.abs(p_s) * (0.5 + corr_mass))))
+        return scale * complex(total), norm * (rest + kappa * _EPS * mass)
+    # powers of k = q/2 picking the even and the odd coefficients
+    k_powers = (0.5 * np.asarray(q, float)[:, None]) ** np.arange(size)
+    even, odd = k_powers * (np.arange(size) % 2 == 0), k_powers * (np.arange(size) % 2 == 1)
+    phase = np.multiply.outer(np.asarray(q, float), np.arctan2(c, x))
+    total = np.sum(w * (integral + p_s * (np.cos(phase) * (0.5 - even @ corr) - 1j * np.sin(phase) * (odd @ corr))),
+                   axis=1)
+    mass = np.sum(w * mass, axis=1) + float(np.sum(w * np.abs(p_s) * (0.5 + corr_mass)))
+    # a twist's phase q theta adds 8 |q|
+    return scale * total, norm * (rest + (kappa + 8.0 * np.abs(q)) * _EPS * mass)
 
 
-def _row_tail_sums(rows: _QuadRows, s_list, masses, budgets) -> dict[int, tuple[complex, float, int]]:
-    """The disc sums S_R(s) = Z_Q(s) - (row tails) - (full rows) of the s of
-    ``s_list`` whose route adds at most their ``budgets`` (the walk's bars)
-    to the disc tail and the times' rounding: index -> (value, added bar,
-    Euler-Maclaurin corrections).  The added bar holds the continued bar,
-    the Euler-Maclaurin remainders, the series truncation, the neglected
-    Bessel terms, and the rounding of the O(R) sums and of the reduced form
-    (relative to Q at most cond / 2 ulps, so |s| cond ulps of ``masses``,
-    the bounds on the sums of the terms' moduli, doubled).  The remainders
-    and the series aim at an ulp of ``masses``.  The bounds that need no
-    continued value, ``_gamma_recurrence`` among them, are checked before
-    it is computed; an s beyond ``_S_MAX`` walks."""
+def _row_tail_sums(rows: _QuadRows, pairs, masses, budgets, continued, every: bool = False
+                   ) -> dict[int, tuple[complex, float, int]]:
+    """The disc sums S_R = Z - (row tails) - (full rows) of the pairs (s, q)
+    of ``pairs`` (q = 0, or q = 0 mod 4 on the identity form's rows: the
+    sums twisted by e^(i q theta)) whose route adds at most their
+    ``budgets`` (the walk's bars) to the disc tail and the times' rounding:
+    index -> (value, added bar, Euler-Maclaurin corrections); every pair or
+    none where ``every``.  ``continued(pairs)`` gives the continued value Z
+    and its bar for each pair it is handed.  The added bar holds the
+    continued bar, the Euler-Maclaurin remainders, the series and
+    quadrature truncation, the neglected Bessel terms, and the rounding of
+    the O(R) sums and of the reduced form (relative to Q at most cond / 2
+    ulps, so |s| cond ulps of ``masses``, the bounds on the sums of the
+    terms' moduli, doubled).  The remainders and the series aim at an ulp
+    of ``masses``; the pairs of one s share their Euler-Maclaurin
+    corrections and one batch of twisted integrals.  The bounds that need
+    no continued value are checked before it is computed; a pair with |s|
+    or |s + q/2| beyond ``_S_MAX`` walks."""
+    groups: dict = {}
+    for i, (s, _) in enumerate(pairs):
+        groups.setdefault(s, []).append(i)
     plans = {}
-    for i, s in enumerate(s_list):
-        if not abs(s) <= _S_MAX:
-            continue
-        target = _EPS * masses[i]
-        fixed = (_bessel_bound(rows, s) + _gamma_recurrence(rows.reduced, s)
-                 + 2.0 * abs(s) * rows.reduced.condition_number() * target)
+    for s, group in groups.items():
+        qs = [pairs[i][1] for i in group]
+        targets = [_EPS * masses[i] for i in group]
+        cond = 2.0 * abs(s) * rows.reduced.condition_number()
         tried = []
         for p in _EM_TERMS:
-            tried.append((_em_remainder(rows, s, p), p))
-            if tried[-1][0] <= target:
+            tried.append((_em_remainder(rows, s, p, qs), p))
+            if all(b <= t for b, t in zip(tried[-1][0], targets)):
                 break
-        bound, p = min(tried)
-        if fixed + bound <= budgets[i] < math.inf:  # an infinite bar is the walk's to report
-            plans[i] = (p, fixed + bound)
-    if not plans:
+        bounds, p = min(tried, key=lambda t: max(t[0]))
+        for i, q, bessel, bound, target in zip(group, qs, _bessel_bound(rows, s, qs), bounds, targets):
+            fixed = bessel + cond * target
+            # an infinite bar is the walk's to report
+            if abs(s) <= _S_MAX and abs(s + 0.5 * q) <= _S_MAX and fixed + bound <= budgets[i] < math.inf:
+                plans[i] = (p, fixed + bound)
+    if not plans or every and len(plans) < len(pairs):
         return {}
+    order = sorted(plans)
     try:
-        conts = epstein_continued_many(rows.reduced, [s_list[i] for i in plans])
+        conts = dict(zip(order, continued([pairs[i] for i in order])))
     except NumericError:  # s within 1e-8 of the pole, a stalled fraction: the walk serves them
         return {}
     out = {}
-    for (i, (p, bound)), cont in zip(plans.items(), conts):
-        s = s_list[i]
-        if bound + cont.error_estimate > budgets[i]:
+    for s, group in groups.items():
+        group = [i for i in group if i in plans and plans[i][1] + conts[i][1] <= budgets[i]]
+        if not group:
             continue
-        half_line = math.sqrt(math.pi) * gamma(s - 0.5) / gamma(s)
-        tail, tail_err = _row_tails(rows, s, p, half_line, _EPS * masses[i])
-        full, full_err = _full_rows(rows, s, half_line)
-        added = (bound + cont.error_estimate + tail_err + full_err
-                 + 4.0 * _EPS * (abs(cont.value) + abs(tail) + abs(full)))
-        if added <= budgets[i]:
-            out[i] = (cont.value - tail - full, added, p)
+        p = plans[group[0]][0]
+        target = _EPS * masses[group[0]]
+        hurwitz = _hurwitz(2.0 * s - 1.0, 1, (rows.top + 1,))
+        tails = {}
+        twisted = sorted({pairs[i][1] for i in group}) if any(pairs[i][1] for i in group) else []
+        if twisted:
+            integrals = _twisted_integrals(rows, s, twisted, target / 2.0)
+            values, bars = _row_tails(rows, s, p, 0j, target, np.array(twisted), integrals)
+            tails = dict(zip(twisted, zip(values, bars)))
+        for i in group:
+            q = pairs[i][1]
+            line = _row_line(s, q)
+            tail, tail_err = tails[q] if twisted else _row_tails(rows, s, p, line[0], target)
+            full, full_err = _full_rows(rows, s, line, hurwitz)
+            cont, cont_err = conts[i]
+            added = plans[i][1] + cont_err + tail_err + full_err + 4.0 * _EPS * (abs(cont) + abs(tail) + abs(full))
+            if added <= budgets[i]:
+                out[i] = (cont - tail - full, added, p)
+    if every and len(out) < len(pairs):
+        return {}
     return out
+
+
+def _twisted_continued(pairs) -> list[tuple[complex, float]]:
+    """The twisted components of the pairs (s, q) by one harmonic theta
+    split of the identity form (the Epstein value for q = 0), with bars."""
+    lams, _ = _theta_split(QuadForm2.identity(), 1.0, pairs)
+    return [_uncomplete(lam, err, s + q / 2.0) for (s, q), (lam, err) in zip(pairs, lams)]
 
 
 def _spectrum_sums(spec: "_lattice.Spectrum", s_values) -> list[EvalResult]:
@@ -888,7 +1114,24 @@ def eisenstein_fq_truncated(
     same validation, and walk nothing.  Unrotated, q = 0 mod 4 walks the D4
     octant, since |p|^(-2s) is D4-invariant and so is e^{i q theta}, with
     the twist |orbit| cos(q theta) (the sines cancel over the orbit); one
-    complex power per octant point.  Rotated, it folds by p -> -p.
+    complex power per octant point.  Rotated, it folds by p -> -p, and
+    always walks.
+
+    Unrotated, where that walk would visit more than ``_WALK_POINTS`` points
+    it takes the row tails of ``hlawka_direct_many`` for the identity form
+    instead, twisted: T_q(R) = E_q(s) - 2 sum_(n <= N) (weighted row tails
+    beyond a_n) - (full rows |n| > N), with E_q from
+    ``eisenstein_fq_continued``'s harmonic theta split, each row's tail by
+    Euler-Maclaurin (``_row_tails``) with its integral from
+    ``_twisted_integrals``, and the full rows the Poisson k = 0 term
+    2 pi (2 |n|)^(1-2s) Gamma(2s - 1) / (Gamma(s - q/2) Gamma(s + q/2)) each
+    (``_row_line``), summed as a Hurwitz zeta.  As the disc is symmetric
+    under n -> -n, rows n and -n together are twisted by cos(q theta).  The
+    bar is the disc tail plus the continued bar and the bounds of
+    ``_row_tail_sums``; the route is taken only where these add at most the
+    walk's own bar, else the sum walks.  ``truncation`` records
+    ``"route"``: ``"row-tails"`` (with ``rows`` and ``em_terms``) or
+    ``"walk"``.
     """
     if q != int(q):
         raise ValidationError("q must be an integer")
@@ -901,6 +1144,16 @@ def eisenstein_fq_truncated(
     trunc = {"radius": radius, "q": q, "rotation": g_rotation}
     if q % 4 != 0:
         return EvalResult(value=0j, error_estimate=0.0, truncation={**trunc, "vanishes_identically": True})
+    tail, mass = _disc_tail(2.0 * math.pi, s.real, radius), _lattice_mass(s.real)
+    bar = tail + _rounding(s, mass, 2.0 * math.log(radius), 0.0, q, g_rotation != 0.0)
+    rows = _quadratic_rows(circle(), radius) if g_rotation == 0.0 else None
+    if rows is not None:
+        _lattice.resolve_threads(threads)
+        sums = _row_tail_sums(rows, [(s, abs(q))], [mass], [bar], _twisted_continued)
+        if sums:
+            value, added, em_terms = sums[0]
+            return EvalResult(value=value, error_estimate=tail + added,
+                              truncation={**trunc, "route": "row-tails", "rows": len(rows.x), "em_terms": em_terms})
     cr, sr = math.cos(g_rotation), math.sin(g_rotation)
 
     def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
@@ -928,13 +1181,7 @@ def eisenstein_fq_truncated(
         yield powers
 
     (total,) = _disc_sums(terms, radius, threads, Symmetry.D4 if g_rotation == 0.0 else Symmetry.NEGATION)
-    tail = _disc_tail(2.0 * math.pi, s.real, radius) + _twisted_rounding(s, q, radius, g_rotation != 0.0)
-    return EvalResult(value=total, error_estimate=tail, truncation=trunc)
-
-
-def _twisted_rounding(s: complex, q: int, radius: float, rotated: bool = False) -> float:
-    """``_rounding`` of a q-twisted sum over |p| <= radius (|p|^2 is exact)."""
-    return _rounding(s, _lattice_mass(s.real), 2.0 * math.log(radius), 0.0, q, rotated)
+    return EvalResult(value=total, error_estimate=bar, truncation={**trunc, "route": "walk"})
 
 
 # ---------------------------------------------------------------------------
@@ -1072,7 +1319,9 @@ def _theta_split(u: QuadForm2, det: float, pairs) -> tuple[list, dict]:
     Returns [(Lambda_q(s), error bound)] in the order of ``pairs`` and the
     truncation record of the shared enumeration.  The bound is kappa 2^-52
     times the sum of the terms' moduli (rounding, relative error kappa ulps
-    per term) plus the cutoff tail.
+    per term) plus the cutoff tail, plus what an incomplete gamma's
+    recursion cancels beyond that (``_gamma_recurrence``): near an integer
+    s >= 2 (or s <= -1) it is most of the bar.
     """
     root = math.sqrt(det)
     scale = math.pi / root
@@ -1107,9 +1356,85 @@ def _theta_split(u: QuadForm2, det: float, pairs) -> tuple[list, dict]:
         mass = abs(polar) + float(np.sum(w_abs * (np.abs(t1) + np.abs(t2))))
         # against mpmath the error stays below 43 ulps of the mass up to |s'| = 30
         kappa = 32.0 + 2.0 * (abs(sp) + abs(q + 1.0 - sp))
-        out.append((lam, kappa * _EPS * mass + tail))
+        # plus what the recursions of either incomplete gamma may cancel
+        x, w_abs = xs[:k], weights[q][1][:k]
+        recurrence = _gamma_recurrence(sp, x, w_abs) + _gamma_recurrence(q + 1.0 - sp, x, w_abs)
+        out.append((lam, kappa * _EPS * mass + tail + recurrence))
     rings = int(max(np.max(np.abs(m)), np.max(n)))
     return out, {"rings": rings, "points": 2 * len(m)}
+
+
+def _gamma_recurrence(a: complex, x: np.ndarray, w: np.ndarray) -> float:
+    """Bound on the rounding of sum w X^(-a) Gamma(a, X) over the X of
+    ``x`` (ascending, with weights ``w`` >= 0) that the continuation's
+    kappa does not charge: where Re a <= 1/2 and X < max(|a|, 1)
+    ``special.upper_incomplete_gamma`` recurses down m = ceil(1/2 - Re a) + 1
+    steps, Gamma(d, X) = (Gamma(d + 1, X) - X^d e^-X) / d for
+    d = a + m - 1, ..., a, from the anchor Gamma(b) - gamma(b, X), b = a + m
+    (E_1(X) where a is within 1e-12 of -m).  Carried down, an error of the
+    anchor is divided by |prod d| = |Gamma(b) / Gamma(a)|: near a
+    nonpositive integer a the anchor cancels by about 1 / dist(a, -k),
+    which a few dozen ulps of the terms do not see.
+
+    The anchor is charged ``_special_ulps(b)`` of |Gamma(b)| and
+    8 X + 260 + |b| |log X| ulps of its series' mass
+    X^(Re b) e^-X sum_k X^k / |b (b + 1) ... (b + k)|, which also bounds
+    |gamma(b, X)|: as |b + k| >= Re b + k it is at most
+    gamma(Re b, X) <= min(Gamma(Re b), X^(Re b) / Re b), and as
+    |b + k| >= |Im b| at most X^(Re b) e^-X / (|Im b| - X) where
+    X < |Im b|; E_1 64 ulps of its series' mass 0.58 + |log X| + e^X.
+    Each step adds (4 + |d| |log X| + X) ulps of |Gamma(d + 1, X)| +
+    |X^d e^-X|, then divides by |d|, where |Gamma(d + 1, X)| is carried
+    down the same recurrence from |Gamma(b)| plus the series' mass (from
+    e^-X log(1 + 1/X) >= E_1(X) at a pole), and is at most
+    X^(Re d) e^-X where Re d <= 0.  Within 1e-12 of a pole, where the
+    function takes Gamma(-m, X) for Gamma(a, X), that difference is charged
+    too.  Summed with the weights and doubled.  Against mpmath, for 1500
+    random a with Re a in [-12, 1/2] (near the poles too) and X below
+    max(|a|, 1), each X's share before the doubling exceeds its error by a
+    factor of at least 1.2 (median 30).  A few X at a time, so it runs on
+    Python floats."""
+    if a.real > 0.5:
+        return 0.0
+    count = int(np.searchsorted(x, max(abs(a), 1.0) * (1.0 + 1e-9)))
+    if count == 0:
+        return 0.0
+    top = round(a.real)
+    pole = abs(a.imag) <= 1e-12 and abs(a.real - top) <= 1e-12
+    if pole:
+        m, base = -top, complex(top)
+    else:
+        m = math.ceil(0.5 - a.real) + 1
+        base, b = a, a + m
+        whole, anchor = abs(gamma(b)), _special_ulps(b) * abs(gamma(b))
+        # gamma(Re b, X) <= Gamma(Re b), the series' bound where |Im b| is small
+        gamma_re = math.gamma(b.real)
+    steps = [(d.real, abs(d)) for d in (base + j for j in range(m - 1, -1, -1))]
+    total = 0.0
+    for big_x, weight in zip(x[:count].tolist(), w[:count].tolist()):
+        log_x = math.log(big_x)
+        abs_log = abs(log_x)
+        if pole:
+            err = 64.0 * (0.58 + abs_log + math.exp(big_x))
+            size = math.exp(-big_x) * math.log1p(1.0 / big_x)
+        else:
+            power = _bound(b.real * log_x)
+            mass = min(gamma_re, power / b.real)
+            if big_x < abs(b.imag):
+                mass = min(mass, power * math.exp(-big_x) / (abs(b.imag) - big_x))
+            err = anchor + (8.0 * big_x + 260.0 + abs(b) * abs_log) * mass
+            size = whole + mass
+        for d_re, d_abs in steps:  # m <= |a| + 2 steps
+            pre = _bound(d_re * log_x - big_x)
+            err = (err + (4.0 + d_abs * abs_log + big_x) * (size + pre)) / d_abs
+            size = (size + pre) / d_abs
+            if d_re <= 1.0:  # Gamma(d, X) <= X^(Re d - 1) e^-X
+                size = min(size, pre / big_x)
+        if pole:  # a - base moves Gamma(a, X) by at most
+            # |a - base| int_X^inf t^(Re a - 1) |log t| e^-t dt <= |a - base| X^(Re a - 1) e^-X (|log X| + X)
+            err += abs(a - base) / _EPS * _bound((a.real - 1.0) * log_x - big_x) * (abs_log + big_x)
+        total += weight * _bound(-a.real * log_x) * err
+    return 2.0 * _EPS * total
 
 
 def _special_ulps(s: complex) -> float:
@@ -1322,6 +1647,15 @@ def reconstruct_hlawka(
     the twist phase of the components cancels against the expansion weights,
     leaving the plain product above (pinned by the circle and ellipse
     oracles).
+
+    The truncated mode sums the T_q over the disc |p| <= radius: by one
+    walk of the D4 octant for every q, or where that walk would visit more
+    than ``_WALK_POINTS`` points by the row tails of
+    ``eisenstein_fq_truncated`` for every q at once (one harmonic theta
+    split, one batch of row integrals and Euler-Maclaurin corrections),
+    taken only if every component's route adds at most its walk's bar.  ``truncation`` records ``"route"`` (``"row-tails"`` with
+    ``rows`` and ``em_terms``, the most corrections of any component, or
+    ``"walk"``).
     """
     s = complex(s)
     if mode not in ("truncated", "continued"):
@@ -1347,13 +1681,26 @@ def reconstruct_hlawka(
             stacklevel=2,
         )
 
+    trunc = {}
     if mode == "truncated":
-        t_sums = _twisted_sums_truncated(s, q_list, radius, threads)
-        t_errs = {q: _disc_tail(2.0 * math.pi, s.real, radius) + _twisted_rounding(s, q, radius)
-                  for q in q_list}
+        tail, mass = _disc_tail(2.0 * math.pi, s.real, radius), _lattice_mass(s.real)
+        bars = [tail + _rounding(s, mass, 2.0 * math.log(radius), 0.0, q) for q in q_list]
+        rows = _quadratic_rows(circle(), radius)
+        sums = {}
+        if rows is not None:
+            _lattice.resolve_threads(threads)
+            sums = _row_tail_sums(rows, [(s, q) for q in q_list], [mass] * len(q_list), bars, _twisted_continued,
+                                  every=True)
+        if sums:
+            t_sums = {q: sums[i][0] for i, q in enumerate(q_list)}
+            t_errs = {q: tail + sums[i][1] for i, q in enumerate(q_list)}
+            trunc = {"route": "row-tails", "rows": len(rows.x), "em_terms": max(v[2] for v in sums.values())}
+        else:
+            t_sums = _twisted_sums_truncated(s, q_list, radius, threads)
+            t_errs = dict(zip(q_list, bars))
+            trunc = {"route": "walk"}
     else:
-        lams, _ = _theta_split(QuadForm2.identity(), 1.0, [(s, q) for q in q_list])
-        comps = [_uncomplete(lam, e, s + q / 2.0) for q, (lam, e) in zip(q_list, lams)]
+        comps = _twisted_continued([(s, q) for q in q_list])
         t_sums = {q: v for q, (v, _) in zip(q_list, comps)}
         t_errs = {q: e for q, (_, e) in zip(q_list, comps)}
 
@@ -1387,5 +1734,6 @@ def reconstruct_hlawka(
             "radius": radius if mode == "truncated" else None,
             "n_quad": table.n_quad,
             "slow_coefficient_decay": slow_decay,
+            **trunc,
         },
     )

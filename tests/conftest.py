@@ -36,11 +36,21 @@ def bump_shape():
 
 @pytest.fixture
 def walk_only(monkeypatch):
-    """Circles and ellipses walk their discs instead of taking row tails.
-    The row tails are Z_Q less its tails, with Z_Q from
-    ``epstein_continued``, so a direct sum that checks the continuation
-    must walk, or an error of the continuation cancels on both sides."""
+    """Circles, ellipses, unrotated twisted sums and truncated
+    reconstructions walk their discs instead of taking row tails.  The row
+    tails are the continued value less its tails (Z_Q from
+    ``epstein_continued``, a twisted component from the harmonic theta
+    split), so a direct sum that checks a continuation must walk, or an
+    error of the continuation cancels on both sides."""
     monkeypatch.setattr(zeta, "_quadratic_rows", lambda shape, radius: None)
+
+
+@pytest.fixture
+def row_tails_at_every_radius(monkeypatch):
+    """The row tails are taken wherever they are accurate enough, however
+    few points the walk would visit: their accuracy holds at every radius,
+    their speed only above ``zeta._WALK_POINTS``."""
+    monkeypatch.setattr(zeta, "_WALK_POINTS", 0.0)
 
 
 def random_complex_samples(seed, n, re_range=(-2.0, 3.0), im_min=0.25, im_max=8.0):

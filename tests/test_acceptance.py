@@ -106,7 +106,7 @@ def test_c04_circle_value_two_oracles():
 
 
 def test_c05_continuation_calibration(walk_only):
-    # the direct sums walk: row tails are built on the continuation
+    # the direct sums walk: row tails are built on the continuations
     t0 = time.time()
     for s in (2.0, 3.0, 2.5 + 1.5j):
         cont = epstein_continued(IDENT, s).value
@@ -116,8 +116,9 @@ def test_c05_continuation_calibration(walk_only):
         assert abs(cont - corrected) <= 1e-9 * abs(cont)
 
         fq_cont = eisenstein_fq_continued(4, s).value
-        fq_direct = eisenstein_fq_truncated(4, 0.0, s, 2000.0).value
-        assert abs(fq_cont - fq_direct) <= 1e-9 * abs(fq_cont)
+        fq_direct = eisenstein_fq_truncated(4, 0.0, s, 2000.0)
+        assert fq_direct.truncation["route"] == "walk"
+        assert abs(fq_cont - fq_direct.value) <= 1e-9 * abs(fq_cont)
     elapsed = time.time() - t0
     assert elapsed < 10.0
     _ok(5, f"both continuations reproduce their direct sums to 1e-9 [{elapsed:.1f}s]")

@@ -875,3 +875,21 @@ def test_quadratic_direct_sums_print_the_same_bytes_at_any_thread_count(capsys, 
     assert code1 == code2 == 0 and out1 == out2
     route = json.loads(out1)["truncation"]["route"]
     assert route == ("walk" if "2+40i" in argv[3] else "row-tails")
+
+
+@pytest.mark.parametrize("argv,route", [
+    (("eisenstein", "--q", "8", "--s=2.3+5i", "--method", "truncated", "--radius", "700"), "row-tails"),
+    (("eisenstein", "--q", "40", "--s=1.2+7.9i", "--method", "truncated", "--radius", "1331.5"), "row-tails"),
+    (("eisenstein", "--q", "12", "--s=2+1i", "--method", "truncated", "--radius", "300"), "walk"),
+    (("reconstruct", "--shape", "ellipse:a=1.2,b=1", "--s=2.3+5i", "--mode", "truncated", "--radius", "650"),
+     "row-tails"),
+    (("reconstruct", "--shape", "cos:c0=1,c4=0.1", "--s=1.5+2i", "--mode", "truncated", "--radius", "300"),
+     "walk"),
+])
+def test_twisted_sums_print_the_same_bytes_at_any_thread_count(capsys, argv, route):
+    code1, out1, _ = run_cli(capsys, *argv, "--threads", "1")
+    code2, out2, _ = run_cli(capsys, *argv, "--threads", "2")
+    assert code1 == code2 == 0 and out1 == out2
+    truncation = json.loads(out1)["truncation"]
+    assert truncation["route"] == route
+    assert ("rows" in truncation and "em_terms" in truncation) == (route == "row-tails")

@@ -3,6 +3,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -417,20 +418,27 @@ def test_fq_truncated_against_independent_order_oracle():
 
 
 def test_fq_rotation_covariance():
+    # rotated sums always walk, so covariance checks the walk against the
+    # unrotated sum: walked at R = 300, by row tails at R = 500
     rng = np.random.default_rng(42)
-    base = eisenstein_fq_truncated(4, 0.0, 2.0, 300.0).value
-    for _ in range(8):
-        phi = rng.uniform(0, 2 * math.pi)
-        rotated = eisenstein_fq_truncated(4, phi, 2.0, 300.0).value
-        assert abs(rotated - cmath.exp(4j * phi) * base) <= 1e-12
+    for radius, route in ((300.0, "walk"), (500.0, "row-tails")):
+        base = eisenstein_fq_truncated(4, 0.0, 2.0, radius)
+        assert base.truncation["route"] == route
+        for _ in range(8 if radius < 400 else 2):
+            phi = rng.uniform(0, 2 * math.pi)
+            rotated = eisenstein_fq_truncated(4, phi, 2.0, radius)
+            assert rotated.truncation["route"] == "walk"
+            assert abs(rotated.value - cmath.exp(4j * phi) * base.value) <= 1e-12
 
 
-def test_fq_continued_oracle_calibration():
-    # the continuation must match the disc sum at s = 2, 3, 4 to 1e-9
+def test_fq_continued_oracle_calibration(walk_only):
+    # the continuation must match the disc sum at s = 2, 3, 4 to 1e-9; the
+    # disc sum walks, as its row tails are the continuation less its tails
     for s in (2.0, 3.0, 4.0):
         cont = eisenstein_fq_continued(4, s).value
-        trunc = eisenstein_fq_truncated(4, 0.0, s, 1500.0).value
-        assert abs(cont - trunc) <= 1e-9 * abs(cont)
+        trunc = eisenstein_fq_truncated(4, 0.0, s, 1500.0)
+        assert trunc.truncation["route"] == "walk"
+        assert abs(cont - trunc.value) <= 1e-9 * abs(cont)
 
 
 def test_fq_continued_entire_at_critical_line():
@@ -783,7 +791,7 @@ def direct_paths(monkeypatch):
     return calls
 
 
-def test_only_integral_images_count_dilation_times(direct_paths, monkeypatch):
+def test_only_integral_images_count_dilation_times(direct_paths, monkeypatch, row_tails_at_every_radius):
     for shape in [square(), odd_shape()] + [sh for _, sh, _ in _INTEGER_IMAGES]:
         hlawka_direct_many(shape, [_S, 3.0], 60.0)
     assert direct_paths == ["count"] * 5
@@ -1068,7 +1076,7 @@ _ROW_GRID = [(name, radius, list(_ROW_GRID_RNG.choice(len(_ROW_S), 3 if radius <
 
 
 @pytest.mark.parametrize("name,radius,picks", _ROW_GRID, ids=[f"{n} R={r}" for n, r, _ in _ROW_GRID])
-def test_row_tails_agree_with_the_walk(name, radius, picks):
+def test_row_tails_agree_with_the_walk(name, radius, picks, row_tails_at_every_radius):
     # the two routes to the same truncated sum agree within the sum of
     # what their bars claim for it (the disc tail to infinity aside)
     shape, s_list = _ROW_SHAPES[name], [_ROW_S[k] for k in picks]
@@ -1082,7 +1090,7 @@ def test_row_tails_agree_with_the_walk(name, radius, picks):
         assert res.error_estimate <= 2.0 * walked.error_estimate
 
 
-def test_row_tails_carry_most_of_the_grid():
+def test_row_tails_carry_most_of_the_grid(row_tails_at_every_radius):
     taken = {(name, radius): [res.truncation["route"] for res in hlawka_direct_many(
         _ROW_SHAPES[name], [_ROW_S[k] for k in picks], radius)] for name, radius, picks in _ROW_GRID}
     assert sum(routes.count("row-tails") for routes in taken.values()) >= 0.8 * sum(map(len, taken.values()))
@@ -1156,7 +1164,7 @@ def _recurrence_form(s, share=0.99999):
 
 
 @pytest.mark.parametrize("s", [3.0 + 0.02j, 3.9 + 0.02j, 4.0 + 0.02j])
-def test_row_tail_bars_charge_the_gamma_recurrence(s):
+def test_row_tail_bars_charge_the_gamma_recurrence(s, row_tails_at_every_radius):
     # near an integer s >= 2 the continuation's Gamma(1 - s, X), X just
     # below |1 - s|, cancels by about 1 / dist(s, k); its own bar does not
     # charge that, and without ``_gamma_recurrence`` the route's bar would
@@ -1167,7 +1175,7 @@ def test_row_tail_bars_charge_the_gamma_recurrence(s):
     assert abs(res.value - _mp_disc_sum(u, s, 20.0)) <= _bare_bar(res, u.region(), s, 20.0)
 
 
-def test_row_tails_fall_back_to_the_walk():
+def test_row_tails_fall_back_to_the_walk(row_tails_at_every_radius):
     # at Im s = 40 the continuation's bars are far above the walk's; at
     # R = 10 the forms of condition 727 and 2.9e4 whose rows run along the
     # long axis leave too few rows for the full rows' Bessel terms to fade;
@@ -1186,14 +1194,14 @@ def test_row_tails_fall_back_to_the_walk():
 
 def test_row_tails_serve_every_s_of_one_call(monkeypatch):
     # one continuation for every s that may take the row tails (at
-    # |Im s| = 40 the recurrence's bar rules them out before it runs); the
-    # s that fall back share one walk
+    # |Im s| = 40 its bar rules them out once it has run); the s that fall
+    # back share one walk
     calls = []
     monkeypatch.setattr(zeta, "epstein_continued_many",
                         lambda u, s_list: calls.append(len(s_list)) or epstein_continued_many(u, s_list))
     s_list = [2.0 + 1.0j, 2.0 + 40.0j, 3.0, 1.5 - 40.0j]
     many = hlawka_direct_many(ellipse(2.0, 1.0, 0.3), s_list, 600.0)
-    assert calls == [2]
+    assert calls == [4]
     assert [r.truncation["route"] for r in many] == ["row-tails", "walk", "row-tails", "walk"]
     walked = _walked(ellipse(2.0, 1.0, 0.3), [s_list[1], s_list[3]], 600.0)
     assert [many[1], many[3]] == walked
@@ -1201,7 +1209,7 @@ def test_row_tails_serve_every_s_of_one_call(monkeypatch):
         assert res == hlawka_direct(ellipse(2.0, 1.0, 0.3), s, 600.0)
 
 
-def test_row_tail_bars_bound_the_true_error():
+def test_row_tail_bars_bound_the_true_error(row_tails_at_every_radius):
     # against Z_Q(s) in mpmath less the exact tails: the disc sum at R = 40,
     # summed in mpmath, with the bar less the disc tail
     u = QuadForm2(2.5, -1.5, 1.0)
@@ -1241,3 +1249,227 @@ def test_vanishing_twisted_components_are_exact_zeros(monkeypatch, rotation):
 def test_vanishing_twisted_components_validate_first(args, match):
     with pytest.raises(ValidationError, match=match):
         eisenstein_fq_truncated(*args)
+
+
+# ---------------------------------------------------------------------------
+# twisted sums and reconstructions by row tails
+# ---------------------------------------------------------------------------
+
+
+def _walked_twisted(q, s, radius):
+    """The walk's ``eisenstein_fq_truncated`` (its row tails off)."""
+    original = zeta._quadratic_rows
+    zeta._quadratic_rows = lambda shape, radius: None
+    try:
+        return eisenstein_fq_truncated(q, 0.0, s, radius)
+    finally:
+        zeta._quadratic_rows = original
+
+
+_TWIST_S = [1.05 + 0.3j, 1.268126 + 1.189243j, 2.0 + 0.5j, 2.872185 + 6.47993j, 3.0 - 8.0j, 4.0 + 2.0j]
+_TWIST_RADII = [10.0, 30.5, 250.0, 600.0, 1500.0]
+_TWIST_GRID_RNG = np.random.default_rng(2701)
+_TWIST_GRID = [(q, radius, list(_TWIST_GRID_RNG.choice(len(_TWIST_S), 3 if radius < 1000 else 1, replace=False)))
+               for q in (4, 8, 20, 40) for radius in _TWIST_RADII]
+
+
+@pytest.mark.parametrize("q,radius,picks", _TWIST_GRID, ids=[f"q={q} R={r}" for q, r, _ in _TWIST_GRID])
+def test_twisted_row_tails_agree_with_the_walk(q, radius, picks, row_tails_at_every_radius):
+    # within the sum of what the two bars claim for the truncated sum (the
+    # disc tail to infinity aside); the route's bar at most twice the walk's
+    for s in (_TWIST_S[k] for k in picks):
+        res, walked = eisenstein_fq_truncated(q, 0.0, s, radius), _walked_twisted(q, s, radius)
+        assert walked.truncation["route"] == "walk"
+        if res.truncation["route"] == "walk":
+            assert res == walked
+            continue
+        assert res.truncation["rows"] == math.isqrt(math.floor(radius * radius)) + 1
+        assert res.truncation["em_terms"] in zeta._EM_TERMS
+        tail = zeta._disc_tail(2.0 * math.pi, s.real, radius)
+        assert abs(res.value - walked.value) <= res.error_estimate + walked.error_estimate - 2.0 * tail, (q, s)
+        assert res.error_estimate <= 2.0 * walked.error_estimate
+
+
+def test_twisted_row_tails_carry_most_of_the_grid(row_tails_at_every_radius):
+    routes = [eisenstein_fq_truncated(q, 0.0, _TWIST_S[k], radius).truncation["route"]
+              for q, radius, picks in _TWIST_GRID for k in picks]
+    assert routes.count("row-tails") >= 0.7 * len(routes)
+
+
+_RECON_SHAPES = [circle(1.1245), ellipse(1.181, 1.0), cosine_series([1.0, 0.0, 0.15]),
+                 cosine_series([1.0, 0.0, 0.0, 0.0, 0.1])]
+
+
+@pytest.mark.parametrize("shape", _RECON_SHAPES, ids=["circle", "ellipse", "cos c2", "cos c4"])
+@pytest.mark.parametrize("radius,s", [(30.5, 1.2 + 3.0j), (420.0, 2.86 + 6.8j), (800.0, 1.3 + 0.7j)])
+def test_reconstruct_row_tails_agree_with_the_walk(shape, radius, s, row_tails_at_every_radius):
+    # every component within the two bars of the walk's, and the whole
+    # within the walk's bar
+    q_list = list(range(0, 41, 4))
+    mass = zeta._lattice_mass(s.real)
+    bars = [zeta._rounding(s, mass, 2.0 * math.log(radius), 0.0, q) for q in q_list]
+    rows = zeta._quadratic_rows(circle(), radius)
+    sums = zeta._row_tail_sums(rows, [(s, q) for q in q_list], [mass] * len(q_list),
+                               [b + zeta._disc_tail(2.0 * math.pi, s.real, radius) for b in bars],
+                               zeta._twisted_continued, every=True)
+    walked = zeta._twisted_sums_truncated(s, q_list, radius, None)
+    assert len(sums) == len(q_list)
+    for i, q in enumerate(q_list):
+        assert abs(sums[i][0] - walked[q]) <= sums[i][1] + bars[i], q
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the cosine series' slow coefficient decay
+        res = reconstruct_hlawka(shape, s, 40, radius=radius)
+        original = zeta._quadratic_rows
+        zeta._quadratic_rows = lambda shape, radius: None
+        try:
+            walk = reconstruct_hlawka(shape, s, 40, radius=radius)
+        finally:
+            zeta._quadratic_rows = original
+    assert res.truncation["route"] == "row-tails" and walk.truncation["route"] == "walk"
+    assert res.truncation["rows"] == rows.top + 1 and res.truncation["em_terms"] in zeta._EM_TERMS
+    assert abs(res.value - walk.value) <= walk.error_estimate
+
+
+def _mp_twisted_row_integral(a, n, s, q):
+    """int_a^inf cos(q theta) (y^2 + n^2)^-s dy, theta = arctan(n / y), in
+    mpmath: n^(1-2s) int_0^psi cos(q t) sin^(2s-2) t dt, psi = arctan(n / a)."""
+    with mp.workdps(30):
+        z = mp.mpc(s)
+        if n == 0:
+            return complex(mp.mpf(a) ** (1 - 2 * z) / (2 * z - 1))
+        psi = mp.atan(mp.mpf(n) / a)
+        g = mp.quad(lambda t: mp.cos(q * t) * mp.sin(t) ** (2 * z - 2), mp.linspace(0, psi, 4))
+        return complex(mp.mpf(n) ** (1 - 2 * z) * g)
+
+
+@pytest.mark.parametrize("s,q", [(2.3 + 5.0j, 8), (1.05 + 0.3j, 40), (3.0 - 8.0j, 20), (2.0 + 0.5j, 4)])
+def test_twisted_row_integrals_match_mpmath(s, q):
+    # rows below z_c = 1 / max(q, 8) take the series, the rest the panels
+    rows = zeta._quadratic_rows(circle(), 400.0)
+    integrals, moduli, rest = zeta._twisted_integrals(rows, s, [q], 1e-20)
+    top = rows.top
+    picks = [0, 1, 2, 3, 9, 10, 11, 50, 200, top // 2, top - 40, top - 1, top]
+    for n in picks:
+        want = _mp_twisted_row_integral(int(rows.x[n]), n, s, q)
+        assert abs(integrals[0, n] - want) <= 1e-14 * abs(want) + rest[0], (n, rows.x[n])
+    # truncation and rounding at most a few thousand ulps of the moduli
+    assert rest[0] <= 4e-12 * float(rows.weight @ moduli[0]) + 1e-18
+
+
+@pytest.mark.parametrize("s", [2.3 + 5.0j, 1.05 + 0.3j, 2.0, 3.7 - 2.0j])
+@pytest.mark.parametrize("q", [0, 4, 12, 40])
+def test_full_row_line_matches_mpmath(s, q):
+    # int_0^pi e^(i q t) sin^(2s - 2) t dt, 2 pi (2)^(1-2s) Gamma(2s - 1) /
+    # (Gamma(s - q/2) Gamma(s + q/2)), within the ulps it claims; at q = 0
+    # the half-line value sqrt(pi) Gamma(s - 1/2) / Gamma(s)
+    line, ulps = zeta._row_line(complex(s), q)
+    with mp.workdps(30):
+        z = mp.mpc(s)
+        want = complex(mp.quad(lambda t: mp.expj(q * t) * mp.sin(t) ** (2 * z - 2), mp.linspace(0, mp.pi, 9)))
+    assert abs(line - want) <= ulps * zeta._EPS * abs(want) + 1e-28
+
+
+def test_full_row_line_vanishes_at_the_poles():
+    # s - q/2 a pole of Gamma: e^(4 i t) against sin^2 t integrates to 0
+    assert zeta._row_line(2.0 + 0j, 4) == (0j, 0.0)
+    with mp.workdps(30):
+        assert abs(mp.quad(lambda t: mp.expj(4 * t) * mp.sin(t) ** 2, [0, mp.pi])) < 1e-25
+
+
+def _mp_twisted_disc_sum(q, s, radius):
+    """sum of e^(i q theta) |p|^(-2s) over 0 < |p|^2 <= floor(radius^2), in mpmath."""
+    top = math.floor(radius * radius)
+    with mp.workdps(30):
+        z = mp.mpc(s)
+        total = mp.mpc(0)
+        for m in range(-math.isqrt(top), math.isqrt(top) + 1):
+            for n in range(-math.isqrt(top - m * m), math.isqrt(top - m * m) + 1):
+                if m or n:
+                    total += mp.expj(q * mp.atan2(n, m)) * mp.mpf(m * m + n * n) ** (-z)
+        return complex(total)
+
+
+@pytest.mark.parametrize("q,s", [(4, 2.3 + 5.0j), (8, 1.2 + 8.0j), (40, 3.0 + 0.5j), (20, 1.6 + 3.6j)])
+def test_twisted_row_tail_bars_bound_the_true_error(q, s, row_tails_at_every_radius):
+    radius = 40.0
+    res = eisenstein_fq_truncated(q, 0.0, s, radius)
+    assert res.truncation["route"] == "row-tails"
+    bare = res.error_estimate - zeta._disc_tail(2.0 * math.pi, s.real, radius)
+    assert abs(res.value - _mp_twisted_disc_sum(q, s, radius)) <= bare
+
+
+def test_row_tails_are_taken_by_the_walks_point_count():
+    # pi R^2 / |G| against ``_WALK_POINTS``: D4 for circles, twisted sums
+    # and reconstructions, p -> -p for a rotated ellipse
+    edge = math.sqrt(zeta._WALK_POINTS * 8.0 / math.pi)
+    for radius, route in ((edge - 5.0, "walk"), (edge + 5.0, "row-tails")):
+        assert hlawka_direct(circle(1.0), 2.0 + 1.0j, radius).truncation["route"] == route
+        assert eisenstein_fq_truncated(8, 0.0, 2.0 + 1.0j, radius).truncation["route"] == route
+        assert reconstruct_hlawka(circle(1.2), 2.0 + 1.0j, 16, radius=radius).truncation["route"] == route
+    edge = math.sqrt(zeta._WALK_POINTS * 2.0 / math.pi)
+    for radius, route in ((edge - 5.0, "walk"), (edge + 5.0, "row-tails")):
+        assert hlawka_direct(ellipse(2.0, 1.0, 0.3), 2.0 + 1.0j, radius).truncation["route"] == route
+
+
+def test_twisted_sums_fall_back_to_the_walk(row_tails_at_every_radius):
+    # beyond |s + q/2| = 50 the continuation leaves its accuracy contract,
+    # and at Im s = 40 its bar is far above the walk's; a reconstruction
+    # takes the row tails for all its components or for none
+    for q, s in ((120, 2.0 + 1.0j), (8, 2.0 + 40.0j)):
+        res = eisenstein_fq_truncated(q, 0.0, s, 300.0)
+        assert res == _walked_twisted(q, s, 300.0)
+        assert res.truncation["route"] == "walk"
+    res = reconstruct_hlawka(circle(1.0), 2.0 + 40.0j, 8, radius=300.0)
+    assert res.truncation["route"] == "walk"
+
+
+def test_twisted_row_tails_serve_every_component_with_one_continuation(monkeypatch, row_tails_at_every_radius):
+    calls = []
+    monkeypatch.setattr(zeta, "upper_incomplete_gamma", lambda a, x: calls.append(1) or upper_incomplete_gamma(a, x))
+    res = reconstruct_hlawka(ellipse(1.1, 1.0), 2.0 + 0.5j, 40, radius=600.0)
+    assert res.truncation["route"] == "row-tails" and calls == [1]
+
+
+@pytest.mark.parametrize("s", [3.0 + 0.02j, 4.0 + 0.02j])
+def test_continued_bars_charge_the_gamma_recurrence(s):
+    # the form (1, 0.3, k) whose least X = pi Q / sqrt(det) is just below
+    # |1 - s|: Gamma(1 - s, X) recurses and cancels by about 1 / dist(s, k);
+    # the continuation's own bar charges it
+    u = _recurrence_form(s)
+    res = epstein_continued(u, s)
+    assert abs(res.value - _mp_theta_epstein(u.u11, u.u12, u.u22, s, digits=25)) <= res.error_estimate
+
+
+def test_gamma_recurrence_bounds_the_incomplete_gamma_error():
+    # per X, the share it charges bounds the error of Gamma(a, X) against
+    # mpmath, for a near and away from the poles, X below max(|a|, 1)
+    rng = np.random.default_rng(2702)
+    checked = 0
+    with mp.workdps(40):
+        for trial in range(240):
+            k = int(rng.integers(-10, 1))
+            a = [complex(rng.uniform(-12.0, 0.5), rng.uniform(-12.0, 12.0)),
+                 complex(k + rng.choice([-1, 1]) * 10 ** rng.uniform(-8, -1), 10 ** rng.uniform(-9, 0)),
+                 complex(k + rng.uniform(-1e-13, 1e-13), 0.0)][trial % 3]
+            x = float(np.exp(rng.uniform(math.log(0.02), math.log(max(abs(a), 1.0)))))
+            if x >= max(abs(a), 1.0):
+                continue
+            share = zeta._gamma_recurrence(a, np.array([x]), np.array([x ** a.real]))
+            truth = complex(mp.gammainc(mp.mpc(a.real, a.imag), x))
+            assert abs(upper_incomplete_gamma(a, x) - truth) <= share, (a, x)
+            checked += 1
+    assert checked >= 200
+    # beyond the recursion nothing is charged
+    assert zeta._gamma_recurrence(2.0 + 1.0j, np.array([0.5]), np.array([1.0])) == 0.0
+    assert zeta._gamma_recurrence(-3.0 + 1.0j, np.array([4.0]), np.array([1.0])) == 0.0
+
+
+def test_epstein_direct_at_a_large_imaginary_part_takes_the_row_tails():
+    # the continuation's Gamma(1 - s, X) recursion bound at Im s = 7.2 no
+    # longer exceeds the walk's bar (the direct-sums benchmark's job)
+    shape = QuadForm2(0.5, 0.25, 0.5).region()
+    s = 2.952668 + 7.223028j
+    res = hlawka_direct(shape, s, 916.805)
+    assert res.truncation["route"] == "row-tails"
+    walked = _walked(shape, [s], 916.805)[0]
+    assert abs(res.value - walked.value) <= _bare_bar(res, shape, s, 916.805) + _bare_bar(walked, shape, s, 916.805)
