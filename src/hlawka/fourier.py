@@ -134,15 +134,12 @@ def closed_form_coefficients(shape: RadialShape, s: complex, q_max: int) -> list
     the product and the power of x.  Its series' share lies inside the
     unspent part of hyp2f1's charge, as in ``ellipse_coefficient``.
     """
-    if shape.kind not in ("ellipse", "constant"):
+    if shape.kind != "ellipse":
         raise ValidationError("closed-form coefficients exist only for ellipses")
-    if shape.kind == "constant":
-        a = b = shape.params[0]
-    else:
-        # an image from ``act`` may have a < b: a quarter turn keeps every row
-        (b, a), phi = sorted(shape.params[:2]), shape.params[2]
-        if phi != 0.0:
-            raise ValidationError("closed form implemented for unrotated ellipses")
+    # an image from ``act`` may have a < b: a quarter turn keeps every row
+    (b, a), phi = sorted(shape.params[:2]), shape.params[2]
+    if phi != 0.0:
+        raise ValidationError("closed form implemented for unrotated ellipses")
     s = complex(s)
     x = (b - a) * (b + a) / a**2
     scale = complex(b) ** (2.0 * s)

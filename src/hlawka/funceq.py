@@ -28,7 +28,7 @@ from .fourier import ellipse_coefficient
 from . import lattice as _lattice
 from .lattice import build_spectrum
 from .results import csv_table
-from .shapes import Mat2, RadialShape, area, odd_shape, square
+from .shapes import RadialShape, area, odd_shape, square
 from .special import _exp_integral_e1, gamma, riemann_zeta
 from .zeta import (
     QuadForm2,
@@ -639,10 +639,8 @@ def residue_at_one(shape: RadialShape) -> float:
     """
 
     steps = (2e-4, 1e-4)
-    if shape.kind in ("constant", "ellipse"):
-        # the form of kappa(-phi) diag(a, b), for either order of a and b
-        a, b, phi = shape.params if shape.kind == "ellipse" else (shape.params[0], shape.params[0], 0.0)
-        u = QuadForm2.from_transform(Mat2.rotation(-phi) @ Mat2.diagonal(a, b))
+    if shape.kind == "ellipse":
+        u = ellipse_form(*shape.params)
         # one reduction, one splitting and one incomplete-gamma call for all four s
         values = [r.value for r in epstein_continued_many(u, [1.0 + h * sign for h in steps for sign in (1, -1)])]
     elif shape.kind in ("square", "odd"):

@@ -3,9 +3,10 @@
 The dilation time of a nonzero point p with respect to a shape D is its gauge
 t(p) = inf{t : p in tD}.  ``dilation_times_block`` is the one formula for it
 per kind, and ``RadialShape.evaluate`` reads r(theta) = 1 / t(cos theta,
-sin theta) off it, except for the circle and the cosine series, whose t is
-|p| / r(theta(p)).  Distinct t values with multiplicities form the spectrum
-(t_1 < t_2 < ..., a_k = number of boundary points of t_k D).
+sin theta) off it, except for a circle (an ellipse with equal axes) and the
+cosine series, whose t is |p| / r(theta(p)).  Distinct t values with
+multiplicities form the spectrum (t_1 < t_2 < ..., a_k = number of boundary
+points of t_k D).
 
 Enumeration walks only the rows of the disc |p| <= R, and of those only a
 fundamental domain of a subgroup G of D4 (``map_box_chunks``): the octant
@@ -285,12 +286,12 @@ def dilation_times_block(
         return np.maximum(out, tmp, out=out)
     if kind == "odd":
         return _odd_times(m, n, out)
-    if kind == "constant":
-        np.hypot(m, n, out=out)
-        out /= shape.params[0]
-        return out
     if kind == "ellipse":
         a, b, phi = shape.params
+        if a == b:  # a circle: |p| / a, rounded twice
+            np.hypot(m, n, out=out)
+            out /= a
+            return out
         x, y = out, scratch("lattice.t1", k)
         if phi == 0.0:
             np.divide(m, a, out=x)

@@ -1,15 +1,15 @@
 """Star-shaped planar regions, their radial functions and the GL(2,R) action.
 
-Supported kinds: constant (circle), ellipse, square (side 2, centered), a
-seven-segment "odd" region with the same dilation spectrum as the square,
-finite cosine series, and images of the last three under a nonsingular
-2x2 matrix (``transformed``).  GL(2,R) maps ellipses to ellipses, so
-``act`` returns an image of a circle or an ellipse as an ellipse (or a
-circle), read off the Cartan decomposition.  Each kind is defined once,
-by its gauge t(p) = inf{t : p in tD} (``lattice.dilation_times_block``);
-the radial function, whose curve theta |-> r(theta) (cos theta, sin theta)
-is the boundary, is r(theta) = 1 / t(cos theta, sin theta).  The circle
-(r = c) and the cosine series keep r as their definition.  A transformed
+Supported kinds: ellipse (a circle is the ellipse with equal axes), square
+(side 2, centered), a seven-segment "odd" region with the same dilation
+spectrum as the square, finite cosine series, and images of the last three
+under a nonsingular 2x2 matrix (``transformed``).  GL(2,R) maps ellipses to
+ellipses, so ``act`` returns an image of an ellipse as an ellipse, read off
+the Cartan decomposition.  Each kind is defined once, by its gauge t(p) =
+inf{t : p in tD} (``lattice.dilation_times_block``); the radial function,
+whose curve theta |-> r(theta) (cos theta, sin theta) is the boundary, is
+r(theta) = 1 / t(cos theta, sin theta).  The circle (an ellipse with a = b,
+r = a) and the cosine series keep r as their definition.  A transformed
 shape has t_{gD}(p) = t_D(g^-1 p), for either sign of det g.
 
 Matrix conventions.  kappa(phi) denotes [[cos phi, sin phi], [-sin phi,
@@ -209,16 +209,15 @@ class Symmetry(enum.Enum):
 @dataclass(frozen=True)
 class RadialShape:
     """Immutable star-shaped region with r_min <= r(theta) <= r_max: the
-    extremes of r for a circle, an ellipse (every image of one included),
+    extremes of r for an ellipse (every circle and every image included),
     the square and the odd shape; bounds from a grid and the series'
     curvature for a cosine series; singular-value bounds for a transformed
     shape.
 
     ``params`` is kind-specific:
-      constant       (c,)
-      ellipse        (a, b, phi), a > b; an image from ``act`` whose axes
-                     lie on the coordinate axes has phi = 0 and either
-                     order
+      ellipse        (a, b, phi), a >= b; a circle of radius c is (c, c,
+                     0.0); an image from ``act`` whose axes lie on the
+                     coordinate axes has phi = 0 and either order
       square         ()
       odd            ()
       cosine-series  (c0, c1, ..., cQ)
@@ -239,7 +238,7 @@ class RadialShape:
             return float(self.evaluate(th[None])[0])
         if self.kind == "cosine-series":
             return _cosine_series(self.params, th)
-        if self.kind == "constant":
+        if self.kind == "ellipse" and self.params[0] == self.params[1]:
             return np.full_like(th, self.params[0])
         from .lattice import dilation_times_block  # lattice imports this module
 
@@ -254,10 +253,8 @@ class RadialShape:
         rotational symmetry; read from the kind, and for a transformed shape
         sampled (k <= 16, within 1e-10) when first read."""
         kind = self.kind
-        if kind == "constant":
-            return 0
         if kind == "ellipse":
-            return 2
+            return 0 if self.params[0] == self.params[1] else 2
         if kind == "square":
             return 4
         if kind == "odd":
@@ -272,7 +269,7 @@ class RadialShape:
         """The subgroup of D4 that maps the region onto itself (one that the
         kind and parameters show; a transformed shape keeps only p -> -p)."""
         kind = self.kind
-        if kind in ("constant", "square"):
+        if kind == "square" or (kind == "ellipse" and self.params[0] == self.params[1]):
             return Symmetry.D4
         if kind == "ellipse":
             return Symmetry.KLEIN if self.params[2] == 0.0 else Symmetry.NEGATION
@@ -317,24 +314,21 @@ def _detect_symmetry(evalf, cap: int = 16, tol: float = 1e-10) -> int:
 
 
 def circle(c: float = 1.0) -> RadialShape:
-    """Constant radial function r(theta) = c."""
+    """The radial function r(theta) = c: the ellipse (c, c, 0.0)."""
     if not (c > 0.0 and math.isfinite(c)):
         raise ValidationError("circle radius must be positive and finite")
-    return RadialShape(
-        kind="constant", params=(float(c),), r_min=c, r_max=c,
-    )
+    return ellipse(c, c)
 
 
 def ellipse(a: float, b: float, phi: float = 0.0) -> RadialShape:
-    """Axes a >= b > 0, rotated phi counterclockwise."""
+    """Axes a >= b > 0, rotated phi counterclockwise; phi is stored as 0.0
+    where a = b."""
     if not (a >= b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError("ellipse requires a >= b > 0")
     if not math.isfinite(phi):
         raise ValidationError("ellipse requires a finite phi")
-    if a == b:
-        return circle(a)
     return RadialShape(
-        kind="ellipse", params=(float(a), float(b), float(phi)),
+        kind="ellipse", params=(float(a), float(b), float(phi) if a != b else 0.0),
         r_min=b, r_max=a,
     )
 
@@ -398,7 +392,8 @@ def _cos_sin(phi: float) -> tuple[Fraction, Fraction]:
     (to 85 digits); (2 pi)^80 / 80! < 1e-54.  At phi = 0 they are 1 and 0."""
     if phi == 0.0:
         return Fraction(1), Fraction(0)
-    with decimal.localcontext(prec=60):
+    with decimal.localcontext() as ctx:  # localcontext(prec=...) needs Python 3.11
+        ctx.prec = 60
         x, term, sums = decimal.Decimal(phi) % _TWO_PI_DEC, 1, [1, 0]
         for n in range(1, 80):
             term = term * x / n
@@ -407,15 +402,14 @@ def _cos_sin(phi: float) -> tuple[Fraction, Fraction]:
 
 
 def _axes(shape: RadialShape) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """The axes a, b of a circle's or an ellipse's region, either the
-    longer, and cos phi, sin phi of its angle (``_cos_sin``), all exact: a
-    circle of radius c is the ellipse (c, c, 0)."""
-    a, b, phi = shape.params if shape.kind == "ellipse" else (shape.params[0], shape.params[0], 0.0)
+    """The axes a, b of an ellipse's region, either the longer, and cos phi,
+    sin phi of its angle (``_cos_sin``), all exact."""
+    a, b, phi = shape.params
     return (Fraction(a), Fraction(b), *_cos_sin(phi))
 
 
 def _exact_form(shape: RadialShape) -> tuple[Fraction, Fraction, Fraction]:
-    """The exact form (u11, u12, u22) of a circle or an ellipse (a, b, phi),
+    """The exact form (u11, u12, u22) of an ellipse (a, b, phi),
     the Q with t(p)^2 = Q(p): (cos^2/a^2 + sin^2/b^2, cos sin (1/a^2 - 1/b^2),
     sin^2/a^2 + cos^2/b^2), cos phi and sin phi within 1e-45."""
     a, b, cp, sp = _axes(shape)
@@ -426,9 +420,9 @@ def _exact_form(shape: RadialShape) -> tuple[Fraction, Fraction, Fraction]:
 def act(g: Mat2, shape: RadialShape) -> RadialShape:
     """The image of the region of ``shape`` under g, of gauge t(g^-1 p).
 
-    An image of a circle or an ellipse is an ellipse (a circle where its
-    axes come out equal).  The ellipse (a, b, phi) is h B for the unit disc
-    B and h = kappa(-phi) diag(a, b), so its image is g h B, the ellipse
+    An image of an ellipse is an ellipse (a circle where its axes come out
+    equal).  The ellipse (a, b, phi) is h B for the unit disc B and h =
+    kappa(-phi) diag(a, b), so its image is g h B, the ellipse
     x^T (g h h^T g^T)^-1 x <= 1.  g h is formed in ``Fraction``, exactly
     but for the cosine and sine of phi, which are taken to 45 digits (the
     gauge's rounded ones would turn the image by an ulp, which moves t by
@@ -454,7 +448,7 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
     s_max = 0.5 * (math.hypot(g.a + g.d, g.c - g.b) + math.hypot(g.a - g.d, g.c + g.b))
     if not math.isfinite(s_max * shape.r_max):
         raise ValidationError("the image is too large for floats")
-    if shape.kind not in ("constant", "ellipse"):
+    if shape.kind != "ellipse":
         return RadialShape(kind="transformed", params=(g, shape),
                            r_min=abs(g.det) / s_max * shape.r_min, r_max=s_max * shape.r_max)
     a, b, cp, sp = _axes(shape)
@@ -463,7 +457,7 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
     h21, h22 = (gc * cp + gd * sp) * a, (gd * cp - gc * sp) * b
     if h11 * h21 + h12 * h22 == 0:
         x, y = math.hypot(float(h11), float(h12)), math.hypot(float(h21), float(h22))
-        return circle(x) if x == y else RadialShape("ellipse", (x, y, 0.0), r_min=min(x, y), r_max=max(x, y))
+        return RadialShape("ellipse", (x, y, 0.0), r_min=min(x, y), r_max=max(x, y))
     det = h11 * h22 - h12 * h21
     if det < 0:
         h12, h22, det = -h12, -h22, -det
@@ -474,14 +468,13 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
 
 
 def area(shape: RadialShape) -> float:
-    """Exact region area: pi c^2 (circle), pi a b (ellipse), 4 (square and
-    odd shape), pi (c_0^2 + (1/2) sum c_q^2) for a cosine series (Parseval on
-    (1/2) integral r^2), |det g| area(D) for a transformed image gD."""
+    """Exact region area: pi a b (ellipse; pi c^2 for a circle, which (pi c) c
+    would round differently), 4 (square and odd shape), pi (c_0^2 + (1/2)
+    sum c_q^2) for a cosine series (Parseval on (1/2) integral r^2), |det g|
+    area(D) for a transformed image gD."""
     kind, p = shape.kind, shape.params
-    if kind == "constant":
-        return math.pi * p[0] ** 2
     if kind == "ellipse":
-        return math.pi * p[0] * p[1]
+        return math.pi * p[0] ** 2 if p[0] == p[1] else math.pi * p[0] * p[1]
     if kind == "cosine-series":
         return math.pi * (p[0] ** 2 + 0.5 * sum(c * c for c in p[1:]))
     if kind == "transformed":

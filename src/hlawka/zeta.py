@@ -344,7 +344,7 @@ class QuadForm2:
         R^-1 times the unit disc for the upper Cholesky factor R of u
         (u = R^T R), an ellipse by ``shapes.act``.  R's last entry is the
         root of det u / u11, formed exactly and rounded once, so a form with
-        u12 = 0 and u11 = u22 gives a circle."""
+        u12 = 0 and u11 = u22 gives an ellipse with equal axes."""
         schur = Fraction(self.u22) - Fraction(self.u12) ** 2 / Fraction(self.u11)
         if schur <= 0:  # a float det > 0 of an exactly singular form
             raise ValidationError("quadratic form must be positive definite")
@@ -372,9 +372,10 @@ class QuadForm2:
 
 
 def ellipse_form(a: float, b: float, phi: float = 0.0) -> QuadForm2:
-    """Quadratic form whose unit level set is the (a, b) ellipse rotated by phi."""
-    if not (a >= b > 0.0):
-        raise ValidationError("ellipse_form requires a >= b > 0")
+    """Quadratic form whose unit level set is the (a, b) ellipse rotated by
+    phi, the region of kappa(-phi) diag(a, b), for either order of a and b."""
+    if not (a > 0.0 and b > 0.0):
+        raise ValidationError("ellipse_form requires axes a, b > 0")
     g_e = Mat2.rotation(-phi) @ Mat2.diagonal(a, b)
     return QuadForm2.from_transform(g_e)
 
@@ -572,7 +573,7 @@ def _quadratic_rows(shape: RadialShape, radius: float) -> _QuadRows | None:
     for a form too ill-conditioned to continue.  The form is exact
     (``shapes._exact_form``), so that only the reduced form and the row
     parameters round, each once."""
-    if (shape.kind not in ("constant", "ellipse")
+    if (shape.kind != "ellipse"
             or math.pi * radius * radius / len(_lattice._GROUP[shape.symmetry]) <= _WALK_POINTS
             or not _R_RANGE[0] <= shape.r_min <= shape.r_max <= _R_RANGE[1]):
         return None
@@ -1112,10 +1113,11 @@ def eisenstein_fq_truncated(
     quarter turn maps the disc and Z^2 onto themselves and multiplies the
     sum by i^q != 1.  They are the exact 0 with error estimate 0, after the
     same validation, and walk nothing.  Unrotated, q = 0 mod 4 walks the D4
-    octant, since |p|^(-2s) is D4-invariant and so is e^{i q theta}, with
-    the twist |orbit| cos(q theta) (the sines cancel over the orbit); one
-    complex power per octant point.  Rotated, it folds by p -> -p, and
-    always walks.
+    octant with ``reconstruct_hlawka``'s walk (``_twisted_sums_truncated``),
+    since |p|^(-2s) is D4-invariant and so is e^{i q theta}: the twist is
+    |orbit| cos(q theta) (the sines cancel over the orbit), and T_q = T_|q|
+    by the reflection n -> -n.  Rotated, it folds by p -> -p, takes each
+    point's angle after rotating it, and always walks.
 
     Unrotated, where that walk would visit more than ``_WALK_POINTS`` points
     it takes the row tails of ``hlawka_direct_many`` for the identity form
@@ -1154,22 +1156,15 @@ def eisenstein_fq_truncated(
             value, added, em_terms = sums[0]
             return EvalResult(value=value, error_estimate=tail + added,
                               truncation={**trunc, "route": "row-tails", "rows": len(rows.x), "em_terms": em_terms})
+    if g_rotation == 0.0:
+        total = _twisted_sums_truncated(s, [abs(q)], radius, threads)[abs(q)]
+        return EvalResult(value=total, error_estimate=bar, truncation={**trunc, "route": "walk"})
     cr, sr = math.cos(g_rotation), math.sin(g_rotation)
 
     def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
         k = len(m)
         log_n2 = _log_norms(m, n)
-        angle = scratch("zeta.angle", k)
-        if g_rotation == 0.0:
-            np.arctan2(n, m, out=angle)
-            angle *= q
-            np.cos(angle, out=angle)
-            angle *= orbit
-            powers = _powers(log_n2, s)
-            powers *= angle
-            yield powers
-            return
-        x, tmp = scratch("zeta.x", k), scratch("zeta.tmp", k)
+        angle, x, tmp = scratch("zeta.angle", k), scratch("zeta.x", k), scratch("zeta.tmp", k)
         np.multiply(m, cr, out=x)
         x -= np.multiply(n, sr, out=tmp)
         np.multiply(m, sr, out=angle)
@@ -1180,7 +1175,7 @@ def eisenstein_fq_truncated(
         powers *= orbit
         yield powers
 
-    (total,) = _disc_sums(terms, radius, threads, Symmetry.D4 if g_rotation == 0.0 else Symmetry.NEGATION)
+    (total,) = _disc_sums(terms, radius, threads, Symmetry.NEGATION)
     return EvalResult(value=total, error_estimate=bar, truncation={**trunc, "route": "walk"})
 
 

@@ -9,6 +9,7 @@ import pytest
 from hlawka.errors import ShapeSpecError, ValidationError
 from hlawka.shapes import (
     Mat2,
+    Symmetry,
     act,
     area,
     cartan_decompose,
@@ -44,9 +45,21 @@ def test_square_radial_values():
 
 
 def test_ellipse_with_equal_axes_is_a_circle():
-    for a in (0.7, 1.0, 2.5):
-        e = ellipse(a, a, phi=0.3)
-        assert e == circle(a) and (e.kind, e.r_min, e.r_max) == ("constant", a, a)
+    # one quadratic kind: every way to build a circle gives the ellipse (c, c,
+    # 0.0), with D4 symmetry and r and the area as exact as r = c allows
+    from hlawka.zeta import QuadForm2
+
+    radii = []
+    for k in (0.7, 1.0, 2.0, 4.0):
+        c = 1.0 / math.sqrt(k)  # the region's axes, 1 / sqrt(u11), exactly
+        for sh in (circle(c), ellipse(c, c, phi=0.3), parse_shape(f"circle:c={c!r}"), QuadForm2(k, 0.0, k).region()):
+            assert sh == circle(c) and (sh.kind, sh.params, sh.r_min, sh.r_max) == ("ellipse", (c, c, 0.0), c, c)
+            assert (sh.symmetry, sh.symmetry_order) == (Symmetry.D4, 0)
+            assert sh.evaluate(0.3) == c and np.all(sh.evaluate(GRID) == c)
+            assert area(sh) == math.pi * c ** 2
+        radii.append(c)
+    # pi c^2 and (pi c) c differ in the last bit at c = 2^(-1/2)
+    assert any(math.pi * c * c != math.pi * c ** 2 for c in radii)
 
 
 def test_ellipse_radial_values():
@@ -229,8 +242,8 @@ def test_quadratic_images_are_ellipses_with_exact_bounds(monkeypatch):
     for image, g, (a, b, phi) in cases:
         h = np.reshape(g, (2, 2)) @ [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]] @ np.diag([a, b])
         axes = np.linalg.svd(h, compute_uv=False)
-        assert image.kind in ("constant", "ellipse") and image.symmetry.has_negation
-        assert image.symmetry_order == (0 if image.kind == "constant" else 2)
+        assert image.kind == "ellipse" and image.symmetry.has_negation
+        assert image.symmetry_order == (0 if image.params[0] == image.params[1] else 2)
         assert image.r_max == pytest.approx(axes[0], rel=1e-14) and image.r_min == pytest.approx(axes[1], rel=1e-14)
         r = np.asarray(image.evaluate(GRID))
         assert image.r_min <= float(np.min(r)) and float(np.max(r)) <= image.r_max
@@ -470,7 +483,8 @@ def test_act_rejects_singular():
 
 
 def test_parse_shape_round_trips():
-    assert parse_shape("circle:c=1.5").kind == "constant"
+    ci = parse_shape("circle:c=1.5")
+    assert ci.kind == "ellipse" and ci.params == (1.5, 1.5, 0.0)
     assert parse_shape("square").kind == "square"
     assert parse_shape("odd").kind == "odd"
     el = parse_shape("ellipse:a=2,b=1,phi=0.3")
