@@ -53,7 +53,6 @@ __all__ = [
     "perron_count_approx",
     "residue_at_one",
     "probe_regular_fe",
-    "boundary_vertex_count",
 ]
 
 _TINY = 1e-300
@@ -393,36 +392,14 @@ def check_coefficient_identity(a: float, b: float, q: int, samples) -> CheckRepo
 # ---------------------------------------------------------------------------
 
 
-def boundary_vertex_count(shape: RadialShape) -> int:
-    """Number of tangent-direction jumps above 0.05 rad of the boundary
-    curve sampled at 2^14 angles.
-
-    Linear maps preserve the vertex count of a polygon, so this is a valid
-    orbit invariant (unlike arc length, which shears change).
-    """
-    n = 1 << 14
-    th = np.arange(n) * (2.0 * math.pi / n)
-    r = np.asarray(shape.evaluate(th))
-    x = r * np.cos(th)
-    y = r * np.sin(th)
-    dx = np.roll(x, -1) - x
-    dy = np.roll(y, -1) - y
-    psi = np.unwrap(np.arctan2(dy, dx))
-    # circular turning angles; the boundary winds once, so the wrap chord
-    # turns by psi[0] + 2 pi - psi[-1]
-    turn = np.abs(np.append(np.diff(psi), psi[0] + 2.0 * math.pi - psi[-1]))
-    jumps = turn > 0.05
-    # merge runs of consecutive flagged steps into single vertices
-    return int(np.count_nonzero(jumps & ~np.roll(jumps, 1)))
-
-
 def check_odd_vs_square(t_max: float, samples, threads=None) -> CheckReport:
     """The seven-segment region and the square share spectra and Z values.
 
     Entry-by-entry exact integer agreement of the spectra, Z equality from
     the spectra at the sample points (tolerance 1e-12), and the orbit
     statistic distinguishing the two regions: equal areas but different
-    boundary vertex counts (a linear image of the square would have 4).
+    vertex counts, the lengths of their vertex lists (a linear image of the
+    square would have 4).
     """
     if t_max < 30:
         raise ValidationError("t_max must be >= 30")
@@ -436,10 +413,6 @@ def check_odd_vs_square(t_max: float, samples, threads=None) -> CheckReport:
     # one power call per spectrum for all samples
     residuals = [_residual(z1.value, z2.value)
                  for z1, z2 in zip(_spectrum_sums(spec_sq, samples), _spectrum_sums(spec_od, samples))]
-    v_sq = boundary_vertex_count(sq)
-    v_od = boundary_vertex_count(od)
-    a_sq = area(sq)
-    a_od = area(od)
     return _report(
         "odd-vs-square",
         samples,
@@ -449,15 +422,15 @@ def check_odd_vs_square(t_max: float, samples, threads=None) -> CheckReport:
             "t_max": t_max,
             "entries": len(spec_sq.t_values),
             "spectra_identical": entries_equal,
-            "square_area": a_sq,
-            "odd_area": a_od,
-            "square_vertices": v_sq,
-            "odd_vertices": v_od,
+            "square_area": area(sq),
+            "odd_area": area(od),
+            "square_vertices": len(sq.params),
+            "odd_vertices": len(od.params),
             "orbit_statistic": "vertex count differs (4 vs 7) while areas agree; "
             "a linear image of the square keeps 4 vertices, so the seven-vertex "
             "region is outside the GL(2,R) orbit",
         },
-        passed=entries_equal and v_sq == 4 and v_od == 7,
+        passed=entries_equal and len(sq.params) == 4 and len(od.params) == 7,
     )
 
 
@@ -632,10 +605,10 @@ def residue_at_one(shape: RadialShape) -> float:
     2e-4 and 1e-4.
 
     Circle and ellipse go through the Epstein continuation of their quadratic
-    form; square and odd shape reduce to 8 zeta(2s - 1) via their common
-    spectrum, its residue evaluated by the same numeric limit.  Other kinds
-    are rejected.  Equals the area of the region (pole of the dilation-count
-    series at s = 1).
+    form; a polygon, a GL(2,Z) image of the square or of the odd shape,
+    reduces to 8 zeta(2s - 1) via their common spectrum, its residue
+    evaluated by the same numeric limit.  Other kinds are rejected.  Equals
+    the area of the region (pole of the dilation-count series at s = 1).
     """
 
     steps = (2e-4, 1e-4)
@@ -643,12 +616,12 @@ def residue_at_one(shape: RadialShape) -> float:
         u = ellipse_form(*shape.params)
         # one reduction, one splitting and one incomplete-gamma call for all four s
         values = [r.value for r in epstein_continued_many(u, [1.0 + h * sign for h in steps for sign in (1, -1)])]
-    elif shape.kind in ("square", "odd"):
+    elif shape.kind == "polygon":
         values = [8.0 * riemann_zeta(1.0 + 2.0 * h * sign) for h in steps for sign in (1, -1)]
     else:
         raise ValidationError(
             f"residue_at_one supports circle/ellipse (quadratic form) and "
-            f"square/odd (closed form), not kind {shape.kind!r}"
+            f"polygon (closed form), not kind {shape.kind!r}"
         )
 
     r1, r2 = (0.5 * (h * up - h * dn) for h, up, dn in zip(steps, values[::2], values[1::2]))

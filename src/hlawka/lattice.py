@@ -20,21 +20,20 @@ and kept), but the merge happens in chunk order and every chunk is reduced
 identically, so results are bit-identical across thread counts.  Each worker
 thread fills its chunks' points into its own scratch arrays
 (``scratch.scratch``), and the hot dilation kernels write into such arrays
-too, so no chunk-sized array is allocated per chunk.  For the
-square and the odd shape the dilation times are evaluated by exact integer
-piecewise-linear forms, which keeps their spectra exactly integral.  An
-image of a circle or an ellipse is an ellipse (``shapes.act``), so it is
-timed by the ellipse's closed form.  A transformed shape gD (an image of a
-square, an odd shape or a cosine series) reuses the kernel of D through
-t_{gD}(p) = t_D(g^-1 p), so integral images such as GL(2,Z) images of the
-square stay exact too.
+too, so no chunk-sized array is allocated per chunk.  A polygon (the
+square, the odd shape and their GL(2,Z) images) is timed by one
+piecewise-linear kernel of its integer edge functionals, which keeps its
+spectra exactly integral.  An image of a circle or an ellipse is an
+ellipse (``shapes.act``), so it is timed by the ellipse's closed form.  A
+transformed shape gD (any other image of a polygon or a cosine series)
+reuses the kernel of D through t_{gD}(p) = t_D(g^-1 p).
 
-These integer kinds (``time_ulps`` 0) are counted without a walk:
-``time_counts`` gives the number of points of each integer t in a disc
-from exact range-adds over rows and the cones of the kind's star polygon,
-O(rows x edges) work where a walk takes O(R^2).  Their spectra and counts
-read it, and so do their direct sums (but for t beyond zeta._COUNT_BINS);
-only a spectrum's witnesses still walk.
+Polygons (``time_ulps`` 0) are counted without a walk: ``time_counts``
+gives the number of points of each integer t in a disc from exact
+range-adds over rows and the polygon's cones, O(rows x edges) work where a
+walk takes O(R^2).  Their spectra and counts read it, and so do their
+direct sums (but for t beyond zeta._COUNT_BINS); only a spectrum's
+witnesses still walk.
 
 Every kernel gives all orbit images of a point under ``shape.symmetry`` the
 bit-identical t: the cosine series folds the point into the fundamental
@@ -61,6 +60,7 @@ import warnings
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -268,9 +268,8 @@ def dilation_times_block(
     only the cosine series goes through r(theta), at the point's image in
     the fundamental domain of ``shape.symmetry``.  Every kind gives all
     orbit images of a point under ``shape.symmetry`` the bit-identical t.
-    For the square and the odd shape the result is an exact small integer.
-    Temporaries come from scratch arrays (a transformed shape allocates its
-    preimage points).
+    For a polygon the result is an exact small integer.  Temporaries come
+    from scratch arrays (a transformed shape allocates its preimage points).
     """
     k = len(m)
     if out is None:
@@ -279,13 +278,8 @@ def dilation_times_block(
     if kind == "transformed":
         g, base = shape.params
         return dilation_times_block(base, *g.inverse().apply(m, n), out=out)
-    if kind == "square":
-        tmp = scratch("lattice.t1", k)
-        np.absolute(m, out=out)
-        np.absolute(n, out=tmp)
-        return np.maximum(out, tmp, out=out)
-    if kind == "odd":
-        return _odd_times(m, n, out)
+    if kind == "polygon":
+        return _polygon_times(shape.params, m, n, out)
     if kind == "ellipse":
         a, b, phi = shape.params
         if a == b:  # a circle: |p| / a, rounded twice
@@ -329,34 +323,99 @@ def dilation_times_block(
     return out
 
 
-def _odd_times(m: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The odd shape's gauge max(-m, m - n, n, 2n - |m|) above the axis
-    (2n - |m| is the notch at (0, 1/2)) and max(|m|, -n) below it: exact
-    integers for integer input."""
+@functools.lru_cache(maxsize=1024)
+def _cones(vertices: tuple) -> tuple[list, list]:
+    """(cones, terms) of a polygon.  Every nonzero point p lies in exactly
+    one cone (a, b, l), a x p >= 0 > b x p for positive multiples a, b of
+    consecutive vertices v_i, v_(i+1) with integer coordinates, where t(p)
+    = l . p for the functional with l . v_i = l . v_(i+1) = 1 (integral for
+    every GL(2,Z) image of the square and the odd shape).
+
+    The terms give the max-min form of the gauge (Ovchinnikov, 2002), t(p) =
+    max_j min_(l in S_j) l . p with S_j = {l : l . p >= l_j . p on cone j},
+    found exactly at the cone's two rays.  Where the polygon lies in l_j .
+    x <= 1, l_j . p <= t(p) everywhere and S_j is {l_j} alone; a set that
+    holds another is dropped, as its minimum never exceeds the other's.
+    Two single functionals l and -l become the term |l . p| ("abs"), a pair
+    u + w, u - w with integral u, w the term u . p - |w . p| ("notch"), any
+    other set its minimum ("min"): each saves passes over the points."""
+    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+    funcs = [(int(Fraction(y1 - y0, x0 * y1 - x1 * y0)), int(Fraction(x0 - x1, x0 * y1 - x1 * y0)))
+             for (x0, y0), (x1, y1) in edges]
+    rays = [(int(x * x.denominator * y.denominator), int(y * x.denominator * y.denominator)) for x, y in vertices]
+    sets = [(own,) if all(own[0] * x + own[1] * y <= 1 for x, y in vertices)
+            else tuple(ell for ell in funcs if min(ell[0] * w[0] + ell[1] * w[1] for w in edge) >= 1)
+            for edge, own in zip(edges, funcs)]
+    sets = [a for a in dict.fromkeys(sets) if not any(set(b) < set(a) for b in sets)]
+    single = [a[0] for a in sets if len(a) == 1]
+    terms = [("abs", (ell,)) for ell in single if ell > (0, 0) and (-ell[0], -ell[1]) in single]
+    for a in sets:
+        if len(a) == 2 and all((x - y) % 2 == 0 for x, y in zip(*a)):
+            u, w = (tuple((x + sign * y) // 2 for x, y in zip(*a)) for sign in (1, -1))
+            terms.append(("notch", (u, max(w, (-w[0], -w[1])))))
+        elif len(a) > 1 or (-a[0][0], -a[0][1]) not in single:
+            terms.append(("min", a))
+    return [(rays[i - 1], rays[i], funcs[i - 1]) for i in range(len(rays))], terms
+
+
+def _polygon_times(vertices: tuple, m: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A polygon's gauge in the max-min form of ``_cones``, each term folded
+    into a running maximum in ``out`` through two scratch arrays (every
+    array more costs cache).  Each l . p of the square and the odd shape
+    rounds once (``_linear``), and so does 2n - |m|, the odd shape's notch;
+    min and max commute with rounding: on integer points the times are
+    exact integers, on others the correctly rounded times wherever every
+    term is."""
     k = len(m)
-    am, upper = scratch("lattice.t1", k), scratch("lattice.t2", k)
-    np.absolute(m, out=am)
-    np.multiply(n, 2, out=upper)
-    upper -= am
-    np.maximum(upper, np.subtract(m, n, out=out), out=upper)
-    np.maximum(upper, n, out=upper)
-    np.maximum(upper, np.negative(m, out=out), out=upper)
-    np.maximum(np.negative(n, out=out), am, out=out)
-    np.copyto(out, upper, where=np.greater(n, 0, out=scratch("lattice.above", k, bool)))
+    if m.dtype.kind != "f":  # exact floats, so that every later pass runs on floats
+        m, n = np.multiply(m, 1.0, out=scratch("lattice.x", k)), np.multiply(n, 1.0, out=scratch("lattice.y", k))
+    into, term, aux = out, scratch("lattice.t1", k), scratch("lattice.t2", k)  # the first term into ``out``
+    for kind, piece in _cones(vertices)[1]:
+        low = _linear(piece[0], m, n, into)
+        if kind == "notch":  # min(u . p + w . p, u . p - w . p)
+            low = np.subtract(low, np.absolute(_linear(piece[1], m, n, aux), out=aux), out=into)
+        else:
+            for ell in piece[1:]:
+                low = np.minimum(low, _linear(ell, m, n, aux), out=into)
+        if kind == "abs":
+            low = np.absolute(low, out=into)
+        if into is not out:
+            np.maximum(out, low, out=out)
+        elif low is not out:
+            np.copyto(out, low)
+        into = term
     return out
+
+
+def _linear(ell: tuple[int, int], m: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ell . p into ``out``, or m or n itself: a coefficient 1 is read, not
+    multiplied, and a coefficient +-1 is added or subtracted last, so that
+    where the other coefficient is a power of 2 (or 0) ell . p rounds once."""
+    (a, x), (b, y) = (ell[0], m), (ell[1], n)
+    if a == 0 or b != 0 and abs(a) == 1 != abs(b):  # a zero second, else a unit second where there is one
+        (a, x), (b, y) = (b, y), (a, x)
+    first = x if a == 1 else np.multiply(x, a, out=out)
+    if b == 0:
+        return first
+    if abs(b) == 1:
+        return (np.add if b == 1 else np.subtract)(first, y, out=out)
+    return np.add(first, np.multiply(y, b, out=scratch("lattice.t3", len(y))), out=out)
 
 
 def time_ulps(shape: RadialShape) -> float:
     """A bound b on the relative rounding of ``dilation_times_block`` in
     units of 2^-52 (a computed t is within b 2^-52 t of the exact one).
 
-    0 where every t is an exact integer: the square, the odd shape and their
-    images under an integer g with det +-1.  Else 16 r_max / r_min: the
-    closed forms round a few times (an ellipse's rotation cancels up to
-    a / b), and a transformed shape's preimage g^-1 p is off by 3.6 cond(g)
-    ulps, which the base's gauge scales by its r_max / r_min times its slope
-    r_min |grad t| (1 + S_1 / r_min for a cosine series, at most 1.2 for
-    the other kinds).  The same 16 a / b covers the rounded axes and angle
+    0 for a polygon, whose every t is an exact integer.  Else 16 r_max /
+    r_min: the closed forms round a few times (an ellipse's rotation
+    cancels up to a / b), and a transformed shape's preimage g^-1 p is off
+    by 3.6 cond(g) ulps, which the base's gauge scales by its r_max / r_min
+    times its slope r_min |grad t| (1 + S_1 / r_min for a cosine series,
+    r_min max |l_i| for a polygon: 1 for the square, sqrt(5) / 2 for the
+    odd shape).  A polygon's terms of a float preimage round a few times,
+    within (2 max |l_i| |p| + t) 2^-53 (a notch u . p - |w . p| has |u|,
+    |w| <= max |l_i|), so that the polygon adds its slope times its r_max /
+    r_min, and 1.  The same 16 a / b covers the rounded axes and angle
     of an ellipse made by ``shapes.act`` or ``QuadForm2.region``, against
     the exact image, whatever g and the base: ``act`` forms g kappa(-phi)
     diag(a, b) and its alpha and beta exactly (cos phi and sin phi to 45
@@ -375,27 +434,21 @@ def time_ulps(shape: RadialShape) -> float:
     adds that preimage term to its base's bound.
     """
     kind, ratio = shape.kind, shape.r_max / shape.r_min
-    if kind in ("square", "odd"):
+    if kind == "polygon":
         return 0.0
+    if kind == "ellipse":
+        return 16.0 * ratio
     core = shape
     while core.kind == "transformed":
         core = core.params[1]
-    coeffs, series = core.params, core.kind == "cosine-series"
-    slope = 1.0 + sum(q * abs(x) for q, x in enumerate(coeffs)) / core.r_min if series else 1.2
+    slope = (core.r_min * max(math.hypot(*ell) for _, _, ell in _cones(core.params)[0]) if core.kind == "polygon"
+             else 1.0 + sum(q * abs(x) for q, x in enumerate(core.params)) / core.r_min)
     if kind == "cosine-series":
         angle = math.pi / {Symmetry.REFLECTION: 1, Symmetry.KLEIN: 2, Symmetry.D4: 4}[shape.symmetry]
-        evaluation = (5.0 + sum(x != 0.0 for x in coeffs[1:])) * sum(map(abs, coeffs)) / shape.r_min
+        evaluation = (5.0 + sum(x != 0.0 for x in core.params[1:])) * sum(map(abs, core.params)) / shape.r_min
         return max(16.0 * ratio, 5.0 * angle * (slope - 1.0) + evaluation + 5.0)
-    if kind != "transformed":
-        return 16.0 * ratio
     g, base = shape.params
-    inner = time_ulps(base)
-    if inner == 0.0 and all(float(x).is_integer() for x in g.entries()):
-        a, b, c, d = map(int, g.entries())
-        if abs(a * d - b * c) == 1:
-            return 0.0
-    if base.kind in ("square", "odd"):
-        return 16.0 * ratio
+    inner = slope * base.r_max / base.r_min + 1.0 if base.kind == "polygon" else time_ulps(base)
     return max(16.0 * ratio, inner + 4.0 * ratio * slope)
 
 
@@ -548,36 +601,6 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 # Integer dilation times by rows
 # ---------------------------------------------------------------------------
 
-# the gauge of each integer kind as a star polygon: its vertices in
-# counterclockwise order, doubled so that the odd shape's notch (0, 1/2) is
-# integral, and the integer functional l_i of the edge from vertex i to
-# vertex i + 1 (l_i . v = 1 on it, undoubled); t(p) = l_i . p on the cone
-# between the rays of the two vertices
-_POLYGONS = {
-    "square": (((1, -1), (1, 1), (-1, 1), (-1, -1)), ((1, 0), (0, 1), (-1, 0), (0, -1))),
-    "odd": (((2, 0), (4, 2), (2, 2), (0, 1), (-2, 2), (-2, -2), (2, -2)),
-            ((1, -1), (0, 1), (-1, 2), (1, 2), (-1, 0), (0, -1), (1, 0))),
-}
-
-
-def _cones(shape: RadialShape) -> list[tuple[tuple[int, int], tuple[int, int], tuple[int, int]]]:
-    """The cones (a, b, l) of a shape whose ``time_ulps`` is 0: every nonzero
-    point p lies in exactly one, a x p >= 0 > b x p, where t(p) = l . p.  An
-    image hD has the rays h a, h b and the functional h^-T l, and swaps a and
-    b where det h = -1 turns the order of the rays."""
-    if shape.kind != "transformed":
-        verts, funcs = _POLYGONS[shape.kind]
-        return [(verts[i], verts[(i + 1) % len(verts)], funcs[i]) for i in range(len(verts))]
-    g, base = shape.params
-    a, b, c, d = map(int, g.entries())
-    det = a * d - b * c  # +-1, so h^-T = det [[d, -c], [-b, a]]
-    out = []
-    for u, v, (lx, ly) in _cones(base):
-        hu, hv = (a * u[0] + b * u[1], c * u[0] + d * u[1]), (a * v[0] + b * v[1], c * v[0] + d * v[1])
-        ell = (det * (d * lx - c * ly), det * (a * ly - b * lx))
-        out.append((hu, hv, ell) if det > 0 else (hv, hu, ell))
-    return out
-
 
 def _narrow(c: int, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Narrow each row's m-interval [lo, hi] to the integers with c m <= d."""
@@ -591,8 +614,8 @@ def _narrow(c: int, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 def time_counts(shape: RadialShape, radius: float, top: int | None = None) -> np.ndarray:
     """Entry t: the number of points 0 < |p| <= radius (those of the float
-    test against radius * radius) of dilation time t, for a shape whose
-    ``time_ulps`` is 0; only up to t = ``top`` when it is given.
+    test against radius * radius) of dilation time t, for a polygon; only
+    up to t = ``top`` when it is given.
 
     No point is walked.  On each row n and each cone of ``_cones`` the
     points form one m-interval, found from the two cross products in exact
@@ -604,7 +627,7 @@ def time_counts(shape: RadialShape, radius: float, top: int | None = None) -> np
     rows, ext = _row_extents(math.floor(radius * radius))
     n, ext = np.concatenate((-rows[:0:-1], rows)), np.concatenate((ext[:0:-1], ext))
     runs: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for (ax, ay), (bx, by), (lx, ly) in _cones(shape):
+    for (ax, ay), (bx, by), (lx, ly) in _cones(shape.params)[0]:
         lo, hi = -ext, ext.copy()
         _narrow(ay, ax * n, lo, hi)  # a x p >= 0
         _narrow(-by, -bx * n - 1, lo, hi)  # b x p < 0

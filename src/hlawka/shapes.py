@@ -1,16 +1,19 @@
 """Star-shaped planar regions, their radial functions and the GL(2,R) action.
 
-Supported kinds: ellipse (a circle is the ellipse with equal axes), square
-(side 2, centered), a seven-segment "odd" region with the same dilation
-spectrum as the square, finite cosine series, and images of the last three
-under a nonsingular 2x2 matrix (``transformed``).  GL(2,R) maps ellipses to
-ellipses, so ``act`` returns an image of an ellipse as an ellipse, read off
-the Cartan decomposition.  Each kind is defined once, by its gauge t(p) =
-inf{t : p in tD} (``lattice.dilation_times_block``); the radial function,
-whose curve theta |-> r(theta) (cos theta, sin theta) is the boundary, is
-r(theta) = 1 / t(cos theta, sin theta).  The circle (an ellipse with a = b,
-r = a) and the cosine series keep r as their definition.  A transformed
-shape has t_{gD}(p) = t_D(g^-1 p), for either sign of det g.
+Supported kinds: ellipse (a circle is the ellipse with equal axes), polygon
+(a star polygon given by its exact vertices: the square of side 2, the
+seven-segment "odd" region with the same dilation spectrum, and their
+GL(2,Z) images), finite cosine series, and images of polygons and cosine
+series under any other nonsingular 2x2 matrix (``transformed``).  GL(2,R)
+maps ellipses to ellipses, so ``act`` returns an image of an ellipse as an
+ellipse, read off the Cartan decomposition, and an integer matrix of det
++-1 maps a polygon to the polygon of the image vertices.  Each kind is
+defined once, by its gauge t(p) = inf{t : p in tD}
+(``lattice.dilation_times_block``); the radial function, whose curve theta
+|-> r(theta) (cos theta, sin theta) is the boundary, is r(theta) = 1 /
+t(cos theta, sin theta).  The circle (an ellipse with a = b, r = a) and the
+cosine series keep r as their definition.  A transformed shape has
+t_{gD}(p) = t_D(g^-1 p), for either sign of det g.
 
 Matrix conventions.  kappa(phi) denotes [[cos phi, sin phi], [-sin phi,
 cos phi]]; as a map of column vectors it rotates the plane by -phi, hence the
@@ -23,8 +26,9 @@ All evaluators accept scalars or numpy arrays and are pure; shapes are
 immutable after construction and safe to share across threads.
 
 ``RadialShape.symmetry`` is the subgroup of D4, the symmetries of Z^2, that
-maps the region onto itself, read from the kind and its parameters (never
-sampled); the direct sums walk one lattice point per orbit of it.
+maps the region onto itself, read from the kind and its parameters (a
+polygon's from its vertex set; never sampled); the direct sums walk one
+lattice point per orbit of it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -209,20 +213,20 @@ class Symmetry(enum.Enum):
 @dataclass(frozen=True)
 class RadialShape:
     """Immutable star-shaped region with r_min <= r(theta) <= r_max: the
-    extremes of r for an ellipse (every circle and every image included),
-    the square and the odd shape; bounds from a grid and the series'
-    curvature for a cosine series; singular-value bounds for a transformed
-    shape.
+    extremes of r for an ellipse (every circle and every image included)
+    and a polygon; bounds from a grid and the series' curvature for a
+    cosine series; singular-value bounds for a transformed shape.
 
     ``params`` is kind-specific:
       ellipse        (a, b, phi), a >= b; a circle of radius c is (c, c,
                      0.0); an image from ``act`` whose axes lie on the
                      coordinate axes has phi = 0 and either order
-      square         ()
-      odd            ()
+      polygon        ((x0, y0), (x1, y1), ...): the vertices in
+                     counterclockwise order, each cone v_i x v_(i+1) > 0,
+                     exact (int, or ``Fraction`` where not integral)
       cosine-series  (c0, c1, ..., cQ)
-      transformed    (matrix, base_shape): an image of a square, an odd
-                     shape or a cosine series (or of such an image)
+      transformed    (matrix, base_shape): an image of a polygon or a
+                     cosine series (or of such an image)
     """
 
     kind: str
@@ -250,26 +254,31 @@ class RadialShape:
     @cached_property
     def symmetry_order(self) -> int:
         """The largest k with r(theta + 2 pi / k) = r(theta), 0 for full
-        rotational symmetry; read from the kind, and for a transformed shape
+        rotational symmetry; read from the kind (a polygon's rational
+        vertices admit only k = 1, 2 and 4), and for a transformed shape
         sampled (k <= 16, within 1e-10) when first read."""
         kind = self.kind
         if kind == "ellipse":
             return 0 if self.params[0] == self.params[1] else 2
-        if kind == "square":
-            return 4
-        if kind == "odd":
-            return 1
+        if kind == "polygon":
+            return 4 if self._keeps(0, -1, 1, 0) else 2 if self._keeps(-1, 0, 0, -1) else 1
         if kind == "cosine-series":
             nonzero = [q for q in range(1, len(self.params)) if self.params[q] != 0.0]
             return math.gcd(*nonzero) if nonzero else 0
         return _detect_symmetry(self.evaluate)
 
-    @property
+    @cached_property
     def symmetry(self) -> Symmetry:
         """The subgroup of D4 that maps the region onto itself (one that the
-        kind and parameters show; a transformed shape keeps only p -> -p)."""
+        kind and parameters show: for a polygon the largest that maps its
+        vertex set onto itself; a transformed shape keeps only p -> -p)."""
         kind = self.kind
-        if kind == "square" or (kind == "ellipse" and self.params[0] == self.params[1]):
+        if kind == "polygon":
+            negation = self._keeps(-1, 0, 0, -1)
+            if not self._keeps(1, 0, 0, -1):
+                return Symmetry.NEGATION if negation else Symmetry.TRIVIAL
+            return Symmetry.D4 if self._keeps(0, -1, 1, 0) else Symmetry.KLEIN if negation else Symmetry.REFLECTION
+        if kind == "ellipse" and self.params[0] == self.params[1]:
             return Symmetry.D4
         if kind == "ellipse":
             return Symmetry.KLEIN if self.params[2] == 0.0 else Symmetry.NEGATION
@@ -283,6 +292,11 @@ class RadialShape:
         if kind == "transformed" and self.params[1].symmetry.has_negation:
             return Symmetry.NEGATION
         return Symmetry.TRIVIAL
+
+    def _keeps(self, a, b, c, d) -> bool:
+        """Whether [[a, b], [c, d]] maps a polygon's vertex set onto itself,
+        and so the polygon onto itself."""
+        return {(a * x + b * y, c * x + d * y) for x, y in self.params} == set(self.params)
 
 
 def _cosine_series(coeffs, th: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -333,21 +347,33 @@ def ellipse(a: float, b: float, phi: float = 0.0) -> RadialShape:
     )
 
 
+@lru_cache(maxsize=1024)
+def _polygon(vertices: tuple) -> RadialShape:
+    """The star polygon of these counterclockwise vertices, each cone v_i x
+    v_(i+1) > 0, with exact coordinates: ints, and ``Fraction`` where not
+    integral (an int hashes fast, and ``lattice`` looks the polygon up by
+    them).  r_max is the farthest vertex and r_min the nearest point of an
+    edge, from exact squared norms rounded once before the root.  The last
+    1024 built are kept: the ``Fraction`` arithmetic costs about a
+    millisecond."""
+    nearest = []
+    for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
+        dx, dy = bx - ax, by - ay
+        u = min(max(Fraction(-(ax * dx + ay * dy), dx * dx + dy * dy), 0), 1)
+        nearest.append((ax + u * dx) ** 2 + (ay + u * dy) ** 2)
+    return RadialShape(kind="polygon", params=vertices, r_min=math.sqrt(min(nearest)),
+                       r_max=math.sqrt(max(x * x + y * y for x, y in vertices)))
+
+
 def square() -> RadialShape:
     """Square of side 2 centered at the origin (dilation times are integers)."""
-    return RadialShape(
-        kind="square", params=(), r_min=1.0, r_max=math.sqrt(2.0),
-    )
+    return _polygon(((1, -1), (1, 1), (-1, 1), (-1, -1)))
 
 
 def odd_shape() -> RadialShape:
-    """Seven-segment region with the same dilation spectrum as the square.
-
-    Vertices (1,0), (2,1), (1,1), (0,1/2), (-1,1), (-1,-1), (1,-1); area 4.
-    """
-    return RadialShape(
-        kind="odd", params=(), r_min=0.5, r_max=math.sqrt(5.0),
-    )
+    """Seven-segment region with the same dilation spectrum as the square;
+    area 4."""
+    return _polygon(((1, 0), (2, 1), (1, 1), (0, Fraction(1, 2)), (-1, 1), (-1, -1), (1, -1)))
 
 
 def cosine_series(coeffs) -> RadialShape:
@@ -436,10 +462,12 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
     (arg alpha + arg beta) / 2 of its Cartan decomposition (as in
     ``cartan_decompose``), a zero angle stored as +0.0.  Each axis is
     rounded a few times from exact sums and squares, with no cancellation.
-    The bounds are the axes and the symmetry is read from the kind.  Any
-    other shape gives a ``transformed`` one; as sigma_min(g) |x| <= |g x|
-    <= sigma_max(g) |x|, its bounds are sigma_min(g) r_min and
-    sigma_max(g) r_max of ``shape``.
+    The bounds are the axes and the symmetry is read from the kind.  An
+    integer g of det +-1 maps a polygon to the polygon of the vertices g v_i
+    (in reversed order where det g = -1 turns them clockwise).  Any other
+    shape gives a ``transformed`` one; as sigma_min(g) |x| <= |g x| <=
+    sigma_max(g) |x|, its bounds are sigma_min(g) r_min and sigma_max(g)
+    r_max of ``shape``.
     """
     if g.det == 0.0:
         raise ValidationError("act requires a nonsingular matrix")
@@ -448,6 +476,11 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
     s_max = 0.5 * (math.hypot(g.a + g.d, g.c - g.b) + math.hypot(g.a - g.d, g.c + g.b))
     if not math.isfinite(s_max * shape.r_max):
         raise ValidationError("the image is too large for floats")
+    if shape.kind == "polygon" and all(float(x).is_integer() for x in g.entries()):
+        a, b, c, d = map(int, g.entries())
+        if abs(a * d - b * c) == 1:
+            verts = tuple((a * x + b * y, c * x + d * y) for x, y in shape.params)
+            return _polygon(verts if a * d - b * c > 0 else verts[::-1])
     if shape.kind != "ellipse":
         return RadialShape(kind="transformed", params=(g, shape),
                            r_min=abs(g.det) / s_max * shape.r_min, r_max=s_max * shape.r_max)
@@ -469,17 +502,17 @@ def act(g: Mat2, shape: RadialShape) -> RadialShape:
 
 def area(shape: RadialShape) -> float:
     """Exact region area: pi a b (ellipse; pi c^2 for a circle, which (pi c) c
-    would round differently), 4 (square and odd shape), pi (c_0^2 + (1/2)
-    sum c_q^2) for a cosine series (Parseval on (1/2) integral r^2), |det g|
-    area(D) for a transformed image gD."""
+    would round differently), the shoelace formula in ``Fraction`` for a
+    polygon, pi (c_0^2 + (1/2) sum c_q^2) for a cosine series (Parseval on
+    (1/2) integral r^2), |det g| area(D) for a transformed image gD."""
     kind, p = shape.kind, shape.params
     if kind == "ellipse":
         return math.pi * p[0] ** 2 if p[0] == p[1] else math.pi * p[0] * p[1]
+    if kind == "polygon":
+        return float(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(p, p[1:] + p[:1])) / 2)
     if kind == "cosine-series":
         return math.pi * (p[0] ** 2 + 0.5 * sum(c * c for c in p[1:]))
-    if kind == "transformed":
-        return abs(p[0].det) * area(p[1])
-    return 4.0
+    return abs(p[0].det) * area(p[1])
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,16 @@ chunk order with pairwise summation, so results are bit-identical across
 thread counts.  Each sum walks a fundamental domain of the subgroup G of D4
 under which its terms are invariant, decided from the kind and parameters,
 and weights each point by its orbit size: all of D4 for the circle (the
-region of a form with u12 = 0 and u11 = u22 among them), the square, cosine
-series in cos(4k theta) and every unrotated twisted sum; the axis
-reflections for unrotated ellipses (the region of every other form with
-u12 = 0 among them) and even cosine series; n -> -n for other cosine
-series; p -> -p for the rest of the centrally symmetric terms, every other
-ellipse included.  An unrotated twisted sum (q = 0 mod 4; the other
-components vanish identically and are not summed) weights each octant
-point by |orbit| cos(q theta).  Where ``lattice.time_ulps`` is 0 the
-dilation times are exact integers: no point is walked,
+region of a form with u12 = 0 and u11 = u22 among them), cosine series in
+cos(4k theta) and every unrotated twisted sum; the axis reflections for
+unrotated ellipses (the region of every other form with u12 = 0 among
+them) and even cosine series; n -> -n for other cosine series; p -> -p for
+the rest of the centrally symmetric terms, every other ellipse included.
+A polygon takes the group that maps its vertex set onto itself: D4 for the
+square, the trivial group for the odd shape.  An unrotated twisted sum (q =
+0 mod 4; the other components vanish identically and are not summed)
+weights each octant point by |orbit| cos(q theta).  A polygon's dilation
+times are exact integers (``lattice.time_ulps`` is 0): no point is walked,
 ``lattice.time_counts`` counts the points of each t by rows, and the sum
 takes one complex power per distinct t.  ``error_estimate`` adds to the
 tail a rounding bound relative to a closed-form bound on the sum of the
@@ -1121,7 +1122,8 @@ def eisenstein_fq_truncated(
 
     Unrotated, where that walk would visit more than ``_WALK_POINTS`` points
     it takes the row tails of ``hlawka_direct_many`` for the identity form
-    instead, twisted: T_q(R) = E_q(s) - 2 sum_(n <= N) (weighted row tails
+    instead (``_twisted_truncated``, the route ``reconstruct_hlawka`` takes
+    too), twisted: T_q(R) = E_q(s) - 2 sum_(n <= N) (weighted row tails
     beyond a_n) - (full rows |n| > N), with E_q from
     ``eisenstein_fq_continued``'s harmonic theta split, each row's tail by
     Euler-Maclaurin (``_row_tails``) with its integral from
@@ -1146,19 +1148,11 @@ def eisenstein_fq_truncated(
     trunc = {"radius": radius, "q": q, "rotation": g_rotation}
     if q % 4 != 0:
         return EvalResult(value=0j, error_estimate=0.0, truncation={**trunc, "vanishes_identically": True})
-    tail, mass = _disc_tail(2.0 * math.pi, s.real, radius), _lattice_mass(s.real)
-    bar = tail + _rounding(s, mass, 2.0 * math.log(radius), 0.0, q, g_rotation != 0.0)
-    rows = _quadratic_rows(circle(), radius) if g_rotation == 0.0 else None
-    if rows is not None:
-        _lattice.resolve_threads(threads)
-        sums = _row_tail_sums(rows, [(s, abs(q))], [mass], [bar], _twisted_continued)
-        if sums:
-            value, added, em_terms = sums[0]
-            return EvalResult(value=value, error_estimate=tail + added,
-                              truncation={**trunc, "route": "row-tails", "rows": len(rows.x), "em_terms": em_terms})
     if g_rotation == 0.0:
-        total = _twisted_sums_truncated(s, [abs(q)], radius, threads)[abs(q)]
-        return EvalResult(value=total, error_estimate=bar, truncation={**trunc, "route": "walk"})
+        sums, bars, route = _twisted_truncated(s, [abs(q)], radius, threads)
+        return EvalResult(value=sums[abs(q)], error_estimate=bars[abs(q)], truncation={**trunc, **route})
+    tail, mass = _disc_tail(2.0 * math.pi, s.real, radius), _lattice_mass(s.real)
+    bar = tail + _rounding(s, mass, 2.0 * math.log(radius), 0.0, q, True)
     cr, sr = math.cos(g_rotation), math.sin(g_rotation)
 
     def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
@@ -1595,6 +1589,27 @@ def classical_eisenstein(
 # ---------------------------------------------------------------------------
 
 
+def _twisted_truncated(
+    s: complex, q_list: list[int], radius: float, threads: int | None
+) -> tuple[dict[int, complex], dict[int, float], dict]:
+    """T_q = sum e^{i q theta(p)} |p|^(-2s) over the disc for q in q_list
+    (ascending multiples of 4), their bars and the ``truncation`` entries
+    of their route: the row tails of the identity form where the walk
+    would visit more than ``_WALK_POINTS`` points and they serve every q
+    (``_row_tail_sums``), else the walk (``_twisted_sums_truncated``)."""
+    tail, mass = _disc_tail(2.0 * math.pi, s.real, radius), _lattice_mass(s.real)
+    bars = [tail + _rounding(s, mass, 2.0 * math.log(radius), 0.0, q) for q in q_list]
+    rows = _quadratic_rows(circle(), radius)
+    if rows is not None:
+        _lattice.resolve_threads(threads)
+        sums = _row_tail_sums(rows, [(s, q) for q in q_list], [mass] * len(q_list), bars, _twisted_continued,
+                              every=True)
+        if sums:
+            return ({q: sums[i][0] for i, q in enumerate(q_list)}, {q: tail + sums[i][1] for i, q in enumerate(q_list)},
+                    {"route": "row-tails", "rows": len(rows.x), "em_terms": max(v[2] for v in sums.values())})
+    return _twisted_sums_truncated(s, q_list, radius, threads), dict(zip(q_list, bars)), {"route": "walk"}
+
+
 def _twisted_sums_truncated(
     s: complex, q_list: list[int], radius: float, threads: int | None
 ) -> dict[int, complex]:
@@ -1678,22 +1693,7 @@ def reconstruct_hlawka(
 
     trunc = {}
     if mode == "truncated":
-        tail, mass = _disc_tail(2.0 * math.pi, s.real, radius), _lattice_mass(s.real)
-        bars = [tail + _rounding(s, mass, 2.0 * math.log(radius), 0.0, q) for q in q_list]
-        rows = _quadratic_rows(circle(), radius)
-        sums = {}
-        if rows is not None:
-            _lattice.resolve_threads(threads)
-            sums = _row_tail_sums(rows, [(s, q) for q in q_list], [mass] * len(q_list), bars, _twisted_continued,
-                                  every=True)
-        if sums:
-            t_sums = {q: sums[i][0] for i, q in enumerate(q_list)}
-            t_errs = {q: tail + sums[i][1] for i, q in enumerate(q_list)}
-            trunc = {"route": "row-tails", "rows": len(rows.x), "em_terms": max(v[2] for v in sums.values())}
-        else:
-            t_sums = _twisted_sums_truncated(s, q_list, radius, threads)
-            t_errs = dict(zip(q_list, bars))
-            trunc = {"route": "walk"}
+        t_sums, t_errs, trunc = _twisted_truncated(s, q_list, radius, threads)
     else:
         comps = _twisted_continued([(s, q) for q in q_list])
         t_sums = {q: v for q, (v, _) in zip(q_list, comps)}

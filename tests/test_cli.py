@@ -481,6 +481,8 @@ def test_residue(capsys):
     payload = json.loads(out)
     assert abs(payload["residue"] - math.pi) < 0.05
     assert payload["rel_diff"] < 1e-2
+    code, out, _ = run_cli(capsys, "residue", "--shape", "odd@gl2=2,1,1,1")
+    assert code == 0 and abs(json.loads(out)["residue"] - 4.0) < 0.04
 
 
 def test_act_json_includes_decompositions(capsys):

@@ -15,7 +15,6 @@ from hlawka.cli import main
 from hlawka.errors import NumericError, ValidationError
 from hlawka.funceq import (
     RegularFEForm,
-    boundary_vertex_count,
     check_circle_fe,
     check_coefficient_identity,
     check_ellipse_fe,
@@ -151,13 +150,6 @@ def test_check_report_json_round_trip():
 # ---------------------------------------------------------------------------
 # square vs odd region
 # ---------------------------------------------------------------------------
-
-
-def test_vertex_counts():
-    assert boundary_vertex_count(square()) == 4
-    assert boundary_vertex_count(odd_shape()) == 7
-    assert boundary_vertex_count(circle(1.0)) == 0
-    assert boundary_vertex_count(ellipse(2.0, 1.0)) == 0
 
 
 def test_odd_vs_square_full_check():
@@ -391,6 +383,8 @@ def test_residues_match_areas():
         (ellipse(2.0, 1.0), 2.0 * math.pi),
         (square(), 4.0),
         (odd_shape(), 4.0),
+        # a GL(2,Z) image is a polygon, of the square's Z
+        (parse_shape("odd@gl2=2,1,1,1"), 4.0),
         # an image is an ellipse, continued through its form: area 2 pi |det g|
         (parse_shape("ellipse:a=2,b=1@gl2=1.1,0.3,-0.2,0.9"), 2.0 * math.pi * abs(1.1 * 0.9 + 0.3 * 0.2)),
         (parse_shape("ellipse:a=2,b=1@gl2=0,1,1,0"), 2.0 * math.pi),  # stored as (1, 2, 0)
@@ -404,6 +398,8 @@ def test_residues_match_areas():
 def test_residue_rejects_unsupported_kind():
     with pytest.raises(ValidationError):
         residue_at_one(cosine_series([1.0, 0, 0, 0, 0.1]))
+    with pytest.raises(ValidationError):  # a polygon's image under a non-integer g
+        residue_at_one(parse_shape("odd@gl2=1.5,0.5,0,1"))
 
 
 def test_probe_regular_fe_reports_failures():

@@ -87,10 +87,11 @@ def test_gl2z_image_walks_reach_the_farthest_boundary_point(spec, x):
     assert [(e.t, e.count) for e in spec_.entries] == [(float(j), 8 * j) for j in range(1, k + 1)]
 
 
-# the integer kinds: both bases, det +1 and -1 images, a shear and a matrix
-# with a step-3 functional
+# the integer kinds: both bases, det +1 and -1 images, a shear, a matrix
+# with a step-3 functional and images whose kernel terms have larger
+# coefficients
 _INTEGER_KINDS = ["square", "odd", "odd@gl2=2,1,1,1", "odd@gl2=0,1,1,0", "square@gl2=1,1,0,1",
-                  "odd@gl2=1,-3,0,-1"]
+                  "odd@gl2=1,-3,0,-1", "odd@gl2=5,2,2,1", "square@gl2=3,-5,1,-2"]
 
 
 def _walked_time_counts(shape, radius):
@@ -196,9 +197,9 @@ def _exact_time(shape, x, y):
     kind = shape.kind
     if kind == "transformed":
         return _exact_preimage_time(*shape.params, x, y)
-    if kind == "square":
+    if shape == square():
         return max(abs(x), abs(y))
-    if kind == "odd":
+    if shape == odd_shape():
         return max(-x, x - y, y, 2 * y - abs(x)) if y > 0 else max(abs(x), -y)
     if kind == "ellipse":
         a, b, phi = shape.params
@@ -209,12 +210,22 @@ def _exact_time(shape, x, y):
 
 
 def _exact_preimage_time(g, base, x, y):
-    """t_D(g^-1 p) in mpmath, by the exact inverse of the (float) matrix g."""
+    """t_D(g^-1 p) in mpmath, by the exact inverse of the (float) matrix g,
+    or of a list of matrices, the last applied last."""
     import mpmath as mp
 
-    a, b, c, d = map(mp.mpf, g.entries())
-    det = a * d - b * c
-    return _exact_time(base, (d * x - b * y) / det, (a * y - c * x) / det)
+    for h in reversed(g if isinstance(g, list) else [g]):
+        a, b, c, d = map(mp.mpf, h.entries())
+        det = a * d - b * c
+        x, y = (d * x - b * y) / det, (a * y - c * x) / det
+    return _exact_time(base, x, y)
+
+
+# float images of GL(2,Z) images: act(gf, act(gi, base)), a transformed
+# shape whose base is a polygon with larger edge functionals
+_NESTED = [f"{base}@gl2={gi}@gl2={gf}" for base in ("square", "odd")
+           for gi in ("2,1,1,1", "1,-3,0,-1", "0,1,1,0", "5,2,2,1")
+           for gf in ("1.5,0.5,0,1", "1.2,0.3,-0.1,0.8")]
 
 
 @pytest.mark.parametrize("spec", [
@@ -230,6 +241,7 @@ def _exact_preimage_time(g, base, x, y):
     "ellipse:a=1000,b=1,phi=0.3@gl2=0.000955336,0.00029552,-0.295520207,0.955336489",
     # regions x^T u x <= 1 of forms of condition number 1, 3, 1e3 and 1e6
     "form:1,0,1", "form:1,0.5,1", "form:500.5,499.5,500.5", "form:500000.5,-499999.5,500000.5",
+    *_NESTED,
 ])
 def test_time_ulps_bounds_the_rounding_of_the_dilation_times(spec):
     # against mpmath at 30 digits on 2000 points up to |p| = 1500: the
@@ -239,14 +251,16 @@ def test_time_ulps_bounds_the_rounding_of_the_dilation_times(spec):
     # sqrt(x^T u x)
     import mpmath as mp
 
-    base_spec, image, entries = spec.partition("@gl2=")
+    base_spec, *images = spec.split("@gl2=")
     if spec.startswith("form:"):
         u = QuadForm2(*map(float, spec[5:].split(",")))
         shape = u.region()
         exact_time = lambda x, y: mp.sqrt(u.u11 * x * x + 2 * u.u12 * x * y + u.u22 * y * y)  # noqa: E731
-    elif image:
-        shape = parse_shape(spec)
-        g, base = Mat2(*map(float, entries.split(","))), parse_shape(base_spec)
+    elif images:
+        g, base = [Mat2(*map(float, e.split(","))) for e in images], parse_shape(base_spec)
+        shape = base
+        for h in g:
+            shape = act(h, shape)
         exact_time = lambda x, y: _exact_preimage_time(g, base, x, y)  # noqa: E731
     else:
         shape = parse_shape(spec)
@@ -260,7 +274,7 @@ def test_time_ulps_bounds_the_rounding_of_the_dilation_times(spec):
         worst = max(float(abs(ti - e) / e) for ti, e in zip(t.tolist(), exact))
     claimed = time_ulps(shape) * 2.0**-52
     assert worst <= claimed
-    assert (claimed == 0.0) == (shape.kind in ("square", "odd") or spec in ("odd@gl2=2,1,1,1", "square@gl2=0,1,1,0"))
+    assert (claimed == 0.0) == (shape.kind == "polygon")
 
 
 def test_circle_spectrum_brute_force_oracle(unit_circle):
@@ -657,6 +671,8 @@ def test_shape_symmetries_leave_the_dilation_times_invariant():
         "cos:c0=1,c2=0.15@gl2=1.2,0.3,-0.1,0.8",
         "ellipse:a=2,b=1@gl2=1,1,0,1",
         "odd@gl2=2,1,1,1",
+        "square@gl2=0,1,1,0",  # D4, read off its vertices
+        "square@gl2=1,1,0,1",  # p -> -p
     ],
 )
 def test_orbit_images_have_the_bit_identical_dilation_time(spec):

@@ -209,12 +209,12 @@ def test_image_symmetry_order_is_sampled_only_when_read(monkeypatch):
         return sample(evalf)
 
     monkeypatch.setattr(shapes, "_detect_symmetry", counted)
-    image = parse_shape("odd@gl2=2,1,1,1")
+    image = parse_shape("odd@gl2=1.5,0.5,0,1")
     assert calls == []
     assert image.symmetry_order == 1 and len(calls) == 1
     assert image.symmetry_order == 1 and len(calls) == 1  # kept once read
     # a centrally symmetric base keeps its half turn under any g
-    parallelogram = parse_shape("square@gl2=2,1,1,1")
+    parallelogram = parse_shape("square@gl2=2,1,1,1.5")
     assert parallelogram.symmetry_order == 2 and len(calls) == 2
 
 
@@ -485,8 +485,8 @@ def test_act_rejects_singular():
 def test_parse_shape_round_trips():
     ci = parse_shape("circle:c=1.5")
     assert ci.kind == "ellipse" and ci.params == (1.5, 1.5, 0.0)
-    assert parse_shape("square").kind == "square"
-    assert parse_shape("odd").kind == "odd"
+    sq, od = parse_shape("square"), parse_shape("odd")
+    assert sq.kind == od.kind == "polygon" and (len(sq.params), len(od.params)) == (4, 7)
     el = parse_shape("ellipse:a=2,b=1,phi=0.3")
     assert el.kind == "ellipse" and el.params == (2.0, 1.0, 0.3)
     co = parse_shape("cos:c0=1,c4=0.1")

@@ -761,6 +761,10 @@ def test_central_symmetry_is_structural():
     assert cosine_series([1.0]).symmetry is _D4
     assert ellipse(2.0, 1.0, math.pi / 2).symmetry is _NEG  # decided from phi, not sampled
     assert act(_GL2, cosine_series([1.0, 0.0, 0.15])).symmetry is _NEG
+    # a GL(2,Z) image of a polygon is a polygon, its group read off the vertex set
+    assert parse_shape("square@gl2=0,1,1,0").symmetry is _D4
+    assert parse_shape("square@gl2=1,1,0,1").symmetry is _NEG
+    assert parse_shape("odd@gl2=0,1,1,0").symmetry is _TRIVIAL
 
 
 def test_integer_dilation_times_at_the_verify_samples():
@@ -826,16 +830,16 @@ def test_integer_kinds_above_the_count_bins_keep_the_point_sum(monkeypatch, dire
 
 
 def test_large_integer_images_sum_point_by_point(direct_paths):
-    # entries of 2e5 put radius / r_min beyond _COUNT_BINS at radius 10; the
+    # entries of 1e6 put radius / r_min beyond _COUNT_BINS at radius 10; the
     # exact integer preimages h^-1 p give the reference times
-    shape = parse_shape("odd@gl2=200000,199999,1,1")
+    shape = parse_shape("odd@gl2=1000000,999999,1,1")
     assert lattice.time_ulps(shape) == 0.0 and 10.0 / shape.r_min >= zeta._COUNT_BINS
     res = hlawka_direct(shape, _S, 10.0)
     assert direct_paths == ["point"]
     n, m = np.meshgrid(np.arange(-10, 11), np.arange(-10, 11), indexing="ij")
     keep = (m * m + n * n <= 100) & ((m != 0) | (n != 0))
     m, n = m[keep], n[keep]
-    t = lattice.dilation_times_block(odd_shape(), m - 199999 * n, 200000 * n - m)
+    t = lattice.dilation_times_block(odd_shape(), m - 999999 * n, 1000000 * n - m)
     terms = t ** (-2.0 * _S)
     assert abs(res.value - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
