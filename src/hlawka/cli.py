@@ -255,6 +255,8 @@ def _cmd_epstein(args) -> int:
 def _cmd_eisenstein(args) -> int:
     s = parse_complex(args.s)
     if args.z is not None:
+        if args.rotation != 0.0:  # nan included
+            raise ValidationError(f"--rotation must be 0 with --z, as E(z, s) takes no rotation; got {args.rotation}")
         z = parse_complex(args.z)
         res = zeta.classical_eisenstein(
             z, s, method="direct" if args.method == "truncated" else "continued",
@@ -262,14 +264,12 @@ def _cmd_eisenstein(args) -> int:
         )
         _emit_json({"z": z, "s": s, **res.to_json_dict()}, args.out)
         return 0
-    if not math.isfinite(args.rotation):  # echoed by both methods
-        raise ValidationError(f"--rotation must be finite, got {args.rotation}")
     if args.method == "truncated":
         res = zeta.eisenstein_fq_truncated(
             args.q, args.rotation, s, args.radius, threads=args.threads
         )
     else:
-        res = zeta.eisenstein_fq_continued(args.q, s)
+        res = zeta.eisenstein_fq_continued(args.q, s, args.rotation)
     _emit_json({"q": args.q, "s": s, "rotation": args.rotation, **res.to_json_dict()}, args.out)
     return 0
 

@@ -28,11 +28,9 @@ import numpy as np
 from .errors import ValidationError
 from .results import EvalResult
 from .shapes import RadialShape
-from .special import hyp2f1
+from .special import _EPS, hyp2f1
 
 __all__ = ["FourierTable", "fourier_coeffs", "ellipse_coefficient", "closed_form_coefficients"]
-
-_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,16 @@ thread counts.  Each sum walks a fundamental domain of the subgroup G of D4
 under which its terms are invariant, decided from the kind and parameters,
 and weights each point by its orbit size: all of D4 for the circle (the
 region of a form with u12 = 0 and u11 = u22 among them), cosine series in
-cos(4k theta) and every unrotated twisted sum; the axis reflections for
+cos(4k theta) and every twisted sum; the axis reflections for
 unrotated ellipses (the region of every other form with u12 = 0 among
 them) and even cosine series; n -> -n for other cosine series; p -> -p for
 the rest of the centrally symmetric terms, every other ellipse included.
 A polygon takes the group that maps its vertex set onto itself: D4 for the
-square, the trivial group for the odd shape.  An unrotated twisted sum (q =
-0 mod 4; the other components vanish identically and are not summed)
-weights each octant point by |orbit| cos(q theta).  A polygon's dilation
+square, the trivial group for the odd shape.  A twisted sum (q = 0 mod 4;
+the other components vanish identically and are not summed) weights each
+octant point by |orbit| cos(q theta); rotated by phi, as the disc is
+rotation-invariant, it is the unrotated sum times e^(i q phi)
+(``_rotate``), which the continued components take too.  A polygon's dilation
 times are exact integers (``lattice.time_ulps`` is 0): no point is walked,
 ``lattice.time_counts`` counts the points of each t by rows, and the sum
 takes one complex power per distinct t.  ``error_estimate`` adds to the
@@ -51,7 +53,7 @@ Circles and ellipses (every image of one, and every Epstein form's region)
 need no walk where a cheaper route is as accurate: their disc sum is the
 Epstein value Z_Q(s) of their form, less the rows' tails beyond the disc
 and the full rows beyond it, all in O(R) (``hlawka_direct_many``).  So are
-the unrotated twisted sums, the harmonic continuation of each component
+the twisted sums, the harmonic continuation of each component
 less its twisted tails (``eisenstein_fq_truncated``, the truncated mode of
 ``reconstruct_hlawka``).  The route is taken where the walk would visit
 more than ``_WALK_POINTS`` points, its fixed cost's worth.
@@ -83,7 +85,7 @@ from .lattice import map_box_chunks, orbit_sizes
 from .results import EvalResult
 from .scratch import scratch
 from .shapes import Mat2, RadialShape, Symmetry, _exact_form, act, circle
-from .special import _BERNOULLI, _hurwitz, dirichlet_beta, gamma, riemann_zeta, upper_incomplete_gamma
+from .special import _BERNOULLI, _EPS, _hurwitz, dirichlet_beta, gamma, riemann_zeta, upper_incomplete_gamma
 from . import fourier as _fourier
 from . import lattice as _lattice
 
@@ -132,14 +134,6 @@ def _disc_sums(terms, radius: float, threads: int | None, symmetry: Symmetry) ->
     return [complex(np.sum(col)) for col in np.array(parts).T]
 
 
-def _log_norms(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """log(m^2 + n^2) into a scratch array (the squares are exact)."""
-    out, tmp = scratch("zeta.log", len(m)), scratch("zeta.tmp", len(m))
-    np.multiply(m, m, out=out)
-    out += np.multiply(n, n, out=tmp)
-    return np.log(out, out=out)
-
-
 @cache
 def _unit_roots() -> np.ndarray:
     """The power kernel's table e^(2 pi i j / size), j < size = 2^_TABLE_BITS,
@@ -179,23 +173,22 @@ _PHASE_MAX = 2.0**50 * _DELTA
 _SUM_BLOCK = 1 << 12
 
 
-def _check_phase(s: complex, log_max: float, extra: float = 0.0):
-    """Reject an s whose phases |Im s| |log x| + ``extra`` (|log x| up to
-    ``log_max``) leave the domain of ``_powers``."""
-    if not abs(s.imag) * log_max + extra <= _PHASE_MAX:
+def _check_phase(s: complex, log_max: float):
+    """Reject an s whose phases |Im s| |log x| (|log x| up to ``log_max``)
+    leave the domain of ``_powers``."""
+    if not abs(s.imag) * log_max <= _PHASE_MAX:
         raise ValidationError(
             f"|Im s| = {abs(s.imag):g} is too large for a direct sum with |log x| up to {log_max:.6g}: "
             f"|Im s| |log x| must stay below {_PHASE_MAX:.4g}")
 
 
-def _powers(log_x: np.ndarray, s: complex | np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
-    """e^(-s log_x + i phase) into a scratch array of the shape of ``log_x``
-    (``phase`` 0 when None; ``s`` a complex or an array broadcasting
-    against ``log_x``).
+def _powers(log_x: np.ndarray, s: complex | np.ndarray) -> np.ndarray:
+    """e^(-s log_x) into a scratch array of the shape of ``log_x`` (``s`` a
+    complex or an array broadcasting against ``log_x``).
 
     Table-driven (Tang, ACM TOMS 15(2), 1989), in real operations and
     products of complex by real numbers only: with tau = Im s and
-    u = (phase - tau log_x) / delta, delta = 2 pi / 4096, j = rint(u) comes
+    u = -tau log_x / delta, delta = 2 pi / 4096, j = rint(u) comes
     from adding 1.5 2^52, whose low bits then hold j mod 4096, and the value
     is e^(-Re s log_x) T[j mod 4096] (cos r + i sin r) for the table T of
     ``_unit_roots`` and r = delta v, v = u - j (exact, |v| <= 1/2).  With
@@ -208,13 +201,11 @@ def _powers(log_x: np.ndarray, s: complex | np.ndarray, phase: np.ndarray | None
     Its scratch arrays are the twisted kernels' ``zeta.x``, ``zeta.tmp``,
     ``zeta.image`` and ``zeta.twisted``, free whenever a power is taken, so
     a thread that has run those kernels holds no more scratch than before;
-    ``log_x`` and ``phase`` must not be among them."""
+    ``log_x`` must not be among them."""
     k, shape = log_x.size, log_x.shape
     out = scratch("zeta.terms", k, complex).reshape(shape)
     v, t, w = (scratch(name, k).reshape(shape) for name in ("zeta.x", "zeta.tmp", "zeta.image"))
     np.multiply(log_x, -s.imag / _DELTA, out=v)
-    if phase is not None:
-        v += np.multiply(phase, 1.0 / _DELTA, out=t)
     np.add(v, _RINT, out=t)
     index = np.bitwise_and(t.view(np.int64), (1 << _TABLE_BITS) - 1, out=w.view(np.int64))
     np.take(_unit_roots(), index, out=out, mode="clip")
@@ -265,36 +256,26 @@ def _lattice_mass(sigma: float) -> float:
     return 4.0 * (riemann_zeta(sigma) * dirichlet_beta(sigma)).real
 
 
-# ulps per unit of |q| that a rotated twist's phase q theta adds to a term
-_ROTATED_ULPS = 2.7 * math.pi
-
-
-def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0, rotated: bool = False) -> float:
+def _rounding(s: complex, mass: float, log_max: float, ulps: float, q: int = 0) -> float:
     """Bound on the rounding of a direct sum of terms P(p) x(p)^(-s), with
     |P| = 1 (the twist of degree q), computed as e^(-s log x) by
     ``_powers``: ``mass`` bounds the sum of their moduli, ``log_max``
     bounds |log x| and ``ulps`` the relative error of x.  Per term, the
     exponent is off by at most |s| (3 |log x| + ulps) ulps: the log by
     |s| |log x|, and the kernel's argument reduction by at most
-    1.7 |Im s log x| + |Re s log x| / 2 (the quotient Im s / delta, its
-    product with log x and the sum with a twist's phase round once each,
-    and delta's rounding against the table's exact steps adds 0.18).  The
-    exponential and the orbit weight are off by at most 8: the table entry
-    by 0.4, the real exp by 1, the two polynomials by 1, the products that
-    assemble T (cos r + i sin r) e^(-Re s log x) by 1.7 and the weight by
-    0.5.  The twist is off by 4 + 4|q|.  A rotated twist takes its phase
-    q theta, |q theta| <= pi |q|, into the exponent: arctan2 and the product
-    round it by up to pi |q| ulps, and the kernel's reduction of it adds up
-    to 1.7 pi |q|, so a rotated twist is charged ``_ROTATED_ULPS`` |q| =
-    2.7 pi |q| more.  Pairwise summation within the chunks and across them
-    adds 48.
+    1.7 |Im s log x| + |Re s log x| / 2 (the quotient Im s / delta and its
+    product with log x round once each, and delta's rounding against the
+    table's exact steps adds 0.18).  The exponential and the orbit weight
+    are off by at most 8: the table entry by 0.4, the real exp by 1, the
+    two polynomials by 1, the products that assemble
+    T (cos r + i sin r) e^(-Re s log x) by 1.7 and the weight by 0.5.  The
+    twist is off by 4 + 4|q|.  Pairwise summation within the chunks and
+    across them adds 48.
 
     The same constants bound the sums by count: count_t t^(-2s) is one
     exponential times an exact integer, like an orbit weight, the moduli
     sum to the same mass, and there are fewer terms to add."""
     kappa = 60.0 + 4.0 * abs(q) + abs(s) * (3.0 * log_max + ulps)
-    if rotated:
-        kappa += _ROTATED_ULPS * abs(q)
     return kappa * _EPS * mass
 
 
@@ -1095,6 +1076,22 @@ def hlawka_from_spectrum(spec: "_lattice.Spectrum", s: complex) -> EvalResult:
     return _spectrum_sums(spec, [s])[0]
 
 
+def _rotate(value: complex, bar: float, q: int, g_rotation: float) -> tuple[complex, float]:
+    """A weight-q component rotated by k_phi, phi = ``g_rotation``, and its
+    bar.  The disc |p| <= R is rotation-invariant, so the rotation
+    multiplies the component by the character e^(i q phi).  phi is first
+    reduced by 2 pi (an exact remainder), which keeps the argument finite.
+    The argument is then off by at most 1.7 |q phi| 2^-53: q times the
+    multiples of 2 pi - fl(2 pi) the reduction drops (0.7 |q phi| 2^-53)
+    and the product's rounding.  exp and the product add a few ulps, so the
+    bar adds (|q phi| + 8) 2^-52 |value|.  Unrotated, the inputs come back
+    unchanged."""
+    if g_rotation == 0.0:
+        return value, bar
+    turn = q * math.remainder(g_rotation, 2.0 * math.pi)
+    return value * cmath.exp(1j * turn), bar + (abs(q * g_rotation) + 8.0) * _EPS * abs(value)
+
+
 def eisenstein_fq_truncated(
     q: int,
     g_rotation: float,
@@ -1107,27 +1104,25 @@ def eisenstein_fq_truncated(
         sum over 0 < |p| <= radius of (-i)^q e^{i q (theta(p) + g_rotation)}
                                         / (m^2 + n^2)^s.
 
-    The rotation is applied per lattice point (the points are rotated, then
-    their angles taken), so rotation covariance is a genuine numeric check
-    rather than an algebraic identity of the implementation.  Components with
-    q not divisible by 4 vanish identically, whatever the rotation: the
-    quarter turn maps the disc and Z^2 onto themselves and multiplies the
-    sum by i^q != 1.  They are the exact 0 with error estimate 0, after the
-    same validation, and walk nothing.  Unrotated, q = 0 mod 4 walks the D4
-    octant with ``reconstruct_hlawka``'s walk (``_twisted_sums_truncated``),
-    since |p|^(-2s) is D4-invariant and so is e^{i q theta}: the twist is
-    |orbit| cos(q theta) (the sines cancel over the orbit), and T_q = T_|q|
-    by the reflection n -> -n.  Rotated, it folds by p -> -p, takes each
-    point's angle after rotating it, and always walks.
+    The disc is rotation-invariant, so the rotated sum is e^{i q g_rotation}
+    times the unrotated one T_q (``_rotate``); every rotation takes T_q's
+    route.  Components with q not divisible by 4 vanish identically,
+    whatever the rotation: the quarter turn maps the disc and Z^2 onto
+    themselves and multiplies the sum by i^q != 1.  They are the exact 0
+    with error estimate 0, after the same validation, and walk nothing.
+    For q = 0 mod 4, T_q walks the D4 octant with ``reconstruct_hlawka``'s
+    walk (``_twisted_sums_truncated``), since |p|^(-2s) is D4-invariant and
+    so is e^{i q theta}: the twist is |orbit| cos(q theta) (the sines cancel
+    over the orbit), and T_q = T_|q| by the reflection n -> -n.
 
-    Unrotated, where that walk would visit more than ``_WALK_POINTS`` points
-    it takes the row tails of ``hlawka_direct_many`` for the identity form
-    instead (``_twisted_truncated``, the route ``reconstruct_hlawka`` takes
-    too), twisted: T_q(R) = E_q(s) - 2 sum_(n <= N) (weighted row tails
-    beyond a_n) - (full rows |n| > N), with E_q from
-    ``eisenstein_fq_continued``'s harmonic theta split, each row's tail by
-    Euler-Maclaurin (``_row_tails``) with its integral from
-    ``_twisted_integrals``, and the full rows the Poisson k = 0 term
+    Where that walk would visit more than ``_WALK_POINTS`` points it takes
+    the row tails of ``hlawka_direct_many`` for the identity form instead
+    (``_twisted_truncated``, the route ``reconstruct_hlawka`` takes too),
+    twisted: T_q(R) = E_q(s) - 2 sum_(n <= N) (weighted row tails beyond
+    a_n) - (full rows |n| > N), with E_q from ``eisenstein_fq_continued``'s
+    harmonic theta split, each row's tail by Euler-Maclaurin
+    (``_row_tails``) with its integral from ``_twisted_integrals``, and the
+    full rows the Poisson k = 0 term
     2 pi (2 |n|)^(1-2s) Gamma(2s - 1) / (Gamma(s - q/2) Gamma(s + q/2)) each
     (``_row_line``), summed as a Hurwitz zeta.  As the disc is symmetric
     under n -> -n, rows n and -n together are twisted by cos(q theta).  The
@@ -1144,40 +1139,19 @@ def eisenstein_fq_truncated(
         raise ValidationError(f"rotation must be finite, got {g_rotation}")
     s = _require_convergent(s)
     _check_radius(radius)
-    _check_phase(s, 2.0 * math.log(radius), 0.0 if g_rotation == 0.0 else abs(q) * math.pi)
+    _check_phase(s, 2.0 * math.log(radius))
     trunc = {"radius": radius, "q": q, "rotation": g_rotation}
     if q % 4 != 0:
         return EvalResult(value=0j, error_estimate=0.0, truncation={**trunc, "vanishes_identically": True})
-    if g_rotation == 0.0:
-        sums, bars, route = _twisted_truncated(s, [abs(q)], radius, threads)
-        return EvalResult(value=sums[abs(q)], error_estimate=bars[abs(q)], truncation={**trunc, **route})
-    tail, mass = _disc_tail(2.0 * math.pi, s.real, radius), _lattice_mass(s.real)
-    bar = tail + _rounding(s, mass, 2.0 * math.log(radius), 0.0, q, True)
-    cr, sr = math.cos(g_rotation), math.sin(g_rotation)
-
-    def terms(m: np.ndarray, n: np.ndarray, orbit: np.ndarray):
-        k = len(m)
-        log_n2 = _log_norms(m, n)
-        angle, x, tmp = scratch("zeta.angle", k), scratch("zeta.x", k), scratch("zeta.tmp", k)
-        np.multiply(m, cr, out=x)
-        x -= np.multiply(n, sr, out=tmp)
-        np.multiply(m, sr, out=angle)
-        angle += np.multiply(n, cr, out=tmp)
-        np.arctan2(angle, x, out=angle)
-        angle *= q
-        powers = _powers(log_n2, s, angle)
-        powers *= orbit
-        yield powers
-
-    (total,) = _disc_sums(terms, radius, threads, Symmetry.NEGATION)
-    return EvalResult(value=total, error_estimate=bar, truncation={**trunc, "route": "walk"})
+    sums, bars, route = _twisted_truncated(s, [abs(q)], radius, threads)
+    value, bar = _rotate(sums[abs(q)], bars[abs(q)], q, g_rotation)
+    return EvalResult(value=value, error_estimate=bar, truncation={**trunc, **route})
 
 
 # ---------------------------------------------------------------------------
 # Continuations via incomplete-gamma splitting
 # ---------------------------------------------------------------------------
 
-_EPS = 2.0**-52
 # The cutoff leaves out terms totalling at most this share of the bound on
 # the largest term; past the peak each unit of pi Q costs a factor e.
 _TAIL_SHARE = 2.0**-60
@@ -1513,11 +1487,11 @@ def epstein_continued(u: QuadForm2, s: complex) -> EvalResult:
     return epstein_continued_many(u, [s])[0]
 
 
-def eisenstein_fq_continued(q: int, s: complex) -> EvalResult:
-    """Entire continuation of the q-twisted component, q >= 4, q = 0 mod 4;
-    for q not divisible by 4 the component vanishes identically
-    (``eisenstein_fq_truncated``), and the exact 0 with error estimate 0 is
-    returned.
+def eisenstein_fq_continued(q: int, s: complex, g_rotation: float = 0.0) -> EvalResult:
+    """Entire continuation of the q-twisted component, q >= 4, q = 0 mod 4,
+    rotated by ``g_rotation`` as in ``eisenstein_fq_truncated`` (``_rotate``);
+    for q not divisible by 4 the component vanishes identically, and the
+    exact 0 with error estimate 0 is returned.
 
     With P(x) = (m + i n)^q (harmonic of degree q) and s' = s + q/2,
 
@@ -1531,13 +1505,15 @@ def eisenstein_fq_continued(q: int, s: complex) -> EvalResult:
     """
     if q != int(q):
         raise ValidationError("q must be an integer")
+    if not math.isfinite(g_rotation):
+        raise ValidationError(f"rotation must be finite, got {g_rotation}")
     s = complex(s)
     if q % 4 != 0:
         return EvalResult(value=0j, error_estimate=0.0, truncation={"q": int(q), "vanishes_identically": True})
     if q < 4:
         raise ValidationError("continuation implemented for q >= 4 with q = 0 mod 4")
     [(lam, err)], trunc = _theta_split(QuadForm2.identity(), 1.0, [(s, q)])
-    value, err = _uncomplete(lam, err, s + q / 2.0)
+    value, err = _rotate(*_uncomplete(lam, err, s + q / 2.0), q, g_rotation)
     return EvalResult(
         value=value,
         error_estimate=err,

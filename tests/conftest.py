@@ -36,7 +36,7 @@ def bump_shape():
 
 @pytest.fixture
 def walk_only(monkeypatch):
-    """Circles, ellipses, unrotated twisted sums and truncated
+    """Circles, ellipses, twisted sums (rotated or not) and truncated
     reconstructions walk their discs instead of taking row tails.  The row
     tails are the continued value less its tails (Z_Q from
     ``epstein_continued``, a twisted component from the harmonic theta

@@ -614,6 +614,8 @@ def test_reconstruct_truncated_rejects_a_bad_radius(capsys, monkeypatch, radius)
     ("eisenstein", "--q", "4", "--s", "2", "--rotation", "nan"),
     ("eisenstein", "--q", "4", "--s", "2", "--rotation", "inf"),
     ("eisenstein", "--q", "4", "--s", "2", "--rotation", "nan", "--method", "continued"),
+    ("eisenstein", "--z", "0+1i", "--s", "2", "--rotation", "nan"),
+    ("eisenstein", "--z", "0+1i", "--s", "2", "--rotation", "0.3"),  # E(z, s) takes no rotation
     ("perron", "--shape", "square", "--x", "10.5", "--T", "inf"),
     ("perron", "--shape", "square", "--x", "10.5", "--T", "1e9"),  # 1.5e9 lobes
     ("act", "--shape", "square", "--grid", "0"),

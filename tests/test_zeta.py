@@ -418,8 +418,10 @@ def test_fq_truncated_against_independent_order_oracle():
 
 
 def test_fq_rotation_covariance():
-    # rotated sums always walk, so covariance checks the walk against the
-    # unrotated sum: walked at R = 300, by row tails at R = 500
+    # a rotated sum is the unrotated one times e^{4 i phi} and takes its
+    # route: walked at R = 300, by row tails at R = 500; the numpy sum over
+    # the disc, whose points are rotated before their angles are taken,
+    # checks the last rotated value
     rng = np.random.default_rng(42)
     for radius, route in ((300.0, "walk"), (500.0, "row-tails")):
         base = eisenstein_fq_truncated(4, 0.0, 2.0, radius)
@@ -427,8 +429,22 @@ def test_fq_rotation_covariance():
         for _ in range(8 if radius < 400 else 2):
             phi = rng.uniform(0, 2 * math.pi)
             rotated = eisenstein_fq_truncated(4, phi, 2.0, radius)
-            assert rotated.truncation["route"] == "walk"
+            assert rotated.truncation["route"] == route
             assert abs(rotated.value - cmath.exp(4j * phi) * base.value) <= 1e-12
+    ref, _ = _disc_reference(_twisted_weight(4, phi, 2.0), 500.0)
+    assert abs(rotated.value - ref) <= rotated.error_estimate
+
+
+@pytest.mark.parametrize("q", [4, 8, 40])
+@pytest.mark.parametrize("phi", [0.3, -2.1, 1e6])
+def test_fq_rotated_continued_agrees_with_truncated(q, phi):
+    # both rotate their unrotated value by e^{i q phi}; the row tails at
+    # R = 1200 are the continuation less its tails, so the two agree within
+    # the sum of their bars
+    s = 2.0 + 1.0j
+    cont, trunc = eisenstein_fq_continued(q, s, phi), eisenstein_fq_truncated(q, phi, s, 1200.0)
+    assert trunc.truncation["route"] == "row-tails"
+    assert abs(cont.value - trunc.value) <= cont.error_estimate + trunc.error_estimate
 
 
 def test_fq_continued_oracle_calibration(walk_only):
@@ -450,6 +466,9 @@ def test_fq_continued_rejects_bad_q():
     for q in (-4, 0):
         with pytest.raises(ValidationError):
             eisenstein_fq_continued(q, 2.0)
+    for rotation in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="rotation"):
+            eisenstein_fq_continued(3, 2.0, rotation)
     # the components that vanish identically are exact zeros
     for q in (2, 3, 6, -3):
         res = eisenstein_fq_continued(q, 2.0)
@@ -709,9 +728,10 @@ _FOLD_CASES = [
     for name, u, folded in _FORMS
 ] + [
     # q not divisible by 4 vanishes identically and walks nothing: its exact
-    # 0 is checked against the numpy sum, which cancels to rounding
+    # 0 is checked against the numpy sum, which cancels to rounding; rotated,
+    # q = 0 mod 4 walks the unrotated sum's octant
     (f"twisted q={q}", lambda q=q: eisenstein_fq_truncated(q, 0.3, _S, _R).value,
-     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.3, _S)(m, n), _NEG if q % 4 == 0 else None)
+     lambda m, n, q=q: (-1j) ** q * _twisted_weight(q, 0.3, _S)(m, n), _D4 if q % 4 == 0 else None)
     for q in (3, 4, 6, 8)
 ] + [
     # unrotated, q = 0 mod 4 walks the octant: |p|^(-2s) and e^{i q theta}
@@ -894,25 +914,17 @@ _KERNEL_S = [complex(a, b) for a, b in zip(_KERNEL_RNG.uniform(1.0, 3.0, 12), _K
 @pytest.mark.parametrize("s", _KERNEL_S)
 def test_power_kernel_within_the_rounding_budget(s):
     # each term within what ``_rounding`` charges it apart from the
-    # summation: |s| 3 |log x| ulps for the exponent, 8 for the exponential,
-    # and for a twist rotated by g, 4 + 4|q| plus ``_ROTATED_ULPS`` |q| for
-    # its phase q theta, formed as ``eisenstein_fq_truncated`` forms it and
-    # measured against the exact q (arg p + g); log x over the direct sums'
-    # range (t^2 from r_max^-2 to (MAX_RADIUS / r_min)^2)
+    # summation: |s| 3 |log x| ulps for the exponent, 8 for the exponential;
+    # log x over the direct sums' range (t^2 from r_max^-2 to
+    # (MAX_RADIUS / r_min)^2)
     rng = np.random.default_rng(2202)
     log_x = np.concatenate([rng.uniform(-12.0, 2.0 * math.log(2e5), 150), [0.0, -12.0, 24.4]])
-    q, g = 40, 0.3
-    m, n = rng.integers(-200000, 200001, (2, len(log_x))).astype(float)
-    cr, sr = math.cos(g), math.sin(g)
-    phase = q * np.arctan2(m * sr + n * cr, m * cr - n * sr)
-    for extra, twist in ((None, 0.0), (phase, 4.0 + (4.0 + zeta._ROTATED_ULPS) * q)):
-        got = zeta._powers(log_x, s, extra).copy()
-        with mp.workdps(60):
-            for k, lx in enumerate(log_x.tolist()):
-                turn = 0 if extra is None else 1j * q * (mp.atan2(n[k], m[k]) + mp.mpf(g))
-                exact = mp.exp(-mp.mpc(s) * mp.mpf(lx) + turn)
-                ulps = float(abs(mp.mpc(got[k]) - exact) / abs(exact)) / zeta._EPS
-                assert ulps <= abs(s) * 3.0 * abs(lx) + 8.0 + twist, (s, lx, ulps)
+    got = zeta._powers(log_x, s).copy()
+    with mp.workdps(60):
+        for k, lx in enumerate(log_x.tolist()):
+            exact = mp.exp(-mp.mpc(s) * mp.mpf(lx))
+            ulps = float(abs(mp.mpc(got[k]) - exact) / abs(exact)) / zeta._EPS
+            assert ulps <= abs(s) * 3.0 * abs(lx) + 8.0, (s, lx, ulps)
 
 
 def test_unit_root_table_within_an_ulp():
@@ -930,13 +942,12 @@ def test_power_kernel_is_elementwise_whatever_the_length():
     # cannot change a term
     rng = np.random.default_rng(7)
     log_x = rng.uniform(-5.0, 15.0, 40000)
-    phase = rng.uniform(-30.0, 30.0, len(log_x))
-    for s, extra in ((1.7 + 23.4j, None), (2.5 - 0.3j, phase)):
-        full = zeta._powers(log_x, s, extra).copy()
+    for s in (1.7 + 23.4j, 2.5 - 0.3j):
+        full = zeta._powers(log_x, s).copy()
         for start in (0, 1, 5, 8191, 8192, 12345, 39993):
             for size in (1, 7, 32768):
                 stop = min(start + size, len(log_x))
-                part = zeta._powers(log_x[start:stop], s, None if extra is None else extra[start:stop])
+                part = zeta._powers(log_x[start:stop], s)
                 assert np.array_equal(part, full[start:stop]), (s, start, size)
 
 
