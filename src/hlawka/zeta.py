@@ -55,7 +55,8 @@ Epstein value Z_Q(s) of their form, less the rows' tails beyond the disc
 and the full rows beyond it, all in O(R) (``hlawka_direct_many``).  So are
 the twisted sums, the harmonic continuation of each component
 less its twisted tails (``eisenstein_fq_truncated``, the truncated mode of
-``reconstruct_hlawka``).  The route is taken where the walk would visit
+``reconstruct_hlawka``), and the cosine series, sum chat(q) T_q(R) over
+their Fourier coefficients.  The route is taken where the walk would visit
 more than ``_WALK_POINTS`` points, its fixed cost's worth.
 
 Every complex power of the direct and spectrum sums comes from one kernel,
@@ -420,10 +421,20 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
     the Bessel terms and the rounding (``_row_tail_sums``), so it at most
     doubles.  Beyond
     |s| = 50 and for shapes whose form leaves the floats, it walks.
+
+    A cosine series takes the paper's decomposition instead, under the same
+    rules (tried above ``_WALK_POINTS`` points of its own group's walk,
+    taken where its bar adds at most the walk's bar, else the plain walk):
+    as t(p)^(-2s) = |p|^(-2s) r(theta)^(2s), its disc sum is exactly
+    sum_(q = 0 mod 4, |q| <= Q) chat(q) T_q(R), Q from the strip bound
+    of ``fourier.coefficient_cutoff`` and every T_q from one batch of the
+    twisted row tails (``_fourier_route``).
+
     ``truncation`` records the route: ``"route": "row-tails"`` with
     ``rows`` (the rows summed: 2N + 1, or N + 1 where rows n and -n have
     equal tails) and ``em_terms`` (the Euler-Maclaurin corrections per
-    row), or ``"route": "walk"``.  Neither route depends on the thread
+    row), ``"route": "fourier"`` with ``q_max`` (Q) and ``a`` (the strip's
+    half-width), or ``"route": "walk"``.  No route depends on the thread
     count.
     """
     s_list = [_require_convergent(s) for s in s_values]
@@ -443,7 +454,8 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
     masses = [scale * _lattice_mass(sv.real) for sv, scale in zip(s_list, scales)]
     walk_bars = [tail + _rounding(sv, mass, log_max, 2.0 * ulps) for sv, tail, mass in zip(s_list, tails, masses)]
     out: list = [None] * len(s_list)
-    rows = _quadratic_rows(shape, radius)
+    few = _walks_few(radius, shape.symmetry)
+    rows = None if few else _quadratic_rows(shape, radius)
     if rows is not None:
         _lattice.resolve_threads(threads)
         sums = _row_tail_sums(rows, [(sv, 0) for sv in s_list], masses, walk_bars,
@@ -455,6 +467,14 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
             out[i] = EvalResult(value=value, error_estimate=tails[i] + share + added,
                                 truncation={"radius": radius, "s": [sv.real, sv.imag], "route": "row-tails",
                                             "rows": len(rows.x), "em_terms": em_terms})
+    if shape.kind == "cosine-series" and not few:
+        _lattice.resolve_threads(threads)
+        for i, sv in enumerate(s_list):
+            route = _fourier_route(shape, sv, radius, masses[i], walk_bars[i])
+            if route is not None:
+                value, added, trunc = route
+                out[i] = EvalResult(value=value, error_estimate=tails[i] + added,
+                                    truncation={"radius": radius, "s": [sv.real, sv.imag], **trunc})
     walk = [i for i, res in enumerate(out) if res is None]
     if not walk:
         return out
@@ -548,16 +568,19 @@ class _QuadRows:
     skew: float  # r_max / r_min, at least |shift| / gamma
 
 
+def _walks_few(radius: float, symmetry: Symmetry) -> bool:
+    """Whether a walk of the fundamental domain of ``symmetry`` visits at
+    most ``_WALK_POINTS`` points (pi R^2 / |G|), where it is the cheaper
+    route."""
+    return math.pi * radius * radius / len(_lattice._GROUP[symmetry]) <= _WALK_POINTS
+
+
 def _quadratic_rows(shape: RadialShape, radius: float) -> _QuadRows | None:
-    """The rows of a circle or an ellipse; None for every other kind, where
-    its walk visits at most ``_WALK_POINTS`` points (pi R^2 / |G| for the
-    group G of its terms' symmetries), for a shape beyond ``_R_RANGE`` and
-    for a form too ill-conditioned to continue.  The form is exact
-    (``shapes._exact_form``), so that only the reduced form and the row
-    parameters round, each once."""
-    if (shape.kind != "ellipse"
-            or math.pi * radius * radius / len(_lattice._GROUP[shape.symmetry]) <= _WALK_POINTS
-            or not _R_RANGE[0] <= shape.r_min <= shape.r_max <= _R_RANGE[1]):
+    """The rows of a circle or an ellipse; None for every other kind, for a
+    shape beyond ``_R_RANGE`` and for a form too ill-conditioned to
+    continue.  The form is exact (``shapes._exact_form``), so that only the
+    reduced form and the row parameters round, each once."""
+    if shape.kind != "ellipse" or not _R_RANGE[0] <= shape.r_min <= shape.r_max <= _R_RANGE[1]:
         return None
     u11, u12, u22 = _exact_form(shape)
     reduced = QuadForm2(*map(float, _gauss_reduce(u11, u12, u22)))
@@ -813,7 +836,8 @@ def _twisted_integrals(rows: _QuadRows, s: complex, q_list, target: float):
     log_m = k_max * np.log((1.0 + r) / (1.0 - r)) - sigma * np.log1p(-r * r) + 2.0 * tau * np.arcsin(r)
     ratio = np.sqrt(zz)[:, None] / r
     for terms in _TWIST_TERMS:
-        trunc = float(np.min(np.exp(log_m) * (spread @ (ratio**terms / (1.0 - ratio))))) / (2.0 * sigma - 1.0 + terms)
+        trunc = (float(np.min(np.exp(log_m) * np.einsum("i,ij->j", spread, ratio**terms / (1.0 - ratio))))
+                 / (2.0 * sigma - 1.0 + terms))
         if trunc <= target:
             break
     kappa = 0.5 * np.array(q_list, float)
@@ -838,7 +862,7 @@ def _twisted_integrals(rows: _QuadRows, s: complex, q_list, target: float):
     series_mass *= scale
     # the coefficients within 6 k ulps of their majorants, Horner, a^(1-2s)
     series_err = (8.0 * terms + 16.0 + 2.0 * abs(1.0 - 2.0 * s) * (np.abs(log_a) + 1.0)) * _EPS * series_mass
-    rest = trunc + float(spread @ (series_err / scale))
+    rest = trunc + float(np.sum(spread * (series_err / scale)))
 
     # the panels above psi_c
     psi_c = math.atan(zc)
@@ -858,7 +882,7 @@ def _twisted_integrals(rows: _QuadRows, s: complex, q_list, target: float):
     log_rho = np.log(rho)
     for points in _GAUSS_POINTS:
         err = np.exp(np.minimum(np.min(log_err - 2.0 * points * log_rho, axis=0), 700.0))
-        quad = float(far_scale @ np.concatenate([[0.0], np.cumsum(err)])[at])
+        quad = float(np.sum(far_scale * np.concatenate([[0.0], np.cumsum(err)])[at]))
         if quad <= target:
             break
     t, weights = _legendre(points)
@@ -870,15 +894,23 @@ def _twisted_integrals(rows: _QuadRows, s: complex, q_list, target: float):
     moduli = float(series_mass[-1]) + np.concatenate([[0.0], np.cumsum(np.sum(np.abs(values), axis=1))])[at]
     ulps = (32.0 + 16.0 * k_max + abs(2.0 * s - 2.0) * (3.0 * float(np.max(np.abs(log_sin), initial=0.0)) + 6.0)
             + points + 2.0 * (2.0 * sigma - 1.0) + 2.0 * abs(1.0 - 2.0 * s) * (np.abs(log_n) + 2.0) + at)
-    rest += quad + float(far_scale @ (ulps * _EPS * moduli))
+    rest += quad + float(np.sum(far_scale * (ulps * _EPS * moduli)))
     g = np.empty((len(kappa), len(ends)), complex)
     g[:, 0] = series[:, -1]
-    np.cumsum(np.einsum("pk,qpk->qp", values, np.cos(np.multiply.outer(2.0 * kappa, nodes))), axis=1, out=g[:, 1:])
+    np.cumsum(_real_products(np.cos(np.multiply.outer(2.0 * kappa, nodes)), values, "qpk,pk->qp"), axis=1,
+              out=g[:, 1:])
     g[:, 1:] += g[:, :1]
     integrals = np.empty((len(kappa), len(n)), complex)
     integrals[:, near] = series[:, :-1]
     integrals[:, far] = np.exp((1.0 - 2.0 * s) * log_n) * g[:, at]
     return integrals, np.abs(integrals), np.full(len(kappa), rest)
+
+
+def _real_products(real: np.ndarray, values: np.ndarray, spec: str = "ql,ln->qn") -> np.ndarray:
+    """``np.einsum(spec, real, values)`` for a real array and a complex
+    one, as two real sums (the same products and order, half the work); an
+    einsum, not a matrix product, which numpy hands to a threaded BLAS."""
+    return np.einsum(spec, real, values.real) + 1j * np.einsum(spec, real, values.imag)
 
 
 def _row_tails(rows: _QuadRows, s: complex, p: int, half_line: complex, target: float, q=0,
@@ -944,12 +976,11 @@ def _row_tails(rows: _QuadRows, s: complex, p: int, half_line: complex, target: 
         total = np.sum(w * (integral + p_s * (0.5 - corr[0])))
         mass = float(np.sum(w * (mass + np.abs(p_s) * (0.5 + corr_mass))))
         return scale * complex(total), norm * (rest + kappa * _EPS * mass)
-    # powers of k = q/2 picking the even and the odd coefficients
+    # the even and the odd coefficients at each k = q/2
     k_powers = (0.5 * np.asarray(q, float)[:, None]) ** np.arange(size)
-    even, odd = k_powers * (np.arange(size) % 2 == 0), k_powers * (np.arange(size) % 2 == 1)
+    even, odd = _real_products(k_powers[:, 0::2], corr[0::2]), _real_products(k_powers[:, 1::2], corr[1::2])
     phase = np.multiply.outer(np.asarray(q, float), np.arctan2(c, x))
-    total = np.sum(w * (integral + p_s * (np.cos(phase) * (0.5 - even @ corr) - 1j * np.sin(phase) * (odd @ corr))),
-                   axis=1)
+    total = np.sum(w * (integral + p_s * (np.cos(phase) * (0.5 - even) - 1j * np.sin(phase) * odd)), axis=1)
     mass = np.sum(w * mass, axis=1) + float(np.sum(w * np.abs(p_s) * (0.5 + corr_mass)))
     # a twist's phase q theta adds 8 |q|
     return scale * total, norm * (rest + (kappa + 8.0 * np.abs(q)) * _EPS * mass)
@@ -971,7 +1002,8 @@ def _row_tail_sums(rows: _QuadRows, pairs, masses, budgets, continued, every: bo
     terms' moduli, doubled).  The remainders and the series aim at an ulp
     of ``masses``; the pairs of one s share their Euler-Maclaurin
     corrections and one batch of twisted integrals.  The bounds that need
-    no continued value are checked before it is computed; a pair with |s|
+    no continued value are checked before it is computed, and where
+    ``every``, the continued bars before any row is summed; a pair with |s|
     or |s + q/2| beyond ``_S_MAX`` walks."""
     groups: dict = {}
     for i, (s, _) in enumerate(pairs):
@@ -998,6 +1030,8 @@ def _row_tail_sums(rows: _QuadRows, pairs, masses, budgets, continued, every: bo
     try:
         conts = dict(zip(order, continued([pairs[i] for i in order])))
     except NumericError:  # s within 1e-8 of the pole, a stalled fraction: the walk serves them
+        return {}
+    if every and any(plans[i][1] + conts[i][1] > budgets[i] for i in order):
         return {}
     out = {}
     for s, group in groups.items():
@@ -1056,7 +1090,7 @@ def _spectrum_sums(spec: "_lattice.Spectrum", s_values) -> list[EvalResult]:
     return [EvalResult(
         value=value,
         error_estimate=_disc_tail(area, s.real, spec.t_max)
-        + _rounding(s, float(np.exp(log_t * (-2.0 * s.real)) @ a), log_max, ulps),
+        + _rounding(s, float(np.sum(np.exp(log_t * (-2.0 * s.real)) * a)), log_max, ulps),
         truncation={"t_max": spec.t_max, "entries": len(t)},
     ) for s, value in zip(s_list, values)]
 
@@ -1074,6 +1108,18 @@ def hlawka_from_spectrum(spec: "_lattice.Spectrum", s: complex) -> EvalResult:
     with no line carries no area estimate and is rejected.
     """
     return _spectrum_sums(spec, [s])[0]
+
+
+def _check_q(q) -> int:
+    """q as an int, rejected unless it is an integer whose twist phase
+    |q theta| <= |q| pi stays within ``_PHASE_MAX`` (compared exactly, so a
+    q beyond the floats is rejected too)."""
+    if q != int(q):
+        raise ValidationError("q must be an integer")
+    q = int(q)
+    if not abs(q) <= _PHASE_MAX / math.pi:
+        raise ValidationError(f"|q| must stay below {_PHASE_MAX / math.pi:.4g}, the twist's phase range")
+    return q
 
 
 def _rotate(value: complex, bar: float, q: int, g_rotation: float) -> tuple[complex, float]:
@@ -1132,9 +1178,7 @@ def eisenstein_fq_truncated(
     ``"route"``: ``"row-tails"`` (with ``rows`` and ``em_terms``) or
     ``"walk"``.
     """
-    if q != int(q):
-        raise ValidationError("q must be an integer")
-    q = int(q)
+    q = _check_q(q)
     if not math.isfinite(g_rotation):
         raise ValidationError(f"rotation must be finite, got {g_rotation}")
     s = _require_convergent(s)
@@ -1249,6 +1293,10 @@ def _cutoff(sp: complex, q: int, x_min: float, beta: float) -> tuple[float, floa
     return best
 
 
+# the most products a harmonic takes one step at a time
+_HARMONIC_STEPS = 16
+
+
 def _harmonics(step: np.ndarray, q_list, phase: np.ndarray):
     """``phase`` set to step^(q/4) for each q of ``q_list`` (ascending
     multiples of 4) in turn: the K-finite harmonics (m + i n)^q for step
@@ -1257,8 +1305,12 @@ def _harmonics(step: np.ndarray, q_list, phase: np.ndarray):
     phase.fill(1.0)
     done = 0
     for q in q_list:
-        for _ in range((q - done) // 4):
-            phase *= step
+        gap = (q - done) // 4
+        if gap > _HARMONIC_STEPS:  # exp(gap log step): |q theta| 2^-53 more, within the twist's 4 |q| ulps
+            phase *= step**gap
+        else:
+            for _ in range(gap):
+                phase *= step
         done = q
         yield phase
 
@@ -1503,13 +1555,14 @@ def eisenstein_fq_continued(q: int, s: complex, g_rotation: float = 0.0) -> Eval
     ``epstein_continued`` on the identity form.)  Summed over the cut disc
     and bounded as in ``epstein_lambda``.
     """
-    if q != int(q):
-        raise ValidationError("q must be an integer")
+    q = _check_q(q)
     if not math.isfinite(g_rotation):
         raise ValidationError(f"rotation must be finite, got {g_rotation}")
     s = complex(s)
+    if not abs(s + q / 2.0) <= _S_MAX:
+        raise ValidationError(f"|s + q/2| = {abs(s + q / 2.0):g} exceeds {_S_MAX:g}, the continuation's domain")
     if q % 4 != 0:
-        return EvalResult(value=0j, error_estimate=0.0, truncation={"q": int(q), "vanishes_identically": True})
+        return EvalResult(value=0j, error_estimate=0.0, truncation={"q": q, "vanishes_identically": True})
     if q < 4:
         raise ValidationError("continuation implemented for q >= 4 with q = 0 mod 4")
     [(lam, err)], trunc = _theta_split(QuadForm2.identity(), 1.0, [(s, q)])
@@ -1575,15 +1628,87 @@ def _twisted_truncated(
     (``_row_tail_sums``), else the walk (``_twisted_sums_truncated``)."""
     tail, mass = _disc_tail(2.0 * math.pi, s.real, radius), _lattice_mass(s.real)
     bars = [tail + _rounding(s, mass, 2.0 * math.log(radius), 0.0, q) for q in q_list]
-    rows = _quadratic_rows(circle(), radius)
-    if rows is not None:
+    if not _walks_few(radius, Symmetry.D4):
         _lattice.resolve_threads(threads)
-        sums = _row_tail_sums(rows, [(s, q) for q in q_list], [mass] * len(q_list), bars, _twisted_continued,
-                              every=True)
-        if sums:
-            return ({q: sums[i][0] for i, q in enumerate(q_list)}, {q: tail + sums[i][1] for i, q in enumerate(q_list)},
-                    {"route": "row-tails", "rows": len(rows.x), "em_terms": max(v[2] for v in sums.values())})
+        rows = _twisted_rows(s, q_list, radius, bars)
+        if rows is not None:
+            sums, added, route = rows
+            return sums, {q: tail + added[q] for q in q_list}, route
     return _twisted_sums_truncated(s, q_list, radius, threads), dict(zip(q_list, bars)), {"route": "walk"}
+
+
+def _twisted_rows(s: complex, q_list: list[int], radius: float, budgets
+                  ) -> tuple[dict[int, complex], dict[int, float], dict] | None:
+    """T_q for every q of q_list by the row tails of the identity form
+    (``_row_tail_sums``), their added bars (disc tail not included) and the
+    route's ``truncation`` entries; None unless every q's bar adds at most
+    its budget.  The remainders aim at an ulp of the lattice mass
+    sum |p|^(-2 sigma), which bounds every |T_q|."""
+    rows = _quadratic_rows(circle(), radius)
+    if rows is None:
+        return None
+    sums = _row_tail_sums(rows, [(s, q) for q in q_list], [_lattice_mass(s.real)] * len(q_list), budgets,
+                          _twisted_continued, every=True)
+    if not sums:
+        return None
+    return ({q: sums[i][0] for i, q in enumerate(q_list)}, {q: sums[i][1] for i, q in enumerate(q_list)},
+            {"route": "row-tails", "rows": len(rows.x), "em_terms": max(v[2] for v in sums.values())})
+
+
+def _decomposition(table: "_fourier.FourierTable", q_list: list[int], sums: dict, bars: dict
+                   ) -> tuple[complex, float]:
+    """sum over q of q_list of w_q T_q, w_q = chat(q) + chat(-q) (chat(0)
+    at q = 0), from the table's coefficients and the components ``sums``,
+    and a bound on its error from the components' ``bars`` and the rounding
+    of the n products and their sum, (n + 3) ulps of sum |w_q| |T_q|."""
+    c = table.coefficients
+    weights = [c[q] + c[-q] if q else c[0] for q in q_list]
+    value = sum(w * sums[q] for w, q in zip(weights, q_list))
+    moduli = sum(abs(w) * abs(sums[q]) for w, q in zip(weights, q_list))
+    return value, sum(abs(w) * bars[q] for w, q in zip(weights, q_list)) + (len(q_list) + 3) * _EPS * moduli
+
+
+def _coefficient_errors(table: "_fourier.FourierTable", q_list: list[int], moduli: list[float]) -> float:
+    """A bound on sum over q of q_list of (|dchat(q)| + |dchat(-q)|) |T_q|
+    (chat(0) once), |T_q| at most ``moduli``: each coefficient's aliasing
+    times its |T_q|, and the rounding by Cauchy-Schwarz, ``table.rounding``
+    times the 2-norm of the |T_q| over the coefficients."""
+    e, rounding = table.errors, table.rounding
+    alias = sum((e[q] - rounding + (e[-q] - rounding if q else 0.0)) * m for q, m in zip(q_list, moduli))
+    return alias + rounding * math.sqrt(sum((2.0 if q else 1.0) * m * m for q, m in zip(q_list, moduli)))
+
+
+def _fourier_route(shape: RadialShape, s: complex, radius: float, mass: float, budget: float
+                   ) -> tuple[complex, float, dict] | None:
+    """A cosine series' disc sum as the paper's decomposition
+    sum_(q = 0 mod 4, |q| <= Q) chat(q) T_q(R), exact on Z^2 as
+    t(p)^(-2s) = |p|^(-2s) r(theta)^(2s) and T_q = 0 for q != 0 mod 4:
+    the value, its added bar and its ``truncation`` entries, or None where
+    the bar would add more than ``budget``.  Q is the least of
+    ``fourier.coefficient_cutoff`` whose tail, times the lattice mass
+    L = sum |p|^(-2 sigma) (which bounds every |T_q(R)|), is at most an
+    ulp of the walk's ``mass``; the coefficients come from one table of
+    proven errors (``fourier.fourier_coeffs``), and every T_q from one batch
+    of row tails (``_twisted_rows``), each budgeted all that the
+    coefficients' errors and tail leave, divided by its |chat|.  The bar
+    adds ``_decomposition``'s and (``_coefficient_errors`` + tail) L."""
+    lattice_mass = _lattice_mass(s.real)
+    q_top, a, tail = _fourier.coefficient_cutoff(shape, s, _EPS * mass / lattice_mass)
+    table = _fourier.fourier_coeffs(shape, s, q_top)
+    c = table.coefficients
+    q_list = list(range(0, q_top + 1, 4))
+    coef_bar = (_coefficient_errors(table, q_list, [1.0] * len(q_list)) + tail) * lattice_mass
+    spare = budget - coef_bar
+    # each T_q may take what the others leave; the sum is checked below
+    rows = _twisted_rows(s, q_list, radius, [spare / max(abs(c[q] + c[-q] if q else c[0]), 1e-300 * spare)
+                                             for q in q_list]) if spare > 0.0 else None
+    if rows is None:
+        return None
+    value, bar = _decomposition(table, q_list, *rows[:2])
+    bar += coef_bar
+    if not bar <= budget:
+        return None
+    return value, bar, {"route": "fourier", "q_max": q_top, "a": a}
 
 
 def _twisted_sums_truncated(
@@ -1639,9 +1764,24 @@ def reconstruct_hlawka(
     than ``_WALK_POINTS`` points by the row tails of
     ``eisenstein_fq_truncated`` for every q at once (one harmonic theta
     split, one batch of row integrals and Euler-Maclaurin corrections),
-    taken only if every component's route adds at most its walk's bar.  ``truncation`` records ``"route"`` (``"row-tails"`` with
-    ``rows`` and ``em_terms``, the most corrections of any component, or
-    ``"walk"``).
+    taken only if every component's route adds at most its walk's bar.
+    ``truncation`` records ``"route"`` (``"row-tails"`` with ``rows`` and
+    ``em_terms``, the most corrections of any component, or ``"walk"``).
+
+    A shape with a strip (``fourier.strip_bounds``: cosine series,
+    ellipses, circles) sums only the components up to the bound's Q
+    (``fourier.coefficient_cutoff``, at an ulp of |chat(0)|; Q = 0 for a
+    circle), and at most q_max; ``truncation["q_used"]`` is the last.  The
+    bar adds each component's bar times its coefficients, each coefficient's
+    proven error times its component (the rounding by Cauchy-Schwarz,
+    ``_coefficient_errors``), the rounding of the products, and the bound on
+    the neglected coefficients times the lattice mass sum |p|^(-2 sigma),
+    which bounds every |T_q| where Re s > 1; at Re s <= 1 the largest
+    computed |T_q| stands in for it, an estimate.
+    ``slow_coefficient_decay`` is set where q_max is below Q.  Any other
+    shape takes the grid-doubling errors and models the neglected tail by
+    the decay at q_max, with a warning where it has not decayed below
+    1e-12 of chat(0).
     """
     s = complex(s)
     if mode not in ("truncated", "continued"):
@@ -1654,18 +1794,23 @@ def reconstruct_hlawka(
         raise ValidationError("q_max must be nonnegative")
 
     table = _fourier.fourier_coeffs(shape, s, q_max)
-    q_list = [q for q in range(0, q_max + 1, 4)]
-
-    c0 = abs(table.coefficients[0])
-    edge = max(abs(table.coefficients.get(q_list[-1], 0.0)),
-               abs(table.coefficients.get(-q_list[-1], 0.0))) if q_list[-1] > 0 else 0.0
-    slow_decay = c0 > 0 and edge >= 1e-12 * c0
-    if slow_decay:
-        warnings.warn(
-            "Fourier coefficients of r^(2s) have not decayed below 1e-12 of the "
-            "constant term at q_max; reconstruction tail may dominate (kinked shape?)",
-            stacklevel=2,
-        )
+    q_list = list(range(0, q_max + 1, 4))
+    c = table.coefficients
+    cut = _fourier.coefficient_cutoff(shape, s, _EPS * abs(c[0]))
+    if cut is not None:
+        # the components beyond the bound's Q are not summed; their bound is charged
+        q_list = [q for q in q_list if q <= cut[0]]
+        tail, _ = _fourier.coefficient_tail(shape, s, q_list[-1])
+        slow_decay = cut[0] > q_max
+    else:
+        edge = max(abs(c.get(q_list[-1], 0.0)), abs(c.get(-q_list[-1], 0.0))) if q_list[-1] > 0 else 0.0
+        slow_decay = abs(c[0]) > 0 and edge >= 1e-12 * abs(c[0])
+        if slow_decay:
+            warnings.warn(
+                "Fourier coefficients of r^(2s) have not decayed below 1e-12 of the "
+                "constant term at q_max; reconstruction tail may dominate (kinked shape?)",
+                stacklevel=2,
+            )
 
     trunc = {}
     if mode == "truncated":
@@ -1675,26 +1820,22 @@ def reconstruct_hlawka(
         t_sums = {q: v for q, (v, _) in zip(q_list, comps)}
         t_errs = {q: e for q, (_, e) in zip(q_list, comps)}
 
-    value = table.coefficients[0] * t_sums[0]
-    for q in q_list:
-        if q > 0:
-            value += (table.coefficients[q] + table.coefficients[-q]) * t_sums[q]
-
-    # each component's error times its coefficient, and each coefficient's
-    # (grid-doubling) error times its component
-    err = sum((abs(table.coefficients[q]) + (abs(table.coefficients[-q]) if q else 0.0)) * t_errs[q]
-              + (table.errors[q] + (table.errors[-q] if q else 0.0)) * abs(t_sums[q])
-              for q in q_list)
-    # neglected coefficient tail, modeled by the magnitude at the cutoff
-    # continuing at the observed decay ratio (or flat for kinked shapes),
-    # against components as large as the largest computed one
-    if q_list[-1] >= 8:
-        prev = max(abs(table.coefficients.get(q_list[-1] - 4, 0.0)), 1e-300)
+    value, err = _decomposition(table, q_list, t_sums, t_errs)
+    moduli = [abs(t_sums[q]) for q in q_list]
+    err += _coefficient_errors(table, q_list, moduli)
+    if cut is not None:
+        # every |T_q| is at most the lattice mass where Re s > 1; below, the
+        # largest computed one stands in for it
+        err += tail * (_lattice_mass(s.real) if s.real > 1.0 else max(moduli))
+    elif q_list[-1] >= 8:
+        # the neglected tail, modeled by the magnitude at the cutoff
+        # continuing at the observed decay ratio, against components as
+        # large as the largest computed one
+        prev = max(abs(c.get(q_list[-1] - 4, 0.0)), 1e-300)
         ratio = min(edge / prev, 0.9) if prev > 0 else 0.0
-        tail_coeffs = 2.0 * edge / (1.0 - ratio) if edge > 0 else 0.0
+        err += (2.0 * edge / (1.0 - ratio) if edge > 0 else 0.0) * max(moduli)
     else:
-        tail_coeffs = 2.0 * edge * 10.0
-    err += tail_coeffs * max(abs(v) for v in t_sums.values())
+        err += 2.0 * edge * 10.0 * max(moduli)
 
     return EvalResult(
         value=value,
@@ -1703,6 +1844,7 @@ def reconstruct_hlawka(
             "q_max": q_max,
             "mode": mode,
             "radius": radius if mode == "truncated" else None,
+            "q_used": q_list[-1],
             "n_quad": table.n_quad,
             "slow_coefficient_decay": slow_decay,
             **trunc,

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hlawka import zeta
-from hlawka.shapes import circle, cosine_series, ellipse, odd_shape, square
+from hlawka.shapes import _exact_form, circle, cosine_series, ellipse, odd_shape, square
 from hlawka.zeta import QuadForm2
 
 
@@ -36,9 +37,10 @@ def bump_shape():
 
 @pytest.fixture
 def walk_only(monkeypatch):
-    """Circles, ellipses, twisted sums (rotated or not) and truncated
-    reconstructions walk their discs instead of taking row tails.  The row
-    tails are the continued value less its tails (Z_Q from
+    """Circles, ellipses, twisted sums (rotated or not), truncated
+    reconstructions and cosine series walk their discs instead of taking
+    row tails (the cosine series' Fourier route sums its components by
+    them).  The row tails are the continued value less its tails (Z_Q from
     ``epstein_continued``, a twisted component from the harmonic theta
     split), so a direct sum that checks a continuation must walk, or an
     error of the continuation cancels on both sides."""
@@ -76,3 +78,28 @@ def disc_tail_correction(u: QuadForm2, s: complex, radius: float) -> complex:
     th = np.arange(2048) * (2.0 * math.pi / 2048)
     ang = complex(np.mean(np.exp(-s * np.log(u.evaluate(np.cos(th), np.sin(th)))))) * 2.0 * math.pi
     return ang * radius ** (2.0 - 2.0 * s) / (2.0 * s - 2.0)
+
+
+def mp_fourier_coefficients(shape, s, q_values, n=512, dps=40):
+    """chat(q) of r^(2s) for each q of ``q_values`` in mpmath at ``dps``
+    digits, by the n-point trapezoid rule from the exact radial function (a
+    cosine series' terms, an ellipse's exact form t^2 = Q(cos, sin)):
+    spectrally accurate where r^(2s) is analytic on a strip."""
+    with mpmath.workdps(dps):
+        s = mpmath.mpc(s)
+        theta = [2 * mpmath.pi * j / n for j in range(n)]
+        if shape.kind == "cosine-series":
+            f = [mpmath.exp(2 * s * mpmath.log(sum(c * mpmath.cos(k * th) for k, c in enumerate(shape.params) if c)))
+                 for th in theta]
+        else:
+            u11, u12, u22 = (mpmath.mpf(x.numerator) / x.denominator for x in _exact_form(shape))
+            f = [mpmath.exp(-s * mpmath.log(u11 * mpmath.cos(th) ** 2 + 2 * u12 * mpmath.cos(th) * mpmath.sin(th)
+                                            + u22 * mpmath.sin(th) ** 2)) for th in theta]
+        step = [mpmath.expjpi(-2 * mpmath.mpf(j) / n) for j in range(n)]
+        out, powers, at = {}, [mpmath.mpf(1)] * n, 0
+        for q in sorted(q_values):
+            for _ in range(q - at):
+                powers = [p * w for p, w in zip(powers, step)]
+            at = q
+            out[q] = complex(mpmath.fsum(a * b for a, b in zip(f, powers)) / n)
+        return out

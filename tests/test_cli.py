@@ -616,6 +616,10 @@ def test_reconstruct_truncated_rejects_a_bad_radius(capsys, monkeypatch, radius)
     ("eisenstein", "--q", "4", "--s", "2", "--rotation", "nan", "--method", "continued"),
     ("eisenstein", "--z", "0+1i", "--s", "2", "--rotation", "nan"),
     ("eisenstein", "--z", "0+1i", "--s", "2", "--rotation", "0.3"),  # E(z, s) takes no rotation
+    ("eisenstein", "--q", "4" + "0" * 400, "--s", "2", "--radius", "50"),  # q beyond the floats
+    ("eisenstein", "--q", "4" + "0" * 400, "--s", "2", "--method", "continued"),
+    ("eisenstein", "--q", "4000000000000", "--s", "2", "--radius", "50"),  # |q| pi beyond the phase range
+    ("eisenstein", "--q", "400000000000", "--s", "2", "--method", "continued"),  # |s + q/2| > 50
     ("perron", "--shape", "square", "--x", "10.5", "--T", "inf"),
     ("perron", "--shape", "square", "--x", "10.5", "--T", "1e9"),  # 1.5e9 lobes
     ("act", "--shape", "square", "--grid", "0"),
@@ -879,6 +883,23 @@ def test_quadratic_direct_sums_print_the_same_bytes_at_any_thread_count(capsys, 
     assert code1 == code2 == 0 and out1 == out2
     route = json.loads(out1)["truncation"]["route"]
     assert route == ("walk" if "2+40i" in argv[3] else "row-tails")
+
+
+@pytest.mark.parametrize("argv,route", [
+    (("zeta", "--shape", "cos:c0=1,c2=0.15", "--s=1.874252+3.122349i", "--method", "direct",
+      "--radius", "503.087"), "fourier"),
+    (("zeta", "--shape", "cos:c0=1,c4=0.1", "--s=1.268126+1.189243i", "--method", "direct",
+      "--radius", "1500"), "fourier"),
+    (("zeta", "--shape", "cos:c0=1,c4=0.1", "--s=1.268126+1.189243i", "--method", "direct",
+      "--radius", "300"), "walk"),  # the D4 walk visits 35000 points
+])
+def test_cosine_direct_sums_print_the_same_bytes_at_any_thread_count(capsys, argv, route):
+    code1, out1, _ = run_cli(capsys, *argv, "--threads", "1")
+    code2, out2, _ = run_cli(capsys, *argv, "--threads", "2")
+    assert code1 == code2 == 0 and out1 == out2
+    truncation = json.loads(out1)["truncation"]
+    assert truncation["route"] == route
+    assert ("q_max" in truncation and "a" in truncation) == (route == "fourier")
 
 
 @pytest.mark.parametrize("argv,route", [

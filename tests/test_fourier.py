@@ -12,7 +12,8 @@ import pytest
 from hlawka import fourier, special
 from hlawka.cli import main
 from hlawka.errors import ValidationError
-from hlawka.fourier import closed_form_coefficients, ellipse_coefficient, fourier_coeffs
+from conftest import mp_fourier_coefficients
+from hlawka.fourier import closed_form_coefficients, ellipse_coefficient, fourier_coeffs, strip_bounds
 from hlawka.shapes import Mat2, act, circle, cosine_series, ellipse, odd_shape, parse_shape, square
 
 
@@ -120,6 +121,38 @@ def test_fft_coefficients_match_the_mean_loop(spec, s, q_max, n):
     assert fft.keys() == ref.keys()
     scale = max(abs(c) for c in ref.values())
     assert max(abs(fft[q] - ref[q]) for q in ref) <= 1e-14 * scale
+
+
+_STRIP_SPECS = ["cos:c0=1,c2=0.15", "cos:c0=1,c4=0.1", "cos:c0=1,c2=0.05,c6=0.04", "ellipse:a=2,b=1,phi=0.3",
+                 "ellipse:a=1.2,b=1@gl2=1,1,0,1", "ellipse:a=1.5,b=1"]
+
+
+@pytest.mark.parametrize("spec", _STRIP_SPECS)
+@pytest.mark.parametrize("s", [2.0, -0.5 + 3.0j, 1.5 + 8.0j])
+def test_strip_bound_holds_against_mpmath_coefficients(spec, s):
+    # |chat(q)| <= M e^(-a |q|) for every strip of the bound and q <= 100
+    # (chat(-q) = chat(q) for these even shapes up to a rotation's phase,
+    # which the modulus drops); mpmath at 40 digits rounds below 1e-36 M
+    shape = parse_shape(spec)
+    exact = mp_fourier_coefficients(shape, s, range(101))
+    bounds = strip_bounds(shape, s)
+    assert len(bounds) == len(fourier._STRIP_SHARES)
+    for a, log_m in bounds:
+        for q, value in exact.items():
+            assert abs(value) <= math.exp(log_m - a * q) + 1e-36 * math.exp(log_m), (a, q)
+
+
+def test_circles_bound_every_other_coefficient_by_zero():
+    for s in (2.0, -0.5 + 3.0j):
+        [(a, log_m)] = strip_bounds(circle(1.3), s)
+        assert a == math.inf and math.exp(log_m) >= abs(1.3 ** (2.0 * s))
+        assert all(math.exp(log_m - a * q) == 0.0 for q in range(1, 101))
+        assert fourier.coefficient_cutoff(circle(1.3), s, 1e-300) == (0, math.inf, 0.0)
+
+
+def test_no_strip_for_kinked_or_transformed_shapes():
+    for shape in (square(), odd_shape(), act(Mat2(1.2, 0.3, -0.1, 0.8), cosine_series([1.0, 0.0, 0.15]))):
+        assert strip_bounds(shape, 2.0) is None and fourier.coefficient_cutoff(shape, 2.0, 1e-16) is None
 
 
 def test_default_grid_is_the_smallest_power_of_two_above_8_q_max():

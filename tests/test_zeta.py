@@ -3,6 +3,8 @@
 
 import cmath
 import math
+import resource
+import time
 import warnings
 
 import mpmath as mp
@@ -825,7 +827,8 @@ def test_only_integral_images_count_dilation_times(direct_paths, monkeypatch, ro
                   act(Mat2(0.5, 0.0, 0.0, 0.5), square()),
                   circle(1.0), cosine_series([1.0, 0.0, 0.0, 0.0, 0.1])):
         hlawka_direct_many(shape, [_S, 3.0], 60.0)
-    assert direct_paths == ["point"] * 3 + ["rows", "point"]
+    # the cosine series takes the Fourier route, one batch of twisted row tails per s
+    assert direct_paths == ["point"] * 3 + ["rows"] * 3
     direct_paths.clear()
     # a shape whose times could exceed the count array is summed per point
     monkeypatch.setattr(zeta, "_COUNT_BINS", 60)
@@ -882,6 +885,8 @@ _THREAD_CASES = {
     "zeta square": lambda t: hlawka_direct(square(), 2.0 + 0.5j, 1500.0, threads=t).value,
     "zeta cos:c0=1,c4=0.1": lambda t: hlawka_direct(
         cosine_series([1.0, 0.0, 0.0, 0.0, 0.1]), 2.0 + 0.5j, 1500.0, threads=t).value,
+    "zeta cos:c0=1,c2=0.15": lambda t: hlawka_direct(
+        cosine_series([1.0, 0.0, 0.15]), 2.0 + 0.5j, 700.0, threads=t).value,
     "epstein": lambda t: hlawka_direct(_FORM.region(), 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=8": lambda t: eisenstein_fq_truncated(8, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
     "twisted q=12": lambda t: eisenstein_fq_truncated(12, 0.3, 2.0 + 0.5j, 600.0, threads=t).value,
@@ -1488,3 +1493,116 @@ def test_epstein_direct_at_a_large_imaginary_part_takes_the_row_tails():
     assert res.truncation["route"] == "row-tails"
     walked = _walked(shape, [s], 916.805)[0]
     assert abs(res.value - walked.value) <= _bare_bar(res, shape, s, 916.805) + _bare_bar(walked, shape, s, 916.805)
+
+
+# ---------------------------------------------------------------------------
+# cosine series by the Fourier route
+# ---------------------------------------------------------------------------
+
+_COS_SHAPES = {"c2": [1.0, 0.0, 0.15], "c4": [1.0, 0.0, 0.0, 0.0, 0.1], "c6": [1.0, 0.0, 0.05, 0.0, 0.0, 0.0, 0.04]}
+_ROUTE_RNG = np.random.default_rng(3402)
+_ROUTE_GRID = [(name, radius, complex(round(_ROUTE_RNG.uniform(1.05, 3.0), 6), round(_ROUTE_RNG.uniform(-8.0, 8.0), 6)))
+               for name in _COS_SHAPES for radius in (400.0, 777.7, 1500.0) for _ in range(2)]
+
+
+def _walked_direct(shape, s, radius):
+    """The walk's ``hlawka_direct`` (the row tails, and so the Fourier route, off)."""
+    original = zeta._quadratic_rows
+    zeta._quadratic_rows = lambda shape, radius: None
+    try:
+        return hlawka_direct(shape, s, radius)
+    finally:
+        zeta._quadratic_rows = original
+
+
+@pytest.mark.parametrize("name,radius,s", _ROUTE_GRID, ids=[f"{n} R={r} s={s}" for n, r, s in _ROUTE_GRID])
+def test_fourier_route_agrees_with_the_walk(name, radius, s):
+    # within the sum of what the two bars claim for the truncated sum (the
+    # shared disc tail to infinity aside); a refused route is the walk
+    shape = cosine_series(_COS_SHAPES[name])
+    res, walked = hlawka_direct(shape, s, radius), _walked_direct(shape, s, radius)
+    assert walked.truncation["route"] == "walk"
+    if res.truncation["route"] == "walk":
+        assert res == walked
+        return
+    assert res.truncation["route"] == "fourier" and res.truncation["q_max"] % 4 == 0
+    tail = zeta._disc_tail(2.0 * math.pi * shape.r_max ** (2.0 * s.real), s.real, radius)
+    assert abs(res.value - walked.value) <= (res.error_estimate - tail) + (walked.error_estimate - tail)
+    assert res.error_estimate <= 2.0 * walked.error_estimate
+
+
+def test_most_of_the_route_grid_takes_the_fourier_route():
+    routes = [hlawka_direct(cosine_series(_COS_SHAPES[n]), s, r).truncation["route"] for n, r, s in _ROUTE_GRID]
+    assert routes.count("fourier") >= 0.75 * len(routes), routes
+
+
+def test_the_fourier_route_counts_the_walk_by_the_shapes_own_group():
+    # a cos(2 theta) series folds by the Klein group (order 4), a
+    # cos(4 theta) series by D4 (order 8): the route starts at
+    # pi R^2 / |G| > _WALK_POINTS, R = 276.4 and 390.9
+    c2, c4 = cosine_series(_COS_SHAPES["c2"]), cosine_series(_COS_SHAPES["c4"])
+    s = 1.874252 + 3.122349j
+    assert hlawka_direct(c2, s, 270.0).truncation["route"] == "walk"
+    assert hlawka_direct(c2, s, 290.0).truncation["route"] == "fourier"
+    assert hlawka_direct(c4, s, 380.0).truncation["route"] == "walk"
+    assert hlawka_direct(c4, s, 400.0).truncation["route"] == "fourier"
+
+
+def test_walk_only_disables_the_fourier_route(walk_only):
+    res = hlawka_direct(cosine_series(_COS_SHAPES["c2"]), 1.874252 + 3.122349j, 600.0)
+    assert res.truncation["route"] == "walk"
+
+
+def test_fourier_route_images_walk():
+    # an image of a cosine series is no cosine series: it walks
+    shape = act(Mat2(1.2, 0.3, -0.1, 0.8), cosine_series(_COS_SHAPES["c2"]))
+    assert hlawka_direct(shape, 2.0 + 1.0j, 300.0).truncation["route"] == "walk"
+
+
+def test_circles_reconstruct_from_one_component():
+    # a circle's chat(q != 0) are bounded by 0: only T_0 is summed
+    for mode in ("truncated", "continued"):
+        res = reconstruct_hlawka(circle(1.2), 2.0 + 1.0j, 40, mode=mode, radius=500.0)
+        assert res.truncation["q_used"] == 0
+        assert abs(res.value - 1.2 ** (2.0 * (2.0 + 1.0j)) * epstein_continued(QuadForm2.identity(),
+                                                                             2.0 + 1.0j).value) <= res.error_estimate
+
+
+def test_fq_validates_q_up_front():
+    # a q beyond the floats, or whose phase leaves the kernel's range, or a
+    # continuation beyond |s + q/2| = 50, is a ValidationError, not a
+    # traceback or a hang
+    for q in (4 * 10**400, 4 * 10**12, -4 * 10**12):
+        with pytest.raises(ValidationError, match="q"):
+            eisenstein_fq_truncated(q, 0.0, 2.0, 50.0)
+        with pytest.raises(ValidationError, match="q"):
+            eisenstein_fq_continued(q, 2.0)
+    for q in (4 * 10**11, 100):
+        with pytest.raises(ValidationError, match="s \\+ q/2"):
+            eisenstein_fq_continued(q, 2.0)
+
+
+def test_large_q_walks_take_their_harmonic_by_one_power():
+    # far beyond _HARMONIC_STEPS products, the harmonic is one power: q =
+    # 4e11 sums at once, and q = 400 agrees with the numpy disc sum
+    start = time.perf_counter()
+    res = eisenstein_fq_truncated(4 * 10**11, 0.0, 2.0, 50.0)
+    assert time.perf_counter() - start < 5.0
+    assert np.isfinite(res.value) and np.isfinite(res.error_estimate)
+    res = eisenstein_fq_truncated(400, 0.0, 2.0 + 1.0j, 60.0)
+    ref, _ = _disc_reference(_twisted_weight(400, 0.0, 2.0 + 1.0j), 60.0)
+    assert abs(res.value - ref) <= res.error_estimate
+
+
+def test_no_blas_thread_spins_after_the_row_tails_and_the_spectrum_sums():
+    # a threaded BLAS call leaves a worker spinning for about 0.1 s; the
+    # library makes none, so the process idles while it sleeps
+    res = eisenstein_fq_truncated(8, 0.0, 1.268126 + 1.189243j, 2100.0)
+    assert res.truncation["route"] == "row-tails" and res.truncation["rows"] > 2000
+    spec = build_spectrum(ellipse(1.3, 1.0), 160.0)
+    assert len(spec.t_values) > 16000
+    hlawka_from_spectrum(spec, 2.0 + 1.0j)
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    time.sleep(0.05)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    assert (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime) < 0.010
