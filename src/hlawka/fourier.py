@@ -10,9 +10,9 @@ periodic integrands; it is one FFT per grid.  Where r^(2s) is analytic on a
 strip |Im theta| <= a (cosine series, ellipses, circles) its error is
 bounded in closed form (``strip_bounds``: |chat(q)| <= M e^(-a |q|), and the
 aliasing 2 M e^(-a (N - |q|)) / (1 - e^(-a N))), which also bounds the
-coefficients a reconstruction leaves out (``coefficient_cutoff``,
-``coefficient_tail``).  Other shapes (polygons, transformed shapes) have no
-strip; their error is estimated by doubling the grid once.
+coefficients a reconstruction leaves out (``coefficient_cutoff``).  Other
+shapes (polygons, transformed shapes) have no strip; their error is
+estimated by doubling the grid once.
 For ellipses a closed form exists: the binomial expansion of
 (c + d cos^2)^(-s) gives each coefficient as one Gauss series
 2F1(s+2q, 2q+1/2; 4q+1; -d/c), summed by ``special.hyp2f1`` with a bound on
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .results import EvalResult
 from .shapes import RadialShape
 from .special import _EPS, hyp2f1
 
-__all__ = ["FourierTable", "fourier_coeffs", "strip_bounds", "coefficient_cutoff", "coefficient_tail",
+__all__ = ["FourierTable", "fourier_coeffs", "strip_bounds", "coefficient_cutoff",
            "ellipse_coefficient", "closed_form_coefficients"]
 
 
@@ -61,7 +60,6 @@ _STRIP_SHARES = tuple(0.05 * k for k in range(1, 20)) + (0.97, 0.99)
 _GRID_CAP = 1 << 16
 
 
-@lru_cache(maxsize=64)
 def strip_bounds(shape: RadialShape, s: complex) -> tuple[tuple[float, float], ...] | None:
     """Pairs (a, log M) with |r^(2s)| <= M on the strip |Im theta| <= a, one
     for each share of ``_STRIP_SHARES`` of the strip's edge, so that
@@ -84,8 +82,7 @@ def strip_bounds(shape: RadialShape, s: complex) -> tuple[tuple[float, float], .
     at each share f <= 0.99.  A circle, P constant, has every
     chat(q != 0) = 0: one pair with a = inf.  log M carries
     64 (1 + |beta| (|log P| + 2)) ulps for its own rounding, and the range of
-    P 4 ulps for the squares and reciprocals of an ellipse.  The last 64
-    asked for are kept: a reconstruction asks three times."""
+    P 4 ulps for the squares and reciprocals of an ellipse."""
     if shape.kind == "cosine-series":
         p_min, p_max, beta = shape.r_min, shape.r_max, 2.0 * s
         amps = [(k, abs(c)) for k, c in enumerate(shape.params) if k and c != 0.0]
@@ -131,32 +128,29 @@ def _geometric(a: float, log_m: float, first: int, step: int) -> float:
     return 2.0 * math.exp(x) / -math.expm1(-a * step) if x < 700.0 else math.inf
 
 
-def coefficient_tail(shape: RadialShape, s: complex, q: int) -> tuple[float, float] | None:
-    """(tail, a): the least bound of ``strip_bounds`` on the sum of
-    |chat(q')| over q' = 0 mod 4, |q'| > q, and its strip; None without a
-    strip."""
-    bounds = strip_bounds(shape, s)
-    return None if bounds is None else min((_geometric(a, log_m, q + 4, 4), a) for a, log_m in bounds)
+def _aliasing(bounds, n: int, q: int) -> tuple[float, float, float]:
+    """(bound, a, log M): the least aliasing bound of ``bounds`` on chat(q)
+    on an n-point grid and its strip."""
+    return min((_geometric(a, log_m, n - abs(q), n), a, log_m) for a, log_m in bounds)
 
 
-def coefficient_cutoff(shape: RadialShape, s: complex, target: float) -> tuple[int, float, float] | None:
-    """(Q, a, tail): Q the least multiple of 4, over the strips of
-    ``strip_bounds``, at which the coefficients beyond it, q = 0 mod 4,
-    |q| > Q, sum to at most ``target`` (their bound ``tail``, from the strip
-    a); None without a strip."""
-    bounds = strip_bounds(shape, s)
-    if bounds is None:
-        return None
-    best = None
-    for a, log_m in bounds:
-        if a == math.inf:
-            return 0, a, 0.0
-        # the first Q with 2 M e^(-a (Q + 4)) <= target (1 - e^(-4a))
+def coefficient_cutoff(bounds, target: float, q_max: int | None = None) -> tuple[int, float, float]:
+    """(Q, a, tail) for the strips ``bounds`` of ``strip_bounds``: Q the
+    least multiple of 4, over the strips, at which the coefficients beyond
+    it, q = 0 mod 4, |q| > Q, sum to at most ``target``; tail the least
+    bound on the coefficients beyond min(Q, q_max) (q_max rounded down to a
+    multiple of 4) and a its strip."""
+    if bounds[0][0] == math.inf:
+        return 0, math.inf, 0.0
+
+    def first(a: float, log_m: float) -> int:  # the first Q with 2 M e^(-a (Q + 4)) <= target (1 - e^(-4a))
         need = (math.log(2.0) + log_m - math.log(target * -math.expm1(-4.0 * a))) / a - 4.0
-        q = 4 * max(0, math.ceil(need / 4.0 - 1e-9))
-        if best is None or q < best[0]:
-            best = (q, a, _geometric(a, log_m, q + 4, 4))
-    return best
+        return 4 * max(0, math.ceil(need / 4.0 - 1e-9))
+
+    q = min(first(*b) for b in bounds)
+    cut = q if q_max is None else min(q, q_max - q_max % 4)
+    tail, a = min((_geometric(a, log_m, cut + 4, 4), a) for a, log_m in bounds)
+    return q, a, tail
 
 
 def _grid(shape: RadialShape, s: complex, n: int) -> tuple[np.ndarray, float]:
@@ -202,38 +196,40 @@ def _rounding(shape: RadialShape, s: complex, n: int) -> float:
 
 
 def fourier_coeffs(
-    shape: RadialShape, s: complex, q_max: int, n_quad: int | None = None
+    shape: RadialShape, s: complex, q_max: int, n_quad: int | None = None, *, bounds=None
 ) -> FourierTable:
     """Trapezoid-rule coefficients of r^(2s), |q| <= q_max, on n_quad points.
 
     n_quad must be a power of two with n_quad >= 8 q_max; by default it is
     the smallest such power, at least 256, doubled (up to 2^16) while the
-    aliasing bound at q_max exceeds the rounding.  For a shape with a strip
-    (``strip_bounds``: cosine series, ellipses, circles) one grid is summed
-    and each error is a bound: the aliasing bound of the strip that makes
-    it least at q_max, plus the rounding of the values and of the FFT
-    (``_rounding``).  Any other shape takes a second grid of 2 n_quad
-    points, and its errors are the estimates |c_N - c_2N|; a warning is
-    raised when any exceeds 1e-8 (kinked shapes converge only
+    least aliasing bound at q_max exceeds the rounding.  For a shape with a
+    strip (``strip_bounds``: cosine series, ellipses, circles) one grid is
+    summed and each error is a bound: the aliasing bound of the strip that
+    makes it least at q_max, plus the rounding of the values and of the FFT
+    (``_rounding``); ``bounds`` is ``strip_bounds(shape, s)``, computed
+    here unless the caller has it.  Any other shape takes a second grid of
+    2 n_quad points, and its errors are the estimates |c_N - c_2N|; a
+    warning is raised when any exceeds 1e-8 (kinked shapes converge only
     algebraically).
     """
     s = complex(s)
     if q_max < 0:
         raise ValidationError("q_max must be nonnegative")
-    bounds = strip_bounds(shape, s)
-    if bounds is not None:
-        a, log_m = min(bounds, key=lambda b: _geometric(*b, 256 - q_max, 256))
+    if bounds is None:  # a shape without a strip recomputes None at no cost
+        bounds = strip_bounds(shape, s)
     if n_quad is None:
         n_quad = max(256, 1 << (8 * max(q_max, 1) - 1).bit_length())
-        while (bounds is not None and n_quad < _GRID_CAP
-               and _geometric(a, log_m, n_quad - q_max, n_quad) > _rounding(shape, s, n_quad) * _EPS * math.exp(log_m)):
+        while bounds is not None and n_quad < _GRID_CAP:
+            alias, _, log_m = _aliasing(bounds, n_quad, q_max)
+            if alias <= _rounding(shape, s, n_quad) * _EPS * math.exp(log_m):
+                break
             n_quad *= 2
     if n_quad < max(8 * q_max, 8) or (n_quad & (n_quad - 1)) != 0:
         raise ValidationError("n_quad must be a power of two with n_quad >= 8*q_max")
     coarse, top = _grid(shape, s, n_quad)
     coefficients = {q: complex(coarse[q]) for q in range(-q_max, q_max + 1)}
     if bounds is not None:
-        a, log_m = min(bounds, key=lambda b: _geometric(*b, n_quad - q_max, n_quad))
+        _, a, log_m = _aliasing(bounds, n_quad, q_max)
         rounding = _rounding(shape, s, n_quad) * _EPS * top
         errors = {q: _geometric(a, log_m, n_quad - abs(q), n_quad) + rounding for q in coefficients}
         return FourierTable(s=s, coefficients=coefficients, errors=errors, n_quad=n_quad, rounding=rounding)

@@ -423,8 +423,10 @@ def hlawka_direct_many(shape: RadialShape, s_values, radius: float, threads: int
     |s| = 50 and for shapes whose form leaves the floats, it walks.
 
     A cosine series takes the paper's decomposition instead, under the same
-    rules (tried above ``_WALK_POINTS`` points of its own group's walk,
-    taken where its bar adds at most the walk's bar, else the plain walk):
+    rules (tried above ``_WALK_POINTS`` points of its own group's walk, and
+    above as many for every ``_ROUTE_TWISTS`` of its Q/4 + 1 twists, with
+    |s + Q/2| <= 50; taken where its bar adds at most the walk's bar; else
+    the plain walk):
     as t(p)^(-2s) = |p|^(-2s) r(theta)^(2s), its disc sum is exactly
     sum_(q = 0 mod 4, |q| <= Q) chat(q) T_q(R), Q from the strip bound
     of ``fourier.coefficient_cutoff`` and every T_q from one batch of the
@@ -536,6 +538,11 @@ _SHARES = np.array([0.05 * k for k in range(1, 20)] + [0.97, 0.99])
 # give totals within 1% of each other, and none (row tails at every
 # radius) 13% more
 _WALK_POINTS = 60000.0
+# the twists of the Fourier route that cost what a walk of _WALK_POINTS
+# points does: the route takes 2.3 to 9.5 ms for 6 to 23 twists, 0.2 to
+# 0.3 ms each, where a walk takes 35 to 45 ns a point (in-process, best of
+# 7, on the benchmark's two cosine series at R 280 to 650, 2 cores)
+_ROUTE_TWISTS = 8
 # the terms of a twisted row integral's series in n / a and the
 # Gauss-Legendre points per panel it may take, the fewest that suffice
 _TWIST_TERMS = (8, 16, 24, 32, 48)
@@ -568,11 +575,11 @@ class _QuadRows:
     skew: float  # r_max / r_min, at least |shift| / gamma
 
 
-def _walks_few(radius: float, symmetry: Symmetry) -> bool:
+def _walks_few(radius: float, symmetry: Symmetry, routes: float = 1.0) -> bool:
     """Whether a walk of the fundamental domain of ``symmetry`` visits at
-    most ``_WALK_POINTS`` points (pi R^2 / |G|), where it is the cheaper
-    route."""
-    return math.pi * radius * radius / len(_lattice._GROUP[symmetry]) <= _WALK_POINTS
+    most ``routes`` times ``_WALK_POINTS`` points (pi R^2 / |G|), where it
+    is the cheaper route."""
+    return math.pi * radius * radius / len(_lattice._GROUP[symmetry]) <= routes * _WALK_POINTS
 
 
 def _quadratic_rows(shape: RadialShape, radius: float) -> _QuadRows | None:
@@ -1293,7 +1300,10 @@ def _cutoff(sp: complex, q: int, x_min: float, beta: float) -> tuple[float, floa
     return best
 
 
-# the most products a harmonic takes one step at a time
+# the most products a harmonic takes one step at a time; beyond, one
+# power.  A power for every gap costs a complex power a point: the walk of
+# q = 0, 4, ..., 40 at R = 270 took 3.8 ms against 2.2 ms by products
+# (in-process, best of 7), and single-q sums moved their last bits
 _HARMONIC_STEPS = 16
 
 
@@ -1684,7 +1694,11 @@ def _fourier_route(shape: RadialShape, s: complex, radius: float, mass: float, b
     sum_(q = 0 mod 4, |q| <= Q) chat(q) T_q(R), exact on Z^2 as
     t(p)^(-2s) = |p|^(-2s) r(theta)^(2s) and T_q = 0 for q != 0 mod 4:
     the value, its added bar and its ``truncation`` entries, or None where
-    the bar would add more than ``budget``.  Q is the least of
+    the bar would add more than ``budget``, where |s + Q/2| leaves the row
+    tails' ``_S_MAX``, or where the walk visits at most ``_WALK_POINTS``
+    points for every ``_ROUTE_TWISTS`` twists (both checked before any
+    table is summed, so Q < 100 + 2 |s| sizes every table and batch).
+    Q is the least of
     ``fourier.coefficient_cutoff`` whose tail, times the lattice mass
     L = sum |p|^(-2 sigma) (which bounds every |T_q(R)|), is at most an
     ulp of the walk's ``mass``; the coefficients come from one table of
@@ -1692,9 +1706,14 @@ def _fourier_route(shape: RadialShape, s: complex, radius: float, mass: float, b
     of row tails (``_twisted_rows``), each budgeted all that the
     coefficients' errors and tail leave, divided by its |chat|.  The bar
     adds ``_decomposition``'s and (``_coefficient_errors`` + tail) L."""
+    bounds = _fourier.strip_bounds(shape, s)
     lattice_mass = _lattice_mass(s.real)
-    q_top, a, tail = _fourier.coefficient_cutoff(shape, s, _EPS * mass / lattice_mass)
-    table = _fourier.fourier_coeffs(shape, s, q_top)
+    q_top, a, tail = _fourier.coefficient_cutoff(bounds, _EPS * mass / lattice_mass)
+    # the row tails refuse |s + q/2| > _S_MAX, and |s + q/2| grows with q:
+    # refused here, a thin series' Q (which grows like 1 / r_min) sizes no table
+    if not abs(s + 0.5 * q_top) <= _S_MAX or _walks_few(radius, shape.symmetry, (q_top // 4 + 1) / _ROUTE_TWISTS):
+        return None
+    table = _fourier.fourier_coeffs(shape, s, q_top, bounds=bounds)
     c = table.coefficients
     q_list = list(range(0, q_top + 1, 4))
     coef_bar = (_coefficient_errors(table, q_list, [1.0] * len(q_list)) + tail) * lattice_mass
@@ -1793,15 +1812,15 @@ def reconstruct_hlawka(
     if q_max < 0:
         raise ValidationError("q_max must be nonnegative")
 
-    table = _fourier.fourier_coeffs(shape, s, q_max)
+    bounds = _fourier.strip_bounds(shape, s)
+    table = _fourier.fourier_coeffs(shape, s, q_max, bounds=bounds)
     q_list = list(range(0, q_max + 1, 4))
     c = table.coefficients
-    cut = _fourier.coefficient_cutoff(shape, s, _EPS * abs(c[0]))
-    if cut is not None:
+    if bounds is not None:
         # the components beyond the bound's Q are not summed; their bound is charged
-        q_list = [q for q in q_list if q <= cut[0]]
-        tail, _ = _fourier.coefficient_tail(shape, s, q_list[-1])
-        slow_decay = cut[0] > q_max
+        q_cut, _, tail = _fourier.coefficient_cutoff(bounds, _EPS * abs(c[0]), q_max)
+        q_list = [q for q in q_list if q <= q_cut]
+        slow_decay = q_cut > q_max
     else:
         edge = max(abs(c.get(q_list[-1], 0.0)), abs(c.get(-q_list[-1], 0.0))) if q_list[-1] > 0 else 0.0
         slow_decay = abs(c[0]) > 0 and edge >= 1e-12 * abs(c[0])
@@ -1823,7 +1842,7 @@ def reconstruct_hlawka(
     value, err = _decomposition(table, q_list, t_sums, t_errs)
     moduli = [abs(t_sums[q]) for q in q_list]
     err += _coefficient_errors(table, q_list, moduli)
-    if cut is not None:
+    if bounds is not None:
         # every |T_q| is at most the lattice mass where Re s > 1; below, the
         # largest computed one stands in for it
         err += tail * (_lattice_mass(s.real) if s.real > 1.0 else max(moduli))

@@ -49,9 +49,11 @@ def walk_only(monkeypatch):
 
 @pytest.fixture
 def row_tails_at_every_radius(monkeypatch):
-    """The row tails are taken wherever they are accurate enough, however
-    few points the walk would visit: their accuracy holds at every radius,
-    their speed only above ``zeta._WALK_POINTS``."""
+    """The row tails, and the cosine series' Fourier route, are taken
+    wherever they are accurate enough, however few points the walk would
+    visit: their accuracy holds at every radius, their speed only above
+    ``zeta._WALK_POINTS`` (for every ``zeta._ROUTE_TWISTS`` twists of the
+    route)."""
     monkeypatch.setattr(zeta, "_WALK_POINTS", 0.0)
 
 

@@ -63,7 +63,7 @@ _ROUTE_ROWS = [
 
 
 @pytest.mark.parametrize("coeffs,s,radius", _ROUTE_ROWS)
-def test_fourier_route_bars_bound_the_truncated_sum(coeffs, s, radius):
+def test_fourier_route_bars_bound_the_truncated_sum(coeffs, s, radius, row_tails_at_every_radius):
     shape = cosine_series(coeffs)
     res = zeta.hlawka_direct(shape, s, radius)
     assert res.truncation["route"] == "fourier"

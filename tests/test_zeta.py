@@ -1516,7 +1516,7 @@ def _walked_direct(shape, s, radius):
 
 
 @pytest.mark.parametrize("name,radius,s", _ROUTE_GRID, ids=[f"{n} R={r} s={s}" for n, r, s in _ROUTE_GRID])
-def test_fourier_route_agrees_with_the_walk(name, radius, s):
+def test_fourier_route_agrees_with_the_walk(name, radius, s, row_tails_at_every_radius):
     # within the sum of what the two bars claim for the truncated sum (the
     # shared disc tail to infinity aside); a refused route is the walk
     shape = cosine_series(_COS_SHAPES[name])
@@ -1531,21 +1531,49 @@ def test_fourier_route_agrees_with_the_walk(name, radius, s):
     assert res.error_estimate <= 2.0 * walked.error_estimate
 
 
-def test_most_of_the_route_grid_takes_the_fourier_route():
+def test_most_of_the_route_grid_takes_the_fourier_route(row_tails_at_every_radius):
+    # where its cost is set aside, the route's bars refuse it on few s
     routes = [hlawka_direct(cosine_series(_COS_SHAPES[n]), s, r).truncation["route"] for n, r, s in _ROUTE_GRID]
     assert routes.count("fourier") >= 0.75 * len(routes), routes
 
 
-def test_the_fourier_route_counts_the_walk_by_the_shapes_own_group():
+def test_the_fourier_route_counts_the_walk_by_the_shapes_own_group(monkeypatch):
     # a cos(2 theta) series folds by the Klein group (order 4), a
     # cos(4 theta) series by D4 (order 8): the route starts at
-    # pi R^2 / |G| > _WALK_POINTS, R = 276.4 and 390.9
+    # pi R^2 / |G| > _WALK_POINTS, R = 276.4 and 390.9 (its twists' cost
+    # set aside)
+    monkeypatch.setattr(zeta, "_ROUTE_TWISTS", math.inf)
     c2, c4 = cosine_series(_COS_SHAPES["c2"]), cosine_series(_COS_SHAPES["c4"])
     s = 1.874252 + 3.122349j
     assert hlawka_direct(c2, s, 270.0).truncation["route"] == "walk"
     assert hlawka_direct(c2, s, 290.0).truncation["route"] == "fourier"
     assert hlawka_direct(c4, s, 380.0).truncation["route"] == "walk"
     assert hlawka_direct(c4, s, 400.0).truncation["route"] == "fourier"
+
+
+def test_the_fourier_route_walks_where_its_twists_cost_more():
+    # at this s Q = 36 for c2 (10 twists) and 64 for c4 (17): the route
+    # starts at pi R^2 / |G| > _WALK_POINTS twists / _ROUTE_TWISTS,
+    # R = 309.0 and 569.8
+    c2, c4 = cosine_series(_COS_SHAPES["c2"]), cosine_series(_COS_SHAPES["c4"])
+    s = 1.874252 + 3.122349j
+    assert hlawka_direct(c2, s, 300.0).truncation["route"] == "walk"
+    assert hlawka_direct(c2, s, 320.0).truncation["q_max"] == 36
+    assert hlawka_direct(c4, s, 560.0).truncation["route"] == "walk"
+    assert hlawka_direct(c4, s, 580.0).truncation["q_max"] == 64
+
+
+def test_a_thin_cosine_series_walks_before_sizing_a_table(monkeypatch):
+    # r_min = 1e-5: the strip bound's Q is millions, far beyond the row
+    # tails' |s + Q/2| <= 50, so the route is refused before any table
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was summed")
+
+    monkeypatch.setattr(zeta._fourier, "fourier_coeffs", no_table)
+    shape = cosine_series([1.0, 0.0, 0.99999])
+    for s in (2.0 + 1.0j, 1.05, 3.0 - 8.0j):
+        res = hlawka_direct(shape, s, 300.0)
+        assert res.truncation["route"] == "walk" and math.isfinite(abs(res.value))
 
 
 def test_walk_only_disables_the_fourier_route(walk_only):
